@@ -16,11 +16,13 @@ are bit-exact for float32 models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import kv
 from .dataset import PreprocessOptions
 from .model import DualHeadViT, ModelConfig
 
@@ -32,115 +34,83 @@ class IncompatibleCheckpointError(ValueError):
     """Checkpoint contents do not match the requested configuration."""
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "none"
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def _config_lines(config: ModelConfig, prep: PreprocessOptions, task: str) -> list[str]:
-    lines = [f"model.{f.name} = {_format_value(getattr(config, f.name))}"
-             for f in fields(ModelConfig)]
-    lines += [f"prep.{f.name} = {_format_value(getattr(prep, f.name))}"
-              for f in fields(PreprocessOptions)]
-    lines.append(f"task = {task}")
-    return lines
-
-
-def _parse_scalar(text: str):
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if text == "none":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+def _layout(shapes) -> tuple[list[str], int]:
+    """Header lines for float32 arrays stored back to back, and their bytes."""
+    lines, offset = [], 0
+    for name, shape in shapes:
+        lines.append(f"tensor {name} {'x'.join(map(str, shape))} @ {offset}")
+        offset += 4 * math.prod(shape)
+    return lines, offset
 
 
 def save_checkpoint(path: str | Path, model: DualHeadViT,
                     prep: PreprocessOptions, task: str) -> None:
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
-    header = [MAGIC]
-    header += _config_lines(model.config, prep, task)
-    blobs: list[bytes] = []
-    offset = 0
-    for name, tensor in model.named_parameters():
-        data = np.ascontiguousarray(tensor.data, dtype="<f4")
-        dims = "x".join(str(d) for d in data.shape)
-        header.append(f"tensor {name} {dims} @ {offset}")
-        blobs.append(data.tobytes())
-        offset += len(blobs[-1])
+    named = model.named_parameters()
+    tensor_lines, _ = _layout((name, t.data.shape) for name, t in named)
+    header = [MAGIC, *kv.dump("model", model.config), *kv.dump("prep", prep),
+              f"task = {task}", *tensor_lines]
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n---\n").encode("ascii"))
-        for blob in blobs:
-            fh.write(blob)
+        for _, tensor in named:
+            fh.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[DualHeadViT, PreprocessOptions, str]:
+    """Read a checkpoint, accepting only the exact layout ``save_checkpoint``
+    writes: every parameter once, in order, at cumulative offsets, with no
+    trailing bytes."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"checkpoint not found: {path}")
-    raw = path.read_bytes()
-    sep = b"\n---\n"
-    cut = raw.find(sep)
-    if cut < 0:
+    head, sep, binary = path.read_bytes().partition(b"\n---\n")
+    if not sep:
         raise IncompatibleCheckpointError(f"{path}: missing header terminator")
-    header = raw[:cut].decode("ascii").splitlines()
-    binary = raw[cut + len(sep):]
+    try:
+        header = head.decode("ascii").splitlines()
+    except UnicodeDecodeError:
+        raise IncompatibleCheckpointError(f"{path}: header is not ASCII") from None
     if not header or header[0] != MAGIC:
         raise IncompatibleCheckpointError(f"{path}: bad magic line "
                                           f"{header[0] if header else ''!r}")
-    model_kwargs: dict = {}
-    prep_kwargs: dict = {}
+    values: dict[str, dict[str, str]] = {"model": {}, "prep": {}}
     task = None
-    tensors: list[tuple[str, tuple[int, ...], int]] = []
+    tensor_lines: list[str] = []
     for line in header[1:]:
+        key, _, value = line.partition(" = ")
+        section, _, name = key.partition(".")
         if line.startswith("tensor "):
-            _, name, dims, at, off = line.split(" ")
-            if at != "@":
-                raise IncompatibleCheckpointError(f"{path}: malformed tensor line {line!r}")
-            shape = tuple(int(d) for d in dims.split("x"))
-            tensors.append((name, shape, int(off)))
+            tensor_lines.append(line)
+        elif section in values and name and name not in values[section]:
+            values[section][name] = value
+        elif key == "task" and task is None:
+            task = value
         else:
-            key, _, value = line.partition(" = ")
-            if key.startswith("model."):
-                model_kwargs[key[6:]] = _parse_scalar(value)
-            elif key.startswith("prep."):
-                prep_kwargs[key[5:]] = _parse_scalar(value)
-            elif key == "task":
-                task = value
-            else:
-                raise IncompatibleCheckpointError(f"{path}: unknown header line {line!r}")
+            raise IncompatibleCheckpointError(f"{path}: unknown or repeated "
+                                              f"header line {line!r}")
     if task not in TASKS:
         raise IncompatibleCheckpointError(f"{path}: missing or unknown task {task!r}")
-    config = ModelConfig(**model_kwargs)
-    prep = PreprocessOptions(**prep_kwargs)
-    model = DualHeadViT(config, seed=0, dtype=np.float32)
-    expected = dict(DualHeadViT.parameter_shapes(config))
-    for name, shape, off in tensors:
-        if name not in expected or expected[name] != shape:
-            raise IncompatibleCheckpointError(
-                f"{path}: tensor {name} {shape} does not match the configured "
-                f"architecture")
-        count = int(np.prod(shape))
-        end = off + 4 * count
-        if end > len(binary):
-            raise IncompatibleCheckpointError(f"{path}: tensor {name} data out of range")
-        arr = np.frombuffer(binary, dtype="<f4", count=count, offset=off)
-        model.params[name].data = arr.reshape(shape).copy()
-    if len(tensors) != len(expected):
+    try:
+        config = kv.build(ModelConfig, "model", values["model"])
+        prep = kv.build(PreprocessOptions, "prep", values["prep"])
+    except ValueError as exc:
+        raise IncompatibleCheckpointError(f"{path}: {exc}") from None
+    shapes = DualHeadViT.parameter_shapes(config)
+    expected, size = _layout(shapes)
+    if tensor_lines != expected:
         raise IncompatibleCheckpointError(
-            f"{path}: expected {len(expected)} tensors, found {len(tensors)}")
+            f"{path}: tensor lines do not match the configured architecture")
+    if len(binary) != size:
+        raise IncompatibleCheckpointError(
+            f"{path}: payload size {len(binary)} out of range, expected {size} bytes")
+    model = DualHeadViT(config, seed=0, dtype=np.float32)
+    offset = 0
+    for name, shape in shapes:
+        count = math.prod(shape)
+        arr = np.frombuffer(binary, dtype="<f4", count=count, offset=offset)
+        model.params[name].data = arr.reshape(shape).copy()
+        offset += 4 * count
     return model, prep, task
 
 

@@ -13,12 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import IncompatibleCheckpointError, load_bank
+from . import kv
+from .checkpoint import TASKS, IncompatibleCheckpointError, load_bank
 from .config import ConfigError, RunConfig, effective_lines, load_config
-from .dataset import (ManifestRow, load_input_image, prepare_input,
-                      read_manifest, write_manifest)
+from .dataset import (ManifestRow, PreprocessOptions, load_input_image,
+                      prepare_input, read_manifest, write_manifest)
 from .metrics import N_FEATURES, evaluate
 from .ppm import read_ppm, write_ppm
+from .preprocess import AugmentParams
 from .synth import generate_dataset
 from .training import train_bank, train_task
 
@@ -34,14 +36,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _bool_flag(value: str) -> bool:
-    if value in ("true", "1", "yes"):
-        return True
-    if value in ("false", "0", "no"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected true/false, got {value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,17 +55,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--target", type=int, default=64)
-    p.add_argument("--od-crop", type=_bool_flag, default=True)
-    p.add_argument("--bg-removal", type=_bool_flag, default=True)
+    p.add_argument("--od-crop", type=kv.boolean, default=True)
+    p.add_argument("--bg-removal", type=kv.boolean, default=True)
 
     p = sub.add_parser("train", help="train one task or the full 11-task bank")
     p.add_argument("--config", type=Path, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--od-crop", type=_bool_flag, default=None)
-    p.add_argument("--bg-removal", type=_bool_flag, default=None)
-    p.add_argument("--task", default=None,
-                   choices=["glaucoma", *[f"feature{k}" for k in range(1, 11)], "bank"])
+    p.add_argument("--od-crop", type=kv.boolean, default=None)
+    p.add_argument("--bg-removal", type=kv.boolean, default=None)
+    p.add_argument("--task", default=None, choices=[*TASKS, "bank"])
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or bank on a manifest")
     p.add_argument("--checkpoint", type=Path, required=True,
@@ -99,8 +92,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    from .dataset import PreprocessOptions
-
     rows = read_manifest(args.manifest)
     base = args.manifest.parent
     opts = PreprocessOptions(od_crop=args.od_crop, bg_removal=args.bg_removal)
@@ -147,14 +138,7 @@ def cmd_train(args) -> int:
     rows = read_manifest(manifest_path)
     base = manifest_path.parent
     lines = effective_lines(cfg)
-    aug = cfg.augment if cfg.augment_enabled else None
-    from .preprocess import AugmentParams
-
-    if aug is None:
-        # Disabled augmentation: zero-probability flips, degenerate ranges.
-        aug = AugmentParams(p_flip_h=0.0, p_flip_v=0.0, rot_lo=0.0, rot_hi=0.0,
-                            sat_lo=1.0, sat_hi=1.0, bright_lo=1.0, bright_hi=1.0,
-                            hue_lo=1.0, hue_hi=1.0, seed=cfg.augment.seed)
+    aug = cfg.augment if cfg.augment_enabled else AugmentParams.disabled()
     out_dir = Path(cfg.out_dir)
     if cfg.train.task == "bank":
         bank = train_bank(cfg.model, replace(cfg.train, task="glaucoma"), aug,

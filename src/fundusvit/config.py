@@ -7,9 +7,10 @@ echoed into the run log so results stay re-derivable from the log alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import kv
 from .dataset import PreprocessOptions
 from .model import ModelConfig
 from .preprocess import AugmentParams
@@ -32,52 +33,21 @@ class RunConfig:
 
 
 _SECTIONS = {
-    "model": (ModelConfig, "model"),
-    "train": (TrainConfig, "train"),
-    "augment": (AugmentParams, "augment"),
-    "prep": (PreprocessOptions, "prep"),
+    "model": ModelConfig,
+    "train": TrainConfig,
+    "augment": AugmentParams,
+    "prep": PreprocessOptions,
 }
 
 _TOP_LEVEL = {
-    "augment.enabled": ("augment_enabled", bool),
+    "augment.enabled": ("augment_enabled", kv.boolean),
     "paths.manifest": ("manifest", str),
     "paths.out": ("out_dir", str),
 }
 
 
-def _convert(raw: str, kind, key: str):
-    raw = raw.strip()
-    if kind is bool:
-        if raw in ("true", "1", "yes"):
-            return True
-        if raw in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
-    return raw
-
-
-def _field_kind(cls, name: str, key: str):
-    for f in fields(cls):
-        if f.name == name:
-            if f.type in ("int", "float", "bool", "str"):
-                return {"int": int, "float": float, "bool": bool, "str": str}[f.type]
-            if name == "split":
-                return "split"
-            if f.type in ("int | None",):
-                return "opt_int"
-            return str
-    raise ConfigError(f"unknown config key {key!r}")
-
-
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    section_values: dict[str, dict] = {name: {} for name in _SECTIONS}
+    section_values: dict[str, dict[str, str]] = {name: {} for name in _SECTIONS}
     top_values: dict = {}
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -90,34 +60,23 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         if key in seen:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         seen.add(key)
-        if key in _TOP_LEVEL:
-            attr, kind = _TOP_LEVEL[key]
-            top_values[attr] = _convert(value, kind, key)
-            continue
         section, _, name = key.partition(".")
-        if section not in _SECTIONS or not name:
-            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
-        cls, _ = _SECTIONS[section]
-        kind = _field_kind(cls, name, key)
-        if kind == "split":
-            parts = value.split(":")
-            if len(parts) != 2:
-                raise ConfigError(f"{key}: expected 'train:val' ratio, got {value!r}")
-            section_values[section][name] = (int(parts[0]), int(parts[1]))
-        elif kind == "opt_int":
-            section_values[section][name] = None if value == "none" else \
-                _convert(value, int, key)
+        if key in _TOP_LEVEL:
+            attr, convert = _TOP_LEVEL[key]
+            try:
+                top_values[attr] = convert(value)
+            except ValueError as exc:
+                raise ConfigError(f"{source}:{lineno}: {key}: {exc}") from None
+        elif section in _SECTIONS and name:
+            section_values[section][name] = value
         else:
-            section_values[section][name] = _convert(value, kind, key)
+            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
     try:
-        return RunConfig(
-            model=ModelConfig(**section_values["model"]),
-            train=TrainConfig(**section_values["train"]),
-            augment=AugmentParams(**section_values["augment"]),
-            prep=PreprocessOptions(**section_values["prep"]),
-            **top_values)
-    except (TypeError, ValueError) as exc:
+        sections = {section: kv.build(cls, section, section_values[section])
+                    for section, cls in _SECTIONS.items()}
+    except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
+    return RunConfig(**sections, **top_values)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -129,19 +88,9 @@ def load_config(path: str | Path) -> RunConfig:
 
 def effective_lines(cfg: RunConfig) -> list[str]:
     """Every effective value, defaults included, for log provenance."""
-    lines: list[str] = []
-    for section, (cls, attr) in _SECTIONS.items():
-        obj = getattr(cfg, attr)
-        for f in fields(cls):
-            value = getattr(obj, f.name)
-            if f.name == "split":
-                value = f"{value[0]}:{value[1]}"
-            elif isinstance(value, bool):
-                value = "true" if value else "false"
-            elif value is None:
-                value = "none"
-            lines.append(f"{section}.{f.name} = {value}")
-    lines.append(f"augment.enabled = {'true' if cfg.augment_enabled else 'false'}")
+    lines = [line for section in _SECTIONS
+             for line in kv.dump(section, getattr(cfg, section))]
+    lines.append(f"augment.enabled = {kv.format_value(cfg.augment_enabled)}")
     lines.append(f"paths.manifest = {cfg.manifest or 'none'}")
     lines.append(f"paths.out = {cfg.out_dir or 'none'}")
     return lines

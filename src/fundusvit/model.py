@@ -44,6 +44,9 @@ class ModelConfig:
     mlp_hidden: int | None = None
 
     def __post_init__(self):
+        for name in ("height", "width", "patch", "dim", "heads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.height % self.patch or self.width % self.patch:
             raise ShapeError(f"image {self.height}x{self.width} not divisible by "
                              f"patch {self.patch}")

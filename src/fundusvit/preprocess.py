@@ -23,7 +23,8 @@ _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 @dataclass(frozen=True)
 class AugmentParams:
-    """Augmentation draw ranges; ``seed`` feeds the caller's generator chain."""
+    """Augmentation draw ranges. The draws themselves come from the
+    training seed's streams."""
 
     p_flip_h: float = 0.5
     p_flip_v: float = 0.5
@@ -35,7 +36,13 @@ class AugmentParams:
     bright_hi: float = 1.05
     hue_lo: float = 0.95
     hue_hi: float = 1.05
-    seed: int = 0
+
+    @classmethod
+    def disabled(cls) -> "AugmentParams":
+        """Zero-probability flips and degenerate ranges: every draw is identity."""
+        return cls(p_flip_h=0.0, p_flip_v=0.0, rot_lo=0.0, rot_hi=0.0,
+                   sat_lo=1.0, sat_hi=1.0, bright_lo=1.0, bright_hi=1.0,
+                   hue_lo=1.0, hue_hi=1.0)
 
 
 def roi_side(w: float, h: float) -> int:

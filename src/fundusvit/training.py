@@ -30,8 +30,6 @@ _STREAM_SPLIT = 2
 _STREAM_SHUFFLE = 3
 _STREAM_AUGMENT = 4
 
-PROTOCOL_DEFAULTS = ("lr0", "lr_decay", "lr_decay_every", "split")
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -59,6 +57,12 @@ class TrainConfig:
             raise ValueError(f"unknown task {self.task!r}")
         if self.loss_mode not in ("average", "sum"):
             raise ValueError(f"loss_mode must be 'average' or 'sum', got {self.loss_mode!r}")
+        if self.batch_size < 1 or self.lr_decay_every < 1:
+            raise ValueError(f"batch_size and lr_decay_every must be at least 1, "
+                             f"got {self.batch_size} and {self.lr_decay_every}")
+        if min(self.split) < 0 or sum(self.split) == 0:
+            raise ValueError(f"split needs nonnegative parts with a positive sum, "
+                             f"got {self.split}")
 
 
 @dataclass
@@ -187,10 +191,6 @@ class TaskResult:
     checkpoint_path: Path | None = None
 
 
-def _task_index(task: str) -> int:
-    return TASKS.index(task)
-
-
 def _augment_rng(seed: int, epoch: int, index: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence((int(seed), _STREAM_AUGMENT, int(epoch), int(index))))
@@ -245,7 +245,7 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
 
     model = DualHeadViT(model_cfg,
                         seed=np.random.SeedSequence(
-                            (train_cfg.seed, _STREAM_INIT, _task_index(task))
+                            (train_cfg.seed, _STREAM_INIT, TASKS.index(task))
                         ).generate_state(1)[0],
                         dtype=np.float32)
     optimizer = Adam(model.parameters(), train_cfg.beta1, train_cfg.beta2,

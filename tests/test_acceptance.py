@@ -35,10 +35,6 @@ from test_model import random_head, zero_head
 GRAD_MODEL = ModelConfig(height=32, width=32, patch=16, dim=16, depth=2,
                          heads=2, agg_hidden=16, mlp_hidden=16)
 
-IDENTITY_AUG = AugmentParams(p_flip_h=0.0, p_flip_v=0.0, rot_lo=0.0, rot_hi=0.0,
-                             sat_lo=1.0, sat_hi=1.0, bright_lo=1.0, bright_hi=1.0,
-                             hue_lo=1.0, hue_hi=1.0)
-
 
 @contextmanager
 def criterion(name: str, budget_s: float | None = None):
@@ -149,8 +145,8 @@ def test_04_overfit_check(tmp_path):
         train_cfg = TrainConfig(lr0=5e-4, lr_decay_every=1000, epochs=200,
                                 batch_size=16, seed=1)
         prep = PreprocessOptions()
-        result = train_task(model_cfg, train_cfg, IDENTITY_AUG, prep, rows,
-                            manifest.parent)
+        result = train_task(model_cfg, train_cfg, AugmentParams.disabled(),
+                            prep, rows, manifest.parent)
         steps = sum(int(np.ceil(16 / train_cfg.batch_size))
                     for _ in result.history)
         assert steps <= 200

@@ -122,6 +122,91 @@ class TestExitCodes:
                         "--out", tmp_path / "r.txt"]) == 3
 
 
+def _tensor_line(lines, name):
+    return next(l for l in lines if l.startswith(f"tensor {name} "))
+
+
+def _replace_line(prefix, new):
+    return lambda lines, body: ([new if l.startswith(prefix) else l
+                                 for l in lines], body)
+
+
+def _drop_last_tensor(lines, body):
+    # the final tensor is final_fc.bias, 1x2 float32
+    return lines[:-1], body[:-8]
+
+
+def _shift_last_offset(lines, body):
+    name, dims, at, off = lines[-1].split(" ")[1:]
+    return lines[:-1] + [f"tensor {name} {dims} @ {int(off) - 4}"], body
+
+
+# header edits applied to a good checkpoint: (header lines, payload) -> same
+MALFORMED_CHECKPOINTS = {
+    # the cls_token line is overwritten, so cls_token would keep its init
+    "duplicate-tensor": lambda lines, body: (
+        [_tensor_line(lines, "patch_proj.bias") if l.startswith("tensor cls_token ")
+         else l for l in lines], body),
+    "missing-tensor": _drop_last_tensor,
+    "shifted-offset": _shift_last_offset,
+    "trailing-bytes": lambda lines, body: (lines, body + bytes(4)),
+    "malformed-tensor-line": lambda lines, body: (
+        lines[:-1] + [lines[-1] + " extra"], body),
+    "non-ascii-header": _replace_line("model.activation", "model.activation = r\u00e9lu"),
+    "non-numeric-height": _replace_line("model.height", "model.height = abc"),
+    "unknown-field": lambda lines, body: (lines[:2] + ["model.foo = 1"] + lines[2:],
+                                          body),
+    "zero-patch": _replace_line("model.patch", "model.patch = 0"),
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_checkpoint_infer_is_three(self, case, workspace, tmp_path,
+                                                 capsys):
+        from fundusvit.checkpoint import save_checkpoint
+        from fundusvit.dataset import PreprocessOptions
+        from fundusvit.model import DualHeadViT, ModelConfig
+
+        root, data, config = workspace
+        model = DualHeadViT(ModelConfig(height=32, width=32, patch=16, dim=16,
+                                        depth=1, heads=2, agg_hidden=8), 7,
+                            np.float32)
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(good, model, PreprocessOptions(), "glaucoma")
+        image = data / "images" / "img0000.ppm"
+        assert run_cli(["infer", "--checkpoint", good, "--image", image]) == 0
+
+        head, sep, body = good.read_bytes().partition(b"\n---\n")
+        lines, body = MALFORMED_CHECKPOINTS[case](head.decode("ascii").split("\n"),
+                                                  body)
+        bad = tmp_path / "glaucoma.ckpt"
+        bad.write_bytes("\n".join(lines).encode("utf-8") + sep + body)
+        capsys.readouterr()
+        assert run_cli(["infer", "--checkpoint", bad, "--image", image]) == 3
+        assert "incompatible checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, field", [("train.split = 0:0", "split"),
+                                             ("model.patch = 0", "patch"),
+                                             ("augment.rot_lo = nan", "rot_lo"),
+                                             ("train.lr_decay_every = 0",
+                                              "lr_decay_every")])
+    def test_malformed_config_train_is_one(self, line, field, workspace, tmp_path,
+                                           capsys):
+        root, data, config = workspace
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"paths.manifest = {data / 'manifest.tsv'}\n"
+                       f"paths.out = {tmp_path / 'out'}\n{line}\n")
+        assert run_cli(["train", "--config", bad]) == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_boolean_flag_is_one(self, workspace, capsys):
+        root, data, config = workspace
+        assert run_cli(["train", "--config", config, "--od-crop", "maybe"]) == 1
+        assert "--od-crop" in capsys.readouterr().err
+
+
 class TestTrainEvalInfer:
     def test_train_writes_checkpoint_and_log(self, workspace):
         root, data, config = workspace

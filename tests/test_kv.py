@@ -1,0 +1,232 @@
+"""The ``section.field = value`` codec: golden run-config echo and checkpoint
+header text, typed round-trips for the four settings classes, and config
+parsing that fails only with ConfigError."""
+
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fundusvit import kv
+from fundusvit.checkpoint import TASKS, save_checkpoint
+from fundusvit.config import (ConfigError, RunConfig, effective_lines,
+                              parse_config_text)
+from fundusvit.dataset import PreprocessOptions
+from fundusvit.model import DualHeadViT, ModelConfig
+from fundusvit.preprocess import AugmentParams
+from fundusvit.training import TrainConfig
+
+GOLDEN_CONFIG = """\
+model.dim = 32
+model.mlp_hidden = 48
+train.split = 3:2
+train.lr0 = 0.0005
+train.adam_eps = 1e-9
+train.n_nrg = 40
+augment.rot_lo = -7.5
+augment.enabled = false
+prep.bg_tau = 12
+paths.manifest = data/manifest.tsv
+"""
+
+GOLDEN_ECHO = """\
+model.height = 64
+model.width = 64
+model.patch = 16
+model.dim = 32
+model.depth = 4
+model.heads = 4
+model.agg_hidden = 64
+model.activation = relu
+model.mlp_hidden = 48
+train.lr0 = 0.0005
+train.lr_decay = 0.5
+train.lr_decay_every = 5
+train.beta1 = 0.9
+train.beta2 = 0.999
+train.adam_eps = 1e-09
+train.batch_size = 8
+train.epochs = 30
+train.seed = 0
+train.split = 3:2
+train.task = glaucoma
+train.n_nrg = 40
+train.loss_mode = average
+train.prob_clamp = 1e-07
+augment.p_flip_h = 0.5
+augment.p_flip_v = 0.5
+augment.rot_lo = -7.5
+augment.rot_hi = 10.0
+augment.sat_lo = 0.95
+augment.sat_hi = 1.05
+augment.bright_lo = 0.95
+augment.bright_hi = 1.05
+augment.hue_lo = 0.95
+augment.hue_hi = 1.05
+prep.od_crop = true
+prep.bg_removal = true
+prep.bg_tau = 12
+prep.confidence_floor = 0.25
+augment.enabled = false
+paths.manifest = data/manifest.tsv
+paths.out = none"""
+
+GOLDEN_HEADER = """\
+fundusvit-checkpoint v1
+model.height = 32
+model.width = 32
+model.patch = 16
+model.dim = 8
+model.depth = 1
+model.heads = 2
+model.agg_hidden = 4
+model.activation = gelu
+model.mlp_hidden = none
+prep.od_crop = false
+prep.bg_removal = true
+prep.bg_tau = 10
+prep.confidence_floor = 0.3
+task = feature4
+tensor patch_proj.weight 768x8 @ 0
+tensor patch_proj.bias 1x8 @ 24576
+tensor cls_token 1x8 @ 24608
+tensor pos_embed 5x8 @ 24640
+tensor block0.ln1.gain 8 @ 24800
+tensor block0.ln1.bias 8 @ 24832
+tensor block0.attn.q.weight 8x8 @ 24864
+tensor block0.attn.q.bias 1x8 @ 25120
+tensor block0.attn.k.weight 8x8 @ 25152
+tensor block0.attn.k.bias 1x8 @ 25408
+tensor block0.attn.v.weight 8x8 @ 25440
+tensor block0.attn.v.bias 1x8 @ 25696
+tensor block0.attn.out.weight 8x8 @ 25728
+tensor block0.attn.out.bias 1x8 @ 25984
+tensor block0.ln2.gain 8 @ 26016
+tensor block0.ln2.bias 8 @ 26048
+tensor block0.mlp.fc1.weight 8x32 @ 26080
+tensor block0.mlp.fc1.bias 1x32 @ 27104
+tensor block0.mlp.fc2.weight 32x8 @ 27232
+tensor block0.mlp.fc2.bias 1x8 @ 28256
+tensor mlp_head.weight 8x2 @ 28288
+tensor mlp_head.bias 1x2 @ 28352
+tensor agg.proj1.weight 8x4 @ 28360
+tensor agg.proj1.bias 1x4 @ 28488
+tensor agg.norm1.gain 4 @ 28504
+tensor agg.norm1.bias 4 @ 28520
+tensor agg.proj2.weight 4x1 @ 28536
+tensor agg.proj2.bias 1x1 @ 28552
+tensor agg.norm2.gain 1 @ 28556
+tensor agg.norm2.bias 1 @ 28560
+tensor final_fc.weight 8x2 @ 28564
+tensor final_fc.bias 1x2 @ 28628
+---
+"""
+
+
+class TestGolden:
+    def test_effective_lines(self):
+        cfg = parse_config_text(GOLDEN_CONFIG)
+        assert "\n".join(effective_lines(cfg)) == GOLDEN_ECHO
+
+    def test_checkpoint_header(self, tmp_path):
+        model = DualHeadViT(ModelConfig(height=32, width=32, patch=16, dim=8,
+                                        depth=1, heads=2, agg_hidden=4,
+                                        activation="gelu"),
+                            seed=3, dtype=np.float32)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model,
+                        PreprocessOptions(od_crop=False, confidence_floor=0.3),
+                        "feature4")
+        raw = path.read_bytes()
+        assert raw[:len(GOLDEN_HEADER)] == GOLDEN_HEADER.encode("ascii")
+        assert len(raw) == len(GOLDEN_HEADER) + 28636
+
+
+class TestBuild:
+    def test_errors_name_the_key(self):
+        with pytest.raises(ValueError, match=r"train\.epochs"):
+            kv.build(TrainConfig, "train", {"epochs": "ten"})
+        with pytest.raises(ValueError, match="unknown config key 'model.foo'"):
+            kv.build(ModelConfig, "model", {"foo": "1"})
+        with pytest.raises(ValueError, match=r"train\.split"):
+            kv.build(TrainConfig, "train", {"split": "4"})
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_floats_rejected(self, text):
+        with pytest.raises(ValueError, match="augment.rot_lo"):
+            kv.build(AugmentParams, "augment", {"rot_lo": text})
+
+    def test_optional_and_boolean(self):
+        assert kv.build(ModelConfig, "model", {"mlp_hidden": "none"}).mlp_hidden is None
+        assert kv.build(ModelConfig, "model", {"mlp_hidden": "7"}).mlp_hidden == 7
+        assert kv.build(PreprocessOptions, "prep", {"od_crop": "no"}).od_crop is False
+        with pytest.raises(ValueError, match="prep.od_crop"):
+            kv.build(PreprocessOptions, "prep", {"od_crop": "maybe"})
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def model_configs(draw):
+    patch = draw(st.integers(1, 32))
+    heads = draw(st.integers(1, 8))
+    return ModelConfig(height=patch * draw(st.integers(1, 8)),
+                       width=patch * draw(st.integers(1, 8)),
+                       patch=patch,
+                       dim=heads * draw(st.integers(1, 16)),
+                       depth=draw(st.integers(0, 6)),
+                       heads=heads,
+                       agg_hidden=draw(st.integers(1, 64)),
+                       activation=draw(st.sampled_from(["relu", "gelu"])),
+                       mlp_hidden=draw(st.none() | st.integers(1, 256)))
+
+
+SETTINGS = {
+    "model": (ModelConfig, model_configs()),
+    "train": (TrainConfig, st.builds(
+        TrainConfig, lr0=finite, lr_decay=finite,
+        lr_decay_every=st.integers(1, 100), beta1=finite, beta2=finite,
+        adam_eps=finite, batch_size=st.integers(1, 64),
+        epochs=st.integers(0, 100), seed=st.integers(-2**40, 2**40),
+        split=st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(sum),
+        task=st.sampled_from([*TASKS, "bank"]),
+        n_nrg=st.none() | st.integers(0, 10**6),
+        loss_mode=st.sampled_from(["average", "sum"]), prob_clamp=finite)),
+    "augment": (AugmentParams, st.builds(
+        AugmentParams, **{f.name: finite for f in fields(AugmentParams)})),
+    "prep": (PreprocessOptions, st.builds(
+        PreprocessOptions, od_crop=st.booleans(), bg_removal=st.booleans(),
+        bg_tau=st.integers(-255, 255), confidence_floor=finite)),
+}
+
+
+@pytest.mark.parametrize("section", sorted(SETTINGS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_build_inverts_dump(section, data):
+    cls, strategy = SETTINGS[section]
+    obj = data.draw(strategy)
+    raw = dict(line.removeprefix(f"{section}.").split(" = ", 1)
+               for line in kv.dump(section, obj))
+    assert kv.build(cls, section, raw) == obj
+
+
+KEYS = [line.split(" = ")[0] for line in effective_lines(RunConfig())]
+VALUES = st.sampled_from(["0", "-1", "1", "16", "nan", "inf", "1e400", "none",
+                          "true", "maybe", "0:0", "3:2", "1:-1", "2:1:1", "",
+                          "relu", "bank"]) | st.text(max_size=12)
+LINES = st.one_of(
+    st.text(max_size=40),
+    st.builds("{} = {}".format, st.sampled_from(KEYS + ["model.foo", "x"]), VALUES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LINES, max_size=8))
+def test_arbitrary_config_text_raises_only_config_error(lines):
+    try:
+        parse_config_text("\n".join(lines))
+    except ConfigError:
+        pass
