@@ -120,7 +120,7 @@ class Tensor:
 def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
             vjp: Callable | None) -> Tensor:
     """Wrap an op output, guarding finiteness and recording the node."""
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"{op} produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -139,7 +139,7 @@ def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
 
 
 def _accumulate(parent: Tensor, g: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFiniteError(f"backward through {op} produced non-finite gradients")
     if parent.grad is None:
         parent.grad = g.astype(parent.data.dtype, copy=True)
@@ -234,6 +234,73 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ bd.T, ad.T @ g
 
     return _result(ad @ bd, "matmul", (a, b), vjp)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` with a (1, n) bias row, as one node."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear operands do not chain: {x.shape} x {w.shape}")
+    if b.shape != (1, w.shape[1]):
+        raise ShapeError(f"linear bias must be (1, {w.shape[1]}), got {b.shape}")
+    xd, wd = x.data, w.data
+
+    def vjp(g):
+        # an untracked input (the image patches) needs no (N x 3P^2) product
+        dx = g @ wd.T if x.requires_grad else None
+        return dx, xd.T @ g, g.sum(axis=0, keepdims=True)
+
+    return _result(xd @ wd + b.data, "linear", (x, w, b), vjp)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head attention ``softmax(q_h k_h^T) v_h`` over column blocks.
+
+    The (N, D) inputs are split into ``heads`` blocks of D / heads columns,
+    all heads run as one batched product, and the per-head outputs are
+    merged back into (N, D) in head order. Scaling the scores is left to
+    the caller (scale ``q``, N x D entries, rather than the N x N scores).
+
+    The adjoint keeps the row-normalised probabilities ``P``, the three
+    input head stacks and the output stack ``O = P v``. It forms
+    ``dV = P^T g``, ``dS = P * (g v^T - rowsum(g v^T * P))``, ``dQ = dS k``
+    and ``dK = dS^T q``, taking ``rowsum(g v^T * P)`` as ``rowsum(g * O)``
+    (Dao et al. 2022), an N x dh product instead of an N x N one.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
+        raise ShapeError(f"attention needs equal 2-d q, k, v, got "
+                         f"{q.shape}, {k.shape}, {v.shape}")
+    n, d = q.shape
+    if heads < 1 or d % heads:
+        raise ShapeError(f"attention width {d} not divisible by {heads} heads")
+    dh = d // heads
+
+    def split(a):  # (N, D) -> (H, N, dh)
+        return a.reshape(n, heads, dh).transpose(1, 0, 2)
+
+    def merge(a):  # (H, N, dh) -> (N, D)
+        return a.transpose(1, 0, 2).reshape(n, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    p = qh @ kh.transpose(0, 2, 1)
+    if not np.isfinite(p).all():
+        raise NonFiniteError("attention produced non-finite scores")
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    oh = p @ vh
+
+    def vjp(g):
+        gh = split(g)
+        ds = gh @ vh.transpose(0, 2, 1)
+        ds -= (gh * oh).sum(axis=-1, keepdims=True)
+        ds *= p
+        return (merge(ds @ kh), merge(ds.transpose(0, 2, 1) @ qh),
+                merge(p.transpose(0, 2, 1) @ gh))
+
+    return _result(merge(oh), "attention", (q, k, v), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

@@ -104,14 +104,13 @@ def load_checkpoint(path: str | Path) -> tuple[DualHeadViT, PreprocessOptions, s
     if len(binary) != size:
         raise IncompatibleCheckpointError(
             f"{path}: payload size {len(binary)} out of range, expected {size} bytes")
-    model = DualHeadViT(config, seed=0, dtype=np.float32)
-    offset = 0
+    payload = np.frombuffer(binary, dtype="<f4").astype(np.float32)
+    arrays, offset = {}, 0
     for name, shape in shapes:
         count = math.prod(shape)
-        arr = np.frombuffer(binary, dtype="<f4", count=count, offset=offset)
-        model.params[name].data = arr.reshape(shape).copy()
-        offset += 4 * count
-    return model, prep, task
+        arrays[name] = payload[offset:offset + count].reshape(shape)
+        offset += count
+    return DualHeadViT.from_arrays(config, arrays), prep, task
 
 
 @dataclass

@@ -11,13 +11,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import kv
 from .checkpoint import TASKS, IncompatibleCheckpointError, load_bank
 from .config import ConfigError, RunConfig, effective_lines, load_config
 from .dataset import (ManifestRow, PreprocessOptions, load_input_image,
-                      prepare_input, read_manifest, write_manifest)
+                      prepare_input, read_manifest, to_unit, write_manifest)
 from .metrics import N_FEATURES, evaluate
 from .ppm import read_ppm, write_ppm
 from .preprocess import AugmentParams
@@ -192,7 +190,7 @@ def cmd_infer(args) -> int:
                                    bank.config.height)
     if bank.prep.od_crop and plan.is_full_image:
         print("fallback: full image", file=sys.stderr)
-    unit = prepared.astype(np.float64) / 255.0
+    unit = to_unit(prepared)
     print(f"glaucoma {bank.models['glaucoma'].predict(unit):.6f}")
     for k in range(1, N_FEATURES + 1):
         task = f"feature{k}"

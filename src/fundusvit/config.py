@@ -39,10 +39,16 @@ _SECTIONS = {
     "prep": PreprocessOptions,
 }
 
+
+def _path(text: str) -> str | None:
+    # the echo writes an unset path as ``none``, so that name means unset
+    return None if text == "none" else text
+
+
 _TOP_LEVEL = {
     "augment.enabled": ("augment_enabled", kv.boolean),
-    "paths.manifest": ("manifest", str),
-    "paths.out": ("out_dir", str),
+    "paths.manifest": ("manifest", _path),
+    "paths.out": ("out_dir", _path),
 }
 
 
@@ -91,6 +97,6 @@ def effective_lines(cfg: RunConfig) -> list[str]:
     lines = [line for section in _SECTIONS
              for line in kv.dump(section, getattr(cfg, section))]
     lines.append(f"augment.enabled = {kv.format_value(cfg.augment_enabled)}")
-    lines.append(f"paths.manifest = {cfg.manifest or 'none'}")
-    lines.append(f"paths.out = {cfg.out_dir or 'none'}")
+    lines.append(f"paths.manifest = {kv.format_value(cfg.manifest)}")
+    lines.append(f"paths.out = {kv.format_value(cfg.out_dir)}")
     return lines

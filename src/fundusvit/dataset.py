@@ -125,3 +125,8 @@ def prepare_input(image: np.ndarray, row: ManifestRow, base_dir: str | Path,
     if opts.bg_removal:
         image = remove_background(image, opts.bg_tau)
     return resize_bilinear(image, target), plan
+
+
+def to_unit(image: np.ndarray) -> np.ndarray:
+    """A uint8 image as float64 values in [0, 1], the model's input scale."""
+    return image.astype(np.float64) / 255.0

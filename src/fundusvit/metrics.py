@@ -204,7 +204,7 @@ def evaluate(bank, rows, base_dir: str | Path,
     time) predict probability 0. Returns the report, plus the raw score
     arrays when ``collect_scores`` is set.
     """
-    from .dataset import load_input_image, prepare_input
+    from .dataset import load_input_image, prepare_input, to_unit
 
     ids, g_scores, g_labels = [], [], []
     f_scores = np.zeros((len(rows), N_FEATURES))
@@ -213,7 +213,7 @@ def evaluate(bank, rows, base_dir: str | Path,
         image = load_input_image(row, base_dir)
         prepared, _ = prepare_input(image, row, base_dir, bank.prep,
                                     bank.config.height)
-        unit = prepared.astype(np.float64) / 255.0
+        unit = to_unit(prepared)
         ids.append(row.image_id)
         g_labels.append(row.rg)
         g_scores.append(bank.models["glaucoma"].predict(unit))

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ShapeError, Tensor, add, concat, gelu, layer_norm,
-                       matmul, mul, narrow, no_grad, relu, softmax, transpose)
+from .autodiff import (ShapeError, Tensor, add, attention, concat, gelu,
+                       layer_norm, linear, matmul, mul, narrow, no_grad, relu,
+                       softmax, transpose)
 
 LAYER_NORM_EPS = 1e-5
 INIT_STD = 0.02
@@ -147,9 +148,9 @@ def aggregate_patches(features: Tensor, head: AggregationHead) -> tuple[Tensor, 
     """
     if features.ndim != 2 or features.shape[0] == 0:
         raise ShapeError(f"expected a nonempty N x D feature matrix, got {features.shape}")
-    s = add(matmul(features, head.proj1_w), head.proj1_b)
+    s = linear(features, head.proj1_w, head.proj1_b)
     s = relu(layer_norm(s, head.norm1_gain, head.norm1_bias, head.eps))
-    s = add(matmul(s, head.proj2_w), head.proj2_b)
+    s = linear(s, head.proj2_w, head.proj2_b)
     s = transpose(s)  # (1, N): normalize the score distribution across patches
     s = relu(layer_norm(s, head.norm2_gain, head.norm2_bias, head.eps))
     w = softmax(s, axis=1)
@@ -199,10 +200,8 @@ class DualHeadViT:
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
-        self.config = config
-        self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x1217)))
-        self.params: dict[str, Tensor] = {}
+        arrays = {}
         for name, shape in self.parameter_shapes(config):
             if name.endswith(".gain"):
                 data = np.ones(shape)
@@ -210,7 +209,26 @@ class DualHeadViT:
                 data = np.zeros(shape)
             else:  # projection weights, the class token and the position table
                 data = _trunc_normal(rng, shape, INIT_STD)
-            self.params[name] = Tensor(data.astype(self.dtype), requires_grad=True)
+            arrays[name] = data.astype(dtype)
+        self._bind(config, arrays)
+
+    @classmethod
+    def from_arrays(cls, config: ModelConfig,
+                    arrays: dict[str, np.ndarray]) -> "DualHeadViT":
+        """A model holding ``arrays`` (name -> array, taken without a copy)
+        as its parameters; no initial values are drawn."""
+        model = cls.__new__(cls)
+        model._bind(config, arrays)
+        return model
+
+    def _bind(self, config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
+        self.config = config
+        self.params: dict[str, Tensor] = {}
+        for name, shape in self.parameter_shapes(config):
+            if name not in arrays or arrays[name].shape != shape:
+                raise ShapeError(f"parameter {name} must have shape {shape}")
+            self.params[name] = Tensor(arrays[name], requires_grad=True)
+        self.dtype = self.params["cls_token"].dtype
         p = self.params
         self.agg_head = AggregationHead(
             p["agg.proj1.weight"], p["agg.proj1.bias"],
@@ -272,21 +290,12 @@ class DualHeadViT:
 
     def _attention(self, x: Tensor, block: str) -> Tensor:
         p = self.params
-        cfg = self.config
-        dh = cfg.dim // cfg.heads
-        q = add(matmul(x, p[f"{block}.attn.q.weight"]), p[f"{block}.attn.q.bias"])
-        k = add(matmul(x, p[f"{block}.attn.k.weight"]), p[f"{block}.attn.k.bias"])
-        v = add(matmul(x, p[f"{block}.attn.v.weight"]), p[f"{block}.attn.v.bias"])
-        heads = []
-        for h in range(cfg.heads):
-            qh = narrow(q, 1, h * dh, dh)
-            kh = narrow(k, 1, h * dh, dh)
-            vh = narrow(v, 1, h * dh, dh)
-            scores = mul(matmul(qh, transpose(kh)), 1.0 / math.sqrt(dh))
-            heads.append(matmul(softmax(scores, axis=1), vh))
-        merged = concat(heads, axis=1)
-        return add(matmul(merged, p[f"{block}.attn.out.weight"]),
-                   p[f"{block}.attn.out.bias"])
+        heads = self.config.heads
+        q, k, v = (linear(x, p[f"{block}.attn.{n}.weight"], p[f"{block}.attn.{n}.bias"])
+                   for n in "qkv")
+        q = mul(q, 1.0 / math.sqrt(self.config.dim // heads))
+        merged = attention(q, k, v, heads)
+        return linear(merged, p[f"{block}.attn.out.weight"], p[f"{block}.attn.out.bias"])
 
     def _encoder(self, x: Tensor) -> Tensor:
         p = self.params
@@ -297,10 +306,8 @@ class DualHeadViT:
                 layer_norm(x, p[f"{b}.ln1.gain"], p[f"{b}.ln1.bias"], LAYER_NORM_EPS), b)
             x = add(x, attended)
             hidden = layer_norm(x, p[f"{b}.ln2.gain"], p[f"{b}.ln2.bias"], LAYER_NORM_EPS)
-            hidden = act(add(matmul(hidden, p[f"{b}.mlp.fc1.weight"]),
-                             p[f"{b}.mlp.fc1.bias"]))
-            hidden = add(matmul(hidden, p[f"{b}.mlp.fc2.weight"]),
-                         p[f"{b}.mlp.fc2.bias"])
+            hidden = act(linear(hidden, p[f"{b}.mlp.fc1.weight"], p[f"{b}.mlp.fc1.bias"]))
+            hidden = linear(hidden, p[f"{b}.mlp.fc2.weight"], p[f"{b}.mlp.fc2.bias"])
             x = add(x, hidden)
         return x
 
@@ -313,16 +320,15 @@ class DualHeadViT:
                              f"{(cfg.height, cfg.width, 3)}")
         p = self.params
         patches = Tensor(patchify(image.astype(self.dtype, copy=False), cfg.patch))
-        x = add(matmul(patches, p["patch_proj.weight"]), p["patch_proj.bias"])
+        x = linear(patches, p["patch_proj.weight"], p["patch_proj.bias"])
         x = concat([p["cls_token"], x], axis=0)
         x = add(x, p["pos_embed"])
         x = self._encoder(x)
         cls_out = narrow(x, 0, 0, 1)
         patch_out = narrow(x, 0, 1, cfg.n_patches)
-        p_cls = softmax(add(matmul(cls_out, p["mlp_head.weight"]), p["mlp_head.bias"]),
-                        axis=1)
+        p_cls = softmax(linear(cls_out, p["mlp_head.weight"], p["mlp_head.bias"]), axis=1)
         aggregated, weights = aggregate_patches(patch_out, self.agg_head)
-        p_agg = softmax(add(matmul(aggregated, p["final_fc.weight"]), p["final_fc.bias"]),
+        p_agg = softmax(linear(aggregated, p["final_fc.weight"], p["final_fc.bias"]),
                         axis=1)
         return HeadOutputs(p_cls, p_agg, weights)
 

@@ -19,7 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import TASKS, ClassifierBank, save_checkpoint
-from .dataset import ManifestRow, PreprocessOptions, load_input_image, prepare_input
+from .dataset import (ManifestRow, PreprocessOptions, load_input_image,
+                      prepare_input, to_unit)
 from .metrics import tpr_at_specificity
 from .model import DualHeadViT, HeadOutputs, ModelConfig
 from .preprocess import AugmentDraws, AugmentParams, augment
@@ -238,8 +239,8 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
     target = model_cfg.height
     train_images = [prepare_input(load_input_image(r, base_dir), r, base_dir,
                                   prep, target)[0] for r in train_rows]
-    val_images = [prepare_input(load_input_image(r, base_dir), r, base_dir,
-                                prep, target)[0].astype(np.float64) / 255.0
+    val_images = [to_unit(prepare_input(load_input_image(r, base_dir), r, base_dir,
+                                        prep, target)[0])
                   for r in val_rows]
     val_y = [task_label(r, task) for r in val_rows]
 
@@ -272,9 +273,7 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
             for idx in batch:
                 idx = int(idx)
                 draws = AugmentDraws.sample(_augment_rng(train_cfg.seed, epoch, idx), aug)
-                image = augment(train_images[idx], aug, draws)
-                unit = image.astype(np.float64) / 255.0
-                outputs = model.forward(unit)
+                outputs = model.forward(to_unit(augment(train_images[idx], aug, draws)))
                 y = train_y[idx]
                 loss = dual_bce_loss((1.0 - y, float(y)), outputs,
                                      train_cfg.prob_clamp, train_cfg.loss_mode)

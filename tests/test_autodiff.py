@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from fundusvit import autodiff as ad
 from fundusvit.autodiff import NonFiniteError, ShapeError, Tensor
+from fundusvit.model import DualHeadViT, ModelConfig
+from fundusvit.training import dual_bce_loss
 
 from helpers import check_op_gradients
 
@@ -234,6 +236,109 @@ class TestPrimitiveGradients:
         check_op_gradients(lambda: ad.mul(ad.mean(ad.mul(a, a)), 2.5), [a])
         b = self.leaf(2, 2)
         check_op_gradients(lambda: ad.mul(ad.tsum(ad.mul(b, b)), 0.5), [b])
+
+
+def per_head_attention(q, k, v, heads):
+    """The engine's old attention layer, one head at a time; kept only as
+    the reference for the fused ``attention`` primitive."""
+    dh = q.shape[1] // heads
+    outs = []
+    for h in range(heads):
+        qh, kh, vh = (ad.narrow(a, 1, h * dh, dh) for a in (q, k, v))
+        scores = ad.mul(ad.matmul(qh, ad.transpose(kh)), 1.0 / math.sqrt(dh))
+        outs.append(ad.matmul(ad.softmax(scores, axis=1), vh))
+    return ad.concat(outs, axis=1)
+
+
+class TestFusedPrimitives:
+    """``linear`` and ``attention`` against finite differences and against
+    the compositions they replace (64-bit)."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(11)
+
+    def leaf(self, *shape):
+        return t(self.rng.normal(size=shape))
+
+    def test_linear_gradients(self):
+        x, w, b = self.leaf(5, 3), self.leaf(3, 4), self.leaf(1, 4)
+        check_op_gradients(
+            lambda: ad.tsum(ad.mul(ad.linear(x, w, b), ad.linear(x, w, b))), [x, w, b])
+
+    def test_linear_matches_matmul_plus_bias(self):
+        x, w, b = self.leaf(5, 3), self.leaf(3, 4), self.leaf(1, 4)
+        np.testing.assert_array_equal(ad.linear(x, w, b).data,
+                                      ad.add(ad.matmul(x, w), b).data)
+
+    def test_linear_untracked_input_gets_no_gradient(self):
+        x, w, b = t(self.rng.normal(size=(5, 3)), grad=False), self.leaf(3, 4), self.leaf(1, 4)
+        ad.backward(ad.tsum(ad.linear(x, w, b)))
+        assert x.grad is None and w.grad is not None and b.grad is not None
+
+    def test_linear_shape_errors(self):
+        with pytest.raises(ShapeError):
+            ad.linear(t(np.zeros((2, 3))), t(np.zeros((4, 2))), t(np.zeros((1, 2))))
+        with pytest.raises(ShapeError):
+            ad.linear(t(np.zeros((2, 3))), t(np.zeros((3, 2))), t(np.zeros(2)))
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_attention_gradients(self, heads):
+        q, k, v = self.leaf(5, 8), self.leaf(5, 8), self.leaf(5, 8)  # N != D
+        weights = t(self.rng.normal(size=(5, 8)), grad=False)
+        check_op_gradients(
+            lambda: ad.tsum(ad.mul(ad.attention(q, k, v, heads), weights)), [q, k, v])
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_attention_matches_per_head_composition(self, heads):
+        q, k, v = self.leaf(6, 8), self.leaf(6, 8), self.leaf(6, 8)
+        weights = t(self.rng.normal(size=(6, 8)), grad=False)
+
+        def run(layer):
+            out = layer()
+            ad.backward(ad.tsum(ad.mul(out, weights)))
+            grads = [a.grad.copy() for a in (q, k, v)]
+            ad.zero_grads([q, k, v])
+            return out.data, grads
+
+        scale = 1.0 / math.sqrt(8 // heads)
+        fused, fused_grads = run(lambda: ad.attention(ad.mul(q, scale), k, v, heads))
+        ref, ref_grads = run(lambda: per_head_attention(q, k, v, heads))
+        np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12)
+        for g, g_ref in zip(fused_grads, ref_grads):
+            np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12)
+
+    def test_attention_score_overflow_is_an_error(self):
+        huge = Tensor(np.full((3, 4), 1e20, dtype=np.float32), requires_grad=True)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="attention"):
+            ad.attention(huge, huge, huge, 2)
+
+    def test_attention_nan_upstream_gradient_is_an_error(self):
+        q, k, v = self.leaf(3, 4), self.leaf(3, 4), self.leaf(3, 4)
+        out = ad.attention(q, k, v, 2)
+        out.grad = np.full(out.shape, np.nan)
+        with pytest.raises(NonFiniteError, match="backward through attention"):
+            ad.backward(ad.tsum(out))
+
+    def test_attention_shape_errors(self):
+        a = t(np.zeros((3, 4)))
+        with pytest.raises(ShapeError):
+            ad.attention(a, a, a, 3)
+        with pytest.raises(ShapeError):
+            ad.attention(a, t(np.zeros((2, 4))), a, 2)
+
+
+class TestGraphSize:
+    def test_training_graph_node_count_is_pinned(self):
+        # 13 nodes per encoder block (2 norms, 6 linears, the query scale,
+        # attention, the activation, 2 residual adds), 18 more in the
+        # forward pass and 12 in the loss; a layer spelled out in small ops
+        # again changes this count
+        cfg = ModelConfig(height=32, width=32, patch=16, dim=16, depth=2, heads=2,
+                          agg_hidden=16)
+        model = DualHeadViT(cfg, seed=0, dtype=np.float64)
+        image = np.random.default_rng(0).random((32, 32, 3))
+        loss = dual_bce_loss((0.0, 1.0), model.forward(image)).total
+        assert sum(node.op != "leaf" for node in ad.trace(loss)) == 56
 
 
 class TestNumericGuards:

@@ -6,6 +6,7 @@ import pytest
 
 from fundusvit.checkpoint import (IncompatibleCheckpointError, load_bank,
                                   load_checkpoint, save_checkpoint)
+from fundusvit import model as model_module
 from fundusvit.dataset import PreprocessOptions
 from fundusvit.model import DualHeadViT, ModelConfig
 
@@ -36,6 +37,20 @@ class TestRoundTrip:
         path2 = tmp_path / "m2.ckpt"
         save_checkpoint(path2, loaded, loaded_prep, task)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_load_draws_no_initial_values(self, tmp_path, monkeypatch):
+        model = make_model(seed=5)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, PreprocessOptions(), "glaucoma")
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew an initial value")
+
+        monkeypatch.setattr(model_module, "_trunc_normal", no_draws)
+        loaded, _, _ = load_checkpoint(path)
+        for (_, ta), (_, tb) in zip(model.named_parameters(), loaded.named_parameters()):
+            assert tb.data.dtype == np.float32
+            assert ta.data.tobytes() == tb.data.tobytes()
 
     def test_header_structure(self, tmp_path):
         model = make_model()

@@ -144,6 +144,15 @@ class TestGolden:
         assert len(raw) == len(GOLDEN_HEADER) + 28636
 
 
+class TestEchoRoundTrip:
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(),
+        RunConfig(manifest="data/manifest.tsv", out_dir="runs/demo"),
+    ], ids=["default", "paths-set"])
+    def test_echo_reparses_to_the_same_config(self, cfg):
+        assert parse_config_text("\n".join(effective_lines(cfg))) == cfg
+
+
 class TestBuild:
     def test_errors_name_the_key(self):
         with pytest.raises(ValueError, match=r"train\.epochs"):
