@@ -223,32 +223,41 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of two 2-d operands, or of two 3-d stacks of matrices
+    with the same leading extent (one product per stacked pair)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul requires 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim != b.ndim or a.ndim not in (2, 3) or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul requires two 2-d operands or two equal-length "
+                         f"3-d stacks, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
 
     def vjp(g):
-        return g @ bd.T, ad.T @ g
+        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
 
     return _result(ad @ bd, "matmul", (a, b), vjp)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` with a (1, n) bias row, as one node."""
+    """``x @ w + b`` with a (1, n) bias row, as one node.
+
+    ``x`` is (T, Din) or a (B, T, Din) stack; each stacked slice gets its own
+    (T, Din) @ (Din, n) product, so a slice's output does not depend on the
+    rest of the stack. The weight gradient is one 2-d product over all rows.
+    """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+    if x.ndim not in (2, 3) or w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear operands do not chain: {x.shape} x {w.shape}")
     if b.shape != (1, w.shape[1]):
         raise ShapeError(f"linear bias must be (1, {w.shape[1]}), got {b.shape}")
     xd, wd = x.data, w.data
 
     def vjp(g):
+        rows = g.reshape(-1, g.shape[-1])
         # an untracked input (the image patches) needs no (N x 3P^2) product
         dx = g @ wd.T if x.requires_grad else None
-        return dx, xd.T @ g, g.sum(axis=0, keepdims=True)
+        return dx, xd.reshape(-1, xd.shape[-1]).T @ rows, rows.sum(axis=0, keepdims=True)
 
     return _result(xd @ wd + b.data, "linear", (x, w, b), vjp)
 
@@ -256,10 +265,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head attention ``softmax(q_h k_h^T) v_h`` over column blocks.
 
-    The (N, D) inputs are split into ``heads`` blocks of D / heads columns,
-    all heads run as one batched product, and the per-head outputs are
-    merged back into (N, D) in head order. Scaling the scores is left to
-    the caller (scale ``q``, N x D entries, rather than the N x N scores).
+    The (N, D) inputs, or (B, N, D) stacks, are split into ``heads`` blocks
+    of D / heads columns, all heads of all stacked slices run as one batched
+    product, and the per-head outputs are merged back into (..., N, D) in head
+    order. Scaling the scores is left to the caller (scale ``q``, N x D
+    entries, rather than the N x N scores).
 
     The adjoint keeps the row-normalised probabilities ``P``, the three
     input head stacks and the output stack ``O = P v``. It forms
@@ -268,22 +278,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     (Dao et al. 2022), an N x dh product instead of an N x N one.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
-        raise ShapeError(f"attention needs equal 2-d q, k, v, got "
+    if q.ndim not in (2, 3) or q.shape != k.shape or q.shape != v.shape:
+        raise ShapeError(f"attention needs equal 2-d or 3-d q, k, v, got "
                          f"{q.shape}, {k.shape}, {v.shape}")
-    n, d = q.shape
+    *lead, n, d = q.shape
     if heads < 1 or d % heads:
         raise ShapeError(f"attention width {d} not divisible by {heads} heads")
     dh = d // heads
 
-    def split(a):  # (N, D) -> (H, N, dh)
-        return a.reshape(n, heads, dh).transpose(1, 0, 2)
+    def split(a):  # (..., N, D) -> (..., H, N, dh)
+        return a.reshape(*lead, n, heads, dh).swapaxes(-2, -3)
 
-    def merge(a):  # (H, N, dh) -> (N, D)
-        return a.transpose(1, 0, 2).reshape(n, d)
+    def merge(a):  # (..., H, N, dh) -> (..., N, D)
+        return a.swapaxes(-2, -3).reshape(*lead, n, d)
+
+    def t(a):  # transpose each (N, dh) or (N, N) matrix of a head stack
+        return a.swapaxes(-1, -2)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    p = qh @ kh.transpose(0, 2, 1)
+    p = qh @ t(kh)
     if not np.isfinite(p).all():
         raise NonFiniteError("attention produced non-finite scores")
     p -= p.max(axis=-1, keepdims=True)
@@ -294,24 +307,30 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     def vjp(g):
         gh = split(g)
-        ds = gh @ vh.transpose(0, 2, 1)
+        ds = gh @ t(vh)
         ds -= (gh * oh).sum(axis=-1, keepdims=True)
         ds *= p
-        return (merge(ds @ kh), merge(ds.transpose(0, 2, 1) @ qh),
-                merge(p.transpose(0, 2, 1) @ gh))
+        return merge(ds @ kh), merge(t(ds) @ qh), merge(t(p) @ gh)
 
     return _result(merge(oh), "attention", (q, k, v), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; the only broadcast allowed is a (1, n) bias row."""
+    """Elementwise sum. The one broadcast allowed is along ``a``'s leading
+    axis, by a ``b`` of at least two axes that equals ``a``'s shape with that
+    axis set to 1 or left out: a (1, n) bias row on (N, n), a (T, D) or
+    (1, T, D) table on a (B, T, D) stack, a (1, D) row on a (B, 1, D) stack.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape == b.shape:
         def vjp(g):
             return g, g
-    elif a.ndim == 2 and b.shape == (1, a.shape[1]):
+    elif 2 <= b.ndim <= a.ndim \
+            and (1,) * (a.ndim - b.ndim) + b.shape == (1, *a.shape[1:]):
+        shape = b.shape
+
         def vjp(g):
-            return g, g.sum(axis=0, keepdims=True)
+            return g, g.sum(axis=0).reshape(shape)
     else:
         raise ShapeError(f"add shapes incompatible: {a.shape} + {b.shape}")
     return _result(a.data + b.data, "add", (a, b), vjp)
@@ -449,14 +468,15 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes."""
     a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose requires a 2-d tensor, got {a.shape}")
+    if a.ndim < 2:
+        raise ShapeError(f"transpose requires at least 2 axes, got {a.shape}")
 
     def vjp(g):
-        return (g.T,)
+        return (g.swapaxes(-1, -2),)
 
-    return _result(a.data.T.copy(), "transpose", (a,), vjp)
+    return _result(a.data.swapaxes(-1, -2).copy(), "transpose", (a,), vjp)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kv
+from .atomic import write_atomic
 from .dataset import PreprocessOptions
 from .model import DualHeadViT, ModelConfig
 
@@ -51,10 +52,9 @@ def save_checkpoint(path: str | Path, model: DualHeadViT,
     tensor_lines, _ = _layout((name, t.data.shape) for name, t in named)
     header = [MAGIC, *kv.dump("model", model.config), *kv.dump("prep", prep),
               f"task = {task}", *tensor_lines]
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n---\n").encode("ascii"))
-        for _, tensor in named:
-            fh.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+    payload = [np.ascontiguousarray(t.data, dtype="<f4").tobytes() for _, t in named]
+    write_atomic(path, b"".join([("\n".join(header) + "\n---\n").encode("ascii"),
+                                 *payload]))
 
 
 def load_checkpoint(path: str | Path) -> tuple[DualHeadViT, PreprocessOptions, str]:

@@ -12,6 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import kv
+from .atomic import write_atomic
 from .checkpoint import TASKS, IncompatibleCheckpointError, load_bank
 from .config import ConfigError, RunConfig, effective_lines, load_config
 from .dataset import (ManifestRow, PreprocessOptions, load_input_image,
@@ -156,7 +157,9 @@ def cmd_eval(args) -> int:
     report, g_scores, g_labels, f_scores, f_truth = evaluate(
         bank, rows, args.manifest.parent, threshold=args.threshold,
         collect_scores=True)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
+    for path in (args.out, args.roc_out, args.scores_out):
+        if path is not None:
+            path.parent.mkdir(parents=True, exist_ok=True)
     report.write(args.out)
     if args.roc_out is not None:
         report.write_roc_table(args.roc_out)
@@ -166,7 +169,7 @@ def cmd_eval(args) -> int:
         for i, row in enumerate(rows):
             feats = "\t".join(f"{v:.9f}" for v in f_scores[i])
             lines.append(f"{row.image_id}\t{g_labels[i]}\t{g_scores[i]:.9f}\t{feats}")
-        args.scores_out.write_text("\n".join(lines) + "\n")
+        write_atomic(args.scores_out, "\n".join(lines) + "\n")
     print(f"tpr_at_95={report.tpr_at_95:.6f} auc={report.auc:.6f} "
           f"nhd_mean={report.nhd_mean:.6f}")
     return EXIT_OK

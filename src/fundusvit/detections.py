@@ -28,9 +28,6 @@ class DiscDetection:
     h: float
     confidence: float
 
-    def normalized(self, width: int, height: int) -> tuple[float, float, float, float]:
-        return (self.cx / width, self.cy / height, self.w / width, self.h / height)
-
 
 @dataclass(frozen=True)
 class RoiPlan:
@@ -88,26 +85,6 @@ def load_detection_file(path: str | Path, width: int, height: int) -> list[DiscD
     return parse_detection_lines(path.read_text(), width, height, source=str(path))
 
 
-def load_detections(directory: str | Path,
-                    extents: Mapping[str, tuple[int, int]]) -> dict[str, list[DiscDetection]]:
-    """Load every ``<image-id>.txt`` under ``directory``.
-
-    ``extents`` maps image id to (width, height); a detection file for an
-    unknown id is an error, an id with no file simply gets no entry.
-    """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise FileNotFoundError(f"detections directory not found: {directory}")
-    result: dict[str, list[DiscDetection]] = {}
-    for path in sorted(directory.glob("*.txt")):
-        image_id = path.stem
-        if image_id not in extents:
-            raise ValueError(f"{path}: no manifest extents for image id {image_id!r}")
-        width, height = extents[image_id]
-        result[image_id] = load_detection_file(path, width, height)
-    return result
-
-
 def select_roi(image_id: str,
                detections: Mapping[str, list[DiscDetection]],
                floor: float = DEFAULT_CONFIDENCE_FLOOR) -> RoiPlan:
@@ -117,9 +94,3 @@ def select_roi(image_id: str,
         return FULL_IMAGE
     return RoiPlan(max(candidates, key=lambda d: d.confidence))
 
-
-def detector_auc(scores, labels) -> float:
-    """ROC AUC of per-image max detector confidence against presence flags."""
-    from .metrics import auc, roc_curve
-
-    return auc(roc_curve(scores, labels))

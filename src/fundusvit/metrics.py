@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import write_atomic
+
 CHALLENGE_DEV_PHASE = {
     "tpr_at_95": 0.8570,
     "nhd": 0.1250,
@@ -136,7 +138,7 @@ class EvalReport:
         return lines
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text("\n".join(self.to_lines()) + "\n")
+        write_atomic(path, "\n".join(self.to_lines()) + "\n")
 
     def write_roc_table(self, path: str | Path) -> None:
         if self.roc is None:
@@ -144,7 +146,7 @@ class EvalReport:
         rows = ["threshold\tfpr\ttpr"]
         rows += [f"{t:.9g}\t{f:.9f}\t{p:.9f}"
                  for t, f, p in zip(self.roc.thresholds, self.roc.fpr, self.roc.tpr)]
-        Path(path).write_text("\n".join(rows) + "\n")
+        write_atomic(path, "\n".join(rows) + "\n")
 
     @classmethod
     def parse(cls, path: str | Path) -> "EvalReport":
@@ -196,7 +198,8 @@ def evaluate_scores(image_ids: Sequence[str],
 def evaluate(bank, rows, base_dir: str | Path,
              threshold: float = DEFAULT_FEATURE_THRESHOLD,
              collect_scores: bool = False):
-    """Score a labeled dataset with a classifier bank.
+    """Score a labeled dataset with a classifier bank, ``config.stack_size``
+    prepared images per stacked predict.
 
     ``bank`` must expose ``prep`` (preprocessing options), ``config`` and a
     ``models`` mapping with a ``glaucoma`` entry plus any of ``feature1`` ..
@@ -206,23 +209,25 @@ def evaluate(bank, rows, base_dir: str | Path,
     """
     from .dataset import load_input_image, prepare_input, to_unit
 
-    ids, g_scores, g_labels = [], [], []
+    ids = [row.image_id for row in rows]
+    g_labels = [row.rg for row in rows]
+    g_scores = np.zeros(len(rows))
     f_scores = np.zeros((len(rows), N_FEATURES))
     f_truth = np.zeros((len(rows), N_FEATURES), dtype=int)
-    for i, row in enumerate(rows):
-        image = load_input_image(row, base_dir)
-        prepared, _ = prepare_input(image, row, base_dir, bank.prep,
-                                    bank.config.height)
-        unit = to_unit(prepared)
-        ids.append(row.image_id)
-        g_labels.append(row.rg)
-        g_scores.append(bank.models["glaucoma"].predict(unit))
+    size = bank.config.stack_size
+    for start in range(0, len(rows), size):
+        chunk = slice(start, start + size)
+        stack = np.stack([
+            to_unit(prepare_input(load_input_image(row, base_dir), row, base_dir,
+                                  bank.prep, bank.config.height)[0])
+            for row in rows[chunk]])
+        g_scores[chunk] = bank.models["glaucoma"].predict(stack)
         for k in range(N_FEATURES):
             task = f"feature{k + 1}"
             if task in bank.models:
-                f_scores[i, k] = bank.models[task].predict(unit)
-        f_truth[i] = row.features
+                f_scores[chunk, k] = bank.models[task].predict(stack)
+        f_truth[chunk] = [row.features for row in rows[chunk]]
     report = evaluate_scores(ids, g_scores, g_labels, f_scores, f_truth, threshold)
     if collect_scores:
-        return report, np.asarray(g_scores), np.asarray(g_labels), f_scores, f_truth
+        return report, g_scores, np.asarray(g_labels), f_scores, f_truth
     return report

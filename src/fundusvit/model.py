@@ -11,6 +11,10 @@ produce a 2-way probability pair:
 
 Test-time prediction is the mean of the two heads' positive-class
 probabilities.
+
+The model runs stacks of images: activations are (B, T, D), and every
+product keeps per-image shapes, so an image's output does not depend on the
+other images in its stack, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +30,11 @@ from .autodiff import (ShapeError, Tensor, add, attention, concat, gelu,
 
 LAYER_NORM_EPS = 1e-5
 INIT_STD = 0.02
+# Attention scores per head that one stacked forward may hold: a training
+# stack keeps every image's T x T probabilities in each layer and head for
+# backward, so images per stack = max(1, STACK_SCORES // T^2). Desk and
+# default configs take a whole minibatch; 512x512 (1025 tokens) takes one.
+STACK_SCORES = 1 << 16
 
 _ACTIVATIONS = {"relu": relu, "gelu": gelu}
 
@@ -65,6 +74,11 @@ class ModelConfig:
         return 3 * self.patch * self.patch
 
     @property
+    def stack_size(self) -> int:
+        """Images per stacked forward (see ``STACK_SCORES``)."""
+        return max(1, STACK_SCORES // (self.n_patches + 1) ** 2)
+
+    @property
     def mlp_width(self) -> int:
         return self.mlp_hidden if self.mlp_hidden is not None else 4 * self.dim
 
@@ -92,30 +106,25 @@ class ModelConfig:
 
 
 def patchify(image: np.ndarray, patch: int) -> np.ndarray:
-    """Flatten an HxWx3 image into an N x (3 P^2) matrix.
+    """Flatten an HxWx3 image into an N x (3 P^2) matrix, or a BxHxWx3 stack
+    into B such matrices.
 
     Row k is patch k in row-major patch order; within a patch, values are
     laid out (row, column, channel) row-major, so the three channels of a
-    pixel stay adjacent. ``unpatchify`` inverts this exactly.
+    pixel stay adjacent.
     """
     image = np.asarray(image)
-    if image.ndim != 3 or image.shape[2] != 3:
-        raise ShapeError(f"expected an HxWx3 image, got shape {image.shape}")
-    h, w, _ = image.shape
+    if image.ndim not in (3, 4) or image.shape[-1] != 3:
+        raise ShapeError(f"expected an HxWx3 image or a BxHxWx3 stack, got shape "
+                         f"{image.shape}")
+    *lead, h, w, _ = image.shape
     if h % patch or w % patch:
         raise ShapeError(f"image {h}x{w} not divisible by patch {patch}")
     gh, gw = h // patch, w // patch
-    tiles = image.reshape(gh, patch, gw, patch, 3).transpose(0, 2, 1, 3, 4)
-    return tiles.reshape(gh * gw, 3 * patch * patch)
-
-
-def unpatchify(rows: np.ndarray, height: int, width: int, patch: int) -> np.ndarray:
-    rows = np.asarray(rows)
-    gh, gw = height // patch, width // patch
-    if rows.shape != (gh * gw, 3 * patch * patch):
-        raise ShapeError(f"expected {(gh * gw, 3 * patch * patch)}, got {rows.shape}")
-    tiles = rows.reshape(gh, gw, patch, patch, 3).transpose(0, 2, 1, 3, 4)
-    return tiles.reshape(height, width, 3)
+    k = len(lead)
+    tiles = image.reshape(*lead, gh, patch, gw, patch, 3).transpose(
+        *range(k), k, k + 2, k + 1, k + 3, k + 4)
+    return tiles.reshape(*lead, gh * gw, 3 * patch * patch)
 
 
 @dataclass
@@ -142,42 +151,39 @@ class AggregationHead:
 def aggregate_patches(features: Tensor, head: AggregationHead) -> tuple[Tensor, Tensor]:
     """Weighted sum of patch-token features.
 
-    Returns ``(aggregated, weights)``: a (1, D) convex combination of the
-    feature rows and the (N, 1) nonnegative weights that produced it
-    (summing to 1).
+    ``features`` is an N x D matrix or a (B, N, D) stack. Returns
+    ``(aggregated, weights)``: a (1, D) convex combination of the feature
+    rows and the (N, 1) nonnegative weights that produced it (summing to 1),
+    with a leading B axis for a stack.
     """
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise ShapeError(f"expected a nonempty N x D feature matrix, got {features.shape}")
+    if features.ndim not in (2, 3) or features.shape[-2] == 0:
+        raise ShapeError(f"expected a nonempty N x D feature matrix or a stack of "
+                         f"them, got {features.shape}")
     s = linear(features, head.proj1_w, head.proj1_b)
     s = relu(layer_norm(s, head.norm1_gain, head.norm1_bias, head.eps))
     s = linear(s, head.proj2_w, head.proj2_b)
     s = transpose(s)  # (1, N): normalize the score distribution across patches
     s = relu(layer_norm(s, head.norm2_gain, head.norm2_bias, head.eps))
-    w = softmax(s, axis=1)
+    w = softmax(s, axis=-1)
     aggregated = matmul(w, features)
     return aggregated, transpose(w)
 
 
 @dataclass
 class HeadOutputs:
-    """Per-image outputs: two probability pairs and the patch weights."""
+    """Outputs of a stacked forward: two probability pairs and the patch
+    weights of each image."""
 
-    p_cls: Tensor        # (1, 2) class-token head probabilities
-    p_agg: Tensor        # (1, 2) aggregation head probabilities
-    patch_weights: Tensor  # (N, 1), nonnegative, sums to 1
-
-    @property
-    def positive_cls(self) -> float:
-        return float(self.p_cls.data[0, 1])
-
-    @property
-    def positive_agg(self) -> float:
-        return float(self.p_agg.data[0, 1])
+    p_cls: Tensor        # (B, 1, 2) class-token head probabilities
+    p_agg: Tensor        # (B, 1, 2) aggregation head probabilities
+    patch_weights: Tensor  # (B, N, 1), nonnegative, each image's sums to 1
 
 
-def average_prediction(outputs: HeadOutputs) -> float:
-    """Test-time prediction: mean of the two heads' positive probabilities."""
-    return 0.5 * (outputs.positive_cls + outputs.positive_agg)
+def average_prediction(outputs: HeadOutputs) -> np.ndarray:
+    """Test-time prediction: mean of the two heads' positive probabilities,
+    in float64, one per image ((1, 2) pairs give a scalar)."""
+    return 0.5 * (outputs.p_cls.data[..., 0, 1].astype(np.float64)
+                  + outputs.p_agg.data[..., 0, 1].astype(np.float64))
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
@@ -194,9 +200,9 @@ class DualHeadViT:
     """The full classifier; class index 1 is the positive class.
 
     Parameters live in an ordered name -> Tensor map (the checkpoint
-    manifest order). Forward runs one image at a time; there are no
-    cross-sample operations, so per-sample results are independent of any
-    batching done by the caller.
+    manifest order). Forward runs a stack of images; there are no
+    cross-sample operations, and every product keeps per-image shapes, so
+    an image's result is the same in any stack.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
@@ -311,29 +317,47 @@ class DualHeadViT:
             x = add(x, hidden)
         return x
 
-    def forward(self, image: np.ndarray) -> HeadOutputs:
-        """Run one image (HxWx3, values pre-scaled to [0, 1])."""
+    def _stack(self, images: np.ndarray) -> np.ndarray:
+        """``images`` as a BxHxWx3 stack; one HxWx3 image is a stack of one."""
         cfg = self.config
-        image = np.asarray(image)
-        if image.shape != (cfg.height, cfg.width, 3):
-            raise ShapeError(f"input shape {image.shape} does not match configured "
-                             f"{(cfg.height, cfg.width, 3)}")
+        images = np.asarray(images)
+        stack = images[None] if images.ndim == 3 else images
+        if stack.ndim != 4 or stack.shape[1:] != (cfg.height, cfg.width, 3) \
+                or not len(stack):
+            raise ShapeError(f"input shape {images.shape} does not match configured "
+                             f"{(cfg.height, cfg.width, 3)} or a nonempty stack of it")
+        return stack
+
+    def forward(self, images: np.ndarray) -> HeadOutputs:
+        """Run one HxWx3 image or a BxHxWx3 stack (values pre-scaled to
+        [0, 1]) as one graph; one image is a stack of one."""
+        cfg = self.config
+        stack = self._stack(images)
         p = self.params
-        patches = Tensor(patchify(image.astype(self.dtype, copy=False), cfg.patch))
+        patches = Tensor(patchify(stack.astype(self.dtype, copy=False), cfg.patch))
         x = linear(patches, p["patch_proj.weight"], p["patch_proj.bias"])
-        x = concat([p["cls_token"], x], axis=0)
+        # the class token repeated over the stack: a (1, D) row added to zeros
+        cls = add(Tensor(np.zeros((len(stack), 1, cfg.dim), dtype=self.dtype)),
+                  p["cls_token"])
+        x = concat([cls, x], axis=1)
         x = add(x, p["pos_embed"])
         x = self._encoder(x)
-        cls_out = narrow(x, 0, 0, 1)
-        patch_out = narrow(x, 0, 1, cfg.n_patches)
-        p_cls = softmax(linear(cls_out, p["mlp_head.weight"], p["mlp_head.bias"]), axis=1)
+        cls_out = narrow(x, 1, 0, 1)
+        patch_out = narrow(x, 1, 1, cfg.n_patches)
+        p_cls = softmax(linear(cls_out, p["mlp_head.weight"], p["mlp_head.bias"]),
+                        axis=-1)
         aggregated, weights = aggregate_patches(patch_out, self.agg_head)
         p_agg = softmax(linear(aggregated, p["final_fc.weight"], p["final_fc.bias"]),
-                        axis=1)
+                        axis=-1)
         return HeadOutputs(p_cls, p_agg, weights)
 
-    def predict(self, image: np.ndarray) -> float:
-        """Positive-class probability: mean of the two heads."""
+    def predict(self, images: np.ndarray):
+        """Positive-class probability, the mean of the two heads: a float
+        for one HxWx3 image, a (B,) float64 array for a BxHxWx3 stack, run
+        ``config.stack_size`` images per forward."""
+        stack = self._stack(images)
+        size = self.config.stack_size
         with no_grad():
-            out = self.forward(image)
-        return average_prediction(out)
+            scores = np.concatenate([average_prediction(self.forward(stack[i:i + size]))
+                                     for i in range(0, len(stack), size)])
+        return float(scores[0]) if np.ndim(images) == 3 else scores

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .atomic import write_atomic
 from .autodiff import Tensor
 from .checkpoint import TASKS, ClassifierBank, save_checkpoint
 from .dataset import (ManifestRow, PreprocessOptions, load_input_image,
@@ -75,22 +76,25 @@ class LossValue:
     agg_term: Tensor
 
 
-def dual_bce_loss(y: Sequence[float], outputs: HeadOutputs,
+def dual_bce_loss(y, outputs: HeadOutputs,
                   clamp: float = 1e-7, mode: str = "average") -> LossValue:
-    """Cross-entropy of both heads against a one-hot pair.
+    """Cross-entropy of both heads against one-hot pairs.
 
-    Each head contributes -sum_i y_i log p_i with probabilities clamped to
-    [clamp, 1 - clamp]; the total is the mean of the two terms ("sum" mode
-    adds them instead, which only rescales gradients).
+    ``y`` is one pair, or a (B, 2) sequence of pairs for the B images of a
+    stacked forward. Each head contributes -sum_i y_i log p_i, summed over
+    the stack, with probabilities clamped to [clamp, 1 - clamp]; the total
+    is the mean of the two terms ("sum" mode adds them instead, which only
+    rescales gradients).
     """
     y_arr = np.asarray(y, dtype=np.float64)
-    if y_arr.shape != (2,) or not np.isin(y_arr, (0.0, 1.0)).all() or y_arr.sum() != 1.0:
-        raise ValueError(f"y must be a one-hot pair, got {y!r}")
-    target = Tensor(y_arr.reshape(1, 2).astype(outputs.p_cls.dtype))
+    if y_arr.ndim not in (1, 2) or y_arr.shape[-1] != 2 \
+            or not np.isin(y_arr, (0.0, 1.0)).all() or (y_arr.sum(axis=-1) != 1.0).any():
+        raise ValueError(f"y must be a one-hot pair or a sequence of them, got {y!r}")
+    # -y, so that each head term is one sum with no negation node after it
+    target = Tensor((-y_arr).reshape(outputs.p_cls.shape).astype(outputs.p_cls.dtype))
 
     def head_term(p: Tensor) -> Tensor:
-        logp = ad.log(ad.clip(p, clamp, 1.0 - clamp))
-        return ad.mul(ad.tsum(ad.mul(target, logp)), -1.0)
+        return ad.tsum(ad.mul(target, ad.log(ad.clip(p, clamp, 1.0 - clamp))))
 
     cls_term = head_term(outputs.p_cls)
     agg_term = head_term(outputs.p_agg)
@@ -197,9 +201,9 @@ def _augment_rng(seed: int, epoch: int, index: int) -> np.random.Generator:
         np.random.SeedSequence((int(seed), _STREAM_AUGMENT, int(epoch), int(index))))
 
 
-def _validation_metric(model: DualHeadViT, val_images: list[np.ndarray],
+def _validation_metric(model: DualHeadViT, val_images: np.ndarray,
                        val_labels: list[int], task: str) -> float:
-    scores = [model.predict(img) for img in val_images]
+    scores = model.predict(val_images)
     if task == "glaucoma":
         return tpr_at_specificity(scores, val_labels, 0.95)
     preds = [1 if s > 0.5 else 0 for s in scores]
@@ -214,9 +218,11 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
     """Train one binary task end to end.
 
     Preprocesses each image once (crop / background removal / resize per the
-    toggles), then loops: seeded shuffle, per-sample augmentation, forward,
-    dual-head loss, Adam. Keeps the parameters from the epoch with the best
-    validation metric and, when ``out_dir`` is given, writes
+    toggles), then loops: seeded shuffle, per-sample augmentation, then per
+    minibatch one stacked forward, dual-head loss and backward for each
+    ``model_cfg.stack_size`` images (the whole minibatch at desk and default
+    scale, one image at 512x512), and one Adam step. Keeps the parameters
+    from the epoch with the best validation metric and, when ``out_dir`` is given, writes
     ``<task>.ckpt`` and ``<task>.log`` there.
     """
     task = train_cfg.task
@@ -239,9 +245,9 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
     target = model_cfg.height
     train_images = [prepare_input(load_input_image(r, base_dir), r, base_dir,
                                   prep, target)[0] for r in train_rows]
-    val_images = [to_unit(prepare_input(load_input_image(r, base_dir), r, base_dir,
-                                        prep, target)[0])
-                  for r in val_rows]
+    val_images = np.stack([to_unit(prepare_input(load_input_image(r, base_dir), r,
+                                                 base_dir, prep, target)[0])
+                           for r in val_rows]) if val_rows else None
     val_y = [task_label(r, task) for r in val_rows]
 
     model = DualHeadViT(model_cfg,
@@ -268,15 +274,17 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
         order = shuffle_rng.permutation(len(train_rows))
         epoch_loss = 0.0
         for start in range(0, len(order), train_cfg.batch_size):
-            batch = order[start:start + train_cfg.batch_size]
+            batch = [int(idx) for idx in order[start:start + train_cfg.batch_size]]
             inv = 1.0 / len(batch)
-            for idx in batch:
-                idx = int(idx)
-                draws = AugmentDraws.sample(_augment_rng(train_cfg.seed, epoch, idx), aug)
-                outputs = model.forward(to_unit(augment(train_images[idx], aug, draws)))
-                y = train_y[idx]
-                loss = dual_bce_loss((1.0 - y, float(y)), outputs,
-                                     train_cfg.prob_clamp, train_cfg.loss_mode)
+            for first in range(0, len(batch), model_cfg.stack_size):
+                stack = batch[first:first + model_cfg.stack_size]
+                images = np.stack([
+                    to_unit(augment(train_images[idx], aug, AugmentDraws.sample(
+                        _augment_rng(train_cfg.seed, epoch, idx), aug)))
+                    for idx in stack])
+                y = [(1.0 - train_y[idx], float(train_y[idx])) for idx in stack]
+                loss = dual_bce_loss(y, model.forward(images), train_cfg.prob_clamp,
+                                     train_cfg.loss_mode)
                 epoch_loss += loss.total.item()
                 ad.backward(ad.mul(loss.total, inv))
             optimizer.step(lr)
@@ -309,7 +317,7 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
         out_dir.mkdir(parents=True, exist_ok=True)
         result.checkpoint_path = out_dir / f"{task}.ckpt"
         save_checkpoint(result.checkpoint_path, model, prep, task)
-        (out_dir / f"{task}.log").write_text("\n".join(log_lines) + "\n")
+        write_atomic(out_dir / f"{task}.log", "\n".join(log_lines) + "\n")
     return result
 
 
@@ -348,5 +356,5 @@ def train_bank(model_cfg: ModelConfig, train_cfg: TrainConfig,
                           f"best_val_metric={result.best_metric:.6f}")
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-        (Path(out_dir) / "bank.log").write_text("\n".join(bank_lines) + "\n")
+        write_atomic(Path(out_dir) / "bank.log", "\n".join(bank_lines) + "\n")
     return ClassifierBank(models=models, prep=prep, config=model_cfg, skipped=skipped)

@@ -1,13 +1,19 @@
 """Shared test oracles: finite differences, a straight-line numpy forward
 pass, and brute-force metric recounts. Everything here is deliberately
 independent of the implementation paths it checks (loops instead of
-vectorized sweeps, no autodiff involvement)."""
+vectorized sweeps, no autodiff involvement). The inverses and loaders at the
+end exist only for the tests; the pipeline never calls them."""
 
 from __future__ import annotations
+
+from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
 from fundusvit import autodiff as ad
+from fundusvit.detections import DiscDetection, load_detection_file
+from fundusvit.metrics import auc, roc_curve
 
 FD_STEP = 1e-4
 GRAD_RTOL = 1e-4
@@ -212,3 +218,44 @@ def brute_force_auc(scores, labels):
             elif sp == sn:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+# ---------------------------------------------------------------------------
+# test-only inverses and loaders
+
+
+def unpatchify(rows: np.ndarray, height: int, width: int, patch: int) -> np.ndarray:
+    """Inverse of ``model.patchify`` for one image."""
+    rows = np.asarray(rows)
+    gh, gw = height // patch, width // patch
+    assert rows.shape == (gh * gw, 3 * patch * patch), rows.shape
+    tiles = rows.reshape(gh, gw, patch, patch, 3).transpose(0, 2, 1, 3, 4)
+    return tiles.reshape(height, width, 3)
+
+
+def normalized(det: DiscDetection, width: int, height: int) -> tuple[float, ...]:
+    """A pixel-space detection back in [0, 1] image coordinates."""
+    return (det.cx / width, det.cy / height, det.w / width, det.h / height)
+
+
+def load_detections(directory, extents: Mapping[str, tuple[int, int]]) -> dict:
+    """Load every ``<image-id>.txt`` under ``directory``.
+
+    ``extents`` maps image id to (width, height); a detection file for an
+    unknown id is an error, an id with no file simply gets no entry.
+    """
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise FileNotFoundError(f"detections directory not found: {directory}")
+    result = {}
+    for path in sorted(directory.glob("*.txt")):
+        if path.stem not in extents:
+            raise ValueError(f"{path}: no manifest extents for image id {path.stem!r}")
+        width, height = extents[path.stem]
+        result[path.stem] = load_detection_file(path, width, height)
+    return result
+
+
+def detector_auc(scores, labels) -> float:
+    """ROC AUC of per-image max detector confidence against presence flags."""
+    return auc(roc_curve(scores, labels))

@@ -330,15 +330,16 @@ class TestFusedPrimitives:
 class TestGraphSize:
     def test_training_graph_node_count_is_pinned(self):
         # 13 nodes per encoder block (2 norms, 6 linears, the query scale,
-        # attention, the activation, 2 residual adds), 18 more in the
-        # forward pass and 12 in the loss; a layer spelled out in small ops
-        # again changes this count
+        # attention, the activation, 2 residual adds), 19 more in the
+        # forward pass (the class token's broadcast over the stack among
+        # them) and 10 in the loss; a layer spelled out in small ops again
+        # changes this count
         cfg = ModelConfig(height=32, width=32, patch=16, dim=16, depth=2, heads=2,
                           agg_hidden=16)
         model = DualHeadViT(cfg, seed=0, dtype=np.float64)
         image = np.random.default_rng(0).random((32, 32, 3))
         loss = dual_bce_loss((0.0, 1.0), model.forward(image)).total
-        assert sum(node.op != "leaf" for node in ad.trace(loss)) == 56
+        assert sum(node.op != "leaf" for node in ad.trace(loss)) == 55
 
 
 class TestNumericGuards:
@@ -384,3 +385,99 @@ class TestDeterminism:
         x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
         out = ad.mul(x, 2.0)
         assert out.dtype == np.float32
+
+
+class TestStackedShapes:
+    """The shape rules widened for (B, T, D) stacks, against finite
+    differences (64-bit) and against the 2-d forms slice by slice."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(17)
+
+    def leaf(self, *shape):
+        return t(self.rng.normal(size=shape))
+
+    def weights(self, *shape):
+        return t(self.rng.normal(size=shape), grad=False)
+
+    def test_batched_matmul_gradients(self):
+        a, b = self.leaf(3, 2, 4), self.leaf(3, 4, 5)
+        w = self.weights(3, 2, 5)
+        check_op_gradients(lambda: ad.tsum(ad.mul(ad.matmul(a, b), w)), [a, b])
+
+    def test_batched_matmul_is_per_slice(self):
+        a, b = self.leaf(3, 2, 4), self.leaf(3, 4, 5)
+        out = ad.matmul(a, b).data
+        for i in range(3):
+            single = ad.matmul(t(a.data[i]), t(b.data[i])).data
+            np.testing.assert_array_equal(out[i], single)
+
+    def test_matmul_stack_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            ad.matmul(t(np.zeros((2, 2, 3))), t(np.zeros((3, 3, 2))))
+        with pytest.raises(ShapeError):
+            ad.matmul(t(np.zeros((2, 2, 3))), t(np.zeros((3, 2))))
+
+    @pytest.mark.parametrize("b_shape", [(4, 3), (1, 4, 3)])
+    def test_add_table_over_the_stack(self, b_shape):
+        a, b = self.leaf(2, 4, 3), self.leaf(*b_shape)
+        w = self.weights(2, 4, 3)
+        check_op_gradients(lambda: ad.tsum(ad.mul(ad.add(a, b), w)), [a, b])
+
+    def test_add_row_over_a_stack_of_rows(self):
+        a, b = self.leaf(3, 1, 4), self.leaf(1, 4)
+        w = self.weights(3, 1, 4)
+        check_op_gradients(lambda: ad.tsum(ad.mul(ad.add(a, b), w)), [a, b])
+
+    def test_add_other_broadcasts_rejected(self):
+        for b_shape in [(1, 3), (3,), (2, 1, 3), (4, 1)]:
+            with pytest.raises(ShapeError):
+                ad.add(t(np.zeros((2, 4, 3))), t(np.zeros(b_shape)))
+
+    def test_stacked_linear_gradients(self):
+        x, w, b = self.leaf(2, 3, 4), self.leaf(4, 5), self.leaf(1, 5)
+        u = self.weights(2, 3, 5)
+        check_op_gradients(lambda: ad.tsum(ad.mul(ad.linear(x, w, b), u)), [x, w, b])
+
+    def test_stacked_linear_is_per_slice(self):
+        x, w, b = self.leaf(3, 1, 4), self.leaf(4, 2), self.leaf(1, 2)
+        out = ad.linear(x, w, b).data
+        for i in range(3):
+            np.testing.assert_array_equal(out[i], ad.linear(t(x.data[i]), w, b).data)
+
+    def test_transpose_of_the_last_two_axes(self):
+        a = self.leaf(2, 3, 4)
+        w = self.weights(2, 4, 3)
+        np.testing.assert_array_equal(ad.transpose(a).data, a.data.transpose(0, 2, 1))
+        check_op_gradients(lambda: ad.tsum(ad.mul(ad.transpose(a), w)), [a])
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_batched_attention_gradients(self, heads):
+        q, k, v = self.leaf(2, 5, 4), self.leaf(2, 5, 4), self.leaf(2, 5, 4)
+        w = self.weights(2, 5, 4)
+        check_op_gradients(
+            lambda: ad.tsum(ad.mul(ad.attention(q, k, v, heads), w)), [q, k, v])
+
+    def test_batched_attention_is_per_slice(self):
+        q, k, v = (Tensor(self.rng.normal(size=(3, 6, 8)).astype(np.float32))
+                   for _ in range(3))
+        out = ad.attention(q, k, v, 4).data
+        for i in range(3):
+            single = ad.attention(Tensor(q.data[i]), Tensor(k.data[i]),
+                                  Tensor(v.data[i]), 4).data
+            np.testing.assert_array_equal(out[i], single)
+
+
+class TestStackedGraph:
+    def test_node_count_does_not_grow_with_the_stack(self):
+        cfg = ModelConfig(height=32, width=32, patch=16, dim=16, depth=2, heads=2,
+                          agg_hidden=16)
+        model = DualHeadViT(cfg, seed=0, dtype=np.float64)
+        images = np.random.default_rng(1).random((8, 32, 32, 3))
+
+        def nodes(loss):
+            return sum(node.op != "leaf" for node in ad.trace(loss))
+
+        one = nodes(dual_bce_loss((0.0, 1.0), model.forward(images[0])).total)
+        eight = nodes(dual_bce_loss([(0.0, 1.0)] * 8, model.forward(images)).total)
+        assert one == eight <= 56

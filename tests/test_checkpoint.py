@@ -1,13 +1,16 @@
-"""Checkpoint format tests: bit-exact round-trips, manifest structure and
-incompatibility detection."""
+"""Checkpoint format tests: bit-exact round-trips, manifest structure,
+incompatibility detection, and atomic artifact writes."""
 
 import numpy as np
 import pytest
 
+from fundusvit import atomic
+from fundusvit.atomic import write_atomic
 from fundusvit.checkpoint import (IncompatibleCheckpointError, load_bank,
                                   load_checkpoint, save_checkpoint)
 from fundusvit import model as model_module
 from fundusvit.dataset import PreprocessOptions
+from fundusvit.metrics import evaluate_scores
 from fundusvit.model import DualHeadViT, ModelConfig
 
 CFG = ModelConfig(height=32, width=32, patch=16, dim=16, depth=1, heads=2,
@@ -131,3 +134,62 @@ class TestBank:
     def test_empty_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_bank(tmp_path)
+
+
+class TestAtomicWrites:
+    """A write that fails midway leaves the previous file and no temporary
+    file behind."""
+
+    @staticmethod
+    def fail_midway(monkeypatch):
+        real_open = open
+
+        class HalfWritten:
+            def __init__(self, *args, **kwargs):
+                self.fh = real_open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(atomic, "open", HalfWritten, raising=False)
+
+    def test_helper_replaces_whole_files(self, tmp_path):
+        path = tmp_path / "a.txt"
+        write_atomic(path, "first\n")
+        write_atomic(path, b"second\n")
+        assert path.read_bytes() == b"second\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+    def test_failed_checkpoint_write_keeps_the_previous_checkpoint(self, tmp_path,
+                                                                   monkeypatch):
+        path = tmp_path / "glaucoma.ckpt"
+        save_checkpoint(path, make_model(seed=1), PreprocessOptions(), "glaucoma")
+        before = path.read_bytes()
+        self.fail_midway(monkeypatch)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, make_model(seed=2), PreprocessOptions(), "glaucoma")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["glaucoma.ckpt"]
+
+    def test_failed_report_write_keeps_the_previous_report(self, tmp_path,
+                                                           monkeypatch):
+        report = evaluate_scores(["a", "b"], [0.9, 0.1], [1, 0], np.zeros((2, 10)),
+                                 np.zeros((2, 10), dtype=int))
+        path, roc = tmp_path / "report.txt", tmp_path / "roc.tsv"
+        report.write(path)
+        report.write_roc_table(roc)
+        before = path.read_bytes(), roc.read_bytes()
+        self.fail_midway(monkeypatch)
+        with pytest.raises(OSError):
+            report.write(path)
+        with pytest.raises(OSError):
+            report.write_roc_table(roc)
+        assert (path.read_bytes(), roc.read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt", "roc.tsv"]

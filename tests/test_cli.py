@@ -270,6 +270,18 @@ class TestTrainEvalInfer:
         assert report.nhd_mean == pytest.approx(float(np.mean(nhd)), abs=1e-6)
         assert roc_path.read_text().startswith("threshold\tfpr\ttpr")
 
+    def test_eval_creates_the_directories_of_every_output(self, workspace, tmp_path):
+        root, data, config = workspace
+        run_cli(["train", "--config", config])
+        report, roc, scores = (tmp_path / name / "file.tsv"
+                               for name in ("report", "roc", "scores"))
+        assert run_cli(["eval", "--checkpoint", root / "run" / "glaucoma.ckpt",
+                        "--manifest", data / "manifest.tsv", "--out", report,
+                        "--roc-out", roc, "--scores-out", scores]) == 0
+        assert report.read_text().startswith("tpr_at_95 = ")
+        assert roc.read_text().startswith("threshold\tfpr\ttpr")
+        assert scores.read_text().startswith("image_id\trg\tglaucoma_score")
+
     def test_eval_twice_identical_reports(self, workspace, tmp_path):
         root, data, config = workspace
         run_cli(["train", "--config", config])

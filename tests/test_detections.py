@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from fundusvit.detections import (DiscDetection, detector_auc,
-                                  load_detection_file, load_detections,
+from fundusvit.detections import (DiscDetection, load_detection_file,
                                   parse_detection_lines, select_roi)
+
+from helpers import detector_auc, load_detections, normalized
 
 
 class TestParsing:
@@ -48,7 +49,7 @@ class TestParsing:
     def test_pixel_round_trip_within_half_pixel(self):
         dets = parse_detection_lines("0 0.333333 0.777778 0.123456 0.2 0.5\n",
                                      width=640, height=480)
-        cx, cy, w, h = dets[0].normalized(640, 480)
+        cx, cy, w, h = normalized(dets[0], 640, 480)
         again = parse_detection_lines(f"0 {cx} {cy} {w} {h} 0.5\n", 640, 480)[0]
         assert abs(again.cx - dets[0].cx) < 0.5
         assert abs(again.cy - dets[0].cy) < 0.5

@@ -145,21 +145,6 @@ class TestNormalizedHamming:
         assert dxy <= normalized_hamming(x, z) + normalized_hamming(z, y) + 1e-15
 
 
-class _StubModel:
-    def __init__(self, fn):
-        self.fn = fn
-
-    def predict(self, image):
-        return self.fn(image)
-
-
-class _StubBank:
-    """Quacks like checkpoint.ClassifierBank for evaluate_scores tests."""
-
-    def __init__(self, models):
-        self.models = models
-
-
 class TestEvaluateScores:
     def test_oracle_scores_are_perfect(self):
         ids = [f"img{i}" for i in range(6)]

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from fundusvit import autodiff as ad
 from fundusvit.autodiff import ShapeError, Tensor
 from fundusvit.model import (AggregationHead, DualHeadViT, ModelConfig,
-                             aggregate_patches, average_prediction, patchify,
-                             unpatchify)
+                             aggregate_patches, average_prediction, patchify)
 from fundusvit.training import dual_bce_loss
 
-from helpers import reference_forward
+from helpers import reference_forward, unpatchify
 
 TINY = ModelConfig(height=32, width=32, patch=16, dim=16, depth=2, heads=2,
                    agg_hidden=16)
@@ -248,3 +247,65 @@ class TestStructure:
             assert any(model.params[n].grad is not None
                        and np.abs(model.params[n].grad).max() > 0
                        for n in names), f"no gradient reached group {group}"
+
+
+class TestStacking:
+    """A BxHxWx3 stack runs as one graph, and every image's result equals
+    its single-image result."""
+
+    def test_stacked_predict_equals_single_predicts_bitwise(self):
+        model = DualHeadViT(TINY, seed=3)  # float32, as trained and served
+        images = np.random.default_rng(20).random((8, 32, 32, 3))
+        singles = [model.predict(image) for image in images]
+        for size in (1, 2, 8):
+            stacked = model.predict(images[:size])
+            assert stacked.shape == (size,) and stacked.dtype == np.float64
+            assert stacked.tolist() == singles[:size]
+
+    def test_stacked_forward_equals_single_forwards_bitwise(self):
+        model = DualHeadViT(TINY, seed=3)
+        images = np.random.default_rng(21).random((3, 32, 32, 3))
+        out = model.forward(images)
+        assert out.p_cls.shape == (3, 1, 2)
+        assert out.patch_weights.shape == (3, TINY.n_patches, 1)
+        for i, image in enumerate(images):
+            alone = model.forward(image)
+            for name in ("p_cls", "p_agg", "patch_weights"):
+                np.testing.assert_array_equal(getattr(out, name).data[i],
+                                              getattr(alone, name).data[0])
+
+    def test_stacked_loss_gradient_is_the_sum_of_single_gradients(self):
+        model = DualHeadViT(TINY, seed=4, dtype=np.float64)
+        rng = np.random.default_rng(22)
+        images = rng.random((4, 32, 32, 3))
+        labels = [(0.0, 1.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+        ad.backward(dual_bce_loss(labels, model.forward(images)).total)
+        stacked = {name: t.grad.copy() for name, t in model.named_parameters()}
+        ad.zero_grads(model.parameters())
+        for image, y in zip(images, labels):
+            ad.backward(dual_bce_loss(y, model.forward(image)).total)
+        for name, t in model.named_parameters():
+            np.testing.assert_allclose(stacked[name], t.grad, rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    def test_stack_cap(self):
+        assert ModelConfig.full_resolution().stack_size == 1
+        desk = ModelConfig(height=32, width=32, patch=16, dim=32, depth=2, heads=4)
+        assert desk.stack_size >= 8
+        assert ModelConfig().stack_size >= 8
+
+    def test_bad_stacks_rejected(self):
+        model = DualHeadViT(TINY, seed=0)
+        with pytest.raises(ShapeError):
+            model.forward(np.zeros((0, 32, 32, 3)))
+        with pytest.raises(ShapeError):
+            model.predict(np.zeros((2, 64, 64, 3)))
+        with pytest.raises(ValueError):
+            dual_bce_loss([(0.0, 1.0)], model.forward(np.zeros((2, 32, 32, 3))))
+
+    def test_stacked_patchify_is_per_image_patchify(self):
+        images = np.random.default_rng(23).random((3, 32, 48, 3))
+        rows = patchify(images, 16)
+        assert rows.shape == (3, 6, 768)
+        for i in range(3):
+            np.testing.assert_array_equal(rows[i], patchify(images[i], 16))
