@@ -80,10 +80,6 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
     def dtype(self):
         return self.data.dtype
 
@@ -92,29 +88,8 @@ class Tensor:
             raise ShapeError(f"item() requires a scalar, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        return mul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return mul(self, -1.0)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return add(self, mul(other, -1.0))
 
 
 def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
@@ -454,19 +429,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _result(out, "layer_norm", (x, gain, bias), vjp)
 
 
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    a = _as_tensor(a)
-    shape = tuple(shape)
-    if int(np.prod(shape)) != a.size:
-        raise ShapeError(f"cannot reshape {a.shape} into {shape}")
-    old = a.shape
-
-    def vjp(g):
-        return (g.reshape(old),)
-
-    return _result(a.data.reshape(shape), "reshape", (a,), vjp)
-
-
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     a = _as_tensor(a)
@@ -524,12 +486,3 @@ def tsum(a: Tensor) -> Tensor:
 
     return _result(np.asarray(a.data.sum()), "sum", (a,), vjp)
 
-
-def mean(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    shape, dtype, n = a.shape, a.data.dtype, a.size
-
-    def vjp(g):
-        return (np.broadcast_to(g / n, shape).astype(dtype),)
-
-    return _result(np.asarray(a.data.mean()), "mean", (a,), vjp)

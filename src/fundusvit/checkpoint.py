@@ -122,10 +122,6 @@ class ClassifierBank:
     config: ModelConfig
     skipped: dict[str, str]
 
-    @property
-    def glaucoma(self) -> DualHeadViT:
-        return self.models["glaucoma"]
-
 
 def load_bank(path: str | Path) -> ClassifierBank:
     """Load a bank from a single checkpoint file or a directory of

@@ -19,7 +19,6 @@ from .dataset import (ManifestRow, PreprocessOptions, load_input_image,
                       prepare_input, read_manifest, to_unit, write_manifest)
 from .metrics import N_FEATURES, evaluate
 from .ppm import read_ppm, write_ppm
-from .preprocess import AugmentParams
 from .synth import generate_dataset
 from .training import train_bank, train_task
 
@@ -73,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roc-out", type=Path, default=None)
     p.add_argument("--scores-out", type=Path, default=None,
                    help="dump raw per-image scores for cross-checking")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_probability, default=0.5,
+                   help="feature-flag threshold in [0, 1]")
 
     p = sub.add_parser("infer", help="score one image")
     p.add_argument("--checkpoint", type=Path, required=True)
@@ -81,6 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detection", type=Path, default=None,
                    help="normalized bbox text file for this image")
     return parser
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # NaN fails the comparison too
+        raise argparse.ArgumentTypeError(f"{text!r} is not in [0, 1]")
+    return value
 
 
 def cmd_synth(args) -> int:
@@ -99,8 +106,9 @@ def cmd_preprocess(args) -> int:
     new_rows = []
     for row in rows:
         image = load_input_image(row, base)
-        prepared, plan = prepare_input(image, row, base, opts, args.target)
-        if plan.is_full_image and opts.od_crop:
+        prepared, detection = prepare_input(image, row, base, opts, args.target,
+                                            args.target)
+        if detection is None and opts.od_crop:
             print(f"{row.image_id}: fallback: full image", file=sys.stderr)
         write_ppm(out_dir / "images" / f"{row.image_id}.ppm", prepared)
         new_rows.append(replace(row, image_path=f"images/{row.image_id}.ppm",
@@ -121,30 +129,29 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if args.bg_removal is not None:
         cfg = replace(cfg, prep=replace(cfg.prep, bg_removal=args.bg_removal))
     if args.out is not None:
-        cfg = replace(cfg, out_dir=str(args.out))
+        cfg = replace(cfg, paths=replace(cfg.paths, out=str(args.out)))
     return cfg
 
 
 def cmd_train(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    if cfg.manifest is None:
+    if cfg.paths.manifest is None:
         raise ConfigError("paths.manifest is not set")
-    if cfg.out_dir is None:
+    if cfg.paths.out is None:
         raise ConfigError("paths.out is not set (or pass --out)")
-    manifest_path = Path(cfg.manifest)
+    manifest_path = Path(cfg.paths.manifest)
     if not manifest_path.is_absolute():
         manifest_path = args.config.parent / manifest_path
     rows = read_manifest(manifest_path)
     base = manifest_path.parent
     lines = effective_lines(cfg)
-    aug = cfg.augment if cfg.augment_enabled else AugmentParams.disabled()
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(cfg.paths.out)
     if cfg.train.task == "bank":
-        bank = train_bank(cfg.model, replace(cfg.train, task="glaucoma"), aug,
+        bank = train_bank(cfg.model, replace(cfg.train, task="glaucoma"), cfg.augment,
                           cfg.prep, rows, base, out_dir=out_dir, config_lines=lines)
         print(f"trained {len(bank.models)} tasks, skipped {len(bank.skipped)}")
     else:
-        result = train_task(cfg.model, cfg.train, aug, cfg.prep, rows, base,
+        result = train_task(cfg.model, cfg.train, cfg.augment, cfg.prep, rows, base,
                             out_dir=out_dir, config_lines=lines)
         print(f"task {result.task}: best_epoch={result.best_epoch} "
               f"best_val_metric={result.best_metric:.6f}")
@@ -154,7 +161,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     bank = load_bank(args.checkpoint)
     rows = read_manifest(args.manifest)
-    report, g_scores, g_labels, f_scores, f_truth = evaluate(
+    report, g_scores, g_labels, f_scores, _ = evaluate(
         bank, rows, args.manifest.parent, threshold=args.threshold,
         collect_scores=True)
     for path in (args.out, args.roc_out, args.scores_out):
@@ -189,9 +196,9 @@ def cmd_infer(args) -> int:
     row = ManifestRow(image_id=args.image.stem, image_path=str(args.image.resolve()),
                       width=width, height=height, rg=0, features=(0,) * 10,
                       detection_path=detection_path)
-    prepared, plan = prepare_input(image, row, Path("/"), bank.prep,
-                                   bank.config.height)
-    if bank.prep.od_crop and plan.is_full_image:
+    prepared, detection = prepare_input(image, row, Path("/"), bank.prep,
+                                        bank.config.height, bank.config.width)
+    if bank.prep.od_crop and detection is None:
         print("fallback: full image", file=sys.stderr)
     unit = to_unit(prepared)
     print(f"glaucoma {bank.models['glaucoma'].predict(unit):.6f}")

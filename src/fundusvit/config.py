@@ -22,14 +22,21 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
+class Paths:
+    """Dataset manifest and output directory; ``none`` in the text form
+    means unset."""
+
+    manifest: str | None = None
+    out: str | None = None
+
+
+@dataclass(frozen=True)
 class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     augment: AugmentParams = field(default_factory=AugmentParams)
     prep: PreprocessOptions = field(default_factory=PreprocessOptions)
-    augment_enabled: bool = True
-    manifest: str | None = None
-    out_dir: str | None = None
+    paths: Paths = field(default_factory=Paths)
 
 
 _SECTIONS = {
@@ -37,24 +44,12 @@ _SECTIONS = {
     "train": TrainConfig,
     "augment": AugmentParams,
     "prep": PreprocessOptions,
-}
-
-
-def _path(text: str) -> str | None:
-    # the echo writes an unset path as ``none``, so that name means unset
-    return None if text == "none" else text
-
-
-_TOP_LEVEL = {
-    "augment.enabled": ("augment_enabled", kv.boolean),
-    "paths.manifest": ("manifest", _path),
-    "paths.out": ("out_dir", _path),
+    "paths": Paths,
 }
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     section_values: dict[str, dict[str, str]] = {name: {} for name in _SECTIONS}
-    top_values: dict = {}
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -67,22 +62,14 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         seen.add(key)
         section, _, name = key.partition(".")
-        if key in _TOP_LEVEL:
-            attr, convert = _TOP_LEVEL[key]
-            try:
-                top_values[attr] = convert(value)
-            except ValueError as exc:
-                raise ConfigError(f"{source}:{lineno}: {key}: {exc}") from None
-        elif section in _SECTIONS and name:
-            section_values[section][name] = value
-        else:
+        if section not in _SECTIONS or not name:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
+        section_values[section][name] = value
     try:
-        sections = {section: kv.build(cls, section, section_values[section])
-                    for section, cls in _SECTIONS.items()}
+        return RunConfig(**{section: kv.build(cls, section, section_values[section])
+                            for section, cls in _SECTIONS.items()})
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    return RunConfig(**sections, **top_values)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -94,9 +81,5 @@ def load_config(path: str | Path) -> RunConfig:
 
 def effective_lines(cfg: RunConfig) -> list[str]:
     """Every effective value, defaults included, for log provenance."""
-    lines = [line for section in _SECTIONS
-             for line in kv.dump(section, getattr(cfg, section))]
-    lines.append(f"augment.enabled = {kv.format_value(cfg.augment_enabled)}")
-    lines.append(f"paths.manifest = {kv.format_value(cfg.manifest)}")
-    lines.append(f"paths.out = {kv.format_value(cfg.out_dir)}")
-    return lines
+    return [line for section in _SECTIONS
+            for line in kv.dump(section, getattr(cfg, section))]

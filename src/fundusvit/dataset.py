@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detections import (DEFAULT_CONFIDENCE_FLOOR, FULL_IMAGE, RoiPlan,
+from .detections import (DEFAULT_CONFIDENCE_FLOOR, DiscDetection,
                          load_detection_file, select_roi)
 from .ppm import read_ppm
 from .preprocess import DEFAULT_BG_TAU, crop_roi, remove_background, resize_bilinear
@@ -105,26 +105,23 @@ def load_input_image(row: ManifestRow, base_dir: str | Path) -> np.ndarray:
     return read_ppm(Path(base_dir) / row.image_path)
 
 
-def roi_plan_for(row: ManifestRow, base_dir: str | Path,
-                 opts: PreprocessOptions) -> RoiPlan:
-    """Decide crop-vs-full-image for one manifest row."""
-    if not opts.od_crop or not row.detection_path:
-        return FULL_IMAGE
-    dets = load_detection_file(Path(base_dir) / row.detection_path,
-                               row.width, row.height)
-    return select_roi(row.image_id, {row.image_id: dets}, opts.confidence_floor)
-
-
 def prepare_input(image: np.ndarray, row: ManifestRow, base_dir: str | Path,
-                  opts: PreprocessOptions, target: int) -> tuple[np.ndarray, RoiPlan]:
-    """Crop (if planned), strip background, resize; returns the uint8 image
-    ready for augmentation or [0, 1] scaling, and the plan that was used."""
-    plan = roi_plan_for(row, base_dir, opts)
-    if opts.od_crop and plan.detection is not None:
-        image = crop_roi(image, plan.detection)
+                  opts: PreprocessOptions, height: int,
+                  width: int) -> tuple[np.ndarray, DiscDetection | None]:
+    """Crop around the row's most confident disc detection (if cropping is
+    on and one clears the floor), strip background, resize to height x
+    width; returns the uint8 image ready for augmentation or [0, 1] scaling,
+    and the detection cropped around (None: the full image was used)."""
+    detection = None
+    if opts.od_crop and row.detection_path:
+        detection = select_roi(load_detection_file(Path(base_dir) / row.detection_path,
+                                                   row.width, row.height),
+                               opts.confidence_floor)
+    if detection is not None:
+        image = crop_roi(image, detection)
     if opts.bg_removal:
         image = remove_background(image, opts.bg_tau)
-    return resize_bilinear(image, target), plan
+    return resize_bilinear(image, height, width), detection
 
 
 def to_unit(image: np.ndarray) -> np.ndarray:

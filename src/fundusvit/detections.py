@@ -1,4 +1,4 @@
-"""Optic-disc detector output ingestion and per-image ROI planning.
+"""Optic-disc detector output ingestion and per-image ROI selection.
 
 Detections arrive as one text file per image, ``<image-id>.txt``, each line
 ``class cx cy w h confidence`` with the geometry normalized to [0, 1] (the
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 DEFAULT_CONFIDENCE_FLOOR = 0.25
 
@@ -27,20 +26,6 @@ class DiscDetection:
     w: float
     h: float
     confidence: float
-
-
-@dataclass(frozen=True)
-class RoiPlan:
-    """Either crop around a detection or feed the original image."""
-
-    detection: DiscDetection | None
-
-    @property
-    def is_full_image(self) -> bool:
-        return self.detection is None
-
-
-FULL_IMAGE = RoiPlan(None)
 
 
 def parse_detection_lines(text: str, width: int, height: int,
@@ -85,12 +70,8 @@ def load_detection_file(path: str | Path, width: int, height: int) -> list[DiscD
     return parse_detection_lines(path.read_text(), width, height, source=str(path))
 
 
-def select_roi(image_id: str,
-               detections: Mapping[str, list[DiscDetection]],
-               floor: float = DEFAULT_CONFIDENCE_FLOOR) -> RoiPlan:
-    """Highest-confidence detection above the floor, else the full image."""
-    candidates = [d for d in detections.get(image_id, []) if d.confidence >= floor]
-    if not candidates:
-        return FULL_IMAGE
-    return RoiPlan(max(candidates, key=lambda d: d.confidence))
-
+def select_roi(detections: list[DiscDetection],
+               floor: float = DEFAULT_CONFIDENCE_FLOOR) -> DiscDetection | None:
+    """Highest-confidence detection above the floor; None means the full image."""
+    candidates = [d for d in detections if d.confidence >= floor]
+    return max(candidates, key=lambda d: d.confidence, default=None)

@@ -47,9 +47,6 @@ class RocCurve:
     fpr: np.ndarray
     tpr: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.thresholds)
-
 
 def _check_binary(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64)
@@ -148,23 +145,6 @@ class EvalReport:
                  for t, f, p in zip(self.roc.thresholds, self.roc.fpr, self.roc.tpr)]
         write_atomic(path, "\n".join(rows) + "\n")
 
-    @classmethod
-    def parse(cls, path: str | Path) -> "EvalReport":
-        scalars: dict[str, float] = {}
-        per_sample: dict[str, float] = {}
-        for line in Path(path).read_text().splitlines():
-            if not line.strip():
-                continue
-            key, _, value = line.partition(" = ")
-            if key.startswith("nhd."):
-                per_sample[key[4:]] = float(value)
-            else:
-                scalars[key] = float(value)
-        return cls(tpr_at_95=scalars["tpr_at_95"], auc=scalars["auc"],
-                   nhd_mean=scalars["nhd_mean"], per_sample_nhd=per_sample,
-                   feature_threshold=scalars["feature_threshold"],
-                   n_samples=int(scalars["n_samples"]))
-
 
 def evaluate_scores(image_ids: Sequence[str],
                     glaucoma_scores: Sequence[float],
@@ -219,7 +199,8 @@ def evaluate(bank, rows, base_dir: str | Path,
         chunk = slice(start, start + size)
         stack = np.stack([
             to_unit(prepare_input(load_input_image(row, base_dir), row, base_dir,
-                                  bank.prep, bank.config.height)[0])
+                                  bank.prep, bank.config.height,
+                                  bank.config.width)[0])
             for row in rows[chunk]])
         g_scores[chunk] = bank.models["glaucoma"].predict(stack)
         for k in range(N_FEATURES):

@@ -42,6 +42,8 @@ def read_ppm(path: str | Path) -> np.ndarray:
     if int(maxval) != 255:
         raise ValueError(f"{path}: only maxval 255 supported, got {int(maxval)}")
     w, h = int(width), int(height)
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: image extents must be positive, got {w}x{h}")
     pos += 1  # single whitespace byte after maxval
     raster = buf[pos:pos + w * h * 3]
     if len(raster) != w * h * 3:

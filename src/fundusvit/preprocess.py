@@ -23,9 +23,10 @@ _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 @dataclass(frozen=True)
 class AugmentParams:
-    """Augmentation draw ranges. The draws themselves come from the
-    training seed's streams."""
+    """Augmentation switch and draw ranges. The draws themselves come from
+    the training seed's streams."""
 
+    enabled: bool = True
     p_flip_h: float = 0.5
     p_flip_v: float = 0.5
     rot_lo: float = -10.0
@@ -37,18 +38,11 @@ class AugmentParams:
     hue_lo: float = 0.95
     hue_hi: float = 1.05
 
-    @classmethod
-    def disabled(cls) -> "AugmentParams":
-        """Zero-probability flips and degenerate ranges: every draw is identity."""
-        return cls(p_flip_h=0.0, p_flip_v=0.0, rot_lo=0.0, rot_hi=0.0,
-                   sat_lo=1.0, sat_hi=1.0, bright_lo=1.0, bright_hi=1.0,
-                   hue_lo=1.0, hue_hi=1.0)
-
 
 def roi_side(w: float, h: float) -> int:
     """Square crop side for a disc of size (w, h): 3*(w+h)/2, rounded to the
-    nearest pixel with ties away from zero."""
-    return int(np.floor(ROI_SCALE * (w + h) / 2.0 + 0.5))
+    nearest pixel with ties away from zero, and at least one pixel."""
+    return max(1, int(np.floor(ROI_SCALE * (w + h) / 2.0 + 0.5)))
 
 
 def crop_roi(image: np.ndarray, det: DiscDetection) -> np.ndarray:
@@ -81,7 +75,7 @@ def remove_background(image: np.ndarray, tau: int = DEFAULT_BG_TAU) -> np.ndarra
     dark = image.max(axis=2) < tau
     if not dark.any():
         return image.copy()
-    labels, count = ndimage.label(dark, structure=_CROSS)
+    labels, _ = ndimage.label(dark, structure=_CROSS)
     border = np.unique(np.concatenate([
         labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]]))
     border = border[border != 0]
@@ -92,14 +86,10 @@ def remove_background(image: np.ndarray, tau: int = DEFAULT_BG_TAU) -> np.ndarra
     return out
 
 
-def resize_bilinear(image: np.ndarray, target: int) -> np.ndarray:
-    """Resize to target x target with half-pixel-center bilinear sampling."""
-    if target <= 0:
-        raise ValueError("resize target must be positive")
-    return _resize(image, target, target)
-
-
-def _resize(image: np.ndarray, th: int, tw: int) -> np.ndarray:
+def resize_bilinear(image: np.ndarray, th: int, tw: int) -> np.ndarray:
+    """Resize to th x tw with half-pixel-center bilinear sampling."""
+    if th <= 0 or tw <= 0:
+        raise ValueError(f"resize target must be positive, got {th}x{tw}")
     image = _require_rgb(image)
     h, w, _ = image.shape
     ys = (np.arange(th) + 0.5) * (h / th) - 0.5
@@ -118,14 +108,13 @@ def _bilinear_sample(image: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nd
     y0 = np.floor(ys).astype(int)
     fx = (xs - x0)[..., None]
     fy = (ys - y0)[..., None]
-
-    def fetch(yy, xx):
-        inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        vals = image[np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)]
-        return vals * inside[..., None]
-
-    top = fetch(y0, x0) * (1 - fx) + fetch(y0, x0 + 1) * fx
-    bot = fetch(y0 + 1, x0) * (1 - fx) + fetch(y0 + 1, x0 + 1) * fx
+    # source pixel i sits at padded index i + 1, so every index clipped into
+    # the padded array that was outside the image lands on the zero border
+    padded = np.pad(image, ((1, 1), (1, 1), (0, 0)))
+    xa, xb = np.clip(x0 + 1, 0, w + 1), np.clip(x0 + 2, 0, w + 1)
+    ya, yb = np.clip(y0 + 1, 0, h + 1), np.clip(y0 + 2, 0, h + 1)
+    top = padded[ya, xa] * (1 - fx) + padded[ya, xb] * fx
+    bot = padded[yb, xa] * (1 - fx) + padded[yb, xb] * fx
     return top * (1 - fy) + bot * fy
 
 
@@ -215,19 +204,17 @@ class AugmentDraws:
                    bright=float(rng.uniform(params.bright_lo, params.bright_hi)),
                    hue=float(rng.uniform(params.hue_lo, params.hue_hi)))
 
-    @classmethod
-    def identity(cls) -> "AugmentDraws":
-        return cls(1.0, 1.0, 0.0, 1.0, 1.0, 1.0)
-
 
 def augment(image: np.ndarray, params: AugmentParams, draws: AugmentDraws) -> np.ndarray:
     """Apply, in fixed order: horizontal flip, vertical flip, rotation about
     the center (bilinear, zero fill), then saturation/brightness/hue scaling.
 
-    Identity draws short-circuit each stage exactly, so all-identity draws
-    reproduce the input bit for bit.
+    Disabled params, or identity draws (which short-circuit each stage
+    exactly), reproduce the input bit for bit.
     """
     image = _require_rgb(image)
+    if not params.enabled:
+        return image.copy()
     out = image
     if draws.u_flip_h < params.p_flip_h:
         out = out[:, ::-1, :]

@@ -32,6 +32,8 @@ _STREAM_SPLIT = 2
 _STREAM_SHUFFLE = 3
 _STREAM_AUGMENT = 4
 
+PROB_CLAMP = 1e-7
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -51,14 +53,10 @@ class TrainConfig:
     split: tuple[int, int] = (4, 1)
     task: str = "glaucoma"
     n_nrg: int | None = None
-    loss_mode: str = "average"  # "average" (the stated intent) or "sum"
-    prob_clamp: float = 1e-7
 
     def __post_init__(self):
         if self.task not in TASKS and self.task != "bank":
             raise ValueError(f"unknown task {self.task!r}")
-        if self.loss_mode not in ("average", "sum"):
-            raise ValueError(f"loss_mode must be 'average' or 'sum', got {self.loss_mode!r}")
         if self.batch_size < 1 or self.lr_decay_every < 1:
             raise ValueError(f"batch_size and lr_decay_every must be at least 1, "
                              f"got {self.batch_size} and {self.lr_decay_every}")
@@ -76,15 +74,13 @@ class LossValue:
     agg_term: Tensor
 
 
-def dual_bce_loss(y, outputs: HeadOutputs,
-                  clamp: float = 1e-7, mode: str = "average") -> LossValue:
+def dual_bce_loss(y, outputs: HeadOutputs) -> LossValue:
     """Cross-entropy of both heads against one-hot pairs.
 
     ``y`` is one pair, or a (B, 2) sequence of pairs for the B images of a
     stacked forward. Each head contributes -sum_i y_i log p_i, summed over
-    the stack, with probabilities clamped to [clamp, 1 - clamp]; the total
-    is the mean of the two terms ("sum" mode adds them instead, which only
-    rescales gradients).
+    the stack, with probabilities clamped to [PROB_CLAMP, 1 - PROB_CLAMP];
+    the total is the mean of the two terms.
     """
     y_arr = np.asarray(y, dtype=np.float64)
     if y_arr.ndim not in (1, 2) or y_arr.shape[-1] != 2 \
@@ -94,12 +90,11 @@ def dual_bce_loss(y, outputs: HeadOutputs,
     target = Tensor((-y_arr).reshape(outputs.p_cls.shape).astype(outputs.p_cls.dtype))
 
     def head_term(p: Tensor) -> Tensor:
-        return ad.tsum(ad.mul(target, ad.log(ad.clip(p, clamp, 1.0 - clamp))))
+        return ad.tsum(ad.mul(target, ad.log(ad.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))))
 
     cls_term = head_term(outputs.p_cls)
     agg_term = head_term(outputs.p_agg)
-    scale = 0.5 if mode == "average" else 1.0
-    total = ad.mul(ad.add(cls_term, agg_term), scale)
+    total = ad.mul(ad.add(cls_term, agg_term), 0.5)
     return LossValue(total=total, cls_term=cls_term, agg_term=agg_term)
 
 
@@ -231,7 +226,6 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
     rows = list(rows)
     if not rows:
         raise ValueError("empty dataset")
-    labels = [task_label(r, task) for r in rows]
     rg_labels = [r.rg for r in rows]
     train_rows, val_rows = rebalance_and_split(rows, rg_labels, train_cfg.n_nrg,
                                                train_cfg.split, train_cfg.seed)
@@ -242,11 +236,11 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
         raise ValueError(f"single-class training set for task {task!r}")
 
     # Deterministic parts of preprocessing run once and are cached.
-    target = model_cfg.height
+    extents = (model_cfg.height, model_cfg.width)
     train_images = [prepare_input(load_input_image(r, base_dir), r, base_dir,
-                                  prep, target)[0] for r in train_rows]
+                                  prep, *extents)[0] for r in train_rows]
     val_images = np.stack([to_unit(prepare_input(load_input_image(r, base_dir), r,
-                                                 base_dir, prep, target)[0])
+                                                 base_dir, prep, *extents)[0])
                            for r in val_rows]) if val_rows else None
     val_y = [task_label(r, task) for r in val_rows]
 
@@ -283,8 +277,7 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
                         _augment_rng(train_cfg.seed, epoch, idx), aug)))
                     for idx in stack])
                 y = [(1.0 - train_y[idx], float(train_y[idx])) for idx in stack]
-                loss = dual_bce_loss(y, model.forward(images), train_cfg.prob_clamp,
-                                     train_cfg.loss_mode)
+                loss = dual_bce_loss(y, model.forward(images))
                 epoch_loss += loss.total.item()
                 ad.backward(ad.mul(loss.total, inv))
             optimizer.step(lr)

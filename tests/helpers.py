@@ -1,8 +1,9 @@
 """Shared test oracles: finite differences, a straight-line numpy forward
 pass, and brute-force metric recounts. Everything here is deliberately
 independent of the implementation paths it checks (loops instead of
-vectorized sweeps, no autodiff involvement). The inverses and loaders at the
-end exist only for the tests; the pipeline never calls them."""
+vectorized sweeps, no autodiff involvement). The inverses, loaders and the
+report reader at the end exist only for the tests; the pipeline never calls
+them."""
 
 from __future__ import annotations
 
@@ -259,3 +260,17 @@ def load_detections(directory, extents: Mapping[str, tuple[int, int]]) -> dict:
 def detector_auc(scores, labels) -> float:
     """ROC AUC of per-image max detector confidence against presence flags."""
     return auc(roc_curve(scores, labels))
+
+
+def read_report(path) -> tuple[dict[str, float], dict[str, float]]:
+    """A written report's scalar values and its per-sample ``nhd.<id>``
+    values."""
+    scalars: dict[str, float] = {}
+    per_sample: dict[str, float] = {}
+    for line in Path(path).read_text().splitlines():
+        key, _, value = line.partition(" = ")
+        if key.startswith("nhd."):
+            per_sample[key.removeprefix("nhd.")] = float(value)
+        else:
+            scalars[key] = float(value)
+    return scalars, per_sample

@@ -145,7 +145,7 @@ def test_04_overfit_check(tmp_path):
         train_cfg = TrainConfig(lr0=5e-4, lr_decay_every=1000, epochs=200,
                                 batch_size=16, seed=1)
         prep = PreprocessOptions()
-        result = train_task(model_cfg, train_cfg, AugmentParams.disabled(),
+        result = train_task(model_cfg, train_cfg, AugmentParams(enabled=False),
                             prep, rows, manifest.parent)
         steps = sum(int(np.ceil(16 / train_cfg.batch_size))
                     for _ in result.history)
@@ -158,7 +158,7 @@ def test_04_overfit_check(tmp_path):
         worst = 1.0
         for row in train_rows:
             image = prepare_input(load_input_image(row, manifest.parent), row,
-                                  manifest.parent, prep, 32)[0]
+                                  manifest.parent, prep, 32, 32)[0]
             p = result.model.predict(image.astype(np.float64) / 255.0)
             p_true = p if row.rg == 1 else 1.0 - p
             worst = min(worst, p_true)
@@ -192,7 +192,7 @@ def test_05_preprocessing_ordering_effect(tmp_path):
             scores, labels = [], []
             for row in val_rows:
                 image = prepare_input(load_input_image(row, manifest.parent), row,
-                                      manifest.parent, prep, 32)[0]
+                                      manifest.parent, prep, 32, 32)[0]
                 scores.append(res.model.predict(image.astype(np.float64) / 255.0))
                 labels.append(row.rg)
             results[crop] = (tpr_at_specificity(scores, labels, 0.95),
@@ -228,7 +228,7 @@ def test_07_metric_oracles():
 
             curve = roc_curve(scores, labels)
             expected = brute_force_roc(scores, labels)
-            assert len(curve) == len(expected)
+            assert len(curve.thresholds) == len(expected)
             for i, (t, fpr, tpr) in enumerate(expected):
                 assert curve.thresholds[i] == t
                 assert abs(curve.fpr[i] - fpr) <= 1e-12

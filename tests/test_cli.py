@@ -10,8 +10,9 @@ import pytest
 
 from fundusvit import cli
 from fundusvit.config import ConfigError, effective_lines, parse_config_text
-from fundusvit.metrics import EvalReport, auc, normalized_hamming, roc_curve, \
-    tpr_at_specificity
+from fundusvit.metrics import auc, normalized_hamming, roc_curve, tpr_at_specificity
+
+from helpers import read_report
 
 
 def run_cli(args):
@@ -249,7 +250,7 @@ class TestTrainEvalInfer:
                         "--manifest", data / "manifest.tsv",
                         "--out", report_path, "--scores-out", scores_path,
                         "--roc-out", roc_path]) == 0
-        report = EvalReport.parse(report_path)
+        report, _ = read_report(report_path)
 
         lines = scores_path.read_text().splitlines()[1:]
         ids, labels, scores, feats = [], [], [], []
@@ -259,15 +260,15 @@ class TestTrainEvalInfer:
             labels.append(int(parts[1]))
             scores.append(float(parts[2]))
             feats.append([float(v) for v in parts[3:]])
-        assert report.tpr_at_95 == pytest.approx(
+        assert report["tpr_at_95"] == pytest.approx(
             tpr_at_specificity(scores, labels, 0.95), abs=1e-6)
-        assert report.auc == pytest.approx(auc(roc_curve(scores, labels)), abs=1e-6)
+        assert report["auc"] == pytest.approx(auc(roc_curve(scores, labels)), abs=1e-6)
         from fundusvit.dataset import read_manifest
         rows = {r.image_id: r for r in read_manifest(data / "manifest.tsv")}
         nhd = [normalized_hamming((np.asarray(f) > 0.5).astype(int),
                                   rows[i].features)
                for i, f in zip(ids, feats)]
-        assert report.nhd_mean == pytest.approx(float(np.mean(nhd)), abs=1e-6)
+        assert report["nhd_mean"] == pytest.approx(float(np.mean(nhd)), abs=1e-6)
         assert roc_path.read_text().startswith("threshold\tfpr\ttpr")
 
     def test_eval_creates_the_directories_of_every_output(self, workspace, tmp_path):
@@ -281,6 +282,27 @@ class TestTrainEvalInfer:
         assert report.read_text().startswith("tpr_at_95 = ")
         assert roc.read_text().startswith("threshold\tfpr\ttpr")
         assert scores.read_text().startswith("image_id\trg\tglaucoma_score")
+
+    @pytest.mark.parametrize("value", ["nan", "-0.1", "1.5", "inf"])
+    def test_eval_threshold_outside_unit_interval_is_one(self, value, workspace,
+                                                         tmp_path, capsys):
+        root, data, config = workspace
+        run_cli(["train", "--config", config])
+        report = tmp_path / "report.txt"
+        assert run_cli(["eval", "--checkpoint", root / "run" / "glaucoma.ckpt",
+                        "--manifest", data / "manifest.tsv", "--out", report,
+                        "--threshold", value]) == 1
+        assert "--threshold" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_eval_threshold_one_is_accepted(self, workspace, tmp_path):
+        root, data, config = workspace
+        run_cli(["train", "--config", config])
+        report = tmp_path / "report.txt"
+        assert run_cli(["eval", "--checkpoint", root / "run" / "glaucoma.ckpt",
+                        "--manifest", data / "manifest.tsv", "--out", report,
+                        "--threshold", "1"]) == 0
+        assert "feature_threshold = 1.000000" in report.read_text()
 
     def test_eval_twice_identical_reports(self, workspace, tmp_path):
         root, data, config = workspace
@@ -325,6 +347,32 @@ class TestTrainEvalInfer:
         withdet = capsys.readouterr()
         assert withdet.out == without
         assert "fallback" not in withdet.err
+
+    def test_infer_subpixel_detection_crops_one_pixel(self, workspace, tmp_path, capsys):
+        # 3 * (0.0064 + 0.0064) / 2 px on the 64-px image rounds to 0 without
+        # the one-pixel floor
+        root, data, config = workspace
+        run_cli(["train", "--config", config])
+        capsys.readouterr()  # drop the train command's output
+        det = tmp_path / "tiny.txt"
+        det.write_text("0 0.5 0.5 0.0001 0.0001 0.9\n")
+        assert run_cli(["infer", "--checkpoint", root / "run" / "glaucoma.ckpt",
+                        "--image", data / "images" / "img0000.ppm",
+                        "--detection", det]) == 0
+        assert capsys.readouterr().out.startswith("glaucoma ")
+
+    @pytest.mark.parametrize("header", [b"P6\n0 5\n255\n", b"P6\n5 0\n255\n",
+                                        b"P6\n-1 -1\n255\n\0\0\0"],
+                             ids=["zero-width", "zero-height", "negative"])
+    def test_infer_image_without_pixels_is_one(self, header, workspace, tmp_path,
+                                               capsys):
+        root, data, config = workspace
+        run_cli(["train", "--config", config])
+        image = tmp_path / "empty.ppm"
+        image.write_bytes(header)
+        assert run_cli(["infer", "--checkpoint", root / "run" / "glaucoma.ckpt",
+                        "--image", image]) == 1
+        assert "extents must be positive" in capsys.readouterr().err
 
     def test_infer_missing_image_is_two(self, workspace, tmp_path):
         root, data, config = workspace

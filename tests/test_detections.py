@@ -1,4 +1,4 @@
-"""Detector-output ingestion and ROI-plan selection tests."""
+"""Detector-output ingestion and ROI selection tests."""
 
 import numpy as np
 import pytest
@@ -77,26 +77,20 @@ class TestSelectRoi:
         return DiscDetection(cx=10, cy=10, w=5, h=5, confidence=conf)
 
     def test_no_detections_falls_back_to_full_image(self):
-        plan = select_roi("img", {})
-        assert plan.is_full_image
-        assert select_roi("img", {"img": []}).is_full_image
+        assert select_roi([]) is None
 
     def test_confident_detection_is_cropped(self):
-        plan = select_roi("img", {"img": [self.d(0.9)]}, floor=0.25)
-        assert not plan.is_full_image
-        assert plan.detection.confidence == 0.9
+        assert select_roi([self.d(0.9)], floor=0.25) == self.d(0.9)
 
     def test_argmax_over_confidences(self):
-        plan = select_roi("img", {"img": [self.d(0.3), self.d(0.8)]})
-        assert plan.detection.confidence == 0.8
+        assert select_roi([self.d(0.3), self.d(0.8)]).confidence == 0.8
 
     def test_all_below_floor_falls_back(self):
-        assert select_roi("img", {"img": [self.d(0.1), self.d(0.2)]},
-                          floor=0.25).is_full_image
+        assert select_roi([self.d(0.1), self.d(0.2)], floor=0.25) is None
 
     def test_pure_function(self):
-        dets = {"img": [self.d(0.5)]}
-        assert select_roi("img", dets) == select_roi("img", dets)
+        dets = [self.d(0.5)]
+        assert select_roi(dets) == select_roi(dets) == self.d(0.5)
 
 
 class TestDetectorAuc:

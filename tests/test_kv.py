@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fundusvit import kv
 from fundusvit.checkpoint import TASKS, save_checkpoint
-from fundusvit.config import (ConfigError, RunConfig, effective_lines,
+from fundusvit.config import (ConfigError, Paths, RunConfig, effective_lines,
                               parse_config_text)
 from fundusvit.dataset import PreprocessOptions
 from fundusvit.model import DualHeadViT, ModelConfig
@@ -53,8 +53,7 @@ train.seed = 0
 train.split = 3:2
 train.task = glaucoma
 train.n_nrg = 40
-train.loss_mode = average
-train.prob_clamp = 1e-07
+augment.enabled = false
 augment.p_flip_h = 0.5
 augment.p_flip_v = 0.5
 augment.rot_lo = -7.5
@@ -69,7 +68,6 @@ prep.od_crop = true
 prep.bg_removal = true
 prep.bg_tau = 12
 prep.confidence_floor = 0.25
-augment.enabled = false
 paths.manifest = data/manifest.tsv
 paths.out = none"""
 
@@ -147,7 +145,7 @@ class TestGolden:
 class TestEchoRoundTrip:
     @pytest.mark.parametrize("cfg", [
         RunConfig(),
-        RunConfig(manifest="data/manifest.tsv", out_dir="runs/demo"),
+        RunConfig(paths=Paths(manifest="data/manifest.tsv", out="runs/demo")),
     ], ids=["default", "paths-set"])
     def test_echo_reparses_to_the_same_config(self, cfg):
         assert parse_config_text("\n".join(effective_lines(cfg))) == cfg
@@ -202,13 +200,17 @@ SETTINGS = {
         epochs=st.integers(0, 100), seed=st.integers(-2**40, 2**40),
         split=st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(sum),
         task=st.sampled_from([*TASKS, "bank"]),
-        n_nrg=st.none() | st.integers(0, 10**6),
-        loss_mode=st.sampled_from(["average", "sum"]), prob_clamp=finite)),
+        n_nrg=st.none() | st.integers(0, 10**6))),
     "augment": (AugmentParams, st.builds(
-        AugmentParams, **{f.name: finite for f in fields(AugmentParams)})),
+        AugmentParams, enabled=st.booleans(),
+        **{f.name: finite for f in fields(AugmentParams) if f.name != "enabled"})),
     "prep": (PreprocessOptions, st.builds(
         PreprocessOptions, od_crop=st.booleans(), bg_removal=st.booleans(),
         bg_tau=st.integers(-255, 255), confidence_floor=finite)),
+    # a path spelled "none" reads back as unset, so the strategy avoids it
+    "paths": (Paths, st.builds(
+        Paths, manifest=st.none() | st.text(max_size=12).filter(lambda t: t != "none"),
+        out=st.none() | st.just("runs/demo"))),
 }
 
 

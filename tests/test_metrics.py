@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fundusvit.metrics import (CHALLENGE_DEV_PHASE, DegenerateLabelsError,
-                               EvalReport, auc, evaluate_scores,
+                               auc, evaluate_scores,
                                normalized_hamming, roc_curve,
                                tpr_at_specificity)
 
-from helpers import brute_force_auc, brute_force_roc, brute_force_tpr_at_spec
+from helpers import (brute_force_auc, brute_force_roc, brute_force_tpr_at_spec,
+                     read_report)
 
 
 def random_instance(seed, max_n=50):
@@ -36,7 +37,7 @@ class TestRocCurve:
 
     def test_all_equal_scores_two_endpoints_only(self):
         curve = roc_curve([0.4, 0.4, 0.4], [1, 0, 1])
-        assert len(curve) == 2
+        assert len(curve.thresholds) == 2
         assert (curve.fpr[0], curve.tpr[0]) == (0.0, 0.0)
         assert (curve.fpr[-1], curve.tpr[-1]) == (1.0, 1.0)
 
@@ -64,7 +65,7 @@ class TestRocCurve:
         scores, labels = random_instance(seed, max_n=12)
         curve = roc_curve(scores, labels)
         expected = brute_force_roc(scores, labels)
-        assert len(curve) == len(expected)
+        assert len(curve.thresholds) == len(expected)
         for i, (t, fpr, tpr) in enumerate(expected):
             assert curve.thresholds[i] == t
             assert abs(curve.fpr[i] - fpr) < 1e-12
@@ -179,11 +180,12 @@ class TestEvaluateScores:
                                  np.zeros((2, 10)), np.zeros((2, 10), dtype=int))
         path = tmp_path / "report.txt"
         report.write(path)
-        again = EvalReport.parse(path)
-        assert again.tpr_at_95 == report.tpr_at_95
-        assert again.auc == report.auc
-        assert again.nhd_mean == report.nhd_mean
-        assert again.per_sample_nhd == report.per_sample_nhd
+        scalars, per_sample = read_report(path)
+        assert scalars == {"tpr_at_95": report.tpr_at_95, "auc": report.auc,
+                           "nhd_mean": report.nhd_mean,
+                           "feature_threshold": report.feature_threshold,
+                           "n_samples": report.n_samples}
+        assert per_sample == report.per_sample_nhd
 
     def test_roc_table(self, tmp_path):
         report = evaluate_scores(["a", "b", "c"], [0.9, 0.5, 0.1], [1, 1, 0],
@@ -192,7 +194,7 @@ class TestEvaluateScores:
         report.write_roc_table(path)
         lines = path.read_text().splitlines()
         assert lines[0] == "threshold\tfpr\ttpr"
-        assert len(lines) == len(report.roc) + 1
+        assert len(lines) == len(report.roc.thresholds) + 1
 
 
 def test_published_numbers_are_recorded_as_non_reproducible():

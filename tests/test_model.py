@@ -207,7 +207,7 @@ class TestStructure:
     ])
     def test_param_count_is_pure_function_of_config(self, cfg):
         model = DualHeadViT(cfg, seed=1)
-        assert sum(t.size for t in model.parameters()) == cfg.param_count()
+        assert sum(t.data.size for t in model.parameters()) == cfg.param_count()
 
     def test_position_row_zero_is_the_class_token_slot(self):
         model = DualHeadViT(TINY, seed=0)

@@ -59,6 +59,13 @@ class TestCropRoi:
         assert roi_side(10, 11) == 32  # 31.5 rounds away from zero
         assert roi_side(10, 10) == 30
 
+    def test_subpixel_disc_crops_one_pixel(self):
+        # 3 * (0.1 + 0.1) / 2 = 0.3 px would round to an empty crop
+        assert roi_side(0.1, 0.1) == 1
+        image = random_image(3, h=64, w=64)
+        out = crop_roi(image, det(cx=32, cy=32, w=0.1, h=0.1))
+        np.testing.assert_array_equal(out, image[32:33, 32:33])
+
     def test_disc_spanning_third_of_image_returns_full_image(self):
         image = random_image(1, h=90, w=90)
         out = crop_roi(image, det(cx=45, cy=45, w=30, h=30))
@@ -157,27 +164,29 @@ class TestRemoveBackground:
 class TestResize:
     def test_same_size_is_identity(self):
         image = random_image(7, 24, 24)
-        np.testing.assert_array_equal(resize_bilinear(image, 24), image)
+        np.testing.assert_array_equal(resize_bilinear(image, 24, 24), image)
 
     def test_checkerboard_average(self):
         image = np.zeros((2, 2, 3), dtype=np.uint8)
         image[0, 1] = image[1, 0] = 255
-        out = resize_bilinear(image, 1)
+        out = resize_bilinear(image, 1, 1)
         assert out.shape == (1, 1, 3)
         assert out[0, 0, 0] in (127, 128)
 
     def test_zero_target_rejected(self):
         with pytest.raises(ValueError):
-            resize_bilinear(random_image(8), 0)
+            resize_bilinear(random_image(8), 0, 8)
+        with pytest.raises(ValueError):
+            resize_bilinear(random_image(8), 8, 0)
 
-    def naive_resize(self, image, target):
+    def naive_resize(self, image, th, tw):
         h, w, _ = image.shape
-        out = np.zeros((target, target, 3), dtype=np.uint8)
+        out = np.zeros((th, tw, 3), dtype=np.uint8)
         img = image.astype(np.float64)
-        for ty in range(target):
-            for tx in range(target):
-                sy = min(max((ty + 0.5) * h / target - 0.5, 0.0), h - 1.0)
-                sx = min(max((tx + 0.5) * w / target - 0.5, 0.0), w - 1.0)
+        for ty in range(th):
+            for tx in range(tw):
+                sy = min(max((ty + 0.5) * h / th - 0.5, 0.0), h - 1.0)
+                sx = min(max((tx + 0.5) * w / tw - 0.5, 0.0), w - 1.0)
                 y0, x0 = int(math.floor(sy)), int(math.floor(sx))
                 y1, x1 = min(y0 + 1, h - 1), min(x0 + 1, w - 1)
                 fy, fx = sy - y0, sx - x0
@@ -193,14 +202,22 @@ class TestResize:
     def test_matches_scalar_loop_oracle(self, shape, target):
         image = np.random.default_rng(9).integers(0, 256, size=(*shape, 3),
                                                   dtype=np.uint8)
-        np.testing.assert_array_equal(resize_bilinear(image, target),
-                                      self.naive_resize(image, target))
+        np.testing.assert_array_equal(resize_bilinear(image, target, target),
+                                      self.naive_resize(image, target, target))
+
+    @pytest.mark.parametrize("th,tw", [(8, 16), (16, 5), (3, 1)])
+    def test_non_square_target_matches_scalar_loop_oracle(self, th, tw):
+        image = np.random.default_rng(11).integers(0, 256, size=(7, 9, 3),
+                                                   dtype=np.uint8)
+        out = resize_bilinear(image, th, tw)
+        assert out.shape == (th, tw, 3)
+        np.testing.assert_array_equal(out, self.naive_resize(image, th, tw))
 
     def test_large_upsample_matches_oracle_at_sampled_positions(self):
         # 7x5 source to 512x512; the scalar oracle checks 1500 random pixels
         rng = np.random.default_rng(10)
         image = rng.integers(0, 256, size=(7, 5, 3), dtype=np.uint8)
-        out = resize_bilinear(image, 512)
+        out = resize_bilinear(image, 512, 512)
         img = image.astype(np.float64)
         h, w = 7, 5
         for _ in range(1500):
@@ -223,8 +240,18 @@ class TestAugment:
 
     def test_identity_draws_are_exact_identity(self):
         image = random_image(11)
-        out = augment(image, self.params, AugmentDraws.identity())
+        identity = AugmentDraws(u_flip_h=1.0, u_flip_v=1.0, rot_deg=0.0,
+                                sat=1.0, bright=1.0, hue=1.0)
+        out = augment(image, self.params, identity)
         np.testing.assert_array_equal(out, image)
+
+    def test_disabled_params_ignore_the_draws(self):
+        image = random_image(16)
+        draws = AugmentDraws(u_flip_h=0.0, u_flip_v=0.0, rot_deg=7.0,
+                             sat=1.05, bright=0.95, hue=1.02)
+        out = augment(image, AugmentParams(enabled=False), draws)
+        np.testing.assert_array_equal(out, image)
+        assert out is not image
 
     def test_both_flips_give_point_reflection(self):
         image = random_image(12)

@@ -10,7 +10,9 @@ import pytest
 
 from fundusvit import autodiff as ad
 from fundusvit.autodiff import Tensor
+from fundusvit.checkpoint import ClassifierBank
 from fundusvit.dataset import PreprocessOptions, read_manifest
+from fundusvit.metrics import evaluate
 from fundusvit.model import HeadOutputs, ModelConfig
 from fundusvit.preprocess import AugmentParams
 from fundusvit.synth import generate_dataset
@@ -53,13 +55,6 @@ class TestDualBceLoss:
         assert loss.total.item() == pytest.approx(
             0.5 * (loss.cls_term.item() + loss.agg_term.item()), abs=1e-12)
         assert loss.total.item() >= 0.0
-
-    def test_sum_mode_doubles_average(self):
-        out = outputs_from([0.3, 0.7], [0.2, 0.8])
-        avg = dual_bce_loss((0.0, 1.0), out, mode="average").total.item()
-        out2 = outputs_from([0.3, 0.7], [0.2, 0.8])
-        total = dual_bce_loss((0.0, 1.0), out2, mode="sum").total.item()
-        assert total == pytest.approx(2.0 * avg, abs=1e-12)
 
     def test_non_one_hot_rejected(self):
         out = outputs_from([0.5, 0.5], [0.5, 0.5])
@@ -243,12 +238,24 @@ class TestTrainTask:
                                           cfg.split, cfg.seed)
         val_images = [prepare_input(load_input_image(r, manifest.parent), r,
                                     manifest.parent, PreprocessOptions(),
-                                    SMALL_MODEL.height)[0].astype(np.float64) / 255.0
+                                    SMALL_MODEL.height,
+                                    SMALL_MODEL.width)[0].astype(np.float64) / 255.0
                       for r in val_rows]
         val_y = [task_label(r, "glaucoma") for r in val_rows]
         m1 = _validation_metric(result.model, val_images, val_y, "glaucoma")
         m2 = _validation_metric(result.model, val_images, val_y, "glaucoma")
         assert m1 == m2 == result.best_metric
+
+    def test_non_square_inputs_train_and_evaluate(self, tiny_dataset):
+        manifest, rows = tiny_dataset
+        wide = replace(SMALL_MODEL, width=64)  # 32 x 64: 2 x 4 patches
+        result = train_task(wide, quick_cfg(epochs=1), FAST_AUG, PreprocessOptions(),
+                            rows, manifest.parent)
+        bank = ClassifierBank(models={"glaucoma": result.model},
+                              prep=PreprocessOptions(), config=wide, skipped={})
+        report = evaluate(bank, rows, manifest.parent)
+        assert report.n_samples == len(rows)
+        assert 0.0 <= report.auc <= 1.0
 
     def test_empty_dataset_rejected(self, tiny_dataset, tmp_path):
         with pytest.raises(ValueError, match="empty"):
