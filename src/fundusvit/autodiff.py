@@ -102,14 +102,9 @@ def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
     out.grad = None
     out.op = op
     out._backward_done = False
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out.parents = parents
-        out._vjp = vjp
-    else:
-        out.requires_grad = False
-        out.parents = ()
-        out._vjp = None
+    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+    out.parents = parents if out.requires_grad else ()
+    out._vjp = vjp if out.requires_grad else None
     return out
 
 
@@ -449,8 +444,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     if start < 0 or length <= 0 or start + length > a.shape[axis]:
         raise ShapeError(f"narrow [{start}:{start + length}] out of range on axis "
                          f"{axis} of shape {a.shape}")
-    idx = tuple(slice(None) if i != axis else slice(start, start + length)
-                for i in range(a.ndim))
+    idx = (slice(None),) * axis + (slice(start, start + length),)
     full_shape = a.shape
 
     def vjp(g):
@@ -469,9 +463,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     offsets = np.cumsum([0] + sizes)
 
     def vjp(g):
-        slicer = lambda lo, hi: tuple(
-            slice(None) if i != axis else slice(lo, hi) for i in range(g.ndim))
-        return tuple(g[slicer(offsets[i], offsets[i + 1])] for i in range(len(parts)))
+        return tuple(np.split(g, offsets[1:-1], axis=axis))
 
     return _result(np.concatenate([p.data for p in parts], axis=axis),
                    "concat", tuple(parts), vjp)

@@ -193,21 +193,18 @@ def evaluate(bank, rows, base_dir: str | Path,
     g_labels = [row.rg for row in rows]
     g_scores = np.zeros(len(rows))
     f_scores = np.zeros((len(rows), N_FEATURES))
-    f_truth = np.zeros((len(rows), N_FEATURES), dtype=int)
+    f_truth = np.array([row.features for row in rows], dtype=int).reshape(-1, N_FEATURES)
     size = bank.config.stack_size
     for start in range(0, len(rows), size):
         chunk = slice(start, start + size)
-        stack = np.stack([
-            to_unit(prepare_input(load_input_image(row, base_dir), row, base_dir,
-                                  bank.prep, bank.config.height,
-                                  bank.config.width)[0])
-            for row in rows[chunk]])
+        stack = to_unit(np.stack([
+            prepare_input(load_input_image(row, base_dir), row, base_dir, bank.prep,
+                          bank.config.height, bank.config.width)[0] for row in rows[chunk]]))
         g_scores[chunk] = bank.models["glaucoma"].predict(stack)
         for k in range(N_FEATURES):
             task = f"feature{k + 1}"
             if task in bank.models:
                 f_scores[chunk, k] = bank.models[task].predict(stack)
-        f_truth[chunk] = [row.features for row in rows[chunk]]
     report = evaluate_scores(ids, g_scores, g_labels, f_scores, f_truth, threshold)
     if collect_scores:
         return report, g_scores, np.asarray(g_labels), f_scores, f_truth

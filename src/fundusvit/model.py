@@ -85,9 +85,7 @@ class ModelConfig:
     @classmethod
     def full_resolution(cls, **overrides) -> "ModelConfig":
         """512x512 inputs with 16-pixel patches (1024 patch tokens)."""
-        base = dict(height=512, width=512, patch=16)
-        base.update(overrides)
-        return cls(**base)
+        return cls(**{"height": 512, "width": 512, "patch": 16, **overrides})
 
     def param_count(self) -> int:
         d, m, a = self.dim, self.mlp_width, self.agg_hidden
@@ -283,9 +281,7 @@ class DualHeadViT:
         """Coarse grouping used by the gradient-flow check."""
         groups: dict[str, list[str]] = {}
         for name in self.params:
-            if name.startswith(("block",)):
-                key = name.split(".")[0]
-            elif name.startswith("agg.") or name.startswith("final_fc."):
+            if name.startswith(("agg.", "final_fc.")):
                 key = "agg_head"
             elif name.startswith("mlp_head."):
                 key = "mlp_head"

@@ -1,9 +1,10 @@
 """Deterministic image preprocessing: disc-centered ROI cropping, background
 removal, bilinear resizing and the training-time augmentation pipeline.
 
-All operations take and return 8-bit RGB arrays (HxWx3 uint8) and are pure
-functions of their inputs plus any random draws supplied by the caller, so
-they parallelize across images without shared state.
+All operations take and return 8-bit RGB arrays (HxWx3 uint8; the
+augmentation stages also take BxHxWx3 stacks with per-image draws) and are
+pure functions of their inputs plus any random draws supplied by the caller,
+so they parallelize across images without shared state.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ class AugmentParams:
     bright_hi: float = 1.05
     hue_lo: float = 0.95
     hue_hi: float = 1.05
+
+    def __post_init__(self):
+        for name in ("p_flip_h", "p_flip_v"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        for kind in ("rot", "sat", "bright", "hue"):
+            if not getattr(self, f"{kind}_lo") <= getattr(self, f"{kind}_hi"):
+                raise ValueError(f"{kind}_lo must not exceed {kind}_hi")
 
 
 def roi_side(w: float, h: float) -> int:
@@ -92,48 +101,55 @@ def resize_bilinear(image: np.ndarray, th: int, tw: int) -> np.ndarray:
         raise ValueError(f"resize target must be positive, got {th}x{tw}")
     image = _require_rgb(image)
     h, w, _ = image.shape
-    ys = (np.arange(th) + 0.5) * (h / th) - 0.5
-    xs = (np.arange(tw) + 0.5) * (w / tw) - 0.5
-    ys = np.clip(ys, 0.0, h - 1.0)
-    xs = np.clip(xs, 0.0, w - 1.0)
+    ys = np.clip((np.arange(th) + 0.5) * (h / th) - 0.5, 0.0, h - 1.0)
+    xs = np.clip((np.arange(tw) + 0.5) * (w / tw) - 0.5, 0.0, w - 1.0)
     gx, gy = np.meshgrid(xs, ys)
-    sampled = _bilinear_sample(image.astype(np.float64), gx, gy)
-    return np.clip(np.rint(sampled), 0, 255).astype(np.uint8)
+    return _bilinear_sample(image[None], gx, gy)[0]
 
 
-def _bilinear_sample(image: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample float image at fractional coords; out-of-bounds reads are zero."""
-    h, w = image.shape[:2]
+def _bilinear_sample(images: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Sample a (B, H, W, 3) uint8 stack at fractional (B, h, w) or shared
+    (h, w) coords, rounded back to uint8; out-of-bounds reads are zero."""
+    b, h, w, _ = images.shape
     x0 = np.floor(xs).astype(int)
     y0 = np.floor(ys).astype(int)
     fx = (xs - x0)[..., None]
     fy = (ys - y0)[..., None]
     # source pixel i sits at padded index i + 1, so every index clipped into
-    # the padded array that was outside the image lands on the zero border
-    padded = np.pad(image, ((1, 1), (1, 1), (0, 0)))
+    # the padded array that was outside the image lands on the zero border;
+    # each corner is one flat gather of uint8 pixels, widened exactly after
+    flat = np.pad(images, ((0, 0), (1, 1), (1, 1), (0, 0))).reshape(-1, 3)
+    first_row = np.arange(b).reshape(-1, 1, 1) * (h + 2)
     xa, xb = np.clip(x0 + 1, 0, w + 1), np.clip(x0 + 2, 0, w + 1)
-    ya, yb = np.clip(y0 + 1, 0, h + 1), np.clip(y0 + 2, 0, h + 1)
-    top = padded[ya, xa] * (1 - fx) + padded[ya, xb] * fx
-    bot = padded[yb, xa] * (1 - fx) + padded[yb, xb] * fx
-    return top * (1 - fy) + bot * fy
+    ya, yb = ((np.clip(y0 + k, 0, h + 1) + first_row) * (w + 2) for k in (1, 2))
+
+    def corner(row, col):
+        return flat.take(row + col, axis=0).astype(np.float64)
+
+    top = corner(ya, xa) * (1 - fx) + corner(ya, xb) * fx
+    bot = corner(yb, xa) * (1 - fx) + corner(yb, xb) * fx
+    out = top * (1 - fy) + bot * fy
+    return np.clip(np.rint(out, out=out), 0, 255, out=out).astype(np.uint8)
 
 
-def rotate(image: np.ndarray, degrees: float) -> np.ndarray:
-    """Rotate counterclockwise about the image center; bilinear, zero fill."""
-    image = _require_rgb(image)
-    if degrees == 0.0:
-        return image.copy()
-    h, w, _ = image.shape
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    theta = np.deg2rad(degrees)
-    c, s = np.cos(theta), np.sin(theta)
-    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    dx, dy = xx - cx, yy - cy
-    src_x = cx + c * dx + s * dy
-    src_y = cy - s * dx + c * dy
-    sampled = _bilinear_sample(image.astype(np.float64), src_x, src_y)
-    return np.clip(np.rint(sampled), 0, 255).astype(np.uint8)
+def rotate(images: np.ndarray, degrees) -> np.ndarray:
+    """Rotate counterclockwise about the image center; bilinear, zero fill.
+    A BxHxWx3 stack takes one angle per image; a zero angle copies."""
+    images = _require_rgb(images, stack=True)
+    stack = images.reshape(-1, *images.shape[-3:])
+    degrees = np.broadcast_to(np.asarray(degrees, dtype=np.float64), stack.shape[:1])
+    out = stack.copy()
+    turn = np.flatnonzero(degrees != 0.0)
+    if turn.size:
+        h, w = stack.shape[1:3]
+        cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+        # one scalar cos/sin per image, the same values a single image gets
+        c, s = np.array([(np.cos(t), np.sin(t))
+                         for t in map(np.deg2rad, degrees[turn])]).T[..., None, None]
+        dy, dx = np.meshgrid(np.arange(h) - cy, np.arange(w) - cx, indexing="ij")
+        out[turn] = _bilinear_sample(stack[turn], cx + c * dx + s * dy,
+                                     cy - s * dx + c * dy)
+    return out.reshape(images.shape)
 
 
 def rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
@@ -169,18 +185,24 @@ def hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
     return np.stack([r, g, b], axis=-1)
 
 
-def color_jitter(image: np.ndarray, sat: float, bright: float, hue: float) -> np.ndarray:
+def color_jitter(images: np.ndarray, sat, bright, hue) -> np.ndarray:
     """Scale saturation and brightness (clamped to [0, 1]) and hue
-    (multiplicative, modulo 1) in HSV space."""
-    image = _require_rgb(image)
-    if sat == 1.0 and bright == 1.0 and hue == 1.0:
-        return image.copy()
-    hsv = rgb_to_hsv(image.astype(np.float64) / 255.0)
-    hsv[..., 0] = (hsv[..., 0] * hue) % 1.0
-    hsv[..., 1] = np.clip(hsv[..., 1] * sat, 0.0, 1.0)
-    hsv[..., 2] = np.clip(hsv[..., 2] * bright, 0.0, 1.0)
-    rgb = hsv_to_rgb(hsv)
-    return np.clip(np.rint(rgb * 255.0), 0, 255).astype(np.uint8)
+    (multiplicative, modulo 1) in HSV space. A BxHxWx3 stack takes one
+    factor of each kind per image; factors all 1 copy the image."""
+    images = _require_rgb(images, stack=True)
+    stack = images.reshape(-1, *images.shape[-3:])
+    sat, bright, hue = (np.broadcast_to(np.asarray(f, dtype=np.float64), stack.shape[:1])
+                        for f in (sat, bright, hue))
+    out = stack.copy()
+    moved = np.flatnonzero((sat != 1.0) | (bright != 1.0) | (hue != 1.0))
+    if moved.size:
+        hsv = rgb_to_hsv(stack[moved].astype(np.float64) / 255.0)
+        hsv[..., 0] = (hsv[..., 0] * hue[moved, None, None]) % 1.0
+        hsv[..., 1] = np.clip(hsv[..., 1] * sat[moved, None, None], 0.0, 1.0)
+        hsv[..., 2] = np.clip(hsv[..., 2] * bright[moved, None, None], 0.0, 1.0)
+        rgb = hsv_to_rgb(hsv) * 255.0
+        out[moved] = np.clip(np.rint(rgb, out=rgb), 0, 255, out=rgb).astype(np.uint8)
+    return out.reshape(images.shape)
 
 
 @dataclass(frozen=True)
@@ -205,29 +227,36 @@ class AugmentDraws:
                    hue=float(rng.uniform(params.hue_lo, params.hue_hi)))
 
 
-def augment(image: np.ndarray, params: AugmentParams, draws: AugmentDraws) -> np.ndarray:
+def augment(images: np.ndarray, params: AugmentParams, draws) -> np.ndarray:
     """Apply, in fixed order: horizontal flip, vertical flip, rotation about
     the center (bilinear, zero fill), then saturation/brightness/hue scaling.
 
+    ``images`` is one HxWx3 image with one ``AugmentDraws``, or a BxHxWx3
+    stack with B of them: flipped per image, then rotated and colour-scaled
+    with one call each, every image bit-identical to augmenting it alone.
     Disabled params, or identity draws (which short-circuit each stage
     exactly), reproduce the input bit for bit.
     """
-    image = _require_rgb(image)
-    if not params.enabled:
-        return image.copy()
-    out = image
-    if draws.u_flip_h < params.p_flip_h:
-        out = out[:, ::-1, :]
-    if draws.u_flip_v < params.p_flip_v:
-        out = out[::-1, :, :]
-    if draws.rot_deg != 0.0:
-        out = rotate(np.ascontiguousarray(out), draws.rot_deg)
-    out = color_jitter(np.ascontiguousarray(out), draws.sat, draws.bright, draws.hue)
-    return out
+    images = _require_rgb(images, stack=True)
+    stack = images.reshape(-1, *images.shape[-3:]).copy()
+    draws = list(draws) if images.ndim == 4 else [draws]
+    if len(draws) != len(stack):
+        raise ValueError(f"{len(stack)} images need as many draws, got {len(draws)}")
+    if params.enabled:
+        for i, d in enumerate(draws):
+            if d.u_flip_h < params.p_flip_h:
+                stack[i] = stack[i, :, ::-1]
+            if d.u_flip_v < params.p_flip_v:
+                stack[i] = stack[i, ::-1]
+        stack = rotate(stack, [d.rot_deg for d in draws])
+        stack = color_jitter(stack, *np.reshape(
+            [(d.sat, d.bright, d.hue) for d in draws], (-1, 3)).T)
+    return stack.reshape(images.shape)
 
 
-def _require_rgb(image: np.ndarray) -> np.ndarray:
+def _require_rgb(image: np.ndarray, stack: bool = False) -> np.ndarray:
+    """``image`` as an HxWx3 array; with ``stack``, a BxHxWx3 one passes too."""
     image = np.asarray(image)
-    if image.ndim != 3 or image.shape[2] != 3:
-        raise ValueError(f"expected an HxWx3 RGB image, got shape {image.shape}")
+    if image.ndim not in ((3, 4) if stack else (3,)) or image.shape[-1] != 3:
+        raise ValueError(f"expected an HxWx3 RGB image (or stack), got {image.shape}")
     return image

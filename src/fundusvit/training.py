@@ -57,9 +57,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.task not in TASKS and self.task != "bank":
             raise ValueError(f"unknown task {self.task!r}")
-        if self.batch_size < 1 or self.lr_decay_every < 1:
-            raise ValueError(f"batch_size and lr_decay_every must be at least 1, "
-                             f"got {self.batch_size} and {self.lr_decay_every}")
+        for name in ("batch_size", "epochs", "lr_decay_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if min(self.split) < 0 or sum(self.split) == 0:
             raise ValueError(f"split needs nonnegative parts with a positive sum, "
                              f"got {self.split}")
@@ -114,9 +114,7 @@ class Adam:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if g.shape != p.data.shape:
                 raise ad.ShapeError(f"gradient shape {g.shape} does not match "
                                     f"parameter shape {p.data.shape}")
@@ -196,53 +194,80 @@ def _augment_rng(seed: int, epoch: int, index: int) -> np.random.Generator:
         np.random.SeedSequence((int(seed), _STREAM_AUGMENT, int(epoch), int(index))))
 
 
+@dataclass(frozen=True)
+class PreparedSplit:
+    """A rebalance/split with its images prepared: the (N, H, W, 3) uint8
+    train stack, the unit-scaled validation stack (None if no rows) and the
+    rows, extents, prep and split ``settings`` they were prepared for."""
+
+    settings: tuple
+    train_rows: list[ManifestRow]
+    train_images: np.ndarray
+    val_rows: list[ManifestRow]
+    val_images: np.ndarray | None
+
+
+def _split_settings(model_cfg: ModelConfig, train_cfg: TrainConfig, prep, rows) -> tuple:
+    return (tuple(rows), model_cfg.height, model_cfg.width, prep,
+            train_cfg.n_nrg, train_cfg.split, train_cfg.seed)
+
+
+def prepare_split(model_cfg: ModelConfig, train_cfg: TrainConfig,
+                  prep: PreprocessOptions, rows: Sequence[ManifestRow],
+                  base_dir: str | Path) -> PreparedSplit:
+    """Rebalance and split ``rows`` by the referable-glaucoma label, then
+    prepare every image once; nothing here depends on the task."""
+    train_rows, val_rows = rebalance_and_split(rows, [r.rg for r in rows], train_cfg.n_nrg,
+                                               train_cfg.split, train_cfg.seed)
+    if not train_rows:
+        raise ValueError("empty training set after split" if rows else "empty dataset")
+
+    def prepared(split):
+        return np.stack([prepare_input(load_input_image(r, base_dir), r, base_dir, prep,
+                                       model_cfg.height, model_cfg.width)[0]
+                         for r in split])
+
+    return PreparedSplit(_split_settings(model_cfg, train_cfg, prep, rows), train_rows,
+                         prepared(train_rows), val_rows,
+                         to_unit(prepared(val_rows)) if val_rows else None)
+
+
 def _validation_metric(model: DualHeadViT, val_images: np.ndarray,
                        val_labels: list[int], task: str) -> float:
     scores = model.predict(val_images)
     if task == "glaucoma":
         return tpr_at_specificity(scores, val_labels, 0.95)
-    preds = [1 if s > 0.5 else 0 for s in scores]
-    return float(np.mean([p == y for p, y in zip(preds, val_labels)]))
+    return float(np.mean([(s > 0.5) == y for s, y in zip(scores, val_labels)]))
 
 
 def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
                aug: AugmentParams, prep: PreprocessOptions,
                rows: Sequence[ManifestRow], base_dir: str | Path,
                out_dir: str | Path | None = None,
-               config_lines: Sequence[str] = ()) -> TaskResult:
-    """Train one binary task end to end.
+               config_lines: Sequence[str] = (),
+               inputs: PreparedSplit | None = None) -> TaskResult:
+    """Train one binary task end to end on ``inputs``, the ``prepare_split``
+    of ``rows`` (built here when None; inputs prepared for other rows,
+    extents, prep or split settings raise ValueError).
 
-    Preprocesses each image once (crop / background removal / resize per the
-    toggles), then loops: seeded shuffle, per-sample augmentation, then per
-    minibatch one stacked forward, dual-head loss and backward for each
-    ``model_cfg.stack_size`` images (the whole minibatch at desk and default
-    scale, one image at 512x512), and one Adam step. Keeps the parameters
-    from the epoch with the best validation metric and, when ``out_dir`` is given, writes
-    ``<task>.ckpt`` and ``<task>.log`` there.
+    Loops: seeded shuffle, then per minibatch, for each ``model_cfg.stack_size``
+    images (the whole minibatch at desk and default scale, one image at
+    512x512), one stacked augmentation with per-image draws, one stacked
+    forward, dual-head loss and backward; then one Adam step. Keeps the
+    parameters from the epoch with the best validation metric and, when
+    ``out_dir`` is given, writes ``<task>.ckpt`` and ``<task>.log`` there.
     """
     task = train_cfg.task
     if task not in TASKS:
         raise ValueError(f"train_task needs a single task, got {task!r}")
-    rows = list(rows)
-    if not rows:
-        raise ValueError("empty dataset")
-    rg_labels = [r.rg for r in rows]
-    train_rows, val_rows = rebalance_and_split(rows, rg_labels, train_cfg.n_nrg,
-                                               train_cfg.split, train_cfg.seed)
-    if not train_rows:
-        raise ValueError("empty training set after split")
-    train_y = [task_label(r, task) for r in train_rows]
+    if inputs is None:
+        inputs = prepare_split(model_cfg, train_cfg, prep, rows, base_dir)
+    elif inputs.settings != _split_settings(model_cfg, train_cfg, prep, rows):
+        raise ValueError("inputs were prepared for other rows, extents or settings")
+    train_y = [task_label(r, task) for r in inputs.train_rows]
     if len(set(train_y)) < 2:
         raise ValueError(f"single-class training set for task {task!r}")
-
-    # Deterministic parts of preprocessing run once and are cached.
-    extents = (model_cfg.height, model_cfg.width)
-    train_images = [prepare_input(load_input_image(r, base_dir), r, base_dir,
-                                  prep, *extents)[0] for r in train_rows]
-    val_images = np.stack([to_unit(prepare_input(load_input_image(r, base_dir), r,
-                                                 base_dir, prep, *extents)[0])
-                           for r in val_rows]) if val_rows else None
-    val_y = [task_label(r, task) for r in val_rows]
+    val_y = [task_label(r, task) for r in inputs.val_rows]
 
     model = DualHeadViT(model_cfg,
                         seed=np.random.SeedSequence(
@@ -265,37 +290,31 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
         lr = lr_schedule(epoch, train_cfg)
         shuffle_rng = np.random.default_rng(
             np.random.SeedSequence((train_cfg.seed, _STREAM_SHUFFLE, epoch)))
-        order = shuffle_rng.permutation(len(train_rows))
+        order = shuffle_rng.permutation(len(train_y))
         epoch_loss = 0.0
         for start in range(0, len(order), train_cfg.batch_size):
             batch = [int(idx) for idx in order[start:start + train_cfg.batch_size]]
             inv = 1.0 / len(batch)
             for first in range(0, len(batch), model_cfg.stack_size):
                 stack = batch[first:first + model_cfg.stack_size]
-                images = np.stack([
-                    to_unit(augment(train_images[idx], aug, AugmentDraws.sample(
-                        _augment_rng(train_cfg.seed, epoch, idx), aug)))
-                    for idx in stack])
+                images = to_unit(augment(inputs.train_images[stack], aug, [
+                    AugmentDraws.sample(_augment_rng(train_cfg.seed, epoch, idx), aug)
+                    for idx in stack]))
                 y = [(1.0 - train_y[idx], float(train_y[idx])) for idx in stack]
                 loss = dual_bce_loss(y, model.forward(images))
                 epoch_loss += loss.total.item()
                 ad.backward(ad.mul(loss.total, inv))
             optimizer.step(lr)
         train_loss = epoch_loss / len(order)
-        if val_rows:
-            val_metric = _validation_metric(model, val_images, val_y, task)
-        else:
-            val_metric = float("nan")
+        val_metric = _validation_metric(model, inputs.val_images, val_y, task) \
+            if val_y else float("nan")
         history.append(EpochRecord(epoch, lr, train_loss, val_metric))
         log_lines.append(f"epoch={epoch} lr={lr:.6e} train_loss={train_loss:.6f} "
                          f"val_metric={val_metric:.6f}")
-        if not val_rows:
-            keep = True  # no validation set: keep the latest parameters
-        else:
-            # ties keep the later epoch: equal validation, lower train loss
-            keep = val_metric >= best_metric
-        if keep:
-            best_metric = val_metric if val_rows else -np.inf
+        # without a validation set keep the latest parameters; with one, ties
+        # keep the later epoch: equal validation, lower train loss
+        if not val_y or val_metric >= best_metric:
+            best_metric = val_metric if val_y else -np.inf
             best_epoch = epoch
             best_state = {name: t.data.copy() for name, t in model.named_parameters()}
     for name, data in best_state.items():
@@ -319,30 +338,27 @@ def train_bank(model_cfg: ModelConfig, train_cfg: TrainConfig,
                rows: Sequence[ManifestRow], base_dir: str | Path,
                out_dir: str | Path | None = None,
                config_lines: Sequence[str] = ()) -> ClassifierBank:
-    """Train all eleven tasks independently with the same base seed.
+    """Train all eleven tasks independently with the same base seed, each
+    ``train_task`` call on one shared ``prepare_split`` of the rows.
 
     A feature task whose training split has no positive sample is skipped
     with a warning recorded in the bank log; everything else is exactly a
     ``train_task`` run, so a bank member is bitwise identical to a
     standalone run with the same seed.
     """
-    rows = list(rows)
+    inputs = prepare_split(model_cfg, train_cfg, prep, rows, base_dir)
     models: dict[str, DualHeadViT] = {}
     skipped: dict[str, str] = {}
     bank_lines = ["# fundusvit bank log"]
-    rg_labels = [r.rg for r in rows]
     for task in TASKS:
-        cfg = replace(train_cfg, task=task)
-        train_rows, _ = rebalance_and_split(rows, rg_labels, cfg.n_nrg, cfg.split,
-                                            cfg.seed)
-        positives = sum(task_label(r, task) for r in train_rows)
-        if positives == 0 and task != "glaucoma":
+        if task != "glaucoma" and not any(task_label(r, task) for r in inputs.train_rows):
             reason = "no positive training samples"
             skipped[task] = reason
             bank_lines.append(f"task={task} status=skipped reason={reason}")
             continue
-        result = train_task(model_cfg, cfg, aug, prep, rows, base_dir,
-                            out_dir=out_dir, config_lines=config_lines)
+        result = train_task(model_cfg, replace(train_cfg, task=task), aug, prep, rows,
+                            base_dir, out_dir=out_dir, config_lines=config_lines,
+                            inputs=inputs)
         models[task] = result.model
         bank_lines.append(f"task={task} status=trained "
                           f"best_epoch={result.best_epoch} "

@@ -191,7 +191,10 @@ class TestMalformedInputs:
                                              ("model.patch = 0", "patch"),
                                              ("augment.rot_lo = nan", "rot_lo"),
                                              ("train.lr_decay_every = 0",
-                                              "lr_decay_every")])
+                                              "lr_decay_every"),
+                                             ("train.epochs = 0", "epochs"),
+                                             ("augment.rot_lo = 30", "rot_lo"),
+                                             ("augment.p_flip_h = 7", "p_flip_h")])
     def test_malformed_config_train_is_one(self, line, field, workspace, tmp_path,
                                            capsys):
         root, data, config = workspace

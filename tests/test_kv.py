@@ -2,8 +2,6 @@
 header text, typed round-trips for the four settings classes, and config
 parsing that fails only with ConfigError."""
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +163,26 @@ class TestBuild:
         with pytest.raises(ValueError, match="augment.rot_lo"):
             kv.build(AugmentParams, "augment", {"rot_lo": text})
 
+    @pytest.mark.parametrize("cls, section, raw, key", [
+        (TrainConfig, "train", {"epochs": "0"}, "epochs"),
+        (TrainConfig, "train", {"epochs": "-3"}, "epochs"),
+        (AugmentParams, "augment", {"p_flip_h": "7"}, "p_flip_h"),
+        (AugmentParams, "augment", {"p_flip_v": "-0.1"}, "p_flip_v"),
+        (AugmentParams, "augment", {"rot_lo": "30", "rot_hi": "-30"}, "rot_lo"),
+        (AugmentParams, "augment", {"sat_lo": "1.2"}, "sat_lo"),
+        (AugmentParams, "augment", {"bright_hi": "0.5"}, "bright_lo"),
+        (AugmentParams, "augment", {"hue_lo": "2", "hue_hi": "1"}, "hue_lo"),
+    ])
+    def test_out_of_domain_values_rejected(self, cls, section, raw, key):
+        with pytest.raises(ValueError, match=key):
+            kv.build(cls, section, raw)
+
+    def test_domain_edges_accepted(self):
+        params = kv.build(AugmentParams, "augment", {
+            "p_flip_h": "0", "p_flip_v": "1", "rot_lo": "0", "rot_hi": "0"})
+        assert (params.p_flip_h, params.p_flip_v, params.rot_lo) == (0.0, 1.0, 0.0)
+        assert kv.build(TrainConfig, "train", {"epochs": "1"}).epochs == 1
+
     def test_optional_and_boolean(self):
         assert kv.build(ModelConfig, "model", {"mlp_hidden": "none"}).mlp_hidden is None
         assert kv.build(ModelConfig, "model", {"mlp_hidden": "7"}).mlp_hidden == 7
@@ -174,6 +192,17 @@ class TestBuild:
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+probability = st.floats(0.0, 1.0)
+
+
+@st.composite
+def augment_params(draw):
+    """The valid domain: flip probabilities in [0, 1], every range lo <= hi."""
+    ranges = {}
+    for kind in ("rot", "sat", "bright", "hue"):
+        ranges[f"{kind}_lo"], ranges[f"{kind}_hi"] = sorted(draw(st.tuples(finite, finite)))
+    return AugmentParams(enabled=draw(st.booleans()), p_flip_h=draw(probability),
+                         p_flip_v=draw(probability), **ranges)
 
 
 @st.composite
@@ -197,13 +226,11 @@ SETTINGS = {
         TrainConfig, lr0=finite, lr_decay=finite,
         lr_decay_every=st.integers(1, 100), beta1=finite, beta2=finite,
         adam_eps=finite, batch_size=st.integers(1, 64),
-        epochs=st.integers(0, 100), seed=st.integers(-2**40, 2**40),
+        epochs=st.integers(1, 100), seed=st.integers(-2**40, 2**40),
         split=st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(sum),
         task=st.sampled_from([*TASKS, "bank"]),
         n_nrg=st.none() | st.integers(0, 10**6))),
-    "augment": (AugmentParams, st.builds(
-        AugmentParams, enabled=st.booleans(),
-        **{f.name: finite for f in fields(AugmentParams) if f.name != "enabled"})),
+    "augment": (AugmentParams, augment_params()),
     "prep": (PreprocessOptions, st.builds(
         PreprocessOptions, od_crop=st.booleans(), bg_removal=st.booleans(),
         bg_tau=st.integers(-255, 255), confidence_floor=finite)),

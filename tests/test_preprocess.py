@@ -305,6 +305,76 @@ class TestAugment:
         np.testing.assert_allclose(back, rgb, atol=1e-12)
 
 
+unit = st.floats(0.0, 1.0)
+hsv_factor = st.one_of(st.just(1.0), st.floats(0.8, 1.2))
+
+
+@st.composite
+def augment_draws(draw):
+    """Draws that hit each short cut: no flip or both, a zero angle, and
+    identity HSV factors, next to arbitrary values."""
+    hsv = draw(st.one_of(st.just((1.0, 1.0, 1.0)),
+                         st.tuples(hsv_factor, hsv_factor, hsv_factor)))
+    return AugmentDraws(u_flip_h=draw(unit), u_flip_v=draw(unit),
+                        rot_deg=draw(st.one_of(st.just(0.0), st.floats(-45.0, 45.0))),
+                        sat=hsv[0], bright=hsv[1], hue=hsv[2])
+
+
+@st.composite
+def stacks(draw):
+    """A B x H x W x 3 stack (B 1-5; odd, even, non-square and 1x1 extents)
+    and one set of draws per image."""
+    b = draw(st.integers(1, 5))
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    seed = draw(st.integers(0, 2 ** 31 - 1))
+    images = np.random.default_rng(seed).integers(0, 256, size=(b, h, w, 3),
+                                                  dtype=np.uint8)
+    return images, draw(st.lists(augment_draws(), min_size=b, max_size=b))
+
+
+class TestStackedAugment:
+    """Every image of a stacked call equals the single-image call, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stacks())
+    def test_augment(self, case):
+        images, draws = case
+        params = AugmentParams()
+        out = augment(images, params, draws)
+        assert out.shape == images.shape and out.dtype == np.uint8
+        for image, d, got in zip(images, draws, out):
+            np.testing.assert_array_equal(got, augment(image, params, d))
+
+    @settings(max_examples=60, deadline=None)
+    @given(stacks())
+    def test_rotate(self, case):
+        images, draws = case
+        out = rotate(images, [d.rot_deg for d in draws])
+        for image, d, got in zip(images, draws, out):
+            np.testing.assert_array_equal(got, rotate(image, d.rot_deg))
+
+    @settings(max_examples=60, deadline=None)
+    @given(stacks())
+    def test_color_jitter(self, case):
+        images, draws = case
+        out = color_jitter(images, [d.sat for d in draws], [d.bright for d in draws],
+                           [d.hue for d in draws])
+        for image, d, got in zip(images, draws, out):
+            np.testing.assert_array_equal(got, color_jitter(image, d.sat, d.bright, d.hue))
+
+    def test_stack_leaves_its_input_alone(self):
+        images = np.stack([random_image(20, 8, 6), random_image(21, 8, 6)])
+        before = images.copy()
+        draws = [AugmentDraws(0.0, 0.0, 9.0, 1.05, 0.95, 1.02)] * 2
+        augment(images, AugmentParams(), draws)
+        np.testing.assert_array_equal(images, before)
+
+    def test_draw_count_must_match_stack(self):
+        draws = [AugmentDraws(1.0, 1.0, 0.0, 1.0, 1.0, 1.0)]
+        with pytest.raises(ValueError, match="draws"):
+            augment(np.zeros((2, 4, 4, 3), dtype=np.uint8), AugmentParams(), draws)
+
+
 class TestPpm:
     def test_round_trip(self, tmp_path):
         image = random_image(17, 13, 9)

@@ -38,3 +38,26 @@ def test_traced_train_evaluate_infer_reach_every_required_span(tmp_path):
     assert tracer.train_prepares == len(tracer.train_images) == len(rows)
     assert tracer.calls["dataset.prepare_input"] == 2 * len(rows) + 1
     assert tracer.counts["model.nodes_per_forward"] > 0
+
+
+def test_traced_bank_prepares_each_image_once(tmp_path):
+    # the benchmark's bank-screen workload times one train_task call per
+    # trained task, and reads useful_ratio as prepared images per prepare
+    manifest = generate_dataset(tmp_path / "data", n=10, seed=4, size=64)
+    base, rows = manifest.parent, read_manifest(manifest)
+    out = tmp_path / "bank"
+    tracer = tracing.Tracer()
+    with tracer:
+        bank = training.train_bank(DESK, training.TrainConfig(epochs=1, batch_size=4,
+                                                              seed=2),
+                                   AugmentParams(), PreprocessOptions(), rows, base,
+                                   out_dir=out)
+        metrics.evaluate(checkpoint.load_bank(out), rows, base)
+        assert cli.main(["infer", "--checkpoint", str(out),
+                         "--image", str(base / rows[0].image_path),
+                         "--detection", str(base / rows[0].detection_path)]) == 0
+    tracer.check_wiring()
+    assert tracer.train_prepares == len(tracer.train_images) == len(rows)
+    assert tracer.layer_metrics()["dataset.prepare_input.useful_ratio"] == 1.0
+    # one span per trained task, plus the bank's own
+    assert tracer.calls["training.train"] == len(bank.models) + 1

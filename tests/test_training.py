@@ -16,9 +16,10 @@ from fundusvit.metrics import evaluate
 from fundusvit.model import HeadOutputs, ModelConfig
 from fundusvit.preprocess import AugmentParams
 from fundusvit.synth import generate_dataset
+from fundusvit import training
 from fundusvit.training import (Adam, TrainConfig, dual_bce_loss, lr_schedule,
-                                rebalance_and_split, task_label, train_bank,
-                                train_task)
+                                prepare_split, rebalance_and_split, task_label,
+                                train_bank, train_task)
 
 from helpers import assert_grad_close, finite_difference_grad
 
@@ -293,12 +294,72 @@ class TestTrainBank:
         assert "task=feature7 status=skipped" in (tmp_path / "bank.log").read_text()
 
     def test_bank_member_equals_standalone_run(self, tiny_dataset, tmp_path):
+        # the bank prepares once and shares the images; every member must
+        # still write the bytes its own standalone run writes
         manifest, rows = tiny_dataset
         bank_dir = tmp_path / "bank"
-        solo_dir = tmp_path / "solo"
-        train_bank(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG, PreprocessOptions(),
-                   rows, manifest.parent, out_dir=bank_dir)
-        train_task(SMALL_MODEL, quick_cfg(epochs=1, task="glaucoma"), FAST_AUG,
-                   PreprocessOptions(), rows, manifest.parent, out_dir=solo_dir)
-        assert (bank_dir / "glaucoma.ckpt").read_bytes() == \
-            (solo_dir / "glaucoma.ckpt").read_bytes()
+        stripped = [replace(r, features=r.features[:2] + (0,) + r.features[3:])
+                    for r in rows]
+        bank = train_bank(SMALL_MODEL, quick_cfg(epochs=2), FAST_AUG,
+                          PreprocessOptions(), stripped, manifest.parent,
+                          out_dir=bank_dir, config_lines=["train.epochs = 2"])
+        assert bank.skipped == {"feature3": "no positive training samples"}
+        assert len(bank.models) == 10
+        for task in bank.models:
+            solo_dir = tmp_path / task
+            train_task(SMALL_MODEL, quick_cfg(epochs=2, task=task), FAST_AUG,
+                       PreprocessOptions(), stripped, manifest.parent,
+                       out_dir=solo_dir, config_lines=["train.epochs = 2"])
+            for name in (f"{task}.ckpt", f"{task}.log"):
+                assert (bank_dir / name).read_bytes() == (solo_dir / name).read_bytes()
+
+    def test_bank_prepares_each_row_once(self, tiny_dataset, monkeypatch):
+        manifest, rows = tiny_dataset
+        prepared = []
+        original = training.prepare_input
+
+        def counting(image, row, *args, **kwargs):
+            prepared.append(row.image_id)
+            return original(image, row, *args, **kwargs)
+
+        monkeypatch.setattr(training, "prepare_input", counting)
+        bank = train_bank(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG,
+                          PreprocessOptions(), rows, manifest.parent)
+        assert len(bank.models) == 11
+        assert sorted(prepared) == sorted(r.image_id for r in rows)
+
+
+class TestPreparedSplit:
+    def test_given_inputs_train_the_same_bytes(self, tiny_dataset, tmp_path):
+        manifest, rows = tiny_dataset
+        cfg = quick_cfg(task="feature2")
+        inputs = prepare_split(SMALL_MODEL, cfg, PreprocessOptions(), rows,
+                               manifest.parent)
+        assert inputs.train_images.shape == (len(inputs.train_rows), 32, 32, 3)
+        assert inputs.train_images.dtype == np.uint8
+        assert inputs.val_images.shape == (len(inputs.val_rows), 32, 32, 3)
+        assert 0.0 <= inputs.val_images.min() and inputs.val_images.max() <= 1.0
+        train_task(SMALL_MODEL, cfg, FAST_AUG, PreprocessOptions(), rows,
+                   manifest.parent, out_dir=tmp_path / "given", inputs=inputs)
+        train_task(SMALL_MODEL, cfg, FAST_AUG, PreprocessOptions(), rows,
+                   manifest.parent, out_dir=tmp_path / "built")
+        for name in ("feature2.ckpt", "feature2.log"):
+            assert (tmp_path / "given" / name).read_bytes() == \
+                (tmp_path / "built" / name).read_bytes()
+
+    @pytest.mark.parametrize("change", ["height", "width", "prep", "seed", "split",
+                                        "n_nrg", "rows"])
+    def test_inputs_for_other_settings_rejected(self, tiny_dataset, change):
+        manifest, rows = tiny_dataset
+        model, cfg, prep = SMALL_MODEL, quick_cfg(), PreprocessOptions()
+        inputs = prepare_split(model, cfg, prep, rows, manifest.parent)
+        if change in ("height", "width"):
+            model = replace(model, **{change: 48})
+        elif change == "prep":
+            prep = PreprocessOptions(od_crop=False)
+        elif change == "rows":
+            rows = rows[1:]
+        else:
+            cfg = replace(cfg, **{change: {"seed": 6, "split": (3, 1), "n_nrg": 5}[change]})
+        with pytest.raises(ValueError, match="prepared for other"):
+            train_task(model, cfg, FAST_AUG, prep, rows, manifest.parent, inputs=inputs)
