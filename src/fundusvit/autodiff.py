@@ -7,8 +7,9 @@ finite differences in 64-bit mode.
 
 Gradient policy: calling :func:`backward` twice on the same loss tensor is
 an error. Distinct losses may be backpropagated before an optimizer step
-(their contributions accumulate into ``Tensor.grad``); the optimizer clears
-grads after applying an update.
+(their contributions accumulate into the leaves' ``Tensor.grad``, also
+through shared op outputs, whose own ``grad`` is released once used); the
+optimizer clears grads after applying an update.
 
 Every operation validates that its output is finite; NaN or Inf anywhere is
 an error state, not a value.
@@ -163,6 +164,10 @@ def backward(loss: Tensor) -> None:
         if node._vjp is None or node.grad is None:
             continue
         grads = node._vjp(node.grad)
+        # an op output's gradient is spent once its adjoint has run: freeing
+        # it keeps memory down, and a later loss sharing this node starts
+        # from zero instead of re-sending this loss's gradient
+        node.grad = None
         for parent, g in zip(node.parents, grads):
             if g is None or not parent.requires_grad:
                 continue
@@ -178,10 +183,11 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``g`` down to ``shape`` (trailing-aligned broadcast reversal)."""
+def _reduce_to(g: np.ndarray, shape: tuple[int, ...], lead: int = 0) -> np.ndarray:
+    """Sum ``g`` down to ``shape`` (trailing-aligned broadcast reversal),
+    keeping its first ``lead`` axes (a task axis) as they are."""
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = g.sum(axis=lead)
     for axis, (have, want) in enumerate(zip(g.shape, shape)):
         if want == 1 and have != 1:
             g = g.sum(axis=axis, keepdims=True)
@@ -193,12 +199,12 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-d operands, or of two 3-d stacks of matrices
-    with the same leading extent (one product per stacked pair)."""
+    """Matrix product of two 2-d operands, or of two stacks of matrices with
+    the same leading axes (one product per stacked pair)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != b.ndim or a.ndim not in (2, 3) or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul requires two 2-d operands or two equal-length "
-                         f"3-d stacks, got {a.shape} and {b.shape}")
+    if a.ndim != b.ndim or a.ndim < 2 or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul requires two 2-d operands or two stacks with "
+                         f"equal leading axes, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
@@ -215,31 +221,47 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     ``x`` is (T, Din) or a (B, T, Din) stack; each stacked slice gets its own
     (T, Din) @ (Din, n) product, so a slice's output does not depend on the
     rest of the stack. The weight gradient is one 2-d product over all rows.
+
+    A task stack has (K, Din, n) weights and (K, 1, n) biases, and ``x`` is
+    a (B, T, Din) stack shared by all K tasks or a (K, B, T, Din) one per
+    task; the output is (K, B, T, n). Each task's products and sums are the
+    ones its own (Din, n) weight forms.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.ndim not in (2, 3) or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+    tasks = w.shape[:-2]
+    if w.ndim not in (2, 3) or x.ndim - len(tasks) not in (2, 3) \
+            or x.shape[-1] != w.shape[-2] or (x.ndim == 4 and x.shape[0] != w.shape[0]):
         raise ShapeError(f"linear operands do not chain: {x.shape} x {w.shape}")
-    if b.shape != (1, w.shape[1]):
-        raise ShapeError(f"linear bias must be (1, {w.shape[1]}), got {b.shape}")
-    xd, wd = x.data, w.data
+    if b.shape != (*tasks, 1, w.shape[-1]):
+        raise ShapeError(f"linear bias must be {(*tasks, 1, w.shape[-1])}, got {b.shape}")
+    xd, wd, bd = x.data, w.data, b.data
+    if tasks:  # broadcast each task's weight over the images of the stack
+        wd, bd = wd[:, None], bd[:, None]
+    per_task = x.ndim == 4
 
     def vjp(g):
-        rows = g.reshape(-1, g.shape[-1])
+        rows = g.reshape(*tasks, -1, g.shape[-1])
+        x_rows = xd.reshape(*xd.shape[:per_task], -1, xd.shape[-1])
         # an untracked input (the image patches) needs no (N x 3P^2) product
-        dx = g @ wd.T if x.requires_grad else None
-        return dx, xd.reshape(-1, xd.shape[-1]).T @ rows, rows.sum(axis=0, keepdims=True)
+        dx = None
+        if x.requires_grad:
+            dx = g @ wd.swapaxes(-1, -2)
+            if tasks and not per_task:  # a shared input gathers every task's share
+                dx = dx.sum(axis=0)
+        return dx, x_rows.swapaxes(-1, -2) @ rows, rows.sum(axis=-2, keepdims=True)
 
-    return _result(xd @ wd + b.data, "linear", (x, w, b), vjp)
+    return _result(xd @ wd + bd, "linear", (x, w, b), vjp)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head attention ``softmax(q_h k_h^T) v_h`` over column blocks.
 
-    The (N, D) inputs, or (B, N, D) stacks, are split into ``heads`` blocks
-    of D / heads columns, all heads of all stacked slices run as one batched
-    product, and the per-head outputs are merged back into (..., N, D) in head
-    order. Scaling the scores is left to the caller (scale ``q``, N x D
-    entries, rather than the N x N scores).
+    The (N, D) inputs, or stacks of them such as (B, N, D) or a task stack's
+    (K, B, N, D), are split into ``heads`` blocks of D / heads columns, all
+    heads of all stacked slices run as one batched product, and the
+    per-head outputs are merged back into (..., N, D) in head order.
+    Scaling the scores is left to the caller (scale ``q``, N x D entries,
+    rather than the N x N scores).
 
     The adjoint keeps the row-normalised probabilities ``P``, the three
     input head stacks and the output stack ``O = P v``. It forms
@@ -248,8 +270,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     (Dao et al. 2022), an N x dh product instead of an N x N one.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.ndim not in (2, 3) or q.shape != k.shape or q.shape != v.shape:
-        raise ShapeError(f"attention needs equal 2-d or 3-d q, k, v, got "
+    if q.ndim < 2 or q.shape != k.shape or q.shape != v.shape:
+        raise ShapeError(f"attention needs equal q, k, v of at least 2 axes, got "
                          f"{q.shape}, {k.shape}, {v.shape}")
     *lead, n, d = q.shape
     if heads < 1 or d % heads:
@@ -285,25 +307,28 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return _result(merge(oh), "attention", (q, k, v), vjp)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum. The one broadcast allowed is along ``a``'s leading
-    axis, by a ``b`` of at least two axes that equals ``a``'s shape with that
-    axis set to 1 or left out: a (1, n) bias row on (N, n), a (T, D) or
-    (1, T, D) table on a (B, T, D) stack, a (1, D) row on a (B, 1, D) stack.
+def add(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
+    """Elementwise sum. The one broadcast allowed is along ``a``'s axis
+    ``axis``, by a ``b`` of at least two axes that equals ``a``'s shape with
+    that axis set to 1 or left out: a (1, n) bias row on (N, n), a (T, D) or
+    (1, T, D) table on a (B, T, D) stack, a (1, D) row on a (B, 1, D) stack,
+    and with ``axis=1`` a task stack's (K, T, D) table on (K, B, T, D).
     """
     a, b = _as_tensor(a), _as_tensor(b)
+    bd = b.data
     if a.shape == b.shape:
         def vjp(g):
             return g, g
-    elif 2 <= b.ndim <= a.ndim \
-            and (1,) * (a.ndim - b.ndim) + b.shape == (1, *a.shape[1:]):
-        shape = b.shape
+    else:
+        spread = (*a.shape[:axis], 1, *a.shape[axis + 1:])
+        if b.ndim < 2 or b.shape not in (spread, spread[:axis] + spread[axis + 1:]):
+            raise ShapeError(f"add shapes incompatible: {a.shape} + {b.shape} "
+                             f"along axis {axis}")
+        bd, shape = bd.reshape(spread), b.shape
 
         def vjp(g):
-            return g, g.sum(axis=0).reshape(shape)
-    else:
-        raise ShapeError(f"add shapes incompatible: {a.shape} + {b.shape}")
-    return _result(a.data + b.data, "add", (a, b), vjp)
+            return g, g.sum(axis=axis).reshape(shape)
+    return _result(a.data + bd, "add", (a, b), vjp)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -393,7 +418,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     ``gain`` and ``bias`` are 1-d, either length D (per-channel) or length 1
-    (scalar affine, shared across the normalized axis).
+    (scalar affine, shared across the normalized axis). A task stack's
+    affines are (K, D) or (K, 1), one row per task, on a (K, ..., D) ``x``.
     """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if x.ndim < 1 or x.shape[-1] == 0:
@@ -401,24 +427,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
     d = x.shape[-1]
+    tasks = gain.shape[:-1]
     for p in (gain, bias):
-        if p.ndim != 1 or p.shape[0] not in (1, d):
-            raise ShapeError(f"layer_norm affine shape {p.shape} does not fit last axis {d}")
+        if p.ndim not in (1, 2) or p.shape[:-1] != tasks or x.shape[:len(tasks)] != tasks \
+                or x.ndim <= len(tasks) or p.shape[-1] not in (1, d):
+            raise ShapeError(f"layer_norm affine shape {p.shape} does not fit {x.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = gain.data * xhat + bias.data
-    gd = gain.data
+    # each task's affine row, broadcast over the axes between task and channel
+    spread = (*tasks, *(1,) * (x.ndim - 1 - len(tasks)))
+    gd = gain.data.reshape(*spread, -1)
+    out = gd * xhat + bias.data.reshape(*spread, -1)
 
     def vjp(g):
         dxhat = g * gd
         term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         dx = term * inv
-        dgain = _reduce_to(g * xhat, gain.shape)
-        dbias = _reduce_to(g, bias.shape)
+        dgain = _reduce_to(g * xhat, gain.shape, len(tasks))
+        dbias = _reduce_to(g, bias.shape, len(tasks))
         return dx, dgain, dbias
 
     return _result(out, "layer_norm", (x, gain, bias), vjp)
@@ -469,12 +499,15 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
                    "concat", tuple(parts), vjp)
 
 
-def tsum(a: Tensor) -> Tensor:
+def tsum(a: Tensor, lead: int = 0) -> Tensor:
+    """Sum of every entry; with ``lead=1``, one sum per slice of the leading
+    axis (a per-task loss of a task stack)."""
     a = _as_tensor(a)
     shape, dtype = a.shape, a.data.dtype
+    kept = (*shape[:lead], *(1,) * (len(shape) - lead))
 
     def vjp(g):
-        return (np.broadcast_to(g, shape).astype(dtype),)
+        return (np.broadcast_to(g.reshape(kept), shape).astype(dtype),)
 
-    return _result(np.asarray(a.data.sum()), "sum", (a,), vjp)
-
+    return _result(np.asarray(a.data.sum(axis=tuple(range(lead, len(shape))))),
+                   "sum", (a,), vjp)

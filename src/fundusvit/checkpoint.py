@@ -17,7 +17,7 @@ are bit-exact for float32 models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +105,8 @@ def load_checkpoint(path: str | Path) -> tuple[DualHeadViT, PreprocessOptions, s
         raise IncompatibleCheckpointError(
             f"{path}: payload size {len(binary)} out of range, expected {size} bytes")
     payload = np.frombuffer(binary, dtype="<f4").astype(np.float32)
+    if not np.isfinite(payload).all():
+        raise IncompatibleCheckpointError(f"{path}: non-finite parameter values")
     arrays, offset = {}, 0
     for name, shape in shapes:
         count = math.prod(shape)
@@ -115,17 +117,24 @@ def load_checkpoint(path: str | Path) -> tuple[DualHeadViT, PreprocessOptions, s
 
 @dataclass
 class ClassifierBank:
-    """Independently trained per-task models sharing one architecture."""
+    """Independently trained per-task models sharing one architecture,
+    scored together as one task stack (``stacked``, tasks in ``models``
+    order)."""
 
     models: dict[str, DualHeadViT]
     prep: PreprocessOptions
     config: ModelConfig
     skipped: dict[str, str]
+    stacked: DualHeadViT = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.stacked = DualHeadViT.stack(list(self.models.values()))
 
 
 def load_bank(path: str | Path) -> ClassifierBank:
     """Load a bank from a single checkpoint file or a directory of
-    ``<task>.ckpt`` files; every member must share one architecture."""
+    ``<task>.ckpt`` files, stacked in task order; every member must share
+    one architecture and preprocessing."""
     path = Path(path)
     models: dict[str, DualHeadViT] = {}
     prep = config = None
@@ -149,4 +158,5 @@ def load_bank(path: str | Path) -> ClassifierBank:
         models[task] = model
     if "glaucoma" not in models:
         raise IncompatibleCheckpointError(f"{path}: bank has no glaucoma classifier")
-    return ClassifierBank(models=models, prep=prep, config=config, skipped={})
+    return ClassifierBank(models={task: models[task] for task in TASKS if task in models},
+                          prep=prep, config=config, skipped={})

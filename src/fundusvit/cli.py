@@ -12,6 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import kv
+from .autodiff import NonFiniteError
 from .atomic import write_atomic
 from .checkpoint import TASKS, IncompatibleCheckpointError, load_bank
 from .config import ConfigError, RunConfig, effective_lines, load_config
@@ -151,8 +152,8 @@ def cmd_train(args) -> int:
                           cfg.prep, rows, base, out_dir=out_dir, config_lines=lines)
         print(f"trained {len(bank.models)} tasks, skipped {len(bank.skipped)}")
     else:
-        result = train_task(cfg.model, cfg.train, cfg.augment, cfg.prep, rows, base,
-                            out_dir=out_dir, config_lines=lines)
+        [result] = train_task(cfg.model, cfg.train, cfg.augment, cfg.prep, rows, base,
+                              out_dir=out_dir, config_lines=lines)
         print(f"task {result.task}: best_epoch={result.best_epoch} "
               f"best_val_metric={result.best_metric:.6f}")
     return EXIT_OK
@@ -200,12 +201,8 @@ def cmd_infer(args) -> int:
                                         bank.config.height, bank.config.width)
     if bank.prep.od_crop and detection is None:
         print("fallback: full image", file=sys.stderr)
-    unit = to_unit(prepared)
-    print(f"glaucoma {bank.models['glaucoma'].predict(unit):.6f}")
-    for k in range(1, N_FEATURES + 1):
-        task = f"feature{k}"
-        if task in bank.models:
-            print(f"{task} {bank.models[task].predict(unit):.6f}")
+    scores = bank.stacked.predict(to_unit(prepared))
+    print("\n".join(f"{task} {score:.6f}" for task, score in zip(bank.models, scores)))
     return EXIT_OK
 
 
@@ -235,7 +232,7 @@ def main(argv=None) -> int:
     except IncompatibleCheckpointError as exc:
         print(f"fundusvit: incompatible checkpoint: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
-    except ValueError as exc:
+    except (ValueError, NonFiniteError) as exc:
         print(f"fundusvit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .atomic import write_atomic
+from .checkpoint import TASKS
 
 CHALLENGE_DEV_PHASE = {
     "tpr_at_95": 0.8570,
@@ -178,21 +179,23 @@ def evaluate_scores(image_ids: Sequence[str],
 def evaluate(bank, rows, base_dir: str | Path,
              threshold: float = DEFAULT_FEATURE_THRESHOLD,
              collect_scores: bool = False):
-    """Score a labeled dataset with a classifier bank, ``config.stack_size``
-    prepared images per stacked predict.
+    """Score a labeled dataset with a classifier bank: one predict of the
+    bank's task stack per ``config.stack_size`` prepared images.
 
-    ``bank`` must expose ``prep`` (preprocessing options), ``config`` and a
+    ``bank`` must expose ``prep`` (preprocessing options), ``config``, a
     ``models`` mapping with a ``glaucoma`` entry plus any of ``feature1`` ..
-    ``feature10``; feature tasks missing from the bank (skipped at training
-    time) predict probability 0. Returns the report, plus the raw score
-    arrays when ``collect_scores`` is set.
+    ``feature10``, and their task stack ``stacked``, in ``models`` order;
+    feature tasks missing from the bank (skipped at training time) predict
+    probability 0. Returns the report, plus the raw score arrays when
+    ``collect_scores`` is set.
     """
     from .dataset import load_input_image, prepare_input, to_unit
 
     ids = [row.image_id for row in rows]
     g_labels = [row.rg for row in rows]
-    g_scores = np.zeros(len(rows))
-    f_scores = np.zeros((len(rows), N_FEATURES))
+    # one column per task: glaucoma, then feature1 .. feature10
+    scores = np.zeros((len(rows), len(TASKS)))
+    columns = [TASKS.index(task) for task in bank.models]
     f_truth = np.array([row.features for row in rows], dtype=int).reshape(-1, N_FEATURES)
     size = bank.config.stack_size
     for start in range(0, len(rows), size):
@@ -200,11 +203,8 @@ def evaluate(bank, rows, base_dir: str | Path,
         stack = to_unit(np.stack([
             prepare_input(load_input_image(row, base_dir), row, base_dir, bank.prep,
                           bank.config.height, bank.config.width)[0] for row in rows[chunk]]))
-        g_scores[chunk] = bank.models["glaucoma"].predict(stack)
-        for k in range(N_FEATURES):
-            task = f"feature{k + 1}"
-            if task in bank.models:
-                f_scores[chunk, k] = bank.models[task].predict(stack)
+        scores[chunk, columns] = bank.stacked.predict(stack).T
+    g_scores, f_scores = scores[:, 0], scores[:, 1:]
     report = evaluate_scores(ids, g_scores, g_labels, f_scores, f_truth, threshold)
     if collect_scores:
         return report, g_scores, np.asarray(g_labels), f_scores, f_truth

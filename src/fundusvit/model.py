@@ -15,6 +15,11 @@ probabilities.
 The model runs stacks of images: activations are (B, T, D), and every
 product keeps per-image shapes, so an image's output does not depend on the
 other images in its stack, bit for bit.
+
+A task stack holds K independent classifiers in one model: every parameter
+gets a leading task axis K, the K tasks share the input stack, and the
+activations are (K, B, T, D). Every product and sum keeps per-task slices,
+so each member computes exactly what it computes alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,9 +36,10 @@ from .autodiff import (ShapeError, Tensor, add, attention, concat, gelu,
 LAYER_NORM_EPS = 1e-5
 INIT_STD = 0.02
 # Attention scores per head that one stacked forward may hold: a training
-# stack keeps every image's T x T probabilities in each layer and head for
-# backward, so images per stack = max(1, STACK_SCORES // T^2). Desk and
-# default configs take a whole minibatch; 512x512 (1025 tokens) takes one.
+# stack keeps every task's and image's T x T probabilities in each layer and
+# head for backward, so tasks x images per forward <= max(1, STACK_SCORES //
+# T^2). Desk and default configs take a whole minibatch of an 11-task bank;
+# 512x512 (1025 tokens) takes one image of one task.
 STACK_SCORES = 1 << 16
 
 _ACTIVATIONS = {"relu": relu, "gelu": gelu}
@@ -75,7 +81,7 @@ class ModelConfig:
 
     @property
     def stack_size(self) -> int:
-        """Images per stacked forward (see ``STACK_SCORES``)."""
+        """Task-images per stacked forward (see ``STACK_SCORES``)."""
         return max(1, STACK_SCORES // (self.n_patches + 1) ** 2)
 
     @property
@@ -128,7 +134,8 @@ def patchify(image: np.ndarray, patch: int) -> np.ndarray:
 @dataclass
 class AggregationHead:
     """Learnable patch-weighting head: two projections, each followed by a
-    layer norm and ReLU, then a softmax over patches.
+    layer norm and ReLU, then a softmax over patches. Its tensors may carry
+    a leading task axis, as a task stack's parameters do.
 
     The second norm acts across the N per-patch scores (scalar gain/bias);
     normalizing each single-element score vector would pin every score to
@@ -149,12 +156,12 @@ class AggregationHead:
 def aggregate_patches(features: Tensor, head: AggregationHead) -> tuple[Tensor, Tensor]:
     """Weighted sum of patch-token features.
 
-    ``features`` is an N x D matrix or a (B, N, D) stack. Returns
-    ``(aggregated, weights)``: a (1, D) convex combination of the feature
-    rows and the (N, 1) nonnegative weights that produced it (summing to 1),
-    with a leading B axis for a stack.
+    ``features`` is an N x D matrix, a (B, N, D) stack or a task stack's
+    (K, B, N, D). Returns ``(aggregated, weights)``: a (1, D) convex
+    combination of the feature rows and the (N, 1) nonnegative weights that
+    produced it (summing to 1), with the same leading axes as ``features``.
     """
-    if features.ndim not in (2, 3) or features.shape[-2] == 0:
+    if features.ndim < 2 or features.shape[-2] == 0:
         raise ShapeError(f"expected a nonempty N x D feature matrix or a stack of "
                          f"them, got {features.shape}")
     s = linear(features, head.proj1_w, head.proj1_b)
@@ -175,11 +182,13 @@ class HeadOutputs:
     p_cls: Tensor        # (B, 1, 2) class-token head probabilities
     p_agg: Tensor        # (B, 1, 2) aggregation head probabilities
     patch_weights: Tensor  # (B, N, 1), nonnegative, each image's sums to 1
+    # a task stack's outputs have a leading K axis: (K, B, 1, 2), (K, B, N, 1)
 
 
 def average_prediction(outputs: HeadOutputs) -> np.ndarray:
     """Test-time prediction: mean of the two heads' positive probabilities,
-    in float64, one per image ((1, 2) pairs give a scalar)."""
+    in float64, one per image ((1, 2) pairs give a scalar), with a leading
+    task axis for a task stack."""
     return 0.5 * (outputs.p_cls.data[..., 0, 1].astype(np.float64)
                   + outputs.p_agg.data[..., 0, 1].astype(np.float64))
 
@@ -201,6 +210,10 @@ class DualHeadViT:
     manifest order). Forward runs a stack of images; there are no
     cross-sample operations, and every product keeps per-image shapes, so
     an image's result is the same in any stack.
+
+    A task stack (``n_tasks`` = K, from :meth:`stack`) gives every
+    parameter a leading K axis and runs K members on one image stack;
+    ``n_tasks`` is None for a single classifier.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
@@ -225,12 +238,34 @@ class DualHeadViT:
         model._bind(config, arrays)
         return model
 
+    @classmethod
+    def stack(cls, members: list["DualHeadViT"]) -> "DualHeadViT":
+        """A task stack of single classifiers with one config, in order; a
+        stack of one views its member's arrays instead of copying them."""
+        if len(members) == 1:
+            return cls.from_arrays(members[0].config, {
+                name: t.data[None] for name, t in members[0].params.items()})
+        return cls.from_arrays(members[0].config, {
+            name: np.stack([m.params[name].data for m in members])
+            for name in members[0].params})
+
+    def member(self, index: int | slice) -> "DualHeadViT":
+        """Task ``index`` of a task stack as a single classifier, or a slice
+        of its tasks as a smaller stack (views, no copy)."""
+        return self.from_arrays(self.config,
+                                {n: t.data[index] for n, t in self.params.items()})
+
     def _bind(self, config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
         self.config = config
         self.params: dict[str, Tensor] = {}
-        for name, shape in self.parameter_shapes(config):
-            if name not in arrays or arrays[name].shape != shape:
-                raise ShapeError(f"parameter {name} must have shape {shape}")
+        shapes = self.parameter_shapes(config)
+        name, shape = shapes[0]
+        # a leading task axis, if any, read off the first parameter
+        lead = arrays[name].shape[:-len(shape)][:1] if name in arrays else ()
+        self.n_tasks = lead[0] if lead else None
+        for name, shape in shapes:
+            if name not in arrays or arrays[name].shape != lead + shape:
+                raise ShapeError(f"parameter {name} must have shape {lead + shape}")
             self.params[name] = Tensor(arrays[name], requires_grad=True)
         self.dtype = self.params["cls_token"].dtype
         p = self.params
@@ -326,20 +361,22 @@ class DualHeadViT:
 
     def forward(self, images: np.ndarray) -> HeadOutputs:
         """Run one HxWx3 image or a BxHxWx3 stack (values pre-scaled to
-        [0, 1]) as one graph; one image is a stack of one."""
+        [0, 1]) as one graph; one image is a stack of one. A task stack runs
+        every task on the same images."""
         cfg = self.config
         stack = self._stack(images)
         p = self.params
+        tasks = () if self.n_tasks is None else (self.n_tasks,)
         patches = Tensor(patchify(stack.astype(self.dtype, copy=False), cfg.patch))
         x = linear(patches, p["patch_proj.weight"], p["patch_proj.bias"])
         # the class token repeated over the stack: a (1, D) row added to zeros
-        cls = add(Tensor(np.zeros((len(stack), 1, cfg.dim), dtype=self.dtype)),
-                  p["cls_token"])
-        x = concat([cls, x], axis=1)
-        x = add(x, p["pos_embed"])
+        cls = add(Tensor(np.zeros((*tasks, len(stack), 1, cfg.dim), dtype=self.dtype)),
+                  p["cls_token"], axis=len(tasks))
+        x = concat([cls, x], axis=-2)
+        x = add(x, p["pos_embed"], axis=len(tasks))
         x = self._encoder(x)
-        cls_out = narrow(x, 1, 0, 1)
-        patch_out = narrow(x, 1, 1, cfg.n_patches)
+        cls_out = narrow(x, x.ndim - 2, 0, 1)
+        patch_out = narrow(x, x.ndim - 2, 1, cfg.n_patches)
         p_cls = softmax(linear(cls_out, p["mlp_head.weight"], p["mlp_head.bias"]),
                         axis=-1)
         aggregated, weights = aggregate_patches(patch_out, self.agg_head)
@@ -349,11 +386,20 @@ class DualHeadViT:
 
     def predict(self, images: np.ndarray):
         """Positive-class probability, the mean of the two heads: a float
-        for one HxWx3 image, a (B,) float64 array for a BxHxWx3 stack, run
-        ``config.stack_size`` images per forward."""
+        for one HxWx3 image, a (B,) float64 array for a BxHxWx3 stack, with
+        a leading task axis for a task stack. Each forward takes at most
+        ``config.stack_size`` task-images: all tasks and as many images as
+        fit, or one image of as many tasks as fit."""
         stack = self._stack(images)
-        size = self.config.stack_size
+        k = self.n_tasks or 1
+        per_forward = min(k, self.config.stack_size)
+        size = self.config.stack_size // per_forward
+        groups = [self] if per_forward == k else [
+            self.member(slice(i, i + per_forward)) for i in range(0, k, per_forward)]
         with no_grad():
-            scores = np.concatenate([average_prediction(self.forward(stack[i:i + size]))
-                                     for i in range(0, len(stack), size)])
-        return float(scores[0]) if np.ndim(images) == 3 else scores
+            scores = np.concatenate([np.concatenate(
+                [average_prediction(group.forward(stack[i:i + size]))
+                 for i in range(0, len(stack), size)], axis=-1) for group in groups])
+        if np.ndim(images) == 3:
+            scores = scores[..., 0]
+        return float(scores) if scores.ndim == 0 else scores

@@ -10,7 +10,7 @@ be reordered or parallelized without changing results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -77,20 +77,24 @@ class LossValue:
 def dual_bce_loss(y, outputs: HeadOutputs) -> LossValue:
     """Cross-entropy of both heads against one-hot pairs.
 
-    ``y`` is one pair, or a (B, 2) sequence of pairs for the B images of a
-    stacked forward. Each head contributes -sum_i y_i log p_i, summed over
-    the stack, with probabilities clamped to [PROB_CLAMP, 1 - PROB_CLAMP];
-    the total is the mean of the two terms.
+    ``y`` is one pair, a (B, 2) sequence of pairs for the B images of a
+    stacked forward, or (K, B, 2) pairs for a task stack's. Each head
+    contributes -sum_i y_i log p_i, summed over the stack, with
+    probabilities clamped to [PROB_CLAMP, 1 - PROB_CLAMP]; the total is the
+    mean of the two terms. A task stack's terms are (K,) vectors, one sum
+    per task.
     """
     y_arr = np.asarray(y, dtype=np.float64)
-    if y_arr.ndim not in (1, 2) or y_arr.shape[-1] != 2 \
+    if y_arr.ndim not in (1, 2, 3) or y_arr.shape[-1] != 2 \
             or not np.isin(y_arr, (0.0, 1.0)).all() or (y_arr.sum(axis=-1) != 1.0).any():
         raise ValueError(f"y must be a one-hot pair or a sequence of them, got {y!r}")
     # -y, so that each head term is one sum with no negation node after it
     target = Tensor((-y_arr).reshape(outputs.p_cls.shape).astype(outputs.p_cls.dtype))
+    lead = int(outputs.p_cls.ndim == 4)  # a task stack's (K, B, 1, 2) pairs
 
     def head_term(p: Tensor) -> Tensor:
-        return ad.tsum(ad.mul(target, ad.log(ad.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))))
+        return ad.tsum(ad.mul(target, ad.log(ad.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))),
+                       lead)
 
     cls_term = head_term(outputs.p_cls)
     agg_term = head_term(outputs.p_agg)
@@ -100,7 +104,9 @@ def dual_bce_loss(y, outputs: HeadOutputs) -> LossValue:
 
 class Adam:
     """Adam with bias correction; ``step`` applies the update and clears the
-    gradients (the engine's single reset point)."""
+    gradients (the engine's single reset point). Moments and parameters are
+    updated in place, with the roundings of the textbook expressions, so a
+    task stack's K-fold moments need few temporaries."""
 
     def __init__(self, params: Sequence[Tensor], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -113,16 +119,22 @@ class Adam:
     def step(self, lr: float) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if g.shape != p.data.shape:
                 raise ad.ShapeError(f"gradient shape {g.shape} does not match "
                                     f"parameter shape {p.data.shape}")
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            m_hat = self.m[i] / (1 - b1 ** self.t)
-            v_hat = self.v[i] / (1 - b2 ** self.t)
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            step = m / (1 - b1 ** self.t)
+            step *= lr
+            v_hat = v / (1 - b2 ** self.t)
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += self.eps
+            step /= v_hat
+            p.data -= step
         ad.zero_grads(self.params)
 
 
@@ -181,7 +193,7 @@ class EpochRecord:
 @dataclass
 class TaskResult:
     task: str
-    model: DualHeadViT
+    model: DualHeadViT | None  # set when training ends
     history: list[EpochRecord]
     best_epoch: int
     best_metric: float
@@ -232,12 +244,12 @@ def prepare_split(model_cfg: ModelConfig, train_cfg: TrainConfig,
                          to_unit(prepared(val_rows)) if val_rows else None)
 
 
-def _validation_metric(model: DualHeadViT, val_images: np.ndarray,
-                       val_labels: list[int], task: str) -> float:
-    scores = model.predict(val_images)
+def _task_metric(scores: np.ndarray, labels: Sequence[int], task: str) -> float:
+    """Validation metric: TPR at 95% specificity for glaucoma, accuracy at
+    0.5 for a feature."""
     if task == "glaucoma":
-        return tpr_at_specificity(scores, val_labels, 0.95)
-    return float(np.mean([(s > 0.5) == y for s, y in zip(scores, val_labels)]))
+        return tpr_at_specificity(scores, labels, 0.95)
+    return float(np.mean([(s > 0.5) == y for s, y in zip(scores, labels)]))
 
 
 def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
@@ -245,53 +257,64 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
                rows: Sequence[ManifestRow], base_dir: str | Path,
                out_dir: str | Path | None = None,
                config_lines: Sequence[str] = (),
-               inputs: PreparedSplit | None = None) -> TaskResult:
-    """Train one binary task end to end on ``inputs``, the ``prepare_split``
-    of ``rows`` (built here when None; inputs prepared for other rows,
-    extents, prep or split settings raise ValueError).
+               inputs: PreparedSplit | None = None,
+               tasks: Sequence[str] | None = None) -> list[TaskResult]:
+    """Train binary ``tasks`` (default: ``train_cfg.task`` alone; one task
+    is a bank of one) in lockstep on ``inputs``, the ``prepare_split`` of
+    ``rows`` (built here when None; inputs prepared for other rows, extents,
+    prep or split settings raise ValueError). Returns one result per task.
 
-    Loops: seeded shuffle, then per minibatch, for each ``model_cfg.stack_size``
+    The tasks differ only in labels and initial values: the shuffle order
+    and the augmentation draws are keyed by (seed, epoch, image). Loops:
+    seeded shuffle, then per minibatch, for each ``model_cfg.stack_size``
     images (the whole minibatch at desk and default scale, one image at
-    512x512), one stacked augmentation with per-image draws, one stacked
-    forward, dual-head loss and backward; then one Adam step. Keeps the
-    parameters from the epoch with the best validation metric and, when
-    ``out_dir`` is given, writes ``<task>.ckpt`` and ``<task>.log`` there.
+    512x512), one stacked augmentation with per-image draws, then for each
+    task stack (as many tasks as fit beside those images: all 11 at desk
+    and default scale, one at 512x512) one forward, one loss summed over
+    its tasks and one backward; then one Adam step. Each task keeps the
+    parameters from its epoch with the best validation metric and, when
+    ``out_dir`` is given, writes ``<task>.ckpt`` and ``<task>.log`` there,
+    the bytes it would write trained alone.
     """
-    task = train_cfg.task
-    if task not in TASKS:
-        raise ValueError(f"train_task needs a single task, got {task!r}")
+    tasks = [train_cfg.task] if tasks is None else list(tasks)
+    if not tasks or not set(tasks) <= set(TASKS):
+        raise ValueError(f"train_task needs single tasks, got {tasks!r}")
     if inputs is None:
         inputs = prepare_split(model_cfg, train_cfg, prep, rows, base_dir)
     elif inputs.settings != _split_settings(model_cfg, train_cfg, prep, rows):
         raise ValueError("inputs were prepared for other rows, extents or settings")
-    train_y = [task_label(r, task) for r in inputs.train_rows]
-    if len(set(train_y)) < 2:
-        raise ValueError(f"single-class training set for task {task!r}")
-    val_y = [task_label(r, task) for r in inputs.val_rows]
+    train_y = np.array([[task_label(r, task) for r in inputs.train_rows] for task in tasks])
+    for task, y in zip(tasks, train_y):
+        if len(set(y)) < 2:
+            raise ValueError(f"single-class training set for task {task!r}")
+    val_y = [[task_label(r, task) for r in inputs.val_rows] for task in tasks]
 
-    model = DualHeadViT(model_cfg,
-                        seed=np.random.SeedSequence(
-                            (train_cfg.seed, _STREAM_INIT, TASKS.index(task))
-                        ).generate_state(1)[0],
-                        dtype=np.float32)
-    optimizer = Adam(model.parameters(), train_cfg.beta1, train_cfg.beta2,
-                     train_cfg.adam_eps)
+    per_model = model_cfg.stack_size // min(model_cfg.stack_size, train_cfg.batch_size)
+    groups = [list(range(i, min(i + per_model, len(tasks))))
+              for i in range(0, len(tasks), per_model)]
 
-    log_lines = [f"# fundusvit training log, task={task}"]
-    log_lines += [f"# {line}" for line in config_lines]
-    log_lines.append("# note: batch_size, epochs and adam moment constants are "
-                     "implementation defaults, not protocol values")
+    def initial(task):  # each task's own initial values
+        return DualHeadViT(model_cfg, seed=np.random.SeedSequence(
+            (train_cfg.seed, _STREAM_INIT, TASKS.index(task))).generate_state(1)[0])
 
-    history: list[EpochRecord] = []
-    best_metric = -np.inf
-    best_epoch = -1
-    best_state: dict[str, np.ndarray] = {}
+    models = [DualHeadViT.stack([initial(tasks[k]) for k in group]) for group in groups]
+    slots = [(model, j) for model, group in zip(models, groups) for j in range(len(group))]
+    optimizer = Adam([p for model in models for p in model.parameters()],
+                     train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps)
+
+    results = [TaskResult(task, model=None, history=[], best_epoch=-1, best_metric=-np.inf,
+                          log_lines=[f"# fundusvit training log, task={task}",
+                                     *[f"# {line}" for line in config_lines],
+                                     "# note: batch_size, epochs and adam moment constants "
+                                     "are implementation defaults, not protocol values"])
+               for task in tasks]
+    best_state: list[dict[str, np.ndarray]] = [{} for _ in tasks]
     for epoch in range(train_cfg.epochs):
         lr = lr_schedule(epoch, train_cfg)
         shuffle_rng = np.random.default_rng(
             np.random.SeedSequence((train_cfg.seed, _STREAM_SHUFFLE, epoch)))
-        order = shuffle_rng.permutation(len(train_y))
-        epoch_loss = 0.0
+        order = shuffle_rng.permutation(train_y.shape[1])
+        epoch_loss = np.zeros(len(tasks))
         for start in range(0, len(order), train_cfg.batch_size):
             batch = [int(idx) for idx in order[start:start + train_cfg.batch_size]]
             inv = 1.0 / len(batch)
@@ -300,37 +323,44 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
                 images = to_unit(augment(inputs.train_images[stack], aug, [
                     AugmentDraws.sample(_augment_rng(train_cfg.seed, epoch, idx), aug)
                     for idx in stack]))
-                y = [(1.0 - train_y[idx], float(train_y[idx])) for idx in stack]
-                loss = dual_bce_loss(y, model.forward(images))
-                epoch_loss += loss.total.item()
-                ad.backward(ad.mul(loss.total, inv))
+                for model, group in zip(models, groups):
+                    y = train_y[group][:, stack]
+                    loss = dual_bce_loss(np.stack([1.0 - y, y], axis=-1),
+                                         model.forward(images))
+                    epoch_loss[group] += loss.total.data
+                    ad.backward(ad.tsum(ad.mul(loss.total, inv)))
+                    del loss  # free the graph before the next forward
             optimizer.step(lr)
-        train_loss = epoch_loss / len(order)
-        val_metric = _validation_metric(model, inputs.val_images, val_y, task) \
-            if val_y else float("nan")
-        history.append(EpochRecord(epoch, lr, train_loss, val_metric))
-        log_lines.append(f"epoch={epoch} lr={lr:.6e} train_loss={train_loss:.6f} "
-                         f"val_metric={val_metric:.6f}")
-        # without a validation set keep the latest parameters; with one, ties
-        # keep the later epoch: equal validation, lower train loss
-        if not val_y or val_metric >= best_metric:
-            best_metric = val_metric if val_y else -np.inf
-            best_epoch = epoch
-            best_state = {name: t.data.copy() for name, t in model.named_parameters()}
-    for name, data in best_state.items():
-        model.params[name].data = data
-    log_lines.append(f"# best_epoch={best_epoch} best_val_metric={best_metric:.6f}")
+        val_metric = [float("nan")] * len(tasks)
+        if inputs.val_rows:
+            scores = np.concatenate([model.predict(inputs.val_images) for model in models])
+            val_metric = [_task_metric(*args) for args in zip(scores, val_y, tasks)]
+        for k, (result, (model, j)) in enumerate(zip(results, slots)):
+            train_loss = float(epoch_loss[k] / len(order))
+            result.history.append(EpochRecord(epoch, lr, train_loss, val_metric[k]))
+            result.log_lines.append(f"epoch={epoch} lr={lr:.6e} train_loss={train_loss:.6f} "
+                                    f"val_metric={val_metric[k]:.6f}")
+            # without a validation set keep the latest parameters; with one,
+            # ties keep the later epoch: equal validation, lower train loss
+            if not inputs.val_rows or val_metric[k] >= result.best_metric:
+                result.best_metric = val_metric[k] if inputs.val_rows else -np.inf
+                result.best_epoch = epoch
+                best_state[k] = {name: t.data[j].copy()
+                                 for name, t in model.named_parameters()}
 
-    result = TaskResult(task=task, model=model, history=history,
-                        best_epoch=best_epoch, best_metric=best_metric,
-                        log_lines=log_lines)
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        result.checkpoint_path = out_dir / f"{task}.ckpt"
-        save_checkpoint(result.checkpoint_path, model, prep, task)
-        write_atomic(out_dir / f"{task}.log", "\n".join(log_lines) + "\n")
-    return result
+    for result, state, (model, j) in zip(results, best_state, slots):
+        for name, data in state.items():
+            model.params[name].data[j] = data
+        result.model = model.member(j)
+        result.log_lines.append(f"# best_epoch={result.best_epoch} "
+                                f"best_val_metric={result.best_metric:.6f}")
+        if out_dir is not None:
+            out_dir = Path(out_dir)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            result.checkpoint_path = out_dir / f"{result.task}.ckpt"
+            save_checkpoint(result.checkpoint_path, result.model, prep, result.task)
+            write_atomic(out_dir / f"{result.task}.log", "\n".join(result.log_lines) + "\n")
+    return results
 
 
 def train_bank(model_cfg: ModelConfig, train_cfg: TrainConfig,
@@ -338,32 +368,30 @@ def train_bank(model_cfg: ModelConfig, train_cfg: TrainConfig,
                rows: Sequence[ManifestRow], base_dir: str | Path,
                out_dir: str | Path | None = None,
                config_lines: Sequence[str] = ()) -> ClassifierBank:
-    """Train all eleven tasks independently with the same base seed, each
-    ``train_task`` call on one shared ``prepare_split`` of the rows.
+    """Train all eleven tasks independently with the same base seed, as one
+    lockstep ``train_task`` call on one shared ``prepare_split`` of the rows.
 
-    A feature task whose training split has no positive sample is skipped
-    with a warning recorded in the bank log; everything else is exactly a
-    ``train_task`` run, so a bank member is bitwise identical to a
-    standalone run with the same seed.
+    A feature task whose training split holds one class (no positive, or
+    no negative sample) is skipped before training, with its reason in the
+    bank log; every other member is bitwise identical to a standalone run
+    with the same seed.
     """
     inputs = prepare_split(model_cfg, train_cfg, prep, rows, base_dir)
-    models: dict[str, DualHeadViT] = {}
     skipped: dict[str, str] = {}
-    bank_lines = ["# fundusvit bank log"]
-    for task in TASKS:
-        if task != "glaucoma" and not any(task_label(r, task) for r in inputs.train_rows):
-            reason = "no positive training samples"
-            skipped[task] = reason
-            bank_lines.append(f"task={task} status=skipped reason={reason}")
-            continue
-        result = train_task(model_cfg, replace(train_cfg, task=task), aug, prep, rows,
-                            base_dir, out_dir=out_dir, config_lines=config_lines,
-                            inputs=inputs)
-        models[task] = result.model
-        bank_lines.append(f"task={task} status=trained "
-                          f"best_epoch={result.best_epoch} "
-                          f"best_val_metric={result.best_metric:.6f}")
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    for task in TASKS[1:]:
+        present = {task_label(r, task) for r in inputs.train_rows}
+        if present != {0, 1}:
+            skipped[task] = f"no {'positive' if 1 not in present else 'negative'} " \
+                            "training samples"
+    results = {r.task: r for r in train_task(
+        model_cfg, train_cfg, aug, prep, rows, base_dir, out_dir=out_dir,
+        config_lines=config_lines, inputs=inputs,
+        tasks=[task for task in TASKS if task not in skipped])}
+    bank_lines = ["# fundusvit bank log", *[
+        f"task={task} status=skipped reason={skipped[task]}" if task in skipped
+        else f"task={task} status=trained best_epoch={results[task].best_epoch} "
+             f"best_val_metric={results[task].best_metric:.6f}" for task in TASKS]]
+    if out_dir is not None:  # train_task made the directory
         write_atomic(Path(out_dir) / "bank.log", "\n".join(bank_lines) + "\n")
-    return ClassifierBank(models=models, prep=prep, config=model_cfg, skipped=skipped)
+    return ClassifierBank(models={task: r.model for task, r in results.items()},
+                          prep=prep, config=model_cfg, skipped=skipped)

@@ -145,8 +145,8 @@ def test_04_overfit_check(tmp_path):
         train_cfg = TrainConfig(lr0=5e-4, lr_decay_every=1000, epochs=200,
                                 batch_size=16, seed=1)
         prep = PreprocessOptions()
-        result = train_task(model_cfg, train_cfg, AugmentParams(enabled=False),
-                            prep, rows, manifest.parent)
+        [result] = train_task(model_cfg, train_cfg, AugmentParams(enabled=False),
+                              prep, rows, manifest.parent)
         steps = sum(int(np.ceil(16 / train_cfg.batch_size))
                     for _ in result.history)
         assert steps <= 200
@@ -185,8 +185,8 @@ def test_05_preprocessing_ordering_effect(tmp_path):
         for crop in (True, False):
             prep = PreprocessOptions(od_crop=crop)
             out_dir = tmp_path / ("crop" if crop else "nocrop")
-            res = train_task(model_cfg, train_cfg, aug, prep, rows,
-                             manifest.parent, out_dir=out_dir)
+            [res] = train_task(model_cfg, train_cfg, aug, prep, rows,
+                               manifest.parent, out_dir=out_dir)
             _, val_rows = rebalance_and_split(rows, [r.rg for r in rows], None,
                                               train_cfg.split, train_cfg.seed)
             scores, labels = [], []

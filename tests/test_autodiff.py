@@ -137,6 +137,14 @@ class TestBackwardContract:
         ad.backward(ad.tsum(ad.mul(x, 2.0)))
         np.testing.assert_array_equal(x.grad, [[3.0, 3.0]])
 
+    def test_losses_sharing_an_op_output_accumulate_once(self):
+        x = t([[1.0, 2.0]])
+        y = ad.mul(x, 2.0)
+        ad.backward(ad.tsum(y))
+        ad.backward(ad.tsum(ad.mul(y, 3.0)))
+        np.testing.assert_array_equal(x.grad, [[8.0, 8.0]])
+        assert y.grad is None
+
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ShapeError):
             ad.backward(ad.mul(t([[1.0, 2.0]]), 2.0))
@@ -478,3 +486,150 @@ class TestStackedGraph:
         one = nodes(dual_bce_loss((0.0, 1.0), model.forward(images[0])).total)
         eight = nodes(dual_bce_loss([(0.0, 1.0)] * 8, model.forward(images)).total)
         assert one == eight <= 56
+
+
+class TestTaskStackedShapes:
+    """The shape rules widened for a task stack (a leading K axis on the
+    parameters, (K, B, T, D) activations), against finite differences
+    (64-bit) and against each task's own slice, bit for bit (32-bit)."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(29)
+
+    def leaf(self, *shape):
+        return t(self.rng.normal(size=shape))
+
+    def weights(self, *shape):
+        return t(self.rng.normal(size=shape), grad=False)
+
+    def leaf32(self, *shape):
+        return Tensor(self.rng.normal(size=shape).astype(np.float32), requires_grad=True)
+
+    @staticmethod
+    def grads(build, leaves):
+        ad.zero_grads(leaves)
+        out = build()
+        ad.backward(ad.tsum(out))
+        return out.data, [leaf.grad.copy() for leaf in leaves]
+
+    def test_linear_on_a_shared_input_gradients(self):
+        x, w, b = self.leaf(2, 3, 4), self.leaf(3, 4, 5), self.leaf(3, 1, 5)
+        u = self.weights(3, 2, 3, 5)
+        check_op_gradients(lambda: ad.tsum(ad.mul(ad.linear(x, w, b), u)), [x, w, b])
+
+    def test_linear_on_per_task_inputs_gradients(self):
+        x, w, b = self.leaf(3, 2, 3, 4), self.leaf(3, 4, 5), self.leaf(3, 1, 5)
+        u = self.weights(3, 2, 3, 5)
+        check_op_gradients(lambda: ad.tsum(ad.mul(ad.linear(x, w, b), u)), [x, w, b])
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_linear_is_per_task(self, shared):
+        x = self.leaf32(2, 3, 4) if shared else self.leaf32(3, 2, 3, 4)
+        w, b = self.leaf32(3, 4, 5), self.leaf32(3, 1, 5)
+        out, (gx, gw, gb) = self.grads(lambda: ad.linear(x, w, b), [x, w, b])
+        gx_sum = 0
+        for k in range(3):
+            xk = Tensor(x.data if shared else x.data[k], requires_grad=True)
+            wk, bk = (Tensor(a.data[k], requires_grad=True) for a in (w, b))
+            out_k, (gxk, gwk, gbk) = self.grads(lambda: ad.linear(xk, wk, bk), [xk, wk, bk])
+            np.testing.assert_array_equal(out[k], out_k)
+            np.testing.assert_array_equal(gw[k], gwk)
+            np.testing.assert_array_equal(gb[k], gbk)
+            if shared:
+                gx_sum = gx_sum + gxk
+            else:
+                np.testing.assert_array_equal(gx[k], gxk)
+        if shared:  # a shared input's gradient gathers every task's share
+            np.testing.assert_allclose(gx, gx_sum, rtol=1e-6)
+
+    def test_linear_task_shape_errors(self):
+        w, b = t(np.zeros((3, 4, 5))), t(np.zeros((3, 1, 5)))
+        for x_shape in [(2, 3, 3, 4), (3, 4), (1, 3, 2, 3, 4)]:
+            with pytest.raises(ShapeError):
+                ad.linear(t(np.zeros(x_shape)), w, b)
+        with pytest.raises(ShapeError):
+            ad.linear(t(np.zeros((2, 3, 4))), w, t(np.zeros((1, 5))))
+
+    @pytest.mark.parametrize("width", [5, 1])
+    def test_layer_norm_per_task_affine_gradients(self, width):
+        x = self.leaf(3, 2, 4, 5)
+        g, b = self.leaf(3, width), self.leaf(3, width)
+        u = self.weights(3, 2, 4, 5)
+        check_op_gradients(lambda: ad.tsum(ad.mul(ad.layer_norm(x, g, b), u)), [x, g, b])
+
+    @pytest.mark.parametrize("width", [5, 1])
+    def test_layer_norm_is_per_task(self, width):
+        x, g, b = self.leaf32(3, 2, 4, 5), self.leaf32(3, width), self.leaf32(3, width)
+        out, grads = self.grads(lambda: ad.layer_norm(x, g, b), [x, g, b])
+        for k in range(3):
+            parts = [Tensor(a.data[k], requires_grad=True) for a in (x, g, b)]
+            out_k, grads_k = self.grads(lambda: ad.layer_norm(*parts), parts)
+            np.testing.assert_array_equal(out[k], out_k)
+            for full, single in zip(grads, grads_k):
+                np.testing.assert_array_equal(full[k], single)
+
+    def test_layer_norm_task_shape_errors(self):
+        for x_shape, g_shape in [((2, 2, 4, 5), (3, 5)), ((3, 2, 4, 5), (3, 4)),
+                                 ((3, 2, 4, 5), (3, 1, 5))]:
+            with pytest.raises(ShapeError):
+                ad.layer_norm(t(np.zeros(x_shape)), t(np.ones(g_shape)),
+                              t(np.zeros(g_shape)))
+
+    @pytest.mark.parametrize("b_shape", [(3, 4, 5), (3, 1, 4, 5)])
+    def test_add_task_table_over_the_stack_gradients(self, b_shape):
+        a, b = self.leaf(3, 2, 4, 5), self.leaf(*b_shape)
+        u = self.weights(3, 2, 4, 5)
+        check_op_gradients(lambda: ad.tsum(ad.mul(ad.add(a, b, axis=1), u)), [a, b])
+
+    def test_add_task_table_is_per_task(self):
+        a, b = self.leaf32(3, 2, 4, 5), self.leaf32(3, 4, 5)
+        out, (_, gb) = self.grads(lambda: ad.add(a, b, axis=1), [a, b])
+        for k in range(3):
+            ak, bk = (Tensor(x.data[k], requires_grad=True) for x in (a, b))
+            out_k, (_, gbk) = self.grads(lambda: ad.add(ak, bk), [ak, bk])
+            np.testing.assert_array_equal(out[k], out_k)
+            np.testing.assert_array_equal(gb[k], gbk)
+
+    def test_add_broadcast_needs_its_axis(self):
+        # (3, 4, 5) fits (3, 3, 4, 5) along axis 1, and along axis 0 only as
+        # a table shared by the leading axis: each axis is its own rule
+        a, b = self.leaf32(3, 3, 4, 5), self.leaf32(3, 4, 5)
+        along_0 = ad.add(a, b).data
+        along_1 = ad.add(a, b, axis=1).data
+        np.testing.assert_array_equal(along_0, a.data + b.data[None])
+        np.testing.assert_array_equal(along_1, a.data + b.data[:, None])
+        with pytest.raises(ShapeError):
+            ad.add(t(np.zeros((3, 2, 4, 5))), t(np.zeros((2, 4, 5))), axis=1)
+
+    def test_per_task_sum_gradients(self):
+        a, u = self.leaf(3, 2, 1, 2), self.weights(3)
+        check_op_gradients(lambda: ad.tsum(ad.mul(ad.tsum(ad.mul(a, a), 1), u)), [a])
+
+    def test_per_task_sum_is_per_task(self):
+        a = self.leaf32(3, 8, 1, 2)
+        sums = ad.tsum(a, 1)
+        assert sums.shape == (3,)
+        for k in range(3):
+            assert sums.data[k] == ad.tsum(Tensor(a.data[k])).data
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_attention_with_a_task_axis_gradients(self, heads):
+        q, k, v = self.leaf(2, 2, 5, 4), self.leaf(2, 2, 5, 4), self.leaf(2, 2, 5, 4)
+        u = self.weights(2, 2, 5, 4)
+        check_op_gradients(
+            lambda: ad.tsum(ad.mul(ad.attention(q, k, v, heads), u)), [q, k, v])
+
+    def test_attention_with_a_task_axis_is_per_task(self):
+        q, k, v = self.leaf32(3, 2, 6, 8), self.leaf32(3, 2, 6, 8), self.leaf32(3, 2, 6, 8)
+        out, grads = self.grads(lambda: ad.attention(q, k, v, 4), [q, k, v])
+        for i in range(3):
+            parts = [Tensor(a.data[i], requires_grad=True) for a in (q, k, v)]
+            out_i, grads_i = self.grads(lambda: ad.attention(*parts, 4), parts)
+            np.testing.assert_array_equal(out[i], out_i)
+            for full, single in zip(grads, grads_i):
+                np.testing.assert_array_equal(full[i], single)
+
+    def test_matmul_with_a_task_axis_gradients(self):
+        a, b = self.leaf(2, 3, 1, 4), self.leaf(2, 3, 4, 5)
+        u = self.weights(2, 3, 1, 5)
+        check_op_gradients(lambda: ad.tsum(ad.mul(ad.matmul(a, b), u)), [a, b])

@@ -309,3 +309,82 @@ class TestStacking:
         assert rows.shape == (3, 6, 768)
         for i in range(3):
             np.testing.assert_array_equal(rows[i], patchify(images[i], 16))
+
+
+def recording_forward(monkeypatch):
+    """Record tasks x images of every DualHeadViT forward."""
+    sizes = []
+    forward = DualHeadViT.forward
+
+    def recorded(self, images):
+        sizes.append((self.n_tasks or 1) * (1 if np.ndim(images) == 3 else len(images)))
+        return forward(self, images)
+
+    monkeypatch.setattr(DualHeadViT, "forward", recorded)
+    return sizes
+
+
+class TestTaskStack:
+    """K classifiers as one model with a leading task axis on every
+    parameter: each member computes what it computes alone, bit for bit."""
+
+    def test_stack_and_member_round_trip(self):
+        members = [DualHeadViT(TINY, seed=s) for s in (1, 2, 3)]
+        stacked = DualHeadViT.stack(members)
+        assert stacked.n_tasks == 3 and members[0].n_tasks is None
+        assert stacked.params["pos_embed"].shape == (3, TINY.n_patches + 1, TINY.dim)
+        for k, m in enumerate(members):
+            for (_, a), (_, b) in zip(stacked.member(k).named_parameters(),
+                                      m.named_parameters()):
+                np.testing.assert_array_equal(a.data, b.data)
+
+    def test_stacked_forward_loss_and_gradients_equal_members_bitwise(self):
+        members = [DualHeadViT(TINY, seed=s) for s in (4, 5, 6)]
+        stacked = DualHeadViT.stack(members)
+        rng = np.random.default_rng(24)
+        images = rng.random((4, 32, 32, 3))
+        y = rng.integers(0, 2, size=(3, 4))
+        pairs = np.stack([1.0 - y, y], axis=-1)
+        out = stacked.forward(images)
+        assert out.p_cls.shape == (3, 4, 1, 2)
+        assert out.patch_weights.shape == (3, 4, TINY.n_patches, 1)
+        loss = dual_bce_loss(pairs, out)
+        assert loss.total.shape == (3,)
+        ad.backward(ad.tsum(ad.mul(loss.total, 0.25)))
+        for k, member in enumerate(members):
+            alone = member.forward(images)
+            loss_k = dual_bce_loss(pairs[k], alone)
+            ad.backward(ad.mul(loss_k.total, 0.25))
+            assert loss.total.data[k] == loss_k.total.data
+            for name in ("p_cls", "p_agg", "patch_weights"):
+                np.testing.assert_array_equal(getattr(out, name).data[k],
+                                              getattr(alone, name).data)
+            for name, t in member.named_parameters():
+                np.testing.assert_array_equal(stacked.params[name].grad[k], t.grad,
+                                              err_msg=name)
+
+    def test_stacked_predict_equals_member_predicts_bitwise(self):
+        members = [DualHeadViT(TINY, seed=s) for s in (7, 8)]
+        stacked = DualHeadViT.stack(members)
+        images = np.random.default_rng(25).random((5, 32, 32, 3))
+        scores = stacked.predict(images)
+        assert scores.shape == (2, 5)
+        assert scores.tolist() == [m.predict(images).tolist() for m in members]
+        assert stacked.predict(images[0]).tolist() == [m.predict(images[0]) for m in members]
+
+    def test_desk_bank_predicts_in_one_forward(self, monkeypatch):
+        stacked = DualHeadViT.stack([DualHeadViT(TINY, seed=s) for s in range(11)])
+        sizes = recording_forward(monkeypatch)
+        stacked.predict(np.random.default_rng(26).random((8, 32, 32, 3)))
+        assert sizes == [88]
+
+    def test_full_resolution_predict_holds_one_task_image_per_forward(self, monkeypatch):
+        cfg = ModelConfig.full_resolution(dim=8, depth=1, heads=1, agg_hidden=4,
+                                          mlp_hidden=8)
+        members = [DualHeadViT(cfg, seed=s) for s in (1, 2)]
+        stacked = DualHeadViT.stack(members)
+        images = np.random.default_rng(27).random((2, 512, 512, 3))
+        sizes = recording_forward(monkeypatch)
+        scores = stacked.predict(images)
+        assert sizes == [1, 1, 1, 1]
+        assert scores.tolist() == [m.predict(images).tolist() for m in members]

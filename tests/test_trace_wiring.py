@@ -41,8 +41,8 @@ def test_traced_train_evaluate_infer_reach_every_required_span(tmp_path):
 
 
 def test_traced_bank_prepares_each_image_once(tmp_path):
-    # the benchmark's bank-screen workload times one train_task call per
-    # trained task, and reads useful_ratio as prepared images per prepare
+    # the benchmark's bank-screen workload times each train_task call, one
+    # per bank, and reads useful_ratio as prepared images per prepare
     manifest = generate_dataset(tmp_path / "data", n=10, seed=4, size=64)
     base, rows = manifest.parent, read_manifest(manifest)
     out = tmp_path / "bank"
@@ -59,5 +59,6 @@ def test_traced_bank_prepares_each_image_once(tmp_path):
     tracer.check_wiring()
     assert tracer.train_prepares == len(tracer.train_images) == len(rows)
     assert tracer.layer_metrics()["dataset.prepare_input.useful_ratio"] == 1.0
-    # one span per trained task, plus the bank's own
-    assert tracer.calls["training.train"] == len(bank.models) + 1
+    # the bank's own span plus one lockstep train_task span for all its tasks
+    assert len(bank.models) == 11
+    assert tracer.calls["training.train"] == 2

@@ -16,12 +16,14 @@ from fundusvit.metrics import evaluate
 from fundusvit.model import HeadOutputs, ModelConfig
 from fundusvit.preprocess import AugmentParams
 from fundusvit.synth import generate_dataset
-from fundusvit import training
+from fundusvit import model as model_module
+from fundusvit import preprocess, training
 from fundusvit.training import (Adam, TrainConfig, dual_bce_loss, lr_schedule,
                                 prepare_split, rebalance_and_split, task_label,
                                 train_bank, train_task)
 
 from helpers import assert_grad_close, finite_difference_grad
+from test_model import recording_forward
 
 SMALL_MODEL = ModelConfig(height=32, width=32, patch=16, dim=16, depth=1,
                           heads=2, agg_hidden=8, mlp_hidden=16)
@@ -207,9 +209,9 @@ def quick_cfg(**kw):
 class TestTrainTask:
     def test_runs_and_writes_outputs(self, tiny_dataset, tmp_path):
         manifest, rows = tiny_dataset
-        result = train_task(SMALL_MODEL, quick_cfg(), FAST_AUG, PreprocessOptions(),
-                            rows, manifest.parent, out_dir=tmp_path,
-                            config_lines=["model.dim = 16"])
+        [result] = train_task(SMALL_MODEL, quick_cfg(), FAST_AUG, PreprocessOptions(),
+                              rows, manifest.parent, out_dir=tmp_path,
+                              config_lines=["model.dim = 16"])
         assert result.checkpoint_path.is_file()
         assert (tmp_path / "glaucoma.log").is_file()
         assert len(result.history) == 2
@@ -229,12 +231,12 @@ class TestTrainTask:
 
     def test_validation_is_deterministic(self, tiny_dataset):
         from fundusvit.dataset import load_input_image, prepare_input
-        from fundusvit.training import _validation_metric
+        from fundusvit.training import _task_metric
 
         manifest, rows = tiny_dataset
         cfg = quick_cfg()
-        result = train_task(SMALL_MODEL, cfg, FAST_AUG, PreprocessOptions(),
-                            rows, manifest.parent)
+        [result] = train_task(SMALL_MODEL, cfg, FAST_AUG, PreprocessOptions(),
+                              rows, manifest.parent)
         _, val_rows = rebalance_and_split(rows, [r.rg for r in rows], cfg.n_nrg,
                                           cfg.split, cfg.seed)
         val_images = [prepare_input(load_input_image(r, manifest.parent), r,
@@ -243,20 +245,27 @@ class TestTrainTask:
                                     SMALL_MODEL.width)[0].astype(np.float64) / 255.0
                       for r in val_rows]
         val_y = [task_label(r, "glaucoma") for r in val_rows]
-        m1 = _validation_metric(result.model, val_images, val_y, "glaucoma")
-        m2 = _validation_metric(result.model, val_images, val_y, "glaucoma")
+        m1 = _task_metric(result.model.predict(val_images), val_y, "glaucoma")
+        m2 = _task_metric(result.model.predict(val_images), val_y, "glaucoma")
         assert m1 == m2 == result.best_metric
 
     def test_non_square_inputs_train_and_evaluate(self, tiny_dataset):
         manifest, rows = tiny_dataset
         wide = replace(SMALL_MODEL, width=64)  # 32 x 64: 2 x 4 patches
-        result = train_task(wide, quick_cfg(epochs=1), FAST_AUG, PreprocessOptions(),
-                            rows, manifest.parent)
+        [result] = train_task(wide, quick_cfg(epochs=1), FAST_AUG, PreprocessOptions(),
+                              rows, manifest.parent)
         bank = ClassifierBank(models={"glaucoma": result.model},
                               prep=PreprocessOptions(), config=wide, skipped={})
         report = evaluate(bank, rows, manifest.parent)
         assert report.n_samples == len(rows)
         assert 0.0 <= report.auc <= 1.0
+
+    @pytest.mark.parametrize("tasks", [[], ["bank"], ["glaucoma", "feature11"]])
+    def test_task_lists_other_than_single_tasks_rejected(self, tiny_dataset, tasks):
+        manifest, rows = tiny_dataset
+        with pytest.raises(ValueError, match="single tasks"):
+            train_task(SMALL_MODEL, quick_cfg(), FAST_AUG, PreprocessOptions(), rows,
+                       manifest.parent, tasks=tasks)
 
     def test_empty_dataset_rejected(self, tiny_dataset, tmp_path):
         with pytest.raises(ValueError, match="empty"):
@@ -293,6 +302,24 @@ class TestTrainBank:
         assert bank.skipped == {"feature7": "no positive training samples"}
         assert "task=feature7 status=skipped" in (tmp_path / "bank.log").read_text()
 
+    def test_feature_in_every_training_image_is_skipped(self, tiny_dataset, tmp_path):
+        # one class either way is untrainable; the bank skips such a task
+        # before training instead of failing midway with a partial bank
+        manifest, rows = tiny_dataset
+        marked = [replace(r, features=(1,) + r.features[1:6] + (0,) + r.features[7:])
+                  for r in rows]
+        bank = train_bank(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG,
+                          PreprocessOptions(), marked, manifest.parent,
+                          out_dir=tmp_path)
+        assert bank.skipped == {"feature1": "no negative training samples",
+                                "feature7": "no positive training samples"}
+        assert len(bank.models) == 9
+        lines = (tmp_path / "bank.log").read_text().splitlines()
+        assert lines[2] == "task=feature1 status=skipped reason=no negative training samples"
+        assert lines[8] == "task=feature7 status=skipped reason=no positive training samples"
+        assert sorted(p.name for p in tmp_path.glob("*.ckpt")) == sorted(
+            f"{t}.ckpt" for t in bank.models)
+
     def test_bank_member_equals_standalone_run(self, tiny_dataset, tmp_path):
         # the bank prepares once and shares the images; every member must
         # still write the bytes its own standalone run writes
@@ -312,6 +339,61 @@ class TestTrainBank:
                        out_dir=solo_dir, config_lines=["train.epochs = 2"])
             for name in (f"{task}.ckpt", f"{task}.log"):
                 assert (bank_dir / name).read_bytes() == (solo_dir / name).read_bytes()
+
+    def test_lockstep_tasks_share_one_forward_per_stack(self, tiny_dataset, monkeypatch):
+        manifest, rows = tiny_dataset
+        sizes = recording_forward(monkeypatch)
+        augments = []
+
+        def counting(images, *args):
+            augments.append(len(images))
+            return preprocess.augment(images, *args)
+
+        monkeypatch.setattr(training, "augment", counting)
+        results = train_task(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG,
+                             PreprocessOptions(), rows, manifest.parent,
+                             tasks=["glaucoma", "feature1", "feature2"])
+        assert [r.task for r in results] == ["glaucoma", "feature1", "feature2"]
+        # 8 training images in minibatches of 4: two stacks of 3 tasks x 4
+        # images, one augmentation each; validation of the 4 held-out images
+        # is one more forward of all 3 tasks
+        assert sizes == [12, 12, 12]
+        assert augments == [4, 4]
+
+    def test_memory_bound_bank_members_equal_standalone_runs(self, tiny_dataset, tmp_path,
+                                                             monkeypatch):
+        # room for 24 task-images of attention scores per forward: minibatch
+        # stacks of 4 images, so the bank trains as stacks of 6 and 5 tasks
+        monkeypatch.setattr(model_module, "STACK_SCORES",
+                            24 * (SMALL_MODEL.n_patches + 1) ** 2)
+        manifest, rows = tiny_dataset
+        sizes = recording_forward(monkeypatch)
+        bank = train_bank(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG,
+                          PreprocessOptions(), rows, manifest.parent,
+                          out_dir=tmp_path / "bank")
+        assert len(bank.models) == 11
+        assert max(sizes) <= 24 and 24 in sizes and 20 in sizes
+        for task in ("glaucoma", "feature6", "feature10"):
+            train_task(SMALL_MODEL, quick_cfg(epochs=1, task=task), FAST_AUG,
+                       PreprocessOptions(), rows, manifest.parent,
+                       out_dir=tmp_path / task)
+            for name in (f"{task}.ckpt", f"{task}.log"):
+                assert (tmp_path / "bank" / name).read_bytes() == \
+                    (tmp_path / task / name).read_bytes()
+
+    def test_full_resolution_bank_trains_one_task_image_per_forward(self, tmp_path,
+                                                                     monkeypatch):
+        manifest = generate_dataset(tmp_path / "data", n=6, seed=8, size=64,
+                                    feature_rate=1.0)
+        rows = read_manifest(manifest)
+        cfg = ModelConfig.full_resolution(dim=8, depth=1, heads=1, agg_hidden=4,
+                                          mlp_hidden=8)
+        sizes = recording_forward(monkeypatch)
+        results = train_task(cfg, quick_cfg(epochs=1), AugmentParams(enabled=False),
+                             PreprocessOptions(), rows, manifest.parent,
+                             tasks=["glaucoma", "feature1"])
+        assert len(results) == 2
+        assert sizes and set(sizes) == {1}
 
     def test_bank_prepares_each_row_once(self, tiny_dataset, monkeypatch):
         manifest, rows = tiny_dataset
