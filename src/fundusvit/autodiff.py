@@ -112,10 +112,10 @@ def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
 def _accumulate(parent: Tensor, g: np.ndarray, op: str) -> None:
     if not np.isfinite(g).all():
         raise NonFiniteError(f"backward through {op} produced non-finite gradients")
-    if parent.grad is None:
-        parent.grad = g.astype(parent.data.dtype, copy=True)
-    else:
-        parent.grad += g
+    # no adjoint writes into its incoming gradient, but add hands one array to
+    # both parents: keep the first gradient as given, sum later ones out of place
+    total = g if parent.grad is None else parent.grad + g
+    parent.grad = total.astype(parent.data.dtype, copy=False)
 
 
 def trace(root: Tensor) -> list[Tensor]:
@@ -179,10 +179,6 @@ def zero_grads(params: Iterable[Tensor]) -> None:
         p.grad = None
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...], lead: int = 0) -> np.ndarray:
     """Sum ``g`` down to ``shape`` (trailing-aligned broadcast reversal),
     keeping its first ``lead`` axes (a task axis) as they are."""
@@ -201,7 +197,6 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...], lead: int = 0) -> np.ndarr
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two 2-d operands, or of two stacks of matrices with
     the same leading axes (one product per stacked pair)."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != b.ndim or a.ndim < 2 or a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul requires two 2-d operands or two stacks with "
                          f"equal leading axes, got {a.shape} and {b.shape}")
@@ -227,7 +222,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     task; the output is (K, B, T, n). Each task's products and sums are the
     ones its own (Din, n) weight forms.
     """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     tasks = w.shape[:-2]
     if w.ndim not in (2, 3) or x.ndim - len(tasks) not in (2, 3) \
             or x.shape[-1] != w.shape[-2] or (x.ndim == 4 and x.shape[0] != w.shape[0]):
@@ -269,7 +263,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     and ``dK = dS^T q``, taking ``rowsum(g v^T * P)`` as ``rowsum(g * O)``
     (Dao et al. 2022), an N x dh product instead of an N x N one.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim < 2 or q.shape != k.shape or q.shape != v.shape:
         raise ShapeError(f"attention needs equal q, k, v of at least 2 axes, got "
                          f"{q.shape}, {k.shape}, {v.shape}")
@@ -314,7 +307,6 @@ def add(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
     (1, T, D) table on a (B, T, D) stack, a (1, D) row on a (B, 1, D) stack,
     and with ``axis=1`` a task stack's (K, T, D) table on (K, B, T, D).
     """
-    a, b = _as_tensor(a), _as_tensor(b)
     bd = b.data
     if a.shape == b.shape:
         def vjp(g):
@@ -333,7 +325,6 @@ def add(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
 
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise product with a same-shape tensor or a python scalar."""
-    a = _as_tensor(a)
     if isinstance(b, (int, float)):
         s = float(b)
 
@@ -341,7 +332,6 @@ def mul(a: Tensor, b) -> Tensor:
             return (g * s,)
 
         return _result(a.data * s, "mul_scalar", (a,), vjp)
-    b = _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"mul shapes differ: {a.shape} * {b.shape}")
     ad, bd = a.data, b.data
@@ -353,7 +343,6 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     mask = a.data > 0
 
     def vjp(g):
@@ -364,7 +353,6 @@ def relu(a: Tensor) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
-    a = _as_tensor(a)
     x = a.data
     cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
 
@@ -376,7 +364,6 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(a.data)
     ad = a.data
@@ -389,7 +376,6 @@ def log(a: Tensor) -> Tensor:
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp to [lo, hi]; gradient passes only strictly inside the interval."""
-    a = _as_tensor(a)
     inside = (a.data > lo) & (a.data < hi)
 
     def vjp(g):
@@ -400,7 +386,6 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 
 def softmax(a: Tensor, axis: int) -> Tensor:
     """Softmax along ``axis``, subtracting the axis max before exponentiation."""
-    a = _as_tensor(a)
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -421,7 +406,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     (scalar affine, shared across the normalized axis). A task stack's
     affines are (K, D) or (K, 1), one row per task, on a (K, ..., D) ``x``.
     """
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if x.ndim < 1 or x.shape[-1] == 0:
         raise ShapeError(f"layer_norm needs a nonempty last axis, got {x.shape}")
     if eps <= 0:
@@ -456,7 +440,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
-    a = _as_tensor(a)
     if a.ndim < 2:
         raise ShapeError(f"transpose requires at least 2 axes, got {a.shape}")
 
@@ -468,7 +451,6 @@ def transpose(a: Tensor) -> Tensor:
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice of ``length`` entries along ``axis``."""
-    a = _as_tensor(a)
     if not 0 <= axis < a.ndim:
         raise ShapeError(f"narrow axis {axis} invalid for shape {a.shape}")
     if start < 0 or length <= 0 or start + length > a.shape[axis]:
@@ -486,7 +468,6 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat needs at least one tensor")
     sizes = [p.shape[axis] for p in parts]
@@ -502,7 +483,6 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 def tsum(a: Tensor, lead: int = 0) -> Tensor:
     """Sum of every entry; with ``lead=1``, one sum per slice of the leading
     axis (a per-task loss of a task stack)."""
-    a = _as_tensor(a)
     shape, dtype = a.shape, a.data.dtype
     kept = (*shape[:lead], *(1,) * (len(shape) - lead))
 

@@ -148,8 +148,8 @@ def cmd_train(args) -> int:
     lines = effective_lines(cfg)
     out_dir = Path(cfg.paths.out)
     if cfg.train.task == "bank":
-        bank = train_bank(cfg.model, replace(cfg.train, task="glaucoma"), cfg.augment,
-                          cfg.prep, rows, base, out_dir=out_dir, config_lines=lines)
+        bank = train_bank(cfg.model, cfg.train, cfg.augment, cfg.prep, rows, base,
+                          out_dir=out_dir, config_lines=lines)
         print(f"trained {len(bank.models)} tasks, skipped {len(bank.skipped)}")
     else:
         [result] = train_task(cfg.model, cfg.train, cfg.augment, cfg.prep, rows, base,
@@ -213,12 +213,13 @@ _COMMANDS = {
     "eval": cmd_eval,
     "infer": cmd_infer,
 }
+# built once per process: parsing only reads it
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

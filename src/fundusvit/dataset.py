@@ -9,11 +9,13 @@ manifest's directory.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .detections import (DEFAULT_CONFIDENCE_FLOOR, DiscDetection,
                          load_detection_file, select_roi)
 from .ppm import read_ppm
@@ -51,7 +53,7 @@ def _binary(value: str, column: str, where: str) -> int:
     return int(value)
 
 
-def read_manifest(path: str | Path, check_paths: bool = True) -> list[ManifestRow]:
+def read_manifest(path: str | Path) -> list[ManifestRow]:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"manifest not found: {path}")
@@ -81,24 +83,24 @@ def read_manifest(path: str | Path, check_paths: bool = True) -> list[ManifestRo
                 features=tuple(_binary(v, f"f{k + 1}", where)
                                for k, v in enumerate(rec[5:15])),
                 detection_path=rec[15] or None)
-            if check_paths:
-                if not (base / row.image_path).is_file():
-                    raise FileNotFoundError(f"{where}: image not found: "
-                                            f"{base / row.image_path}")
-                if row.detection_path and not (base / row.detection_path).is_file():
-                    raise FileNotFoundError(f"{where}: detection file not found: "
-                                            f"{base / row.detection_path}")
+            if not (base / row.image_path).is_file():
+                raise FileNotFoundError(f"{where}: image not found: "
+                                        f"{base / row.image_path}")
+            if row.detection_path and not (base / row.detection_path).is_file():
+                raise FileNotFoundError(f"{where}: detection file not found: "
+                                        f"{base / row.detection_path}")
             rows.append(row)
     return rows
 
 
 def write_manifest(path: str | Path, rows: list[ManifestRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        writer.writerow(MANIFEST_COLUMNS)
-        for row in rows:
-            writer.writerow([row.image_id, row.image_path, row.width, row.height,
-                             row.rg, *row.features, row.detection_path or ""])
+    text = io.StringIO()
+    writer = csv.writer(text, delimiter="\t", lineterminator="\n")
+    writer.writerow(MANIFEST_COLUMNS)
+    for row in rows:
+        writer.writerow([row.image_id, row.image_path, row.width, row.height,
+                         row.rg, *row.features, row.detection_path or ""])
+    write_atomic(path, text.getvalue())
 
 
 def load_input_image(row: ManifestRow, base_dir: str | Path) -> np.ndarray:
@@ -111,7 +113,11 @@ def prepare_input(image: np.ndarray, row: ManifestRow, base_dir: str | Path,
     """Crop around the row's most confident disc detection (if cropping is
     on and one clears the floor), strip background, resize to height x
     width; returns the uint8 image ready for augmentation or [0, 1] scaling,
-    and the detection cropped around (None: the full image was used)."""
+    and the detection cropped around (None: the full image was used). The
+    image must have the row's extents, which scale the detection."""
+    if image.shape[:2] != (row.height, row.width):
+        raise ValueError(f"{row.image_id}: image is {image.shape[1]}x{image.shape[0]}, "
+                         f"the manifest lists {row.width}x{row.height}")
     detection = None
     if opts.od_crop and row.detection_path:
         detection = select_roi(load_detection_file(Path(base_dir) / row.detection_path,

@@ -150,7 +150,6 @@ class AggregationHead:
     proj2_b: Tensor
     norm2_gain: Tensor
     norm2_bias: Tensor
-    eps: float = LAYER_NORM_EPS
 
 
 def aggregate_patches(features: Tensor, head: AggregationHead) -> tuple[Tensor, Tensor]:
@@ -165,10 +164,10 @@ def aggregate_patches(features: Tensor, head: AggregationHead) -> tuple[Tensor, 
         raise ShapeError(f"expected a nonempty N x D feature matrix or a stack of "
                          f"them, got {features.shape}")
     s = linear(features, head.proj1_w, head.proj1_b)
-    s = relu(layer_norm(s, head.norm1_gain, head.norm1_bias, head.eps))
+    s = relu(layer_norm(s, head.norm1_gain, head.norm1_bias, LAYER_NORM_EPS))
     s = linear(s, head.proj2_w, head.proj2_b)
     s = transpose(s)  # (1, N): normalize the score distribution across patches
-    s = relu(layer_norm(s, head.norm2_gain, head.norm2_bias, head.eps))
+    s = relu(layer_norm(s, head.norm2_gain, head.norm2_bias, LAYER_NORM_EPS))
     w = softmax(s, axis=-1)
     aggregated = matmul(w, features)
     return aggregated, transpose(w)
@@ -240,11 +239,7 @@ class DualHeadViT:
 
     @classmethod
     def stack(cls, members: list["DualHeadViT"]) -> "DualHeadViT":
-        """A task stack of single classifiers with one config, in order; a
-        stack of one views its member's arrays instead of copying them."""
-        if len(members) == 1:
-            return cls.from_arrays(members[0].config, {
-                name: t.data[None] for name, t in members[0].params.items()})
+        """A task stack of single classifiers with one config, in order."""
         return cls.from_arrays(members[0].config, {
             name: np.stack([m.params[name].data for m in members])
             for name in members[0].params})
@@ -254,6 +249,17 @@ class DualHeadViT:
         of its tasks as a smaller stack (views, no copy)."""
         return self.from_arrays(self.config,
                                 {n: t.data[index] for n, t in self.params.items()})
+
+    def task_groups(self, images: int) -> list[tuple[slice, "DualHeadViT"]]:
+        """Consecutive task slices and their member views, each as many
+        tasks as fit beside ``images`` images in one forward of at most
+        ``config.stack_size`` task-images (at least one task);
+        ``[(slice(None), self)]`` when every task fits."""
+        per = max(1, self.config.stack_size // images)
+        if per >= (self.n_tasks or 1):
+            return [(slice(None), self)]
+        return [(slice(i, i + per), self.member(slice(i, i + per)))
+                for i in range(0, self.n_tasks, per)]
 
     def _bind(self, config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
         self.config = config
@@ -388,18 +394,14 @@ class DualHeadViT:
         """Positive-class probability, the mean of the two heads: a float
         for one HxWx3 image, a (B,) float64 array for a BxHxWx3 stack, with
         a leading task axis for a task stack. Each forward takes at most
-        ``config.stack_size`` task-images: all tasks and as many images as
-        fit, or one image of as many tasks as fit."""
+        ``config.stack_size`` images of one of the ``task_groups``."""
         stack = self._stack(images)
-        k = self.n_tasks or 1
-        per_forward = min(k, self.config.stack_size)
-        size = self.config.stack_size // per_forward
-        groups = [self] if per_forward == k else [
-            self.member(slice(i, i + per_forward)) for i in range(0, k, per_forward)]
+        size = min(len(stack), self.config.stack_size)
         with no_grad():
             scores = np.concatenate([np.concatenate(
                 [average_prediction(group.forward(stack[i:i + size]))
-                 for i in range(0, len(stack), size)], axis=-1) for group in groups])
+                 for i in range(0, len(stack), size)], axis=-1)
+                for _, group in self.task_groups(size)])
         if np.ndim(images) == 3:
             scores = scores[..., 0]
         return float(scores) if scores.ndim == 0 else scores

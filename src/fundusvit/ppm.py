@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
+
 
 def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     n = len(buf)
@@ -56,6 +58,4 @@ def write_ppm(path: str | Path, image: np.ndarray) -> None:
     if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
         raise ValueError(f"expected an HxWx3 uint8 image, got {image.shape} {image.dtype}")
     h, w, _ = image.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(image.tobytes())
+    write_atomic(path, f"P6\n{w} {h}\n255\n".encode("ascii") + image.tobytes())

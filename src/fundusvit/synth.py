@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .dataset import ManifestRow, write_manifest
 from .ppm import write_ppm
 
@@ -30,8 +31,8 @@ NOTCH_COLOR = np.array([120.0, 44.0, 26.0])
 TICK_COLOR = np.array([84.0, 30.0, 20.0])
 
 
-def _disc_mask(size: int, cx: float, cy: float, radius: float) -> np.ndarray:
-    yy, xx = np.mgrid[0:size, 0:size]
+def _disc_mask(grid: np.ndarray, cx: float, cy: float, radius: float) -> np.ndarray:
+    yy, xx = grid
     return (xx - cx) ** 2 + (yy - cy) ** 2 <= radius ** 2
 
 
@@ -43,7 +44,7 @@ def render_sample(size: int, rng: np.random.Generator, positive: bool,
     img = rng.integers(0, 8, size=(size, size, 3)).astype(np.float64)
     center = (size - 1) / 2.0
     retina_r = 0.47 * size
-    yy, xx = np.mgrid[0:size, 0:size]
+    yy, xx = grid = np.mgrid[0:size, 0:size]
     rad2 = (xx - center) ** 2 + (yy - center) ** 2
     retina = rad2 <= retina_r ** 2
     # Radial shading plus pixel noise so the retina is not a flat disc.
@@ -56,23 +57,23 @@ def render_sample(size: int, rng: np.random.Generator, positive: bool,
     angle = rng.uniform(0.0, 2.0 * math.pi)
     dcx = center + offset * math.cos(angle)
     dcy = center + offset * math.sin(angle)
-    img[_disc_mask(size, dcx, dcy, disc_r)] = DISC_COLOR
-    img[_disc_mask(size, dcx, dcy, 0.45 * disc_r)] = CUP_COLOR
+    img[_disc_mask(grid, dcx, dcy, disc_r)] = DISC_COLOR
+    img[_disc_mask(grid, dcx, dcy, 0.45 * disc_r)] = CUP_COLOR
 
     if positive:
         # Rim notch: a dark bite on the disc boundary, the referable cue.
         notch_angle = rng.uniform(0.0, 2.0 * math.pi)
         nx = dcx + disc_r * math.cos(notch_angle)
         ny = dcy + disc_r * math.sin(notch_angle)
-        notch = _disc_mask(size, nx, ny, 0.55 * disc_r)
-        notch &= _disc_mask(size, dcx, dcy, disc_r)
+        notch = _disc_mask(grid, nx, ny, 0.55 * disc_r)
+        notch &= _disc_mask(grid, dcx, dcy, disc_r)
         img[notch] = NOTCH_COLOR
     for k in np.nonzero(features)[0]:
         # Feature k renders as a small tick at its own rim slot.
         tick_angle = 2.0 * math.pi * (k + 0.5) / len(features)
         tx = dcx + 0.8 * disc_r * math.cos(tick_angle)
         ty = dcy + 0.8 * disc_r * math.sin(tick_angle)
-        img[_disc_mask(size, tx, ty, 0.22 * disc_r)] = TICK_COLOR
+        img[_disc_mask(grid, tx, ty, 0.22 * disc_r)] = TICK_COLOR
 
     return np.clip(np.rint(img), 0, 255).astype(np.uint8), (dcx, dcy, disc_r)
 
@@ -103,7 +104,7 @@ def generate_dataset(out_dir: str | Path, n: int, seed: int, *,
         conf = rng.uniform(0.85, 0.99)
         det_line = (f"0 {dcx / size:.6f} {dcy / size:.6f} "
                     f"{2 * disc_r / size:.6f} {2 * disc_r / size:.6f} {conf:.4f}\n")
-        (out_dir / "detections" / f"{image_id}.txt").write_text(det_line)
+        write_atomic(out_dir / "detections" / f"{image_id}.txt", det_line)
         rows.append(ManifestRow(
             image_id=image_id,
             image_path=f"images/{image_id}.ppm",

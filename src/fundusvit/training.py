@@ -269,9 +269,9 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
     seeded shuffle, then per minibatch, for each ``model_cfg.stack_size``
     images (the whole minibatch at desk and default scale, one image at
     512x512), one stacked augmentation with per-image draws, then for each
-    task stack (as many tasks as fit beside those images: all 11 at desk
-    and default scale, one at 512x512) one forward, one loss summed over
-    its tasks and one backward; then one Adam step. Each task keeps the
+    of the task stack's ``task_groups`` beside those images (all 11 tasks
+    at desk and default scale, one at 512x512) one forward, one loss summed
+    over its tasks and one backward; then one Adam step. Each task keeps the
     parameters from its epoch with the best validation metric and, when
     ``out_dir`` is given, writes ``<task>.ckpt`` and ``<task>.log`` there,
     the bytes it would write trained alone.
@@ -289,17 +289,14 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
             raise ValueError(f"single-class training set for task {task!r}")
     val_y = [[task_label(r, task) for r in inputs.val_rows] for task in tasks]
 
-    per_model = model_cfg.stack_size // min(model_cfg.stack_size, train_cfg.batch_size)
-    groups = [list(range(i, min(i + per_model, len(tasks))))
-              for i in range(0, len(tasks), per_model)]
-
     def initial(task):  # each task's own initial values
         return DualHeadViT(model_cfg, seed=np.random.SeedSequence(
             (train_cfg.seed, _STREAM_INIT, TASKS.index(task))).generate_state(1)[0])
 
-    models = [DualHeadViT.stack([initial(tasks[k]) for k in group]) for group in groups]
-    slots = [(model, j) for model, group in zip(models, groups) for j in range(len(group))]
-    optimizer = Adam([p for model in models for p in model.parameters()],
+    model = DualHeadViT.stack([initial(task) for task in tasks])
+    groups = model.task_groups(min(model_cfg.stack_size, train_cfg.batch_size))
+    # the groups' parameters view the stack's arrays, which Adam updates in place
+    optimizer = Adam([p for _, group in groups for p in group.parameters()],
                      train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps)
 
     results = [TaskResult(task, model=None, history=[], best_epoch=-1, best_metric=-np.inf,
@@ -308,7 +305,6 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
                                      "# note: batch_size, epochs and adam moment constants "
                                      "are implementation defaults, not protocol values"])
                for task in tasks]
-    best_state: list[dict[str, np.ndarray]] = [{} for _ in tasks]
     for epoch in range(train_cfg.epochs):
         lr = lr_schedule(epoch, train_cfg)
         shuffle_rng = np.random.default_rng(
@@ -323,19 +319,21 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
                 images = to_unit(augment(inputs.train_images[stack], aug, [
                     AugmentDraws.sample(_augment_rng(train_cfg.seed, epoch, idx), aug)
                     for idx in stack]))
-                for model, group in zip(models, groups):
-                    y = train_y[group][:, stack]
+                for group_tasks, group in groups:
+                    y = train_y[group_tasks][:, stack]
                     loss = dual_bce_loss(np.stack([1.0 - y, y], axis=-1),
-                                         model.forward(images))
-                    epoch_loss[group] += loss.total.data
+                                         group.forward(images))
+                    epoch_loss[group_tasks] += loss.total.data
                     ad.backward(ad.tsum(ad.mul(loss.total, inv)))
                     del loss  # free the graph before the next forward
             optimizer.step(lr)
         val_metric = [float("nan")] * len(tasks)
         if inputs.val_rows:
-            scores = np.concatenate([model.predict(inputs.val_images) for model in models])
+            scores = model.predict(inputs.val_images)
             val_metric = [_task_metric(*args) for args in zip(scores, val_y, tasks)]
-        for k, (result, (model, j)) in enumerate(zip(results, slots)):
+        if epoch == 0:  # made past the training peak; epoch 0 writes every slice
+            best_state = {name: np.empty_like(t.data) for name, t in model.params.items()}
+        for k, result in enumerate(results):
             train_loss = float(epoch_loss[k] / len(order))
             result.history.append(EpochRecord(epoch, lr, train_loss, val_metric[k]))
             result.log_lines.append(f"epoch={epoch} lr={lr:.6e} train_loss={train_loss:.6f} "
@@ -345,13 +343,12 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
             if not inputs.val_rows or val_metric[k] >= result.best_metric:
                 result.best_metric = val_metric[k] if inputs.val_rows else -np.inf
                 result.best_epoch = epoch
-                best_state[k] = {name: t.data[j].copy()
-                                 for name, t in model.named_parameters()}
+                for name, t in model.named_parameters():
+                    best_state[name][k] = t.data[k]
 
-    for result, state, (model, j) in zip(results, best_state, slots):
-        for name, data in state.items():
-            model.params[name].data[j] = data
-        result.model = model.member(j)
+    best = DualHeadViT.from_arrays(model_cfg, best_state)
+    for k, result in enumerate(results):
+        result.model = best.member(k)
         result.log_lines.append(f"# best_epoch={result.best_epoch} "
                                 f"best_val_metric={result.best_metric:.6f}")
         if out_dir is not None:

@@ -145,6 +145,37 @@ class TestBackwardContract:
         np.testing.assert_array_equal(x.grad, [[8.0, 8.0]])
         assert y.grad is None
 
+    def test_first_gradient_is_the_array_its_adjoint_returned(self):
+        x = t([[1.0, -2.0, 3.0]])
+        y = ad.relu(x)
+        returned, vjp = [], y._vjp
+
+        def recording(g):
+            returned.extend(vjp(g))
+            return returned
+
+        y._vjp = recording
+        ad.backward(ad.tsum(y))
+        assert x.grad is returned[0]
+
+    def test_later_gradients_sum_out_of_place_in_the_leaf_dtype(self):
+        x = Tensor(np.ones((1, 2), dtype=np.float32), requires_grad=True)
+        ad.backward(ad.tsum(ad.mul(x, t([[2.0, 3.0]]))))
+        first = x.grad
+        assert first.dtype == np.float32
+        ad.backward(ad.tsum(x))
+        assert x.grad.dtype == np.float32 and x.grad is not first
+        np.testing.assert_array_equal(x.grad, [[3.0, 4.0]])
+        np.testing.assert_array_equal(first, [[2.0, 3.0]])
+
+    def test_parents_handed_one_array_accumulate_apart(self):
+        # add's adjoint passes its incoming gradient to both parents
+        a, b = t([[1.0, 2.0]]), t([[3.0, 4.0]])
+        ad.backward(ad.tsum(ad.add(a, b)))
+        ad.backward(ad.tsum(ad.mul(a, 2.0)))
+        np.testing.assert_array_equal(a.grad, [[3.0, 3.0]])
+        np.testing.assert_array_equal(b.grad, [[1.0, 1.0]])
+
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ShapeError):
             ad.backward(ad.mul(t([[1.0, 2.0]]), 2.0))

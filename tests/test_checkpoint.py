@@ -9,9 +9,11 @@ from fundusvit.atomic import write_atomic
 from fundusvit.checkpoint import (IncompatibleCheckpointError, load_bank,
                                   load_checkpoint, save_checkpoint)
 from fundusvit import model as model_module
-from fundusvit.dataset import PreprocessOptions
+from fundusvit.dataset import ManifestRow, PreprocessOptions, write_manifest
 from fundusvit.metrics import evaluate_scores
 from fundusvit.model import DualHeadViT, ModelConfig
+from fundusvit.ppm import write_ppm
+from fundusvit.synth import generate_dataset
 
 CFG = ModelConfig(height=32, width=32, patch=16, dim=16, depth=1, heads=2,
                   agg_hidden=8, mlp_hidden=16)
@@ -141,10 +143,16 @@ class TestAtomicWrites:
     file behind."""
 
     @staticmethod
-    def fail_midway(monkeypatch):
+    def fail_midway(monkeypatch, only=""):
+        """Writes to temporary files whose name holds ``only`` fail midway."""
         real_open = open
 
         class HalfWritten:
+            def __new__(cls, path, *args, **kwargs):
+                if only not in str(path):
+                    return real_open(path, *args, **kwargs)
+                return super().__new__(cls)
+
             def __init__(self, *args, **kwargs):
                 self.fh = real_open(*args, **kwargs)
 
@@ -193,3 +201,29 @@ class TestAtomicWrites:
             report.write_roc_table(roc)
         assert (path.read_bytes(), roc.read_bytes()) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt", "roc.tsv"]
+
+    def test_failed_image_and_manifest_writes_keep_the_previous_files(self, tmp_path,
+                                                                      monkeypatch):
+        image, manifest = tmp_path / "a.ppm", tmp_path / "m.tsv"
+        write_ppm(image, np.zeros((2, 3, 3), dtype=np.uint8))
+        rows = [ManifestRow("a", "a.ppm", 3, 2, 0, (0,) * 10)]
+        write_manifest(manifest, rows)
+        before = image.read_bytes(), manifest.read_bytes()
+        self.fail_midway(monkeypatch)
+        with pytest.raises(OSError):
+            write_ppm(image, np.ones((4, 4, 3), dtype=np.uint8))
+        with pytest.raises(OSError):
+            write_manifest(manifest, [])
+        assert (image.read_bytes(), manifest.read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ppm", "m.tsv"]
+
+    def test_failed_synth_detection_write_keeps_the_previous_file(self, tmp_path,
+                                                                  monkeypatch):
+        generate_dataset(tmp_path, n=1, seed=0, size=32)
+        detection = tmp_path / "detections" / "img0000.txt"
+        before = detection.read_bytes()
+        self.fail_midway(monkeypatch, only=".txt.")
+        with pytest.raises(OSError):
+            generate_dataset(tmp_path, n=1, seed=1, size=32)
+        assert detection.read_bytes() == before
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]

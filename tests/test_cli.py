@@ -2,8 +2,10 @@
 contract, config validation, and report cross-checks against direct metric
 calls."""
 
+import argparse
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,6 +211,50 @@ class TestMalformedInputs:
         root, data, config = workspace
         assert run_cli(["train", "--config", config, "--od-crop", "maybe"]) == 1
         assert "--od-crop" in capsys.readouterr().err
+
+
+    def test_manifest_extents_other_than_the_image_are_one(self, workspace, tmp_path,
+                                                            capsys):
+        # the detection is scaled by the manifest's extents, so 64-px images
+        # listed as 128x128 would be cropped at twice their disc's position
+        from fundusvit.checkpoint import save_checkpoint
+        from fundusvit.config import load_config
+        from fundusvit.dataset import read_manifest, write_manifest
+        from fundusvit.model import DualHeadViT
+
+        root, data, config = workspace
+        bad = data / "bad.tsv"
+        write_manifest(bad, [replace(r, width=128, height=128)
+                             for r in read_manifest(data / "manifest.tsv")])
+        bad_config = tmp_path / "bad.cfg"
+        bad_config.write_text(config.read_text().replace("manifest.tsv", "bad.tsv"))
+        capsys.readouterr()
+        assert run_cli(["train", "--config", bad_config, "--out", tmp_path / "run"]) == 1
+        assert "image is 64x64, the manifest lists 128x128" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "glaucoma.ckpt").exists()
+        ckpt = tmp_path / "glaucoma.ckpt"
+        save_checkpoint(ckpt, DualHeadViT(load_config(config).model, 0),
+                        load_config(config).prep, "glaucoma")
+        assert run_cli(["eval", "--checkpoint", ckpt, "--manifest", bad,
+                        "--out", tmp_path / "r.txt"]) == 1
+        err = capsys.readouterr().err
+        assert "img0000: image is 64x64, the manifest lists 128x128" in err
+        assert not (tmp_path / "r.txt").exists()
+
+    def test_calls_construct_no_parser(self, tmp_path, monkeypatch):
+        # the parser is built once per process; each call only parses
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for _ in range(2):
+            assert run_cli(["infer", "--checkpoint", tmp_path / "none.ckpt",
+                            "--image", tmp_path / "none.ppm"]) == 2
+        assert built == []
 
 
 class TestTrainEvalInfer:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fundusvit import autodiff as ad
+from fundusvit import model as model_module
 from fundusvit.autodiff import ShapeError, Tensor
 from fundusvit.model import (AggregationHead, DualHeadViT, ModelConfig,
                              aggregate_patches, average_prediction, patchify)
@@ -371,6 +372,26 @@ class TestTaskStack:
         assert scores.shape == (2, 5)
         assert scores.tolist() == [m.predict(images).tolist() for m in members]
         assert stacked.predict(images[0]).tolist() == [m.predict(images[0]) for m in members]
+
+    def test_task_groups_split_the_stack_into_capped_member_views(self, monkeypatch):
+        stacked = DualHeadViT.stack([DualHeadViT(TINY, seed=s) for s in range(11)])
+        single = DualHeadViT(TINY, seed=0)
+        assert stacked.task_groups(8) == [(slice(None), stacked)]
+        assert single.task_groups(10 ** 6) == [(slice(None), single)]
+        cap = 24
+        monkeypatch.setattr(model_module, "STACK_SCORES", cap * (TINY.n_patches + 1) ** 2)
+        for images in (1, 2, 4, 5, 12, 24, 30):
+            groups = stacked.task_groups(images)
+            assert [k for tasks, _ in groups for k in range(11)[tasks]] == list(range(11))
+            for tasks, group in groups:
+                assert group.n_tasks == len(range(11)[tasks])
+                assert group.n_tasks * images <= cap or group.n_tasks == 1
+                for name, param in group.params.items():
+                    whole = stacked.params[name].data
+                    assert np.shares_memory(param.data, whole)
+                    np.testing.assert_array_equal(param.data, whole[tasks])
+        assert [len(range(11)[tasks]) for tasks, _ in stacked.task_groups(4)] == [6, 5]
+        assert len(stacked.task_groups(30)) == 11
 
     def test_desk_bank_predicts_in_one_forward(self, monkeypatch):
         stacked = DualHeadViT.stack([DualHeadViT(TINY, seed=s) for s in range(11)])
