@@ -46,10 +46,24 @@ class PreprocessOptions:
     bg_tau: int = DEFAULT_BG_TAU
     confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR
 
+    def __post_init__(self):
+        if not 0 <= self.bg_tau <= 255:
+            raise ValueError(f"bg_tau must lie in [0, 255], got {self.bg_tau}")
+        if not 0.0 <= self.confidence_floor <= 1.0:
+            raise ValueError(f"confidence_floor must lie in [0, 1], "
+                             f"got {self.confidence_floor}")
+
 
 def _binary(value: str, column: str, where: str) -> int:
     if value not in ("0", "1"):
         raise ValueError(f"{where}: column {column} must be 0 or 1, got {value!r}")
+    return int(value)
+
+
+def _extent(value: str, column: str, where: str) -> int:
+    if not value.isdecimal() or int(value) < 1:
+        raise ValueError(f"{where}: column {column} must be a positive integer, "
+                         f"got {value!r}")
     return int(value)
 
 
@@ -77,8 +91,8 @@ def read_manifest(path: str | Path) -> list[ManifestRow]:
             row = ManifestRow(
                 image_id=image_id,
                 image_path=rec[1],
-                width=int(rec[2]),
-                height=int(rec[3]),
+                width=_extent(rec[2], "width", where),
+                height=_extent(rec[3], "height", where),
                 rg=_binary(rec[4], "rg", where),
                 features=tuple(_binary(v, f"f{k + 1}", where)
                                for k, v in enumerate(rec[5:15])),

@@ -4,7 +4,9 @@ removal, bilinear resizing and the training-time augmentation pipeline.
 All operations take and return 8-bit RGB arrays (HxWx3 uint8; the
 augmentation stages also take BxHxWx3 stacks with per-image draws) and are
 pure functions of their inputs plus any random draws supplied by the caller,
-so they parallelize across images without shared state.
+so they parallelize across images without shared state. Every kernel returns
+exactly the bytes of its plain reference expression, kept in tests/helpers.py
+and compared byte for byte by tests/test_kernel_oracles.py.
 """
 
 from __future__ import annotations
@@ -44,8 +46,10 @@ class AugmentParams:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         for kind in ("rot", "sat", "bright", "hue"):
-            if not getattr(self, f"{kind}_lo") <= getattr(self, f"{kind}_hi"):
-                raise ValueError(f"{kind}_lo must not exceed {kind}_hi")
+            lo, hi = getattr(self, f"{kind}_lo"), getattr(self, f"{kind}_hi")
+            if not 0.0 <= hi - lo < np.inf:  # rng.uniform draws from finite widths
+                raise ValueError(f"{kind}_lo must not exceed {kind}_hi, and {kind}_hi - "
+                                 f"{kind}_lo must be finite; got {lo}, {hi}")
 
 
 def roi_side(w: float, h: float) -> int:
@@ -81,18 +85,14 @@ def remove_background(image: np.ndarray, tau: int = DEFAULT_BG_TAU) -> np.ndarra
     untouched; so is everything at or above the threshold.
     """
     image = _require_rgb(image)
-    dark = image.max(axis=2) < tau
+    dark = np.maximum(np.maximum(image[..., 0], image[..., 1]), image[..., 2]) < tau
     if not dark.any():
         return image.copy()
-    labels, _ = ndimage.label(dark, structure=_CROSS)
-    border = np.unique(np.concatenate([
-        labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]]))
-    border = border[border != 0]
-    if border.size == 0:
-        return image.copy()
-    out = image.copy()
-    out[np.isin(labels, border)] = 0
-    return out
+    # a dark frame around the image joins every border-touching component
+    framed = np.ones((dark.shape[0] + 2, dark.shape[1] + 2), dtype=bool)
+    framed[1:-1, 1:-1] = dark
+    labels, _ = ndimage.label(framed, structure=_CROSS)
+    return image * (labels[1:-1, 1:-1] != labels[0, 0])[..., None]
 
 
 def resize_bilinear(image: np.ndarray, th: int, tw: int) -> np.ndarray:
@@ -103,8 +103,19 @@ def resize_bilinear(image: np.ndarray, th: int, tw: int) -> np.ndarray:
     h, w, _ = image.shape
     ys = np.clip((np.arange(th) + 0.5) * (h / th) - 0.5, 0.0, h - 1.0)
     xs = np.clip((np.arange(tw) + 0.5) * (w / tw) - 0.5, 0.0, w - 1.0)
-    gx, gy = np.meshgrid(xs, ys)
-    return _bilinear_sample(image[None], gx, gy)[0]
+    y0, x0 = np.floor(ys).astype(int), np.floor(xs).astype(int)
+    fy, fx = (ys - y0)[:, None, None], (xs - x0)[:, None]
+    # Separable: each source row the output reads is interpolated along x
+    # once, then rows are blended. A neighbour clamped to the last row or
+    # column always has weight 0.
+    x1 = np.minimum(x0 + 1, w - 1)
+    need, rank = np.unique(np.concatenate([y0, np.minimum(y0 + 1, h - 1)]),
+                           return_inverse=True)
+    rows = image[need]
+    across = rows[:, x0] * (1 - fx) + rows[:, x1] * fx
+    out = across[rank[:th]] * (1 - fy) + across[rank[th:]] * fy
+    # convex weights keep every value in [0, 255]: no clip before the cast
+    return np.rint(out, out=out).astype(np.uint8)
 
 
 def _bilinear_sample(images: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -113,23 +124,24 @@ def _bilinear_sample(images: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.n
     b, h, w, _ = images.shape
     x0 = np.floor(xs).astype(int)
     y0 = np.floor(ys).astype(int)
-    fx = (xs - x0)[..., None]
-    fy = (ys - y0)[..., None]
-    # source pixel i sits at padded index i + 1, so every index clipped into
-    # the padded array that was outside the image lands on the zero border;
-    # each corner is one flat gather of uint8 pixels, widened exactly after
-    flat = np.pad(images, ((0, 0), (1, 1), (1, 1), (0, 0))).reshape(-1, 3)
-    first_row = np.arange(b).reshape(-1, 1, 1) * (h + 2)
-    xa, xb = np.clip(x0 + 1, 0, w + 1), np.clip(x0 + 2, 0, w + 1)
-    ya, yb = ((np.clip(y0 + k, 0, h + 1) + first_row) * (w + 2) for k in (1, 2))
-
-    def corner(row, col):
-        return flat.take(row + col, axis=0).astype(np.float64)
-
-    top = corner(ya, xa) * (1 - fx) + corner(ya, xb) * fx
-    bot = corner(yb, xa) * (1 - fx) + corner(yb, xb) * fx
+    fx, fy = xs - x0, ys - y0
+    # Channel planes with a two-pixel zero border: source pixel i sits at
+    # padded index i + 2, so a top-left corner clipped into [-2, w] x [-2, h]
+    # keeps all four corners of an out-of-bounds sample on the zero border.
+    # Each corner is one gather of uint8 pixels, widened exactly after.
+    pw = w + 4
+    planes = np.zeros((3, b, h + 4, pw), dtype=np.uint8)
+    planes[:, :, 2:-2, 2:-2] = np.moveaxis(images, -1, 0)
+    flat = planes.reshape(3, -1)
+    first_row = np.arange(b).reshape(-1, 1, 1) * (h + 4)
+    nw = (np.clip(y0, -2, h) + 2 + first_row) * pw + np.clip(x0, -2, w) + 2
+    gx = 1 - fx
+    top = flat.take(nw, axis=1) * gx + flat.take(nw + 1, axis=1) * fx
+    nw += pw
+    bot = flat.take(nw, axis=1) * gx + flat.take(nw + 1, axis=1) * fx
     out = top * (1 - fy) + bot * fy
-    return np.clip(np.rint(out, out=out), 0, 255, out=out).astype(np.uint8)
+    # convex weights keep every value in [0, 255]: no clip before the cast
+    return np.moveaxis(np.rint(out, out=out), 0, -1).astype(np.uint8, order="C")
 
 
 def rotate(images: np.ndarray, degrees) -> np.ndarray:
@@ -155,34 +167,34 @@ def rotate(images: np.ndarray, degrees) -> np.ndarray:
 def rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
     """Vectorized RGB -> HSV for float arrays in [0, 1]."""
     r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    maxc = rgb.max(axis=-1)
-    minc = rgb.min(axis=-1)
-    v = maxc
-    spread = maxc - minc
+    maxc = np.maximum(np.maximum(r, g), b)
+    spread = maxc - np.minimum(np.minimum(r, g), b)
+    hsv = np.zeros_like(rgb)
+    np.divide(spread, maxc, out=hsv[..., 1], where=maxc > 0)
+    hsv[..., 2] = maxc
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(maxc > 0, spread / np.where(maxc > 0, maxc, 1.0), 0.0)
-        safe = np.where(spread > 0, spread, 1.0)
-        rc = (maxc - r) / safe
-        gc = (maxc - g) / safe
-        bc = (maxc - b) / safe
-    h = np.where(r == maxc, bc - gc,
-                 np.where(g == maxc, 2.0 + rc - bc, 4.0 + gc - rc))
-    h = np.where(spread > 0, (h / 6.0) % 1.0, 0.0)
-    return np.stack([h, s, v], axis=-1)
+        # grey pixels divide 0 by 0 here; their hue stays 0
+        rc = (maxc - r) / spread
+        gc = (maxc - g) / spread
+        bc = (maxc - b) / spread
+        h = np.where(r == maxc, bc - gc,
+                     np.where(g == maxc, 2.0 + rc - bc, 4.0 + gc - rc))
+        np.remainder(h / 6.0, 1.0, out=hsv[..., 0], where=spread > 0)
+    return hsv
+
+
+# which of (v, q, p, t) red, green and blue take in each sixth of the hue circle
+_SECTOR_PICKS = np.array([[0, 1, 2, 2, 3, 0], [3, 0, 0, 1, 2, 2], [2, 2, 3, 0, 0, 1]])
 
 
 def hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
     h, s, v = hsv[..., 0], hsv[..., 1], hsv[..., 2]
     i = np.floor(h * 6.0)
     f = h * 6.0 - i
-    p = v * (1.0 - s)
-    q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
-    i = i.astype(int) % 6
-    r = np.choose(i, [v, q, p, p, t, v])
-    g = np.choose(i, [t, v, v, q, p, p])
-    b = np.choose(i, [p, p, t, v, v, q])
-    return np.stack([r, g, b], axis=-1)
+    vqpt = np.stack([v, v * (1.0 - s * f), v * (1.0 - s), v * (1.0 - s * (1.0 - f))])
+    sector = (i.astype(int) % 6)[None]
+    return np.stack([np.take_along_axis(vqpt, picks[sector], 0)[0]
+                     for picks in _SECTOR_PICKS], axis=-1)
 
 
 def color_jitter(images: np.ndarray, sat, bright, hue) -> np.ndarray:
@@ -196,12 +208,13 @@ def color_jitter(images: np.ndarray, sat, bright, hue) -> np.ndarray:
     out = stack.copy()
     moved = np.flatnonzero((sat != 1.0) | (bright != 1.0) | (hue != 1.0))
     if moved.size:
-        hsv = rgb_to_hsv(stack[moved].astype(np.float64) / 255.0)
+        hsv = rgb_to_hsv(stack[moved] / 255.0)
         hsv[..., 0] = (hsv[..., 0] * hue[moved, None, None]) % 1.0
         hsv[..., 1] = np.clip(hsv[..., 1] * sat[moved, None, None], 0.0, 1.0)
         hsv[..., 2] = np.clip(hsv[..., 2] * bright[moved, None, None], 0.0, 1.0)
+        # p, q and t lie in [0, v] and v in [0, 1]: no clip before the cast
         rgb = hsv_to_rgb(hsv) * 255.0
-        out[moved] = np.clip(np.rint(rgb, out=rgb), 0, 255, out=rgb).astype(np.uint8)
+        out[moved] = np.rint(rgb, out=rgb).astype(np.uint8)
     return out.reshape(images.shape)
 
 

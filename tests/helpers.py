@@ -1,9 +1,10 @@
 """Shared test oracles: finite differences, a straight-line numpy forward
 pass, and brute-force metric recounts. Everything here is deliberately
 independent of the implementation paths it checks (loops instead of
-vectorized sweeps, no autodiff involvement). The inverses, loaders and the
-report reader at the end exist only for the tests; the pipeline never calls
-them."""
+vectorized sweeps, no autodiff involvement). The reference image kernels
+are the preprocessing expressions the pipeline's faster kernels must match
+byte for byte. The inverses, loaders and the report reader at the end exist
+only for the tests; the pipeline never calls them."""
 
 from __future__ import annotations
 
@@ -12,9 +13,12 @@ from typing import Mapping
 
 import numpy as np
 
+from scipy import ndimage
+
 from fundusvit import autodiff as ad
 from fundusvit.detections import DiscDetection, load_detection_file
 from fundusvit.metrics import auc, roc_curve
+from fundusvit.preprocess import DEFAULT_BG_TAU, AugmentParams
 
 FD_STEP = 1e-4
 GRAD_RTOL = 1e-4
@@ -219,6 +223,182 @@ def brute_force_auc(scores, labels):
             elif sp == sn:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+# ---------------------------------------------------------------------------
+# reference image kernels: the straightforward numpy expressions (channel
+# reductions, np.unique + np.isin, a full 2-D gather for resizing, np.choose
+# per channel) whose bytes the kernels in fundusvit.preprocess reproduce
+
+
+_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+
+
+def reference_remove_background(image: np.ndarray, tau: int = DEFAULT_BG_TAU) -> np.ndarray:
+    """Zero the border-connected near-black region (max channel < tau).
+
+    Dark pixels not connected (4-connectivity) to the image border are left
+    untouched; so is everything at or above the threshold.
+    """
+    image = reference_require_rgb(image)
+    dark = image.max(axis=2) < tau
+    if not dark.any():
+        return image.copy()
+    labels, _ = ndimage.label(dark, structure=_CROSS)
+    border = np.unique(np.concatenate([
+        labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]]))
+    border = border[border != 0]
+    if border.size == 0:
+        return image.copy()
+    out = image.copy()
+    out[np.isin(labels, border)] = 0
+    return out
+
+
+def reference_resize_bilinear(image: np.ndarray, th: int, tw: int) -> np.ndarray:
+    """Resize to th x tw with half-pixel-center bilinear sampling."""
+    if th <= 0 or tw <= 0:
+        raise ValueError(f"resize target must be positive, got {th}x{tw}")
+    image = reference_require_rgb(image)
+    h, w, _ = image.shape
+    ys = np.clip((np.arange(th) + 0.5) * (h / th) - 0.5, 0.0, h - 1.0)
+    xs = np.clip((np.arange(tw) + 0.5) * (w / tw) - 0.5, 0.0, w - 1.0)
+    gx, gy = np.meshgrid(xs, ys)
+    return reference_bilinear_sample(image[None], gx, gy)[0]
+
+
+def reference_bilinear_sample(images: np.ndarray, xs: np.ndarray,
+                              ys: np.ndarray) -> np.ndarray:
+    """Sample a (B, H, W, 3) uint8 stack at fractional (B, h, w) or shared
+    (h, w) coords, rounded back to uint8; out-of-bounds reads are zero."""
+    b, h, w, _ = images.shape
+    x0 = np.floor(xs).astype(int)
+    y0 = np.floor(ys).astype(int)
+    fx = (xs - x0)[..., None]
+    fy = (ys - y0)[..., None]
+    # source pixel i sits at padded index i + 1, so every index clipped into
+    # the padded array that was outside the image lands on the zero border;
+    # each corner is one flat gather of uint8 pixels, widened exactly after
+    flat = np.pad(images, ((0, 0), (1, 1), (1, 1), (0, 0))).reshape(-1, 3)
+    first_row = np.arange(b).reshape(-1, 1, 1) * (h + 2)
+    xa, xb = np.clip(x0 + 1, 0, w + 1), np.clip(x0 + 2, 0, w + 1)
+    ya, yb = ((np.clip(y0 + k, 0, h + 1) + first_row) * (w + 2) for k in (1, 2))
+
+    def corner(row, col):
+        return flat.take(row + col, axis=0).astype(np.float64)
+
+    top = corner(ya, xa) * (1 - fx) + corner(ya, xb) * fx
+    bot = corner(yb, xa) * (1 - fx) + corner(yb, xb) * fx
+    out = top * (1 - fy) + bot * fy
+    return np.clip(np.rint(out, out=out), 0, 255, out=out).astype(np.uint8)
+
+
+def reference_rotate(images: np.ndarray, degrees) -> np.ndarray:
+    """Rotate counterclockwise about the image center; bilinear, zero fill.
+    A BxHxWx3 stack takes one angle per image; a zero angle copies."""
+    images = reference_require_rgb(images, stack=True)
+    stack = images.reshape(-1, *images.shape[-3:])
+    degrees = np.broadcast_to(np.asarray(degrees, dtype=np.float64), stack.shape[:1])
+    out = stack.copy()
+    turn = np.flatnonzero(degrees != 0.0)
+    if turn.size:
+        h, w = stack.shape[1:3]
+        cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+        # one scalar cos/sin per image, the same values a single image gets
+        c, s = np.array([(np.cos(t), np.sin(t))
+                         for t in map(np.deg2rad, degrees[turn])]).T[..., None, None]
+        dy, dx = np.meshgrid(np.arange(h) - cy, np.arange(w) - cx, indexing="ij")
+        out[turn] = reference_bilinear_sample(stack[turn], cx + c * dx + s * dy,
+                                     cy - s * dx + c * dy)
+    return out.reshape(images.shape)
+
+
+def reference_rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
+    """Vectorized RGB -> HSV for float arrays in [0, 1]."""
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    maxc = rgb.max(axis=-1)
+    minc = rgb.min(axis=-1)
+    v = maxc
+    spread = maxc - minc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(maxc > 0, spread / np.where(maxc > 0, maxc, 1.0), 0.0)
+        safe = np.where(spread > 0, spread, 1.0)
+        rc = (maxc - r) / safe
+        gc = (maxc - g) / safe
+        bc = (maxc - b) / safe
+    h = np.where(r == maxc, bc - gc,
+                 np.where(g == maxc, 2.0 + rc - bc, 4.0 + gc - rc))
+    h = np.where(spread > 0, (h / 6.0) % 1.0, 0.0)
+    return np.stack([h, s, v], axis=-1)
+
+
+def reference_hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
+    h, s, v = hsv[..., 0], hsv[..., 1], hsv[..., 2]
+    i = np.floor(h * 6.0)
+    f = h * 6.0 - i
+    p = v * (1.0 - s)
+    q = v * (1.0 - s * f)
+    t = v * (1.0 - s * (1.0 - f))
+    i = i.astype(int) % 6
+    r = np.choose(i, [v, q, p, p, t, v])
+    g = np.choose(i, [t, v, v, q, p, p])
+    b = np.choose(i, [p, p, t, v, v, q])
+    return np.stack([r, g, b], axis=-1)
+
+
+def reference_color_jitter(images: np.ndarray, sat, bright, hue) -> np.ndarray:
+    """Scale saturation and brightness (clamped to [0, 1]) and hue
+    (multiplicative, modulo 1) in HSV space. A BxHxWx3 stack takes one
+    factor of each kind per image; factors all 1 copy the image."""
+    images = reference_require_rgb(images, stack=True)
+    stack = images.reshape(-1, *images.shape[-3:])
+    sat, bright, hue = (np.broadcast_to(np.asarray(f, dtype=np.float64), stack.shape[:1])
+                        for f in (sat, bright, hue))
+    out = stack.copy()
+    moved = np.flatnonzero((sat != 1.0) | (bright != 1.0) | (hue != 1.0))
+    if moved.size:
+        hsv = reference_rgb_to_hsv(stack[moved].astype(np.float64) / 255.0)
+        hsv[..., 0] = (hsv[..., 0] * hue[moved, None, None]) % 1.0
+        hsv[..., 1] = np.clip(hsv[..., 1] * sat[moved, None, None], 0.0, 1.0)
+        hsv[..., 2] = np.clip(hsv[..., 2] * bright[moved, None, None], 0.0, 1.0)
+        rgb = reference_hsv_to_rgb(hsv) * 255.0
+        out[moved] = np.clip(np.rint(rgb, out=rgb), 0, 255, out=rgb).astype(np.uint8)
+    return out.reshape(images.shape)
+
+
+def reference_augment(images: np.ndarray, params: AugmentParams, draws) -> np.ndarray:
+    """Apply, in fixed order: horizontal flip, vertical flip, rotation about
+    the center (bilinear, zero fill), then saturation/brightness/hue scaling.
+
+    ``images`` is one HxWx3 image with one ``AugmentDraws``, or a BxHxWx3
+    stack with B of them: flipped per image, then rotated and colour-scaled
+    with one call each, every image bit-identical to augmenting it alone.
+    Disabled params, or identity draws (which short-circuit each stage
+    exactly), reproduce the input bit for bit.
+    """
+    images = reference_require_rgb(images, stack=True)
+    stack = images.reshape(-1, *images.shape[-3:]).copy()
+    draws = list(draws) if images.ndim == 4 else [draws]
+    if len(draws) != len(stack):
+        raise ValueError(f"{len(stack)} images need as many draws, got {len(draws)}")
+    if params.enabled:
+        for i, d in enumerate(draws):
+            if d.u_flip_h < params.p_flip_h:
+                stack[i] = stack[i, :, ::-1]
+            if d.u_flip_v < params.p_flip_v:
+                stack[i] = stack[i, ::-1]
+        stack = reference_rotate(stack, [d.rot_deg for d in draws])
+        stack = reference_color_jitter(stack, *np.reshape(
+            [(d.sat, d.bright, d.hue) for d in draws], (-1, 3)).T)
+    return stack.reshape(images.shape)
+
+
+def reference_require_rgb(image: np.ndarray, stack: bool = False) -> np.ndarray:
+    """``image`` as an HxWx3 array; with ``stack``, a BxHxWx3 one passes too."""
+    image = np.asarray(image)
+    if image.ndim not in ((3, 4) if stack else (3,)) or image.shape[-1] != 3:
+        raise ValueError(f"expected an HxWx3 RGB image (or stack), got {image.shape}")
+    return image
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,9 @@ MALFORMED_CHECKPOINTS = {
     "unknown-field": lambda lines, body: (lines[:2] + ["model.foo = 1"] + lines[2:],
                                           body),
     "zero-patch": _replace_line("model.patch", "model.patch = 0"),
+    "bg-tau-out-of-range": _replace_line("prep.bg_tau", "prep.bg_tau = 1000"),
+    "confidence-floor-out-of-range": _replace_line("prep.confidence_floor",
+                                                   "prep.confidence_floor = 7"),
 }
 
 
@@ -196,7 +199,14 @@ class TestMalformedInputs:
                                               "lr_decay_every"),
                                              ("train.epochs = 0", "epochs"),
                                              ("augment.rot_lo = 30", "rot_lo"),
-                                             ("augment.p_flip_h = 7", "p_flip_h")])
+                                             ("augment.p_flip_h = 7", "p_flip_h"),
+                                             # rng.uniform cannot draw from it
+                                             ("augment.rot_lo = -1e308\n"
+                                              "augment.rot_hi = 1e308",
+                                              "rot_hi - rot_lo must be finite"),
+                                             ("prep.bg_tau = 1000", "bg_tau"),
+                                             ("prep.confidence_floor = 7",
+                                              "confidence_floor")])
     def test_malformed_config_train_is_one(self, line, field, workspace, tmp_path,
                                            capsys):
         root, data, config = workspace
@@ -240,6 +250,25 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert "img0000: image is 64x64, the manifest lists 128x128" in err
         assert not (tmp_path / "r.txt").exists()
+
+    @pytest.mark.parametrize("column, value", [("width", "abc"), ("height", "12.5"),
+                                               ("width", "0"), ("height", "-64")])
+    def test_bad_manifest_extent_names_the_row(self, column, value, workspace,
+                                               tmp_path, capsys):
+        root, data, config = workspace
+        lines = (data / "manifest.tsv").read_text().splitlines()
+        header = lines[0].split("\t")
+        row = lines[2].split("\t")
+        row[header.index(column)] = value
+        bad = data / f"bad-{column}.tsv"
+        bad.write_text("\n".join([*lines[:2], "\t".join(row), *lines[3:]]) + "\n")
+        bad_config = tmp_path / "bad.cfg"
+        bad_config.write_text(config.read_text().replace("manifest.tsv", bad.name))
+        capsys.readouterr()
+        assert run_cli(["train", "--config", bad_config, "--out", tmp_path / "run"]) == 1
+        assert (f"{bad}:3: column {column} must be a positive integer, got {value!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
 
     def test_calls_construct_no_parser(self, tmp_path, monkeypatch):
         # the parser is built once per process; each call only parses

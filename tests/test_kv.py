@@ -2,6 +2,8 @@
 header text, typed round-trips for the four settings classes, and config
 parsing that fails only with ConfigError."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,14 @@ class TestBuild:
         (AugmentParams, "augment", {"sat_lo": "1.2"}, "sat_lo"),
         (AugmentParams, "augment", {"bright_hi": "0.5"}, "bright_lo"),
         (AugmentParams, "augment", {"hue_lo": "2", "hue_hi": "1"}, "hue_lo"),
+        (AugmentParams, "augment", {"rot_lo": "-1e308", "rot_hi": "1e308"},
+         "rot_hi - rot_lo"),
+        (AugmentParams, "augment", {"sat_hi": "1.7e308", "sat_lo": "-1e308"},
+         "sat_hi - sat_lo"),
+        (PreprocessOptions, "prep", {"bg_tau": "1000"}, "bg_tau"),
+        (PreprocessOptions, "prep", {"bg_tau": "-1"}, "bg_tau"),
+        (PreprocessOptions, "prep", {"confidence_floor": "7"}, "confidence_floor"),
+        (PreprocessOptions, "prep", {"confidence_floor": "-0.5"}, "confidence_floor"),
     ])
     def test_out_of_domain_values_rejected(self, cls, section, raw, key):
         with pytest.raises(ValueError, match=key):
@@ -182,6 +192,10 @@ class TestBuild:
             "p_flip_h": "0", "p_flip_v": "1", "rot_lo": "0", "rot_hi": "0"})
         assert (params.p_flip_h, params.p_flip_v, params.rot_lo) == (0.0, 1.0, 0.0)
         assert kv.build(TrainConfig, "train", {"epochs": "1"}).epochs == 1
+        for tau, floor in (("0", "0"), ("255", "1")):
+            prep = kv.build(PreprocessOptions, "prep",
+                            {"bg_tau": tau, "confidence_floor": floor})
+            assert (prep.bg_tau, prep.confidence_floor) == (int(tau), float(floor))
 
     def test_optional_and_boolean(self):
         assert kv.build(ModelConfig, "model", {"mlp_hidden": "none"}).mlp_hidden is None
@@ -195,12 +209,18 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 probability = st.floats(0.0, 1.0)
 
 
+# lo <= hi with a finite width, so that rng.uniform can draw from it
+ranges_ = st.tuples(finite, finite).map(sorted).filter(
+    lambda r: math.isfinite(r[1] - r[0]))
+
+
 @st.composite
 def augment_params(draw):
-    """The valid domain: flip probabilities in [0, 1], every range lo <= hi."""
+    """The valid domain: flip probabilities in [0, 1], every range lo <= hi
+    with a finite width."""
     ranges = {}
     for kind in ("rot", "sat", "bright", "hue"):
-        ranges[f"{kind}_lo"], ranges[f"{kind}_hi"] = sorted(draw(st.tuples(finite, finite)))
+        ranges[f"{kind}_lo"], ranges[f"{kind}_hi"] = draw(ranges_)
     return AugmentParams(enabled=draw(st.booleans()), p_flip_h=draw(probability),
                          p_flip_v=draw(probability), **ranges)
 
@@ -233,7 +253,7 @@ SETTINGS = {
     "augment": (AugmentParams, augment_params()),
     "prep": (PreprocessOptions, st.builds(
         PreprocessOptions, od_crop=st.booleans(), bg_removal=st.booleans(),
-        bg_tau=st.integers(-255, 255), confidence_floor=finite)),
+        bg_tau=st.integers(0, 255), confidence_floor=probability)),
     # a path spelled "none" reads back as unset, so the strategy avoids it
     "paths": (Paths, st.builds(
         Paths, manifest=st.none() | st.text(max_size=12).filter(lambda t: t != "none"),
