@@ -416,9 +416,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if p.ndim not in (1, 2) or p.shape[:-1] != tasks or x.shape[:len(tasks)] != tasks \
                 or x.ndim <= len(tasks) or p.shape[-1] not in (1, d):
             raise ShapeError(f"layer_norm affine shape {p.shape} does not fit {x.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # np.add.reduce / d is what .mean does, less its Python wrapper
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     # each task's affine row, broadcast over the axes between task and channel
@@ -428,8 +429,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def vjp(g):
         dxhat = g * gd
-        term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        term = dxhat - np.add.reduce(dxhat, axis=-1, keepdims=True) / d \
+            - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
         dx = term * inv
         dgain = _reduce_to(g * xhat, gain.shape, len(tasks))
         dbias = _reduce_to(g, bias.shape, len(tasks))

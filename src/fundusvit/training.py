@@ -199,6 +199,8 @@ class TaskResult:
     best_metric: float
     log_lines: list[str]
     checkpoint_path: Path | None = None
+    # the run's best-state task stack, one per train_task call; model is its member
+    stack: DualHeadViT | None = None
 
 
 def _augment_rng(seed: int, epoch: int, index: int) -> np.random.Generator:
@@ -348,7 +350,7 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
 
     best = DualHeadViT.from_arrays(model_cfg, best_state)
     for k, result in enumerate(results):
-        result.model = best.member(k)
+        result.stack, result.model = best, best.member(k)
         result.log_lines.append(f"# best_epoch={result.best_epoch} "
                                 f"best_val_metric={result.best_metric:.6f}")
         if out_dir is not None:
@@ -371,7 +373,7 @@ def train_bank(model_cfg: ModelConfig, train_cfg: TrainConfig,
     A feature task whose training split holds one class (no positive, or
     no negative sample) is skipped before training, with its reason in the
     bank log; every other member is bitwise identical to a standalone run
-    with the same seed.
+    with the same seed. The bank holds the run's best-state task stack.
     """
     inputs = prepare_split(model_cfg, train_cfg, prep, rows, base_dir)
     skipped: dict[str, str] = {}
@@ -380,15 +382,14 @@ def train_bank(model_cfg: ModelConfig, train_cfg: TrainConfig,
         if present != {0, 1}:
             skipped[task] = f"no {'positive' if 1 not in present else 'negative'} " \
                             "training samples"
-    results = {r.task: r for r in train_task(
-        model_cfg, train_cfg, aug, prep, rows, base_dir, out_dir=out_dir,
-        config_lines=config_lines, inputs=inputs,
-        tasks=[task for task in TASKS if task not in skipped])}
+    trained = train_task(model_cfg, train_cfg, aug, prep, rows, base_dir, out_dir=out_dir,
+                         config_lines=config_lines, inputs=inputs,
+                         tasks=[task for task in TASKS if task not in skipped])
+    results = {r.task: r for r in trained}
     bank_lines = ["# fundusvit bank log", *[
         f"task={task} status=skipped reason={skipped[task]}" if task in skipped
         else f"task={task} status=trained best_epoch={results[task].best_epoch} "
              f"best_val_metric={results[task].best_metric:.6f}" for task in TASKS]]
     if out_dir is not None:  # train_task made the directory
         write_atomic(Path(out_dir) / "bank.log", "\n".join(bank_lines) + "\n")
-    return ClassifierBank(models={task: r.model for task, r in results.items()},
-                          prep=prep, config=model_cfg, skipped=skipped)
+    return ClassifierBank(tuple(results), trained[0].stack, prep, skipped)

@@ -1,12 +1,17 @@
 """Checkpoint format tests: bit-exact round-trips, manifest structure,
-incompatibility detection, and atomic artifact writes."""
+incompatibility detection, atomic artifact writes, and the one-pass bank
+load against loading each member alone."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fundusvit import atomic
+from fundusvit import atomic, kv
 from fundusvit.atomic import write_atomic
-from fundusvit.checkpoint import (IncompatibleCheckpointError, load_bank,
+from fundusvit.checkpoint import (TASKS, IncompatibleCheckpointError, load_bank,
                                   load_checkpoint, save_checkpoint)
 from fundusvit import model as model_module
 from fundusvit.dataset import ManifestRow, PreprocessOptions, write_manifest
@@ -227,3 +232,176 @@ class TestAtomicWrites:
             generate_dataset(tmp_path, n=1, seed=1, size=32)
         assert detection.read_bytes() == before
         assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+
+def save_bank(directory):
+    """Eleven members with distinct weights, one per task."""
+    for seed, task in enumerate(TASKS):
+        save_checkpoint(directory / f"{task}.ckpt", make_model(seed), PreprocessOptions(),
+                        task)
+
+
+def assert_same_stack(a: DualHeadViT, b: DualHeadViT):
+    assert a.config == b.config and a.n_tasks == b.n_tasks
+    assert list(a.params) == list(b.params)
+    for name, t in a.params.items():
+        assert t.data.dtype == b.params[name].data.dtype == np.float32
+        assert t.data.shape == b.params[name].data.shape
+        assert t.data.tobytes() == b.params[name].data.tobytes(), name
+
+
+class TestStackedLoad:
+    """``load_bank`` reads, parses and stacks in one pass; it must give
+    what stacking each member's ``load_checkpoint`` gives."""
+
+    def test_bank_equals_stack_of_loaded_members(self, tmp_path):
+        save_bank(tmp_path)
+        bank = load_bank(tmp_path)
+        assert bank.tasks == tuple(TASKS) and list(bank.models) == TASKS
+        members = DualHeadViT.stack([load_checkpoint(tmp_path / f"{task}.ckpt")[0]
+                                     for task in TASKS])
+        assert_same_stack(bank.stacked, members)
+        image = np.random.default_rng(0).random((3, CFG.height, CFG.width, 3))
+        assert bank.stacked.predict(image).tobytes() == members.predict(image).tobytes()
+        # a member looked up by task is that task's slice of the stack
+        assert_same_stack(DualHeadViT.stack([bank.models["feature4"]]),
+                          DualHeadViT.stack([members.member(TASKS.index("feature4"))]))
+        assert "feature4" in bank.models and "bank" not in bank.models
+        with pytest.raises(KeyError):
+            bank.models["bank"]
+
+    def test_one_read_per_file_one_parse_one_model(self, tmp_path, monkeypatch):
+        save_bank(tmp_path)
+        reads, builds, binds = [], [], []
+        read_bytes, build, bind = Path.read_bytes, kv.build, DualHeadViT._bind
+
+        def counting_read(self):
+            reads.append(self.name)
+            return read_bytes(self)
+
+        def counting_build(*args):
+            builds.append(args[1])
+            return build(*args)
+
+        def counting_bind(self, *args):
+            binds.append(self)
+            return bind(self, *args)
+
+        monkeypatch.setattr(Path, "read_bytes", counting_read)
+        monkeypatch.setattr(kv, "build", counting_build)
+        monkeypatch.setattr(DualHeadViT, "_bind", counting_bind)
+        bank = load_bank(tmp_path)
+        assert sorted(reads) == sorted(f"{task}.ckpt" for task in TASKS)
+        assert builds == ["model", "prep"]  # the members share one header text
+        assert binds == [bank.stacked] and bank.stacked.n_tasks == len(TASKS)
+
+    def test_member_with_equal_settings_in_other_text_loads(self, tmp_path):
+        # "yes" and "true" parse to the same flag: the member is parsed on
+        # its own and compared by value, so it joins the bank
+        save_bank(tmp_path)
+        expected = load_bank(tmp_path)
+        path = tmp_path / "feature3.ckpt"
+        raw = path.read_bytes()
+        assert b"\nprep.od_crop = true\n" in raw
+        path.write_bytes(raw.replace(b"\nprep.od_crop = true\n",
+                                     b"\nprep.od_crop = yes\n", 1))
+        bank = load_bank(tmp_path)
+        assert bank.prep == expected.prep and bank.tasks == expected.tasks
+        assert_same_stack(bank.stacked, expected.stacked)
+
+
+# bytes that move line and key boundaries around the task line
+BOUNDARY = st.sampled_from(b"\n\r\x0b\x0c\x1c\x1d\x1e =.tk1glaucomafeature")
+
+
+@st.composite
+def damaged_header(draw, raw: bytes) -> bytes:
+    """``raw`` with one to three byte edits, most in or near its task line."""
+    buf = bytearray(raw)
+    line = raw.index(b"\ntask = ")
+    header_end = raw.index(b"\n---\n")
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.one_of(st.integers(line + 8, line + 16),  # the task name
+                             st.integers(max(0, line - 12), line + 24),
+                             st.integers(0, header_end)))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        byte = draw(st.one_of(BOUNDARY, st.integers(0, 255)))
+        if op == "insert":
+            buf.insert(pos, byte)
+        elif op == "replace":
+            buf[pos] = byte
+        else:
+            del buf[pos]
+    return bytes(buf)
+
+
+def outcome(load):
+    try:
+        return load()
+    except (FileNotFoundError, IncompatibleCheckpointError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_bank_loads_as_its_members(root):
+    """``load_bank(root)`` on two members, against what loading each member
+    alone implies: the first member's error, then the second's, then a
+    duplicate task, other settings or no glaucoma member, else their stack."""
+    first, second = [outcome(lambda: load_checkpoint(p)) for p in sorted(root.iterdir())]
+    bank = outcome(lambda: load_bank(root))
+    failed = [o for o in (first, second) if not isinstance(o[0], DualHeadViT)]
+    if failed:
+        assert bank == failed[0]
+        return
+    if first[2] == second[2]:
+        assert bank[0] is IncompatibleCheckpointError and "duplicate task" in bank[1]
+    elif (first[0].config, first[1]) != (second[0].config, second[1]):
+        assert bank[0] is IncompatibleCheckpointError and "differs" in bank[1]
+    elif "glaucoma" not in (first[2], second[2]):
+        assert bank[0] is IncompatibleCheckpointError and "no glaucoma" in bank[1]
+    else:
+        order = sorted((first, second), key=lambda o: TASKS.index(o[2]))
+        assert bank.tasks == tuple(o[2] for o in order)
+        assert_same_stack(bank.stacked, DualHeadViT.stack([o[0] for o in order]))
+
+
+def two_members(root):
+    prep = PreprocessOptions()
+    save_checkpoint(root / "a.ckpt", make_model(1), prep, "glaucoma")
+    save_checkpoint(root / "b.ckpt", make_model(2), prep, "feature1")
+    return root / "a.ckpt", root / "b.ckpt"
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_reused_header_parse_matches_a_fresh_parse(tmp_path_factory, data):
+    # a bank parses a header text once and reuses it for members that differ
+    # only in their task line; damaged members must load, or fail, exactly
+    # as they do alone
+    root = tmp_path_factory.mktemp("bank")
+    for path in two_members(root):
+        raw = path.read_bytes()
+        path.write_bytes(data.draw(st.one_of(st.just(raw), damaged_header(raw))))
+    assert_bank_loads_as_its_members(root)
+
+
+# splitlines() also ends a line at "\r", so each first header below parses
+# like an intact one; its task line, cut at "\n", is not a whole line
+@pytest.mark.parametrize("first, second", [
+    # the text after a task line joined to the first tensor line by "\r"
+    # matches a second member that lacks that tensor line
+    ((b"task = glaucoma\n", b"task = glaucoma\r"),
+     (b"task = feature1\ntensor patch_proj.weight 768x16 @ 0\n", b"task = feature1\n")),
+    ((b"task = glaucoma\n", b"task = glaucoma\r\n"), None),
+    ((b"\ntask = glaucoma\n", b"\rtask = glaucoma\n"), None),
+    ((b"task = glaucoma\n", b"task = glaucoma\ntask = feature1\n"), None),
+    # only the task differs from the first header, and it is no task
+    (None, (b"task = feature1\n", b"task = feature11\n")),
+])
+def test_task_line_edge_cases_load_as_their_members(tmp_path, first, second):
+    for path, edit in zip(two_members(tmp_path), (first, second)):
+        if edit is not None:
+            raw = path.read_bytes()
+            assert edit[0] in raw
+            path.write_bytes(raw.replace(*edit, 1))
+    assert_bank_loads_as_its_members(tmp_path)

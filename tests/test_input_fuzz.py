@@ -1,7 +1,7 @@
-"""Fuzzing of the image and detection bytes ``fundusvit infer`` reads: a
-damaged PPM header or detection file ends in a documented exit code (0 to
-3), never in a traceback from the reader or the preprocessing kernels
-behind it."""
+"""Fuzzing of the input bytes the CLI reads: a damaged PPM header or
+detection file given to ``fundusvit infer``, or a damaged manifest given to
+``train`` and ``eval``, ends in a documented exit code (0 to 3), never in a
+traceback from the readers or the preprocessing kernels behind them."""
 
 import contextlib
 import io
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fundusvit import cli
+from fundusvit import cli, kv
 from fundusvit.checkpoint import save_checkpoint
 from fundusvit.dataset import PreprocessOptions
 from fundusvit.model import DualHeadViT, ModelConfig
@@ -79,3 +79,42 @@ def test_mutated_header_and_detection_end_in_an_exit_code(inputs, data):
     detection = data.draw(st.one_of(st.just(detection),
                                     mutated(detection, len(detection))))
     assert infer(ckpt, image, detection) in (0, 1, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def manifest_inputs(tmp_path_factory):
+    """A dataset directory and its manifest's bytes, a one-epoch training
+    config that reads ``fuzz.tsv`` there, and a checkpoint to evaluate."""
+    root = tmp_path_factory.mktemp("manifestfuzz")
+    manifest = generate_dataset(root / "data", n=6, seed=2, size=64)
+    ckpt = root / "glaucoma.ckpt"
+    save_checkpoint(ckpt, DualHeadViT(CFG, seed=0), PreprocessOptions(), "glaucoma")
+    config = root / "run.cfg"
+    config.write_text("\n".join([*kv.dump("model", CFG), "train.epochs = 1",
+                                 "train.batch_size = 4",
+                                 f"paths.manifest = {manifest.parent / 'fuzz.tsv'}"]))
+    return manifest.parent, manifest.read_bytes(), config, ckpt
+
+
+def train_and_eval(inputs, manifest: bytes) -> tuple[int, int]:
+    base, _, config, ckpt = inputs
+    (base / "fuzz.tsv").write_bytes(manifest)
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return (cli.main(["train", "--config", str(config), "--out", out]),
+                cli.main(["eval", "--checkpoint", str(ckpt),
+                          "--manifest", str(base / "fuzz.tsv"),
+                          "--out", str(Path(out) / "report.txt")]))
+
+
+def test_intact_manifest_trains_and_evaluates(manifest_inputs):
+    assert train_and_eval(manifest_inputs, manifest_inputs[1]) == (0, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_manifest_train_and_eval_end_in_an_exit_code(manifest_inputs, data):
+    manifest = manifest_inputs[1]
+    codes = train_and_eval(manifest_inputs, data.draw(mutated(manifest, len(manifest))))
+    assert set(codes) <= {0, 1, 2, 3}

@@ -254,8 +254,7 @@ class TestTrainTask:
         wide = replace(SMALL_MODEL, width=64)  # 32 x 64: 2 x 4 patches
         [result] = train_task(wide, quick_cfg(epochs=1), FAST_AUG, PreprocessOptions(),
                               rows, manifest.parent)
-        bank = ClassifierBank(models={"glaucoma": result.model},
-                              prep=PreprocessOptions(), config=wide, skipped={})
+        bank = ClassifierBank(("glaucoma",), result.stack, PreprocessOptions())
         report = evaluate(bank, rows, manifest.parent)
         assert report.n_samples == len(rows)
         assert 0.0 <= report.auc <= 1.0
