@@ -179,11 +179,12 @@ def zero_grads(params: Iterable[Tensor]) -> None:
         p.grad = None
 
 
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...], lead: int = 0) -> np.ndarray:
+def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``g`` down to ``shape`` (trailing-aligned broadcast reversal),
-    keeping its first ``lead`` axes (a task axis) as they are."""
+    keeping its leading task axis as it is."""
+    # one axis at a time: a tuple-axis sum takes another pairwise order
     while g.ndim > len(shape):
-        g = g.sum(axis=lead)
+        g = g.sum(axis=1)
     for axis, (have, want) in enumerate(zip(g.shape, shape)):
         if want == 1 and have != 1:
             g = g.sum(axis=axis, keepdims=True)
@@ -211,36 +212,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` with a (1, n) bias row, as one node.
+    """``x @ w + b`` for a task stack, as one node.
 
-    ``x`` is (T, Din) or a (B, T, Din) stack; each stacked slice gets its own
-    (T, Din) @ (Din, n) product, so a slice's output does not depend on the
-    rest of the stack. The weight gradient is one 2-d product over all rows.
-
-    A task stack has (K, Din, n) weights and (K, 1, n) biases, and ``x`` is
+    ``w`` is (K, Din, n) and ``b`` is (K, 1, n), one row per task; ``x`` is
     a (B, T, Din) stack shared by all K tasks or a (K, B, T, Din) one per
-    task; the output is (K, B, T, n). Each task's products and sums are the
-    ones its own (Din, n) weight forms.
+    task, and the output is (K, B, T, n). Each stacked (T, Din) slice gets
+    its own product with its task's (Din, n) weight, so a slice's output
+    does not depend on the rest of the stack, and each task's weight
+    gradient is one 2-d product over all of its rows.
     """
-    tasks = w.shape[:-2]
-    if w.ndim not in (2, 3) or x.ndim - len(tasks) not in (2, 3) \
-            or x.shape[-1] != w.shape[-2] or (x.ndim == 4 and x.shape[0] != w.shape[0]):
+    if w.ndim != 3 or x.ndim not in (3, 4) or x.shape[-1] != w.shape[1] \
+            or (x.ndim == 4 and x.shape[0] != w.shape[0]):
         raise ShapeError(f"linear operands do not chain: {x.shape} x {w.shape}")
-    if b.shape != (*tasks, 1, w.shape[-1]):
-        raise ShapeError(f"linear bias must be {(*tasks, 1, w.shape[-1])}, got {b.shape}")
-    xd, wd, bd = x.data, w.data, b.data
-    if tasks:  # broadcast each task's weight over the images of the stack
-        wd, bd = wd[:, None], bd[:, None]
+    if b.shape != (w.shape[0], 1, w.shape[2]):
+        raise ShapeError(f"linear bias must be {(w.shape[0], 1, w.shape[2])}, "
+                         f"got {b.shape}")
+    # broadcast each task's weight over the images of the stack
+    xd, wd, bd = x.data, w.data[:, None], b.data[:, None]
     per_task = x.ndim == 4
 
     def vjp(g):
-        rows = g.reshape(*tasks, -1, g.shape[-1])
+        rows = g.reshape(w.shape[0], -1, g.shape[-1])
         x_rows = xd.reshape(*xd.shape[:per_task], -1, xd.shape[-1])
         # an untracked input (the image patches) needs no (N x 3P^2) product
         dx = None
         if x.requires_grad:
             dx = g @ wd.swapaxes(-1, -2)
-            if tasks and not per_task:  # a shared input gathers every task's share
+            if not per_task:  # a shared input gathers every task's share
                 dx = dx.sum(axis=0)
         return dx, x_rows.swapaxes(-1, -2) @ rows, rows.sum(axis=-2, keepdims=True)
 
@@ -300,26 +298,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return _result(merge(oh), "attention", (q, k, v), vjp)
 
 
-def add(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
-    """Elementwise sum. The one broadcast allowed is along ``a``'s axis
-    ``axis``, by a ``b`` of at least two axes that equals ``a``'s shape with
-    that axis set to 1 or left out: a (1, n) bias row on (N, n), a (T, D) or
-    (1, T, D) table on a (B, T, D) stack, a (1, D) row on a (B, 1, D) stack,
-    and with ``axis=1`` a task stack's (K, T, D) table on (K, B, T, D).
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum. The one broadcast allowed is over ``a``'s axis 1,
+    the images of a task stack: ``b`` equals ``a``'s shape with axis 1 set
+    to 1 or left out, as a task stack's (K, T, D) position table on
+    (K, B, T, D) activations or its (K, 1, D) class token on (K, B, 1, D).
     """
     bd = b.data
     if a.shape == b.shape:
         def vjp(g):
             return g, g
     else:
-        spread = (*a.shape[:axis], 1, *a.shape[axis + 1:])
-        if b.ndim < 2 or b.shape not in (spread, spread[:axis] + spread[axis + 1:]):
-            raise ShapeError(f"add shapes incompatible: {a.shape} + {b.shape} "
-                             f"along axis {axis}")
+        spread = (*a.shape[:1], 1, *a.shape[2:])
+        if a.ndim < 2 or b.shape not in (spread, spread[:1] + spread[2:]):
+            raise ShapeError(f"add shapes incompatible: {a.shape} + {b.shape}")
         bd, shape = bd.reshape(spread), b.shape
 
         def vjp(g):
-            return g, g.sum(axis=axis).reshape(shape)
+            return g, g.sum(axis=1).reshape(shape)
     return _result(a.data + bd, "add", (a, b), vjp)
 
 
@@ -402,19 +398,17 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    ``gain`` and ``bias`` are 1-d, either length D (per-channel) or length 1
-    (scalar affine, shared across the normalized axis). A task stack's
-    affines are (K, D) or (K, 1), one row per task, on a (K, ..., D) ``x``.
+    ``x`` is a task stack's (K, ..., D); ``gain`` and ``bias`` are (K, D)
+    (per-channel) or (K, 1) (a scalar affine, shared across the normalized
+    axis), one row per task.
     """
-    if x.ndim < 1 or x.shape[-1] == 0:
-        raise ShapeError(f"layer_norm needs a nonempty last axis, got {x.shape}")
+    if x.ndim < 2 or x.shape[-1] == 0:
+        raise ShapeError(f"layer_norm needs a (K, ..., D) input with D > 0, got {x.shape}")
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
     d = x.shape[-1]
-    tasks = gain.shape[:-1]
     for p in (gain, bias):
-        if p.ndim not in (1, 2) or p.shape[:-1] != tasks or x.shape[:len(tasks)] != tasks \
-                or x.ndim <= len(tasks) or p.shape[-1] not in (1, d):
+        if p.ndim != 2 or p.shape[0] != x.shape[0] or p.shape[1] not in (1, d):
             raise ShapeError(f"layer_norm affine shape {p.shape} does not fit {x.shape}")
     # np.add.reduce / d is what .mean does, less its Python wrapper
     mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
@@ -423,7 +417,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     # each task's affine row, broadcast over the axes between task and channel
-    spread = (*tasks, *(1,) * (x.ndim - 1 - len(tasks)))
+    spread = (x.shape[0], *(1,) * (x.ndim - 2))
     gd = gain.data.reshape(*spread, -1)
     out = gd * xhat + bias.data.reshape(*spread, -1)
 
@@ -432,9 +426,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         term = dxhat - np.add.reduce(dxhat, axis=-1, keepdims=True) / d \
             - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
         dx = term * inv
-        dgain = _reduce_to(g * xhat, gain.shape, len(tasks))
-        dbias = _reduce_to(g, bias.shape, len(tasks))
-        return dx, dgain, dbias
+        return dx, _reduce_to(g * xhat, gain.shape), _reduce_to(g, bias.shape)
 
     return _result(out, "layer_norm", (x, gain, bias), vjp)
 

@@ -10,8 +10,9 @@ A checkpoint is a text manifest followed by raw parameter data:
     ---
     <little-endian float32 arrays, manifest order>
 
-Offsets are relative to the first byte after the ``---`` line. Round-trips
-are bit-exact for float32 models.
+Offsets are relative to the first byte after the ``---`` line. A file holds
+one task, a K = 1 stack whose task axis the tensor lines leave out.
+Round-trips are bit-exact for float32 models.
 
 ``load_checkpoint`` and ``load_bank`` share one reader. A bank load reads
 each member file once and parses each distinct header text, less its
@@ -54,13 +55,16 @@ def _layout(shapes) -> tuple[list[str], int]:
 
 def save_checkpoint(path: str | Path, model: DualHeadViT,
                     prep: PreprocessOptions, task: str) -> None:
+    """Write ``model``, a stack of K = 1, as ``task``'s checkpoint."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
-    named = model.named_parameters()
-    tensor_lines, _ = _layout((name, t.data.shape) for name, t in named)
+    if model.n_tasks != 1:
+        raise ValueError(f"a checkpoint holds one task, got a stack of {model.n_tasks}")
+    tensor_lines, _ = _layout(model.parameter_shapes(model.config))
     header = [MAGIC, *kv.dump("model", model.config), *kv.dump("prep", prep),
               f"task = {task}", *tensor_lines]
-    payload = [np.ascontiguousarray(t.data, dtype="<f4").tobytes() for _, t in named]
+    payload = [np.ascontiguousarray(t.data, dtype="<f4").tobytes()
+               for t in model.parameters()]
     write_atomic(path, b"".join([("\n".join(header) + "\n---\n").encode("ascii"),
                                  *payload]))
 
@@ -166,14 +170,14 @@ def _stacked(header: _Header, payloads: list[np.ndarray]) -> DualHeadViT:
 def load_checkpoint(path: str | Path) -> tuple[DualHeadViT, PreprocessOptions, str]:
     """Read a checkpoint, accepting only the exact layout ``save_checkpoint``
     writes: every parameter once, in order, at cumulative offsets, with no
-    trailing bytes and only finite values."""
+    trailing bytes and only finite values. The model is a stack of K = 1."""
     header, task, payload = _read(Path(path), {})
-    return _stacked(header, [payload]).member(0), header.prep, task
+    return _stacked(header, [payload]), header.prep, task
 
 
 class _Members(Mapping):
     """A bank's task -> member classifier map, in task order; a member (a
-    view into the task stack) is made only when looked up."""
+    K = 1 view into the task stack) is made only when looked up."""
 
     def __init__(self, bank: "ClassifierBank"):
         self._bank = bank

@@ -145,5 +145,6 @@ def prepare_input(image: np.ndarray, row: ManifestRow, base_dir: str | Path,
 
 
 def to_unit(image: np.ndarray) -> np.ndarray:
-    """A uint8 image as float64 values in [0, 1], the model's input scale."""
-    return image.astype(np.float64) / 255.0
+    """A uint8 image as float32 values in [0, 1], the model's input scale:
+    each value is v / 255 rounded once to float32."""
+    return image.astype(np.float32) / np.float32(255.0)

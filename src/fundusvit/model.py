@@ -12,14 +12,11 @@ produce a 2-way probability pair:
 Test-time prediction is the mean of the two heads' positive-class
 probabilities.
 
-The model runs stacks of images: activations are (B, T, D), and every
-product keeps per-image shapes, so an image's output does not depend on the
-other images in its stack, bit for bit.
-
-A task stack holds K independent classifiers in one model: every parameter
-gets a leading task axis K, the K tasks share the input stack, and the
-activations are (K, B, T, D). Every product and sum keeps per-task slices,
-so each member computes exactly what it computes alone, bit for bit.
+Every model is a task stack of K >= 1 independent classifiers: every
+parameter has a leading task axis K, the K tasks share one stack of B
+images, and the activations are (K, B, T, D). Every product and sum keeps
+per-task and per-image slices, so a member's output for an image is, bit
+for bit, what it computes for that image alone.
 """
 
 from __future__ import annotations
@@ -60,7 +57,8 @@ class ModelConfig:
     mlp_hidden: int | None = None
 
     def __post_init__(self):
-        for name in ("height", "width", "patch", "dim", "heads"):
+        for name in ("height", "width", "patch", "dim", "heads", "depth",
+                     "agg_hidden", "mlp_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.height % self.patch or self.width % self.patch:
@@ -134,8 +132,8 @@ def patchify(image: np.ndarray, patch: int) -> np.ndarray:
 @dataclass
 class AggregationHead:
     """Learnable patch-weighting head: two projections, each followed by a
-    layer norm and ReLU, then a softmax over patches. Its tensors may carry
-    a leading task axis, as a task stack's parameters do.
+    layer norm and ReLU, then a softmax over patches. Its tensors carry the
+    leading task axis of a task stack's parameters.
 
     The second norm acts across the N per-patch scores (scalar gain/bias);
     normalizing each single-element score vector would pin every score to
@@ -155,14 +153,14 @@ class AggregationHead:
 def aggregate_patches(features: Tensor, head: AggregationHead) -> tuple[Tensor, Tensor]:
     """Weighted sum of patch-token features.
 
-    ``features`` is an N x D matrix, a (B, N, D) stack or a task stack's
-    (K, B, N, D). Returns ``(aggregated, weights)``: a (1, D) convex
-    combination of the feature rows and the (N, 1) nonnegative weights that
-    produced it (summing to 1), with the same leading axes as ``features``.
+    ``features`` is a task stack's (K, B, N, D). Returns ``(aggregated,
+    weights)``: per task and image, a (1, D) convex combination of the N
+    feature rows and the (N, 1) nonnegative weights that produced it
+    (summing to 1), as (K, B, 1, D) and (K, B, N, 1).
     """
-    if features.ndim < 2 or features.shape[-2] == 0:
-        raise ShapeError(f"expected a nonempty N x D feature matrix or a stack of "
-                         f"them, got {features.shape}")
+    if features.ndim != 4 or features.shape[-2] == 0:
+        raise ShapeError(f"expected (K, B, N, D) features with N > 0, got "
+                         f"{features.shape}")
     s = linear(features, head.proj1_w, head.proj1_b)
     s = relu(layer_norm(s, head.norm1_gain, head.norm1_bias, LAYER_NORM_EPS))
     s = linear(s, head.proj2_w, head.proj2_b)
@@ -176,18 +174,16 @@ def aggregate_patches(features: Tensor, head: AggregationHead) -> tuple[Tensor, 
 @dataclass
 class HeadOutputs:
     """Outputs of a stacked forward: two probability pairs and the patch
-    weights of each image."""
+    weights of each task and image."""
 
-    p_cls: Tensor        # (B, 1, 2) class-token head probabilities
-    p_agg: Tensor        # (B, 1, 2) aggregation head probabilities
-    patch_weights: Tensor  # (B, N, 1), nonnegative, each image's sums to 1
-    # a task stack's outputs have a leading K axis: (K, B, 1, 2), (K, B, N, 1)
+    p_cls: Tensor        # (K, B, 1, 2) class-token head probabilities
+    p_agg: Tensor        # (K, B, 1, 2) aggregation head probabilities
+    patch_weights: Tensor  # (K, B, N, 1), nonnegative, each image's sums to 1
 
 
 def average_prediction(outputs: HeadOutputs) -> np.ndarray:
     """Test-time prediction: mean of the two heads' positive probabilities,
-    in float64, one per image ((1, 2) pairs give a scalar), with a leading
-    task axis for a task stack."""
+    in float64, one per task and image."""
     return 0.5 * (outputs.p_cls.data[..., 0, 1].astype(np.float64)
                   + outputs.p_agg.data[..., 0, 1].astype(np.float64))
 
@@ -203,22 +199,21 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
 
 
 class DualHeadViT:
-    """The full classifier; class index 1 is the positive class.
+    """A task stack of ``n_tasks`` = K >= 1 classifiers (``DualHeadViT(config,
+    seed)`` is one, K = 1); class index 1 is the positive class.
 
     Parameters live in an ordered name -> Tensor map (the checkpoint
-    manifest order). Forward runs a stack of images; there are no
-    cross-sample operations, and every product keeps per-image shapes, so
-    an image's result is the same in any stack.
-
-    A task stack (``n_tasks`` = K, from :meth:`stack`) gives every
-    parameter a leading K axis and runs K members on one image stack;
-    ``n_tasks`` is None for a single classifier.
+    manifest order), each with a leading task axis K. Forward runs the K
+    members on one stack of images; there are no cross-sample operations,
+    and every product keeps per-task and per-image shapes, so a member's
+    result for an image is the same in any task or image stack.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x1217)))
         arrays = {}
         for name, shape in self.parameter_shapes(config):
+            shape = (1, *shape)
             if name.endswith(".gain"):
                 data = np.ones(shape)
             elif name.endswith(".bias"):
@@ -231,22 +226,24 @@ class DualHeadViT:
     @classmethod
     def from_arrays(cls, config: ModelConfig,
                     arrays: dict[str, np.ndarray]) -> "DualHeadViT":
-        """A model holding ``arrays`` (name -> array, taken without a copy)
-        as its parameters; no initial values are drawn."""
+        """A model holding ``arrays`` (name -> (K, ...) array, taken without
+        a copy) as its parameters; no initial values are drawn."""
         model = cls.__new__(cls)
         model._bind(config, arrays)
         return model
 
     @classmethod
     def stack(cls, members: list["DualHeadViT"]) -> "DualHeadViT":
-        """A task stack of single classifiers with one config, in order."""
+        """One task stack of the tasks of ``members`` (one config), in order."""
         return cls.from_arrays(members[0].config, {
-            name: np.stack([m.params[name].data for m in members])
+            name: np.concatenate([m.params[name].data for m in members])
             for name in members[0].params})
 
     def member(self, index: int | slice) -> "DualHeadViT":
-        """Task ``index`` of a task stack as a single classifier, or a slice
-        of its tasks as a smaller stack (views, no copy)."""
+        """Task ``index`` as a stack of K = 1, or a slice of the tasks as a
+        smaller stack (views, no copy)."""
+        if not isinstance(index, slice):
+            index = slice(index, index + 1)
         return self.from_arrays(self.config,
                                 {n: t.data[index] for n, t in self.params.items()})
 
@@ -256,7 +253,7 @@ class DualHeadViT:
         ``config.stack_size`` task-images (at least one task);
         ``[(slice(None), self)]`` when every task fits."""
         per = max(1, self.config.stack_size // images)
-        if per >= (self.n_tasks or 1):
+        if per >= self.n_tasks:
             return [(slice(None), self)]
         return [(slice(i, i + per), self.member(slice(i, i + per)))
                 for i in range(0, self.n_tasks, per)]
@@ -265,13 +262,13 @@ class DualHeadViT:
         self.config = config
         self.params: dict[str, Tensor] = {}
         shapes = self.parameter_shapes(config)
-        name, shape = shapes[0]
-        # a leading task axis, if any, read off the first parameter
-        lead = arrays[name].shape[:-len(shape)][:1] if name in arrays else ()
-        self.n_tasks = lead[0] if lead else None
+        first = arrays.get(shapes[0][0])  # the task axis K, read off the first one
+        self.n_tasks = len(first) if first is not None and first.ndim else 0
         for name, shape in shapes:
-            if name not in arrays or arrays[name].shape != lead + shape:
-                raise ShapeError(f"parameter {name} must have shape {lead + shape}")
+            if not self.n_tasks or name not in arrays \
+                    or arrays[name].shape != (self.n_tasks, *shape):
+                raise ShapeError(f"parameter {name} must have shape (K, *{shape}), "
+                                 f"K >= 1 tasks as in every other parameter")
             self.params[name] = Tensor(arrays[name], requires_grad=True)
         self.dtype = self.params["cls_token"].dtype
         p = self.params
@@ -367,19 +364,18 @@ class DualHeadViT:
 
     def forward(self, images: np.ndarray) -> HeadOutputs:
         """Run one HxWx3 image or a BxHxWx3 stack (values pre-scaled to
-        [0, 1]) as one graph; one image is a stack of one. A task stack runs
-        every task on the same images."""
+        [0, 1]) as one graph; one image is a stack of one. Every task runs
+        on the same images."""
         cfg = self.config
         stack = self._stack(images)
         p = self.params
-        tasks = () if self.n_tasks is None else (self.n_tasks,)
         patches = Tensor(patchify(stack.astype(self.dtype, copy=False), cfg.patch))
         x = linear(patches, p["patch_proj.weight"], p["patch_proj.bias"])
         # the class token repeated over the stack: a (1, D) row added to zeros
-        cls = add(Tensor(np.zeros((*tasks, len(stack), 1, cfg.dim), dtype=self.dtype)),
-                  p["cls_token"], axis=len(tasks))
+        cls = add(Tensor(np.zeros((self.n_tasks, len(stack), 1, cfg.dim),
+                                  dtype=self.dtype)), p["cls_token"])
         x = concat([cls, x], axis=-2)
-        x = add(x, p["pos_embed"], axis=len(tasks))
+        x = add(x, p["pos_embed"])
         x = self._encoder(x)
         cls_out = narrow(x, x.ndim - 2, 0, 1)
         patch_out = narrow(x, x.ndim - 2, 1, cfg.n_patches)
@@ -391,10 +387,10 @@ class DualHeadViT:
         return HeadOutputs(p_cls, p_agg, weights)
 
     def predict(self, images: np.ndarray):
-        """Positive-class probability, the mean of the two heads: a float
-        for one HxWx3 image, a (B,) float64 array for a BxHxWx3 stack, with
-        a leading task axis for a task stack. Each forward takes at most
-        ``config.stack_size`` images of one of the ``task_groups``."""
+        """Positive-class probability, the mean of the two heads, in
+        float64: a (K,) array for one HxWx3 image, a (K, B) array for a
+        BxHxWx3 stack. Each forward takes at most ``config.stack_size``
+        images of one of the ``task_groups``."""
         stack = self._stack(images)
         size = min(len(stack), self.config.stack_size)
         with no_grad():
@@ -402,6 +398,4 @@ class DualHeadViT:
                 [average_prediction(group.forward(stack[i:i + size]))
                  for i in range(0, len(stack), size)], axis=-1)
                 for _, group in self.task_groups(size)])
-        if np.ndim(images) == 3:
-            scores = scores[..., 0]
-        return float(scores) if scores.ndim == 0 else scores
+        return scores[:, 0] if np.ndim(images) == 3 else scores

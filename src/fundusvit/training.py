@@ -75,14 +75,13 @@ class LossValue:
 
 
 def dual_bce_loss(y, outputs: HeadOutputs) -> LossValue:
-    """Cross-entropy of both heads against one-hot pairs.
+    """Cross-entropy of both heads against one-hot pairs, one per task.
 
-    ``y`` is one pair, a (B, 2) sequence of pairs for the B images of a
-    stacked forward, or (K, B, 2) pairs for a task stack's. Each head
-    contributes -sum_i y_i log p_i, summed over the stack, with
-    probabilities clamped to [PROB_CLAMP, 1 - PROB_CLAMP]; the total is the
-    mean of the two terms. A task stack's terms are (K,) vectors, one sum
-    per task.
+    ``y`` holds the (K, B, 2) pairs of a task stack's forward over B images
+    ((B, 2) pairs stand for K = 1, one pair for K = B = 1). Each head
+    contributes -sum_i y_i log p_i, a (K,) vector of sums over each task's
+    images, with probabilities clamped to [PROB_CLAMP, 1 - PROB_CLAMP]; the
+    total is the mean of the two terms.
     """
     y_arr = np.asarray(y, dtype=np.float64)
     if y_arr.ndim not in (1, 2, 3) or y_arr.shape[-1] != 2 \
@@ -90,11 +89,10 @@ def dual_bce_loss(y, outputs: HeadOutputs) -> LossValue:
         raise ValueError(f"y must be a one-hot pair or a sequence of them, got {y!r}")
     # -y, so that each head term is one sum with no negation node after it
     target = Tensor((-y_arr).reshape(outputs.p_cls.shape).astype(outputs.p_cls.dtype))
-    lead = int(outputs.p_cls.ndim == 4)  # a task stack's (K, B, 1, 2) pairs
 
     def head_term(p: Tensor) -> Tensor:
         return ad.tsum(ad.mul(target, ad.log(ad.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))),
-                       lead)
+                       1)
 
     cls_term = head_term(outputs.p_cls)
     agg_term = head_term(outputs.p_agg)
@@ -199,7 +197,7 @@ class TaskResult:
     best_metric: float
     log_lines: list[str]
     checkpoint_path: Path | None = None
-    # the run's best-state task stack, one per train_task call; model is its member
+    # the run's best-state task stack, one per train_task call; model its K = 1 view
     stack: DualHeadViT | None = None
 
 

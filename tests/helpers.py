@@ -87,12 +87,13 @@ def _np_patchify(image, patch):
 
 
 def reference_forward(model, image: np.ndarray):
-    """Recompute the full forward pass with plain numpy.
+    """Recompute the full forward pass of ``model``'s first task with plain
+    numpy.
 
     Returns (p_cls, p_agg, weights) as flat float arrays.
     """
     cfg = model.config
-    p = {name: t.data.astype(np.float64) for name, t in model.named_parameters()}
+    p = {name: t.data[0].astype(np.float64) for name, t in model.named_parameters()}
     act = (lambda v: np.maximum(v, 0.0)) if cfg.activation == "relu" else None
     assert act is not None, "reference covers the relu configuration"
 
@@ -133,7 +134,8 @@ def reference_forward(model, image: np.ndarray):
 
 
 def min_relu_preactivation(model, image: np.ndarray) -> float:
-    """Smallest |pre-activation| over every ReLU site in the forward pass.
+    """Smallest |pre-activation| over every ReLU site in the forward pass
+    of ``model``'s first task.
 
     Central finite differences are only a valid gradient oracle when no
     parameter perturbation can flip a ReLU input across zero, so gradient
@@ -141,7 +143,7 @@ def min_relu_preactivation(model, image: np.ndarray) -> float:
     """
     cfg = model.config
     assert cfg.activation == "relu"
-    p = {name: t.data.astype(np.float64) for name, t in model.named_parameters()}
+    p = {name: t.data[0].astype(np.float64) for name, t in model.named_parameters()}
     margins = []
 
     x = _np_patchify(np.asarray(image, dtype=np.float64), cfg.patch)

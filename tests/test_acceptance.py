@@ -114,7 +114,7 @@ def test_03_aggregation_head_properties():
             n = int(rng.integers(1, 20))
             dim = int(rng.integers(2, 16))
             hidden = int(rng.integers(1, 16))
-            features = ad.Tensor(rng.normal(size=(n, dim)))
+            features = ad.Tensor(rng.normal(size=(1, 1, n, dim)))
             head = random_head(dim, hidden, seed=1000 + trial)
             _, weights = aggregate_patches(features, head)
             w = weights.data.ravel()
@@ -122,7 +122,7 @@ def test_03_aggregation_head_properties():
             assert abs(w.sum() - 1.0) <= 1e-6, f"trial {trial}: sum {w.sum()}"
         # zero parameters force exactly uniform weights
         for n in (1, 4, 10, 33):
-            features = ad.Tensor(rng.normal(size=(n, 8)))
+            features = ad.Tensor(rng.normal(size=(1, 1, n, 8)))
             _, weights = aggregate_patches(features, zero_head(8, 6))
             w = weights.data.ravel()
             assert np.all(w == w[0])
@@ -159,7 +159,7 @@ def test_04_overfit_check(tmp_path):
         for row in train_rows:
             image = prepare_input(load_input_image(row, manifest.parent), row,
                                   manifest.parent, prep, 32, 32)[0]
-            p = result.model.predict(image.astype(np.float64) / 255.0)
+            [p] = result.model.predict(image.astype(np.float64) / 255.0)
             p_true = p if row.rg == 1 else 1.0 - p
             worst = min(worst, p_true)
             assert p_true > 0.95, f"{row.image_id}: true-class prob {p_true:.4f}"
@@ -193,7 +193,7 @@ def test_05_preprocessing_ordering_effect(tmp_path):
             for row in val_rows:
                 image = prepare_input(load_input_image(row, manifest.parent), row,
                                       manifest.parent, prep, 32, 32)[0]
-                scores.append(res.model.predict(image.astype(np.float64) / 255.0))
+                scores.append(res.model.predict(image.astype(np.float64) / 255.0)[0])
                 labels.append(row.rg)
             results[crop] = (tpr_at_specificity(scores, labels, 0.95),
                              sha256(out_dir / "glaucoma.ckpt"))

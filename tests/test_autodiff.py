@@ -77,17 +77,19 @@ class TestSoftmax:
 
 class TestLayerNorm:
     def test_constant_vector_collapses_to_bias(self):
-        out = ad.layer_norm(t([[5.0, 5.0, 5.0, 5.0]]), t(np.ones(4)), t(np.zeros(4)))
+        out = ad.layer_norm(t([[5.0, 5.0, 5.0, 5.0]]), t(np.ones((1, 4))),
+                            t(np.zeros((1, 4))))
         np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
 
     def test_already_normalized_pair(self):
-        out = ad.layer_norm(t([[1.0, -1.0]]), t(np.ones(2)), t(np.zeros(2)), eps=1e-12)
+        out = ad.layer_norm(t([[1.0, -1.0]]), t(np.ones((1, 2))), t(np.zeros((1, 2))),
+                            eps=1e-12)
         np.testing.assert_allclose(out.data, [[1.0, -1.0]], atol=1e-9)
 
     def test_random_vector_statistics(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(1, 8)) * 3 + 2
-        out = ad.layer_norm(t(x), t(np.ones(8)), t(np.zeros(8)), eps=1e-5).data
+        out = ad.layer_norm(t(x), t(np.ones((1, 8))), t(np.zeros((1, 8))), eps=1e-5).data
         assert abs(out.mean()) < 1e-9
         var_in = ((x - x.mean()) ** 2).mean()
         np.testing.assert_allclose(out.var(), var_in / (var_in + 1e-5), rtol=1e-9)
@@ -97,7 +99,7 @@ class TestLayerNorm:
         x = rng.normal(size=(3, 5))
         gain = rng.normal(size=5)
         bias = rng.normal(size=5)
-        out = ad.layer_norm(t(x), t(gain), t(bias), eps=1e-5).data
+        out = ad.layer_norm(t(x[None]), t(gain[None]), t(bias[None]), eps=1e-5).data[0]
         for i in range(3):
             mu = x[i].mean()
             var = ((x[i] - mu) ** 2).mean()
@@ -106,11 +108,11 @@ class TestLayerNorm:
 
     def test_empty_last_axis_rejected(self):
         with pytest.raises(ShapeError):
-            ad.layer_norm(t(np.zeros((2, 0))), t(np.ones(1)), t(np.zeros(1)))
+            ad.layer_norm(t(np.zeros((1, 2, 0))), t(np.ones((1, 1))), t(np.zeros((1, 1))))
 
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ValueError):
-            ad.layer_norm(t([[1.0, 2.0]]), t(np.ones(2)), t(np.zeros(2)), eps=0.0)
+            ad.layer_norm(t([[1.0, 2.0]]), t(np.ones((1, 2))), t(np.zeros((1, 2))), eps=0.0)
 
 
 class TestBackwardContract:
@@ -218,7 +220,7 @@ class TestPrimitiveGradients:
         check_op_gradients(lambda: ad.tsum(ad.mul(ad.add(a, b), ad.add(a, b))), [a, b])
 
     def test_add_bias_row_broadcast(self):
-        a, b = self.leaf(4, 3), self.leaf(1, 3)
+        a, b = self.leaf(1, 4, 3), self.leaf(1, 1, 3)
         check_op_gradients(lambda: ad.tsum(ad.mul(ad.add(a, b), ad.add(a, b))), [a, b])
 
     def test_mul_tensor_and_scalar(self):
@@ -250,13 +252,13 @@ class TestPrimitiveGradients:
                                                       ad.softmax(a, axis))), [a])
 
     def test_layer_norm_full_affine(self):
-        x, g, b = self.leaf(3, 5), self.leaf(5, offset=1.0), self.leaf(5)
+        x, g, b = self.leaf(1, 3, 5), self.leaf(1, 5, offset=1.0), self.leaf(1, 5)
         check_op_gradients(
             lambda: ad.tsum(ad.mul(ad.layer_norm(x, g, b), ad.layer_norm(x, g, b))),
             [x, g, b])
 
     def test_layer_norm_scalar_affine(self):
-        x, g, b = self.leaf(1, 6), self.leaf(1, offset=1.0), self.leaf(1)
+        x, g, b = self.leaf(1, 1, 6), self.leaf(1, 1, offset=1.0), self.leaf(1, 1)
         check_op_gradients(
             lambda: ad.tsum(ad.mul(ad.layer_norm(x, g, b), ad.layer_norm(x, g, b))),
             [x, g, b])
@@ -297,25 +299,30 @@ class TestFusedPrimitives:
         return t(self.rng.normal(size=shape))
 
     def test_linear_gradients(self):
-        x, w, b = self.leaf(5, 3), self.leaf(3, 4), self.leaf(1, 4)
+        x, w, b = self.leaf(1, 5, 3), self.leaf(1, 3, 4), self.leaf(1, 1, 4)
         check_op_gradients(
             lambda: ad.tsum(ad.mul(ad.linear(x, w, b), ad.linear(x, w, b))), [x, w, b])
 
     def test_linear_matches_matmul_plus_bias(self):
-        x, w, b = self.leaf(5, 3), self.leaf(3, 4), self.leaf(1, 4)
-        np.testing.assert_array_equal(ad.linear(x, w, b).data,
+        x, w, b = self.leaf(1, 5, 3), self.leaf(1, 3, 4), self.leaf(1, 1, 4)
+        np.testing.assert_array_equal(ad.linear(x, w, b).data[0],
                                       ad.add(ad.matmul(x, w), b).data)
 
     def test_linear_untracked_input_gets_no_gradient(self):
-        x, w, b = t(self.rng.normal(size=(5, 3)), grad=False), self.leaf(3, 4), self.leaf(1, 4)
+        x = t(self.rng.normal(size=(1, 5, 3)), grad=False)
+        w, b = self.leaf(1, 3, 4), self.leaf(1, 1, 4)
         ad.backward(ad.tsum(ad.linear(x, w, b)))
         assert x.grad is None and w.grad is not None and b.grad is not None
 
     def test_linear_shape_errors(self):
-        with pytest.raises(ShapeError):
-            ad.linear(t(np.zeros((2, 3))), t(np.zeros((4, 2))), t(np.zeros((1, 2))))
-        with pytest.raises(ShapeError):
-            ad.linear(t(np.zeros((2, 3))), t(np.zeros((3, 2))), t(np.zeros(2)))
+        for x_shape, w_shape, b_shape in [
+                ((1, 2, 3), (1, 4, 2), (1, 1, 2)),  # inner extents differ
+                ((1, 2, 3), (1, 3, 2), (1, 2)),     # a bias without its task axis
+                ((2, 3), (3, 2), (1, 2)),           # a (T, Din) input, a 2-d weight
+                ((1, 2, 3), (3, 2), (1, 2))]:       # a 2-d weight on a stack
+            with pytest.raises(ShapeError):
+                ad.linear(t(np.zeros(x_shape)), t(np.zeros(w_shape)),
+                          t(np.zeros(b_shape)))
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_attention_gradients(self, heads):
@@ -391,7 +398,7 @@ class TestNumericGuards:
     def test_bounded_inputs_stay_finite(self):
         rng = np.random.default_rng(0)
         x = t(rng.uniform(-1e4, 1e4, size=(4, 4)))
-        out = ad.softmax(ad.layer_norm(x, t(np.ones(4)), t(np.zeros(4))), axis=1)
+        out = ad.softmax(ad.layer_norm(x, t(np.ones((4, 4))), t(np.zeros((4, 4)))), axis=1)
         assert np.all(np.isfinite(out.data))
 
     def test_no_general_broadcasting(self):
@@ -424,8 +431,8 @@ class TestDeterminism:
 
 
 class TestStackedShapes:
-    """The shape rules widened for (B, T, D) stacks, against finite
-    differences (64-bit) and against the 2-d forms slice by slice."""
+    """The shape rules over (B, T, D) image stacks, against finite
+    differences (64-bit) and against single images slice by slice."""
 
     def setup_method(self):
         self.rng = np.random.default_rng(17)
@@ -454,32 +461,34 @@ class TestStackedShapes:
         with pytest.raises(ShapeError):
             ad.matmul(t(np.zeros((2, 2, 3))), t(np.zeros((3, 2))))
 
-    @pytest.mark.parametrize("b_shape", [(4, 3), (1, 4, 3)])
+    @pytest.mark.parametrize("b_shape", [(1, 4, 3), (1, 1, 4, 3)])
     def test_add_table_over_the_stack(self, b_shape):
-        a, b = self.leaf(2, 4, 3), self.leaf(*b_shape)
-        w = self.weights(2, 4, 3)
+        a, b = self.leaf(1, 2, 4, 3), self.leaf(*b_shape)
+        w = self.weights(1, 2, 4, 3)
         check_op_gradients(lambda: ad.tsum(ad.mul(ad.add(a, b), w)), [a, b])
 
     def test_add_row_over_a_stack_of_rows(self):
-        a, b = self.leaf(3, 1, 4), self.leaf(1, 4)
-        w = self.weights(3, 1, 4)
+        a, b = self.leaf(1, 3, 1, 4), self.leaf(1, 1, 4)
+        w = self.weights(1, 3, 1, 4)
         check_op_gradients(lambda: ad.tsum(ad.mul(ad.add(a, b), w)), [a, b])
 
     def test_add_other_broadcasts_rejected(self):
-        for b_shape in [(1, 3), (3,), (2, 1, 3), (4, 1)]:
+        # (4, 3) and (1, 4, 3) broadcast over axis 0, which add does not do
+        for b_shape in [(1, 3), (3,), (4, 3), (1, 4, 3), (4, 1)]:
             with pytest.raises(ShapeError):
                 ad.add(t(np.zeros((2, 4, 3))), t(np.zeros(b_shape)))
 
     def test_stacked_linear_gradients(self):
-        x, w, b = self.leaf(2, 3, 4), self.leaf(4, 5), self.leaf(1, 5)
-        u = self.weights(2, 3, 5)
+        x, w, b = self.leaf(2, 3, 4), self.leaf(1, 4, 5), self.leaf(1, 1, 5)
+        u = self.weights(1, 2, 3, 5)
         check_op_gradients(lambda: ad.tsum(ad.mul(ad.linear(x, w, b), u)), [x, w, b])
 
     def test_stacked_linear_is_per_slice(self):
-        x, w, b = self.leaf(3, 1, 4), self.leaf(4, 2), self.leaf(1, 2)
+        x, w, b = self.leaf(3, 1, 4), self.leaf(1, 4, 2), self.leaf(1, 1, 2)
         out = ad.linear(x, w, b).data
         for i in range(3):
-            np.testing.assert_array_equal(out[i], ad.linear(t(x.data[i]), w, b).data)
+            np.testing.assert_array_equal(out[:, i:i + 1],
+                                          ad.linear(t(x.data[i:i + 1]), w, b).data)
 
     def test_transpose_of_the_last_two_axes(self):
         a = self.leaf(2, 3, 4)
@@ -520,9 +529,9 @@ class TestStackedGraph:
 
 
 class TestTaskStackedShapes:
-    """The shape rules widened for a task stack (a leading K axis on the
-    parameters, (K, B, T, D) activations), against finite differences
-    (64-bit) and against each task's own slice, bit for bit (32-bit)."""
+    """The shape rules of a task stack (a leading K axis on the parameters,
+    (K, B, T, D) activations), against finite differences (64-bit) and
+    against each task's own K = 1 slice, bit for bit (32-bit)."""
 
     def setup_method(self):
         self.rng = np.random.default_rng(29)
@@ -560,16 +569,16 @@ class TestTaskStackedShapes:
         out, (gx, gw, gb) = self.grads(lambda: ad.linear(x, w, b), [x, w, b])
         gx_sum = 0
         for k in range(3):
-            xk = Tensor(x.data if shared else x.data[k], requires_grad=True)
-            wk, bk = (Tensor(a.data[k], requires_grad=True) for a in (w, b))
+            xk = Tensor(x.data if shared else x.data[k:k + 1], requires_grad=True)
+            wk, bk = (Tensor(a.data[k:k + 1], requires_grad=True) for a in (w, b))
             out_k, (gxk, gwk, gbk) = self.grads(lambda: ad.linear(xk, wk, bk), [xk, wk, bk])
-            np.testing.assert_array_equal(out[k], out_k)
-            np.testing.assert_array_equal(gw[k], gwk)
-            np.testing.assert_array_equal(gb[k], gbk)
+            np.testing.assert_array_equal(out[k:k + 1], out_k)
+            np.testing.assert_array_equal(gw[k:k + 1], gwk)
+            np.testing.assert_array_equal(gb[k:k + 1], gbk)
             if shared:
                 gx_sum = gx_sum + gxk
             else:
-                np.testing.assert_array_equal(gx[k], gxk)
+                np.testing.assert_array_equal(gx[k:k + 1], gxk)
         if shared:  # a shared input's gradient gathers every task's share
             np.testing.assert_allclose(gx, gx_sum, rtol=1e-6)
 
@@ -593,15 +602,15 @@ class TestTaskStackedShapes:
         x, g, b = self.leaf32(3, 2, 4, 5), self.leaf32(3, width), self.leaf32(3, width)
         out, grads = self.grads(lambda: ad.layer_norm(x, g, b), [x, g, b])
         for k in range(3):
-            parts = [Tensor(a.data[k], requires_grad=True) for a in (x, g, b)]
+            parts = [Tensor(a.data[k:k + 1], requires_grad=True) for a in (x, g, b)]
             out_k, grads_k = self.grads(lambda: ad.layer_norm(*parts), parts)
-            np.testing.assert_array_equal(out[k], out_k)
+            np.testing.assert_array_equal(out[k:k + 1], out_k)
             for full, single in zip(grads, grads_k):
-                np.testing.assert_array_equal(full[k], single)
+                np.testing.assert_array_equal(full[k:k + 1], single)
 
     def test_layer_norm_task_shape_errors(self):
         for x_shape, g_shape in [((2, 2, 4, 5), (3, 5)), ((3, 2, 4, 5), (3, 4)),
-                                 ((3, 2, 4, 5), (3, 1, 5))]:
+                                 ((3, 2, 4, 5), (3, 1, 5)), ((1, 2, 4, 5), (5,))]:
             with pytest.raises(ShapeError):
                 ad.layer_norm(t(np.zeros(x_shape)), t(np.ones(g_shape)),
                               t(np.zeros(g_shape)))
@@ -610,27 +619,25 @@ class TestTaskStackedShapes:
     def test_add_task_table_over_the_stack_gradients(self, b_shape):
         a, b = self.leaf(3, 2, 4, 5), self.leaf(*b_shape)
         u = self.weights(3, 2, 4, 5)
-        check_op_gradients(lambda: ad.tsum(ad.mul(ad.add(a, b, axis=1), u)), [a, b])
+        check_op_gradients(lambda: ad.tsum(ad.mul(ad.add(a, b), u)), [a, b])
 
     def test_add_task_table_is_per_task(self):
         a, b = self.leaf32(3, 2, 4, 5), self.leaf32(3, 4, 5)
-        out, (_, gb) = self.grads(lambda: ad.add(a, b, axis=1), [a, b])
+        out, (_, gb) = self.grads(lambda: ad.add(a, b), [a, b])
         for k in range(3):
-            ak, bk = (Tensor(x.data[k], requires_grad=True) for x in (a, b))
+            ak, bk = (Tensor(x.data[k:k + 1], requires_grad=True) for x in (a, b))
             out_k, (_, gbk) = self.grads(lambda: ad.add(ak, bk), [ak, bk])
-            np.testing.assert_array_equal(out[k], out_k)
-            np.testing.assert_array_equal(gb[k], gbk)
+            np.testing.assert_array_equal(out[k:k + 1], out_k)
+            np.testing.assert_array_equal(gb[k:k + 1], gbk)
 
     def test_add_broadcast_needs_its_axis(self):
-        # (3, 4, 5) fits (3, 3, 4, 5) along axis 1, and along axis 0 only as
-        # a table shared by the leading axis: each axis is its own rule
+        # (3, 4, 5) fits (3, 3, 4, 5) along axis 1 or as a table shared by
+        # axis 0; add broadcasts over axis 1 only
         a, b = self.leaf32(3, 3, 4, 5), self.leaf32(3, 4, 5)
-        along_0 = ad.add(a, b).data
-        along_1 = ad.add(a, b, axis=1).data
-        np.testing.assert_array_equal(along_0, a.data + b.data[None])
-        np.testing.assert_array_equal(along_1, a.data + b.data[:, None])
-        with pytest.raises(ShapeError):
-            ad.add(t(np.zeros((3, 2, 4, 5))), t(np.zeros((2, 4, 5))), axis=1)
+        np.testing.assert_array_equal(ad.add(a, b).data, a.data + b.data[:, None])
+        for b_shape in [(2, 4, 5), (1, 2, 4, 5)]:  # over axis 0
+            with pytest.raises(ShapeError):
+                ad.add(t(np.zeros((3, 2, 4, 5))), t(np.zeros(b_shape)))
 
     def test_per_task_sum_gradients(self):
         a, u = self.leaf(3, 2, 1, 2), self.weights(3)

@@ -105,6 +105,10 @@ class TestValidation:
         model = make_model()
         with pytest.raises(ValueError):
             save_checkpoint(tmp_path / "x.ckpt", model, PreprocessOptions(), "foo")
+        with pytest.raises(ValueError, match="one task"):  # a file holds K = 1
+            save_checkpoint(tmp_path / "x.ckpt", DualHeadViT.stack([model, model]),
+                            PreprocessOptions(), "glaucoma")
+        assert not (tmp_path / "x.ckpt").exists()
 
 
 class TestBank:
@@ -264,8 +268,8 @@ class TestStackedLoad:
         image = np.random.default_rng(0).random((3, CFG.height, CFG.width, 3))
         assert bank.stacked.predict(image).tobytes() == members.predict(image).tobytes()
         # a member looked up by task is that task's slice of the stack
-        assert_same_stack(DualHeadViT.stack([bank.models["feature4"]]),
-                          DualHeadViT.stack([members.member(TASKS.index("feature4"))]))
+        assert_same_stack(bank.models["feature4"],
+                          members.member(TASKS.index("feature4")))
         assert "feature4" in bank.models and "bank" not in bank.models
         with pytest.raises(KeyError):
             bank.models["bank"]

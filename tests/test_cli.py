@@ -3,6 +3,7 @@ contract, config validation, and report cross-checks against direct metric
 calls."""
 
 import argparse
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -144,6 +145,22 @@ def _shift_last_offset(lines, body):
     return lines[:-1] + [f"tensor {name} {dims} @ {int(off) - 4}"], body
 
 
+def _negative_depth(lines, body):
+    # what a model.depth = -1 run wrote before depth was checked: no blocks
+    kept, chunks, offset = [], [], 0
+    for line in lines:
+        if line.startswith("tensor block"):
+            continue
+        if line.startswith("tensor "):
+            name, dims, _, at = line.split(" ")[1:]
+            size = 4 * math.prod(map(int, dims.split("x")))
+            chunks.append(body[int(at):int(at) + size])
+            line = f"tensor {name} {dims} @ {offset}"
+            offset += size
+        kept.append("model.depth = -1" if line.startswith("model.depth") else line)
+    return kept, b"".join(chunks)
+
+
 # header edits applied to a good checkpoint: (header lines, payload) -> same
 MALFORMED_CHECKPOINTS = {
     # the cls_token line is overwritten, so cls_token would keep its init
@@ -157,6 +174,7 @@ MALFORMED_CHECKPOINTS = {
         lines[:-1] + [lines[-1] + " extra"], body),
     "non-ascii-header": _replace_line("model.activation", "model.activation = r\u00e9lu"),
     "non-numeric-height": _replace_line("model.height", "model.height = abc"),
+    "negative-depth": _negative_depth,
     "unknown-field": lambda lines, body: (lines[:2] + ["model.foo = 1"] + lines[2:],
                                           body),
     "zero-patch": _replace_line("model.patch", "model.patch = 0"),
@@ -206,16 +224,23 @@ class TestMalformedInputs:
                                               "rot_hi - rot_lo must be finite"),
                                              ("prep.bg_tau = 1000", "bg_tau"),
                                              ("prep.confidence_floor = 7",
-                                              "confidence_floor")])
+                                              "confidence_floor"),
+                                             ("model.depth = -1", "depth"),
+                                             ("model.agg_hidden = 0", "agg_hidden"),
+                                             ("model.mlp_hidden = 0", "mlp_width")])
     def test_malformed_config_train_is_one(self, line, field, workspace, tmp_path,
-                                           capsys):
+                                           capsys, monkeypatch):
+        from fundusvit import training
+
         root, data, config = workspace
+        prepared = []
+        monkeypatch.setattr(training, "prepare_input", lambda *a: prepared.append(a))
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"paths.manifest = {data / 'manifest.tsv'}\n"
                        f"paths.out = {tmp_path / 'out'}\n{line}\n")
         assert run_cli(["train", "--config", bad]) == 1
         assert field in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "out").exists() and prepared == []
 
     def test_bad_boolean_flag_is_one(self, workspace, capsys):
         root, data, config = workspace

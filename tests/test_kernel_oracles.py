@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fundusvit.dataset import PreprocessOptions, prepare_input, read_manifest
+from fundusvit.dataset import PreprocessOptions, prepare_input, read_manifest, to_unit
 from fundusvit.detections import load_detection_file, select_roi
 from fundusvit.ppm import read_ppm
 from fundusvit.preprocess import (AugmentDraws, AugmentParams, augment, color_jitter,
@@ -97,6 +97,14 @@ class TestRemoveBackground:
         image = np.full((4, 5, 3), 200, dtype=np.uint8)
         out = remove_background(image, 10)
         assert out is not image and not np.shares_memory(out, image)
+
+
+class TestToUnit:
+    def test_every_value_is_its_float64_quotient_rounded_to_float32(self):
+        # the model's float32 input, once the float64 quotient it cast down
+        values = np.arange(256, dtype=np.uint8)
+        assert_same_bytes(to_unit(values),
+                          (values.astype(np.float64) / 255.0).astype(np.float32))
 
 
 class TestResize:

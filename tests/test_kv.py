@@ -233,7 +233,7 @@ def model_configs(draw):
                        width=patch * draw(st.integers(1, 8)),
                        patch=patch,
                        dim=heads * draw(st.integers(1, 16)),
-                       depth=draw(st.integers(0, 6)),
+                       depth=draw(st.integers(1, 6)),
                        heads=heads,
                        agg_hidden=draw(st.integers(1, 64)),
                        activation=draw(st.sampled_from(["relu", "gelu"])),

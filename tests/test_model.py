@@ -28,8 +28,9 @@ GOLDEN_WEIGHTS = [0.136762433355659, 0.136762433355659, 0.136762433355659,
 
 
 def random_head(dim, hidden, seed, dtype=np.float64):
+    """An aggregation head of one task (K = 1) with normal parameters."""
     rng = np.random.default_rng(seed)
-    mk = lambda *s: Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+    mk = lambda *s: Tensor(rng.normal(size=(1, *s)).astype(dtype), requires_grad=True)
     return AggregationHead(
         proj1_w=mk(dim, hidden), proj1_b=mk(1, hidden),
         norm1_gain=mk(hidden), norm1_bias=mk(hidden),
@@ -38,12 +39,19 @@ def random_head(dim, hidden, seed, dtype=np.float64):
 
 
 def zero_head(dim, hidden):
-    mk = lambda *s: Tensor(np.zeros(s), requires_grad=True)
+    """An aggregation head of one task (K = 1) with zero parameters."""
+    mk = lambda *s: Tensor(np.zeros((1, *s)), requires_grad=True)
     return AggregationHead(
         proj1_w=mk(dim, hidden), proj1_b=mk(1, hidden),
         norm1_gain=mk(hidden), norm1_bias=mk(hidden),
         proj2_w=mk(hidden, 1), proj2_b=mk(1, 1),
         norm2_gain=mk(1), norm2_bias=mk(1))
+
+
+def one_task(features):
+    """An N x D feature matrix as the (1, 1, N, D) features of one task and
+    one image."""
+    return Tensor(np.asarray(features)[None, None])
 
 
 class TestPatchify:
@@ -78,35 +86,36 @@ class TestPatchify:
 class TestAggregatePatches:
     def test_identical_rows_return_that_row(self):
         v = np.random.default_rng(2).normal(size=8)
-        features = Tensor(np.tile(v, (5, 1)))
+        features = one_task(np.tile(v, (5, 1)))
         aggregated, weights = aggregate_patches(features, random_head(8, 6, seed=3))
         np.testing.assert_allclose(aggregated.data.ravel(), v, atol=1e-12)
         np.testing.assert_allclose(weights.data.sum(), 1.0, atol=1e-12)
 
     def test_zero_head_gives_exactly_uniform_weights(self):
-        features = Tensor(np.random.default_rng(4).normal(size=(7, 8)))
-        aggregated, weights = aggregate_patches(features, zero_head(8, 6))
+        features = np.random.default_rng(4).normal(size=(7, 8))
+        aggregated, weights = aggregate_patches(one_task(features), zero_head(8, 6))
         w = weights.data.ravel()
         assert np.all(w == w[0])
         np.testing.assert_allclose(w, 1.0 / 7.0, rtol=0, atol=1e-16)
-        np.testing.assert_allclose(aggregated.data.ravel(),
-                                   features.data.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(aggregated.data.ravel(), features.mean(axis=0),
+                                   atol=1e-12)
 
     def test_direct_recomputation_oracle(self):
         rng = np.random.default_rng(5)
         features = rng.normal(size=(4, 8))
         head = random_head(8, 8, seed=6)
-        aggregated, weights = aggregate_patches(Tensor(features), head)
+        aggregated, weights = aggregate_patches(one_task(features), head)
+        h = {name: a.data[0] for name, a in vars(head).items()}  # task 0
 
         def np_ln(x, gain, bias, eps=1e-5):
             mu = x.mean(-1, keepdims=True)
             var = ((x - mu) ** 2).mean(-1, keepdims=True)
             return gain * (x - mu) / np.sqrt(var + eps) + bias
 
-        s = features @ head.proj1_w.data + head.proj1_b.data
-        s = np.maximum(np_ln(s, head.norm1_gain.data, head.norm1_bias.data), 0.0)
-        s = (s @ head.proj2_w.data + head.proj2_b.data).T
-        s = np.maximum(np_ln(s, head.norm2_gain.data, head.norm2_bias.data), 0.0)
+        s = features @ h["proj1_w"] + h["proj1_b"]
+        s = np.maximum(np_ln(s, h["norm1_gain"], h["norm1_bias"]), 0.0)
+        s = (s @ h["proj2_w"] + h["proj2_b"]).T
+        s = np.maximum(np_ln(s, h["norm2_gain"], h["norm2_bias"]), 0.0)
         e = np.exp(s - s.max())
         w = e / e.sum()
         np.testing.assert_allclose(weights.data.ravel(), w.ravel(), atol=1e-10)
@@ -117,22 +126,24 @@ class TestAggregatePatches:
         rng = np.random.default_rng(7)
         features = rng.normal(size=(6, 8))
         head = random_head(8, 8, seed=8)
-        agg1, w1 = aggregate_patches(Tensor(features), head)
+        agg1, w1 = aggregate_patches(one_task(features), head)
         perm = rng.permutation(6)
-        agg2, w2 = aggregate_patches(Tensor(features[perm]), head)
+        agg2, w2 = aggregate_patches(one_task(features[perm]), head)
         np.testing.assert_allclose(w2.data.ravel(), w1.data.ravel()[perm], atol=1e-12)
         np.testing.assert_allclose(agg2.data, agg1.data, atol=1e-12)
 
     def test_empty_feature_matrix_rejected(self):
         with pytest.raises(ShapeError):
-            aggregate_patches(Tensor(np.zeros((0, 8))), zero_head(8, 4))
+            aggregate_patches(one_task(np.zeros((0, 8))), zero_head(8, 4))
+        with pytest.raises(ShapeError):  # features without their task axis
+            aggregate_patches(Tensor(np.zeros((1, 3, 8))), zero_head(8, 4))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
     def test_weights_are_a_distribution(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 12))
-        features = Tensor(rng.normal(size=(n, 8)))
+        features = one_task(rng.normal(size=(n, 8)))
         _, weights = aggregate_patches(features, random_head(8, 8, seed=seed))
         w = weights.data.ravel()
         assert np.all(w >= 0)
@@ -162,7 +173,7 @@ class TestForward:
         alone = model.predict(image)
         for _ in range(3):  # interleave other work, then re-evaluate
             model.predict(rng.random((32, 32, 3)))
-        assert model.predict(image) == alone
+        assert model.predict(image).tolist() == alone.tolist()
 
     def test_golden_forward_matches_straight_line_recomputation(self):
         model = DualHeadViT(TINY, seed=7, dtype=np.float64)
@@ -186,16 +197,17 @@ class TestForward:
 class TestPrediction:
     def test_average_of_heads(self):
         from fundusvit.model import HeadOutputs
-        out_pair = lambda a, b: Tensor(np.array([[a, b]]))
+        out_pair = lambda a, b: Tensor(np.array([[[[a, b]]]]))
         outputs = HeadOutputs(p_cls=out_pair(0.2, 0.8), p_agg=out_pair(0.4, 0.6),
-                              patch_weights=Tensor(np.ones((1, 1))))
+                              patch_weights=Tensor(np.ones((1, 1, 1, 1))))
+        assert average_prediction(outputs).shape == (1, 1)
         assert average_prediction(outputs) == pytest.approx(0.7, abs=1e-12)
 
     def test_equal_heads_pass_through(self):
         from fundusvit.model import HeadOutputs
-        pair = Tensor(np.array([[0.35, 0.65]]))
+        pair = Tensor(np.array([[[[0.35, 0.65]]]]))
         outputs = HeadOutputs(p_cls=pair, p_agg=pair,
-                              patch_weights=Tensor(np.ones((1, 1))))
+                              patch_weights=Tensor(np.ones((1, 1, 1, 1))))
         assert average_prediction(outputs) == pytest.approx(0.65, abs=1e-12)
 
 
@@ -212,8 +224,8 @@ class TestStructure:
 
     def test_position_row_zero_is_the_class_token_slot(self):
         model = DualHeadViT(TINY, seed=0)
-        assert model.params["pos_embed"].shape == (TINY.n_patches + 1, TINY.dim)
-        assert model.params["cls_token"].shape == (1, TINY.dim)
+        assert model.params["pos_embed"].shape == (1, TINY.n_patches + 1, TINY.dim)
+        assert model.params["cls_token"].shape == (1, 1, TINY.dim)
 
     def test_initialization_conventions(self):
         model = DualHeadViT(TINY, seed=3)
@@ -238,6 +250,9 @@ class TestStructure:
             ModelConfig(dim=30, heads=4)
         with pytest.raises(ValueError):
             ModelConfig(activation="swish")
+        for bad in ({"depth": 0}, {"depth": -1}, {"agg_hidden": 0}, {"mlp_hidden": 0}):
+            with pytest.raises(ValueError):
+                ModelConfig(**bad)
 
     def test_gradient_reaches_every_parameter_group(self):
         model = DualHeadViT(TINY, seed=1, dtype=np.float64)
@@ -258,22 +273,23 @@ class TestStacking:
         model = DualHeadViT(TINY, seed=3)  # float32, as trained and served
         images = np.random.default_rng(20).random((8, 32, 32, 3))
         singles = [model.predict(image) for image in images]
+        assert singles[0].shape == (1,)
         for size in (1, 2, 8):
             stacked = model.predict(images[:size])
-            assert stacked.shape == (size,) and stacked.dtype == np.float64
-            assert stacked.tolist() == singles[:size]
+            assert stacked.shape == (1, size) and stacked.dtype == np.float64
+            assert stacked.T.tolist() == [s.tolist() for s in singles[:size]]
 
     def test_stacked_forward_equals_single_forwards_bitwise(self):
         model = DualHeadViT(TINY, seed=3)
         images = np.random.default_rng(21).random((3, 32, 32, 3))
         out = model.forward(images)
-        assert out.p_cls.shape == (3, 1, 2)
-        assert out.patch_weights.shape == (3, TINY.n_patches, 1)
+        assert out.p_cls.shape == (1, 3, 1, 2)
+        assert out.patch_weights.shape == (1, 3, TINY.n_patches, 1)
         for i, image in enumerate(images):
             alone = model.forward(image)
             for name in ("p_cls", "p_agg", "patch_weights"):
-                np.testing.assert_array_equal(getattr(out, name).data[i],
-                                              getattr(alone, name).data[0])
+                np.testing.assert_array_equal(getattr(out, name).data[:, i:i + 1],
+                                              getattr(alone, name).data)
 
     def test_stacked_loss_gradient_is_the_sum_of_single_gradients(self):
         model = DualHeadViT(TINY, seed=4, dtype=np.float64)
@@ -318,7 +334,7 @@ def recording_forward(monkeypatch):
     forward = DualHeadViT.forward
 
     def recorded(self, images):
-        sizes.append((self.n_tasks or 1) * (1 if np.ndim(images) == 3 else len(images)))
+        sizes.append(self.n_tasks * (1 if np.ndim(images) == 3 else len(images)))
         return forward(self, images)
 
     monkeypatch.setattr(DualHeadViT, "forward", recorded)
@@ -332,12 +348,22 @@ class TestTaskStack:
     def test_stack_and_member_round_trip(self):
         members = [DualHeadViT(TINY, seed=s) for s in (1, 2, 3)]
         stacked = DualHeadViT.stack(members)
-        assert stacked.n_tasks == 3 and members[0].n_tasks is None
+        assert stacked.n_tasks == 3 and members[0].n_tasks == 1
         assert stacked.params["pos_embed"].shape == (3, TINY.n_patches + 1, TINY.dim)
         for k, m in enumerate(members):
-            for (_, a), (_, b) in zip(stacked.member(k).named_parameters(),
-                                      m.named_parameters()):
+            member = stacked.member(k)
+            assert member.n_tasks == 1
+            for (name, a), (_, b) in zip(member.named_parameters(),
+                                         m.named_parameters()):
+                assert np.shares_memory(a.data, stacked.params[name].data)
                 np.testing.assert_array_equal(a.data, b.data)
+
+    def test_arrays_without_a_task_axis_rejected(self):
+        arrays = {n: t.data[0] for n, t in DualHeadViT(TINY, seed=0).named_parameters()}
+        with pytest.raises(ShapeError, match="task"):
+            DualHeadViT.from_arrays(TINY, arrays)
+        with pytest.raises(ShapeError):
+            DualHeadViT.from_arrays(TINY, {n: a[None][:0] for n, a in arrays.items()})
 
     def test_stacked_forward_loss_and_gradients_equal_members_bitwise(self):
         members = [DualHeadViT(TINY, seed=s) for s in (4, 5, 6)]
@@ -356,12 +382,12 @@ class TestTaskStack:
             alone = member.forward(images)
             loss_k = dual_bce_loss(pairs[k], alone)
             ad.backward(ad.mul(loss_k.total, 0.25))
-            assert loss.total.data[k] == loss_k.total.data
+            assert loss.total.data[k:k + 1].tolist() == loss_k.total.data.tolist()
             for name in ("p_cls", "p_agg", "patch_weights"):
-                np.testing.assert_array_equal(getattr(out, name).data[k],
+                np.testing.assert_array_equal(getattr(out, name).data[k:k + 1],
                                               getattr(alone, name).data)
             for name, t in member.named_parameters():
-                np.testing.assert_array_equal(stacked.params[name].grad[k], t.grad,
+                np.testing.assert_array_equal(stacked.params[name].grad[k:k + 1], t.grad,
                                               err_msg=name)
 
     def test_stacked_predict_equals_member_predicts_bitwise(self):
@@ -370,8 +396,9 @@ class TestTaskStack:
         images = np.random.default_rng(25).random((5, 32, 32, 3))
         scores = stacked.predict(images)
         assert scores.shape == (2, 5)
-        assert scores.tolist() == [m.predict(images).tolist() for m in members]
-        assert stacked.predict(images[0]).tolist() == [m.predict(images[0]) for m in members]
+        assert scores.tolist() == [m.predict(images)[0].tolist() for m in members]
+        assert stacked.predict(images[0]).tolist() == [m.predict(images[0])[0]
+                                                       for m in members]
 
     def test_task_groups_split_the_stack_into_capped_member_views(self, monkeypatch):
         stacked = DualHeadViT.stack([DualHeadViT(TINY, seed=s) for s in range(11)])
@@ -408,4 +435,4 @@ class TestTaskStack:
         sizes = recording_forward(monkeypatch)
         scores = stacked.predict(images)
         assert sizes == [1, 1, 1, 1]
-        assert scores.tolist() == [m.predict(images).tolist() for m in members]
+        assert scores.tolist() == [m.predict(images)[0].tolist() for m in members]

@@ -245,8 +245,9 @@ class TestTrainTask:
                                     SMALL_MODEL.width)[0].astype(np.float64) / 255.0
                       for r in val_rows]
         val_y = [task_label(r, "glaucoma") for r in val_rows]
-        m1 = _task_metric(result.model.predict(val_images), val_y, "glaucoma")
-        m2 = _task_metric(result.model.predict(val_images), val_y, "glaucoma")
+        [s1], [s2] = result.model.predict(val_images), result.model.predict(val_images)
+        m1 = _task_metric(s1, val_y, "glaucoma")
+        m2 = _task_metric(s2, val_y, "glaucoma")
         assert m1 == m2 == result.best_metric
 
     def test_non_square_inputs_train_and_evaluate(self, tiny_dataset):
