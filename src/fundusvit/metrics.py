@@ -48,6 +48,16 @@ class RocCurve:
     fpr: np.ndarray
     tpr: np.ndarray
 
+    def tpr_at(self, specificity: float = 0.95) -> float:
+        """Max achievable sensitivity with FPR <= 1 - specificity.
+
+        Only realized threshold points count; no interpolation between them.
+        """
+        if not 0.0 <= specificity <= 1.0:
+            raise ValueError(f"specificity {specificity} outside [0, 1]")
+        feasible = self.fpr <= (1.0 - specificity) + 1e-12
+        return float(self.tpr[feasible].max())
+
 
 def _check_binary(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64)
@@ -83,15 +93,8 @@ def roc_curve(scores, labels) -> RocCurve:
 
 
 def tpr_at_specificity(scores, labels, specificity: float = 0.95) -> float:
-    """Max achievable sensitivity with FPR <= 1 - specificity.
-
-    Only realized threshold points count; no interpolation between them.
-    """
-    if not 0.0 <= specificity <= 1.0:
-        raise ValueError(f"specificity {specificity} outside [0, 1]")
-    curve = roc_curve(scores, labels)
-    feasible = curve.fpr <= (1.0 - specificity) + 1e-12
-    return float(curve.tpr[feasible].max())
+    """``RocCurve.tpr_at`` of the scores' ROC curve."""
+    return roc_curve(scores, labels).tpr_at(specificity)
 
 
 def auc(curve: RocCurve) -> float:
@@ -101,14 +104,18 @@ def auc(curve: RocCurve) -> float:
 
 def normalized_hamming(pred: Sequence[int], truth: Sequence[int]) -> float:
     """Fraction of positions where the two binary flag vectors disagree."""
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
-    if pred.shape != truth.shape or pred.ndim != 1:
+    return float(_hamming_rows(np.asarray(pred)[None], np.asarray(truth)[None])[0])
+
+
+def _hamming_rows(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """``normalized_hamming`` of each row pair of two (N, F) flag matrices,
+    checked once for the whole matrix."""
+    if pred.shape != truth.shape or pred.ndim != 2:
         raise ValueError(f"flag vectors must have equal length, got "
-                         f"{pred.shape} and {truth.shape}")
+                         f"{pred.shape[1:]} and {truth.shape[1:]}")
     if not (np.isin(pred, (0, 1)).all() and np.isin(truth, (0, 1)).all()):
         raise ValueError("flag vectors must be binary 0/1")
-    return float(np.mean(pred != truth))
+    return np.mean(pred != truth, axis=1)
 
 
 @dataclass
@@ -159,15 +166,10 @@ def evaluate_scores(image_ids: Sequence[str],
     (ties negative); per-sample NHD values are averaged over samples.
     """
     curve = roc_curve(glaucoma_scores, glaucoma_labels)
-    feature_scores = np.asarray(feature_scores, dtype=np.float64)
-    feature_truth = np.asarray(feature_truth)
-    preds = (feature_scores > threshold).astype(int)
-    per_sample = {
-        image_id: normalized_hamming(preds[i], feature_truth[i])
-        for i, image_id in enumerate(image_ids)
-    }
+    preds = (np.asarray(feature_scores, dtype=np.float64) > threshold).astype(int)
+    per_sample = dict(zip(image_ids, _hamming_rows(preds, np.asarray(feature_truth)).tolist()))
     return EvalReport(
-        tpr_at_95=tpr_at_specificity(glaucoma_scores, glaucoma_labels, 0.95),
+        tpr_at_95=curve.tpr_at(0.95),
         auc=auc(curve),
         nhd_mean=float(np.mean(list(per_sample.values()))) if per_sample else 0.0,
         per_sample_nhd=per_sample,

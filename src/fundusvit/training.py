@@ -60,6 +60,15 @@ class TrainConfig:
         for name in ("batch_size", "epochs", "lr_decay_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0.0 < self.lr0 < np.inf:
+            raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise ValueError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not 0.0 < self.adam_eps < np.inf:
+            raise ValueError(f"adam_eps must be positive and finite, got {self.adam_eps}")
         if min(self.split) < 0 or sum(self.split) == 0:
             raise ValueError(f"split needs nonnegative parts with a positive sum, "
                              f"got {self.split}")

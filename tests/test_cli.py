@@ -227,7 +227,17 @@ class TestMalformedInputs:
                                               "confidence_floor"),
                                              ("model.depth = -1", "depth"),
                                              ("model.agg_hidden = 0", "agg_hidden"),
-                                             ("model.mlp_hidden = 0", "mlp_width")])
+                                             ("model.mlp_hidden = 0", "mlp_width"),
+                                             ("train.lr0 = -0.001", "lr0"),
+                                             ("train.lr0 = 0", "lr0"),
+                                             ("train.lr_decay = -1", "lr_decay"),
+                                             ("train.lr_decay = 0", "lr_decay"),
+                                             ("train.lr_decay = 1.5", "lr_decay"),
+                                             ("train.beta1 = 1.0", "beta1"),
+                                             ("train.beta1 = -0.1", "beta1"),
+                                             ("train.beta2 = 1.5", "beta2"),
+                                             ("train.adam_eps = 0", "adam_eps"),
+                                             ("train.adam_eps = -1e-8", "adam_eps")])
     def test_malformed_config_train_is_one(self, line, field, workspace, tmp_path,
                                            capsys, monkeypatch):
         from fundusvit import training
@@ -502,6 +512,39 @@ class TestTrainEvalInfer:
         assert out.returncode == 0
         names = [l.split(" ")[0] for l in out.stdout.strip().splitlines()]
         assert names == ["glaucoma", "feature1", "feature2"]
+
+
+class TestColdImports:
+    def test_help_and_default_infer_load_no_scipy(self, workspace, tmp_path):
+        # scipy is a test-only dependency: a fresh CLI process must not pay
+        # for its import, even when it crops and strips a background
+        from fundusvit.checkpoint import load_checkpoint, save_checkpoint
+
+        root, data, config = workspace
+        run_cli(["train", "--config", config])
+        model, prep, _ = load_checkpoint(root / "run" / "glaucoma.ckpt")
+        assert prep.od_crop and prep.bg_removal
+        bank = tmp_path / "bank"
+        bank.mkdir()
+        for task in ("glaucoma", "feature1"):
+            save_checkpoint(bank / f"{task}.ckpt", model, prep, task)
+        code = ("import sys\n"
+                "from fundusvit import cli\n"
+                "try:\n"
+                "    cli.main(['--help'])\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0\n"
+                "assert cli.main(sys.argv[1:]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        out = subprocess.run(
+            [sys.executable, "-c", code, "infer", "--checkpoint", str(bank),
+             "--image", str(data / "images" / "img0000.ppm"),
+             "--detection", str(data / "detections" / "img0000.txt")],
+            capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.strip().splitlines()
+        assert [l.split(" ")[0] for l in lines[-3:-1]] == ["glaucoma", "feature1"]
+        assert lines[-1] == "[]"
 
 
 class TestPreprocessCommand:

@@ -206,6 +206,7 @@ class TestBuild:
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
 probability = st.floats(0.0, 1.0)
 
 
@@ -243,9 +244,10 @@ def model_configs(draw):
 SETTINGS = {
     "model": (ModelConfig, model_configs()),
     "train": (TrainConfig, st.builds(
-        TrainConfig, lr0=finite, lr_decay=finite,
-        lr_decay_every=st.integers(1, 100), beta1=finite, beta2=finite,
-        adam_eps=finite, batch_size=st.integers(1, 64),
+        TrainConfig, lr0=positive, lr_decay=st.floats(0.0, 1.0, exclude_min=True),
+        lr_decay_every=st.integers(1, 100), beta1=st.floats(0.0, 1.0, exclude_max=True),
+        beta2=st.floats(0.0, 1.0, exclude_max=True), adam_eps=positive,
+        batch_size=st.integers(1, 64),
         epochs=st.integers(1, 100), seed=st.integers(-2**40, 2**40),
         split=st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(sum),
         task=st.sampled_from([*TASKS, "bank"]),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fundusvit import metrics
 from fundusvit.metrics import (CHALLENGE_DEV_PHASE, DegenerateLabelsError,
                                auc, evaluate_scores,
                                normalized_hamming, roc_curve,
@@ -173,6 +174,28 @@ class TestEvaluateScores:
         expected = {f"s{i}": truth[i].mean() for i in range(5)}
         assert report.per_sample_nhd == pytest.approx(expected)
         assert report.nhd_mean == pytest.approx(truth.mean(axis=1).mean())
+
+    def test_one_roc_curve_per_report_and_rowwise_nhd(self, monkeypatch):
+        # TPR@95 comes from the report's own curve; each row's NHD is the
+        # value normalized_hamming gives that row alone
+        rng = np.random.default_rng(4)
+        ids = [f"s{i}" for i in range(40)]
+        labels, g_scores = rng.integers(0, 2, 40), rng.random(40)
+        f_scores, truth = rng.random((40, 10)), rng.integers(0, 2, (40, 10))
+        built = []
+        monkeypatch.setattr(metrics, "roc_curve",
+                            lambda *a: built.append(a) or roc_curve(*a))
+        report = evaluate_scores(ids, g_scores, labels, f_scores, truth)
+        assert len(built) == 1
+        assert report.tpr_at_95 == tpr_at_specificity(g_scores, labels, 0.95)
+        assert report.per_sample_nhd == {
+            ids[i]: normalized_hamming((f_scores[i] > 0.5).astype(int), truth[i])
+            for i in range(40)}
+
+    @pytest.mark.parametrize("truth", [np.full((2, 10), 2), np.zeros((2, 9), dtype=int)])
+    def test_bad_flag_matrix_is_a_value_error(self, truth):
+        with pytest.raises(ValueError, match="flag vectors"):
+            evaluate_scores(["a", "b"], [0.9, 0.1], [1, 0], np.zeros((2, 10)), truth)
 
     def test_report_round_trip(self, tmp_path):
         ids = ["a", "b"]

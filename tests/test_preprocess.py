@@ -9,13 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
-from fundusvit.detections import DiscDetection
+from fundusvit.dataset import read_manifest
+from fundusvit.detections import DiscDetection, load_detection_file, select_roi
 from fundusvit.ppm import read_ppm, write_ppm
-from fundusvit.preprocess import (AugmentDraws, AugmentParams, augment,
+from fundusvit.preprocess import (DEFAULT_BG_TAU, AugmentDraws, AugmentParams,
+                                  augment, border_fill,
                                   color_jitter, crop_roi, hsv_to_rgb,
                                   remove_background, resize_bilinear,
                                   rgb_to_hsv, roi_side, rotate)
+from fundusvit.synth import generate_dataset
 
 
 def det(cx, cy, w, h, conf=0.9):
@@ -159,6 +163,75 @@ class TestRemoveBackground:
         np.testing.assert_array_equal(out, flood_fill_background(image, 10))
         # never increases a pixel
         assert np.all(out.astype(int) <= image.astype(int))
+
+
+def labelled_border_fill(dark):
+    """The border-connected dark set as ``ndimage.label`` finds it: the
+    component of a dark frame drawn around the mask."""
+    framed = np.ones((dark.shape[0] + 2, dark.shape[1] + 2), dtype=bool)
+    framed[1:-1, 1:-1] = dark
+    labels, _ = ndimage.label(framed, structure=ndimage.generate_binary_structure(2, 1))
+    return labels[1:-1, 1:-1] == labels[0, 0]
+
+
+def spiral_maze(n):
+    """A one-pixel dark corridor that winds from the top-left corner
+    inwards between one-pixel bright walls: only its outer ring has a
+    straight dark path to an edge."""
+    dark = np.zeros((n, n), dtype=bool)
+    y, x, dy, dx, turns = 0, 0, 0, 1, 0
+    dark[0, 0] = True
+    inside = lambda cy, cx: 0 <= cy < n and 0 <= cx < n  # noqa: E731
+    while turns < 2:
+        ny, nx = y + dy, x + dx
+        if inside(ny, nx) and not dark[ny, nx] and \
+                not (inside(ny + dy, nx + dx) and dark[ny + dy, nx + dx]):
+            y, x, turns = ny, nx, 0
+            dark[y, x] = True
+        else:
+            dy, dx, turns = dx, -dy, turns + 1
+    return dark
+
+
+class TestBorderFill:
+    def test_random_masks_match_label(self):
+        rng = np.random.default_rng(11)
+        for _ in range(3000):
+            h, w = rng.integers(1, 40, size=2)
+            dark = rng.random((h, w)) < rng.uniform(0.2, 0.8)
+            np.testing.assert_array_equal(border_fill(dark), labelled_border_fill(dark))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 37), (2, 1), (37, 1)])
+    def test_single_row_and_column_masks_match_label(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(200):
+            dark = rng.random(shape) < 0.5
+            np.testing.assert_array_equal(border_fill(dark), labelled_border_fill(dark))
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_all_dark_fills_and_all_light_does_not(self, h, w):
+        np.testing.assert_array_equal(border_fill(np.ones((h, w), dtype=bool)), True)
+        np.testing.assert_array_equal(border_fill(np.zeros((h, w), dtype=bool)), False)
+
+    @pytest.mark.parametrize("n", [9, 10, 82])
+    def test_spiral_maze_fills_whole_corridor(self, n):
+        # reachable only through many alternating row and column passes
+        dark = spiral_maze(n)
+        np.testing.assert_array_equal(labelled_border_fill(dark), dark)
+        np.testing.assert_array_equal(border_fill(dark), dark)
+
+    @pytest.mark.parametrize("size, n", [(128, 6), (512, 2)])
+    def test_synthetic_crops_match_label(self, size, n, tmp_path):
+        # the source sizes of the desk (32x32) and full-resolution runs
+        manifest = generate_dataset(tmp_path, n=n, seed=5, size=size)
+        for row in read_manifest(manifest):
+            detection = select_roi(load_detection_file(
+                tmp_path / row.detection_path, row.width, row.height))
+            crop = crop_roi(read_ppm(tmp_path / row.image_path), detection)
+            dark = crop.max(axis=2) < DEFAULT_BG_TAU
+            assert dark.any()
+            np.testing.assert_array_equal(border_fill(dark), labelled_border_fill(dark))
 
 
 class TestResize:
