@@ -375,22 +375,20 @@ def _horner(x: np.ndarray, coefs, leading_one: bool = False) -> np.ndarray:
 
 def erf(x: np.ndarray) -> np.ndarray:
     """The error function, elementwise, evaluated in float64 and cast back
-    to the input's float dtype. Each branch sees only its own values, so no
-    overflow warning escapes.
+    to the input's float dtype. Each of cephes' fractions runs on every
+    value clamped into its own range, so no overflow warning escapes.
 
     From |x| = 8 on, erfc(|x|) < 2e-29 is below half an ulp of 1, so erf
     is exactly +-1 there and cephes' third fraction (R/S) cannot change it.
     """
     x = np.asarray(x)
     a = np.abs(x, dtype=np.float64)
-    out = np.where(np.isnan(a), a, 1.0)  # the value from |x| = 8 on
-    small = a <= 1.0
-    s = a[small]
+    s = np.minimum(a, 1.0)
     z = s * s
-    out[small] = s * _horner(z, _ERF_T) / _horner(z, _ERF_U, leading_one=True)
-    mid = (a > 1.0) & (a < 8.0)
-    m = a[mid]
-    out[mid] = 1.0 - np.exp(-m * m) * _horner(m, _ERF_P) / _horner(m, _ERF_Q, leading_one=True)
+    small = s * _horner(z, _ERF_T) / _horner(z, _ERF_U, leading_one=True)
+    m = np.clip(a, 1.0, 8.0)
+    mid = 1.0 - np.exp(-m * m) * _horner(m, _ERF_P) / _horner(m, _ERF_Q, leading_one=True)
+    out = np.where(a <= 1.0, small, np.where(a >= 8.0, 1.0, mid))  # NaN stays in mid
     return np.copysign(out, x).astype(x.dtype, copy=False)
 
 

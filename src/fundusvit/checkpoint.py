@@ -64,7 +64,7 @@ def save_checkpoint(path: str | Path, model: DualHeadViT,
     header = [MAGIC, *kv.dump("model", model.config), *kv.dump("prep", prep),
               f"task = {task}", *tensor_lines]
     payload = [np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-               for t in model.parameters()]
+               for t in model.params.values()]
     write_atomic(path, b"".join([("\n".join(header) + "\n---\n").encode("ascii"),
                                  *payload]))
 

@@ -99,6 +99,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    if args.target < 1:
+        raise ValueError(f"--target must be at least 1, got {args.target}")
     rows = read_manifest(args.manifest)
     base = args.manifest.parent
     opts = PreprocessOptions(od_crop=args.od_crop, bg_removal=args.bg_removal)

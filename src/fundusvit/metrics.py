@@ -128,7 +128,7 @@ class EvalReport:
     per_sample_nhd: dict[str, float]
     feature_threshold: float
     n_samples: int
-    roc: RocCurve | None = None
+    roc: RocCurve
 
     def to_lines(self) -> list[str]:
         lines = [
@@ -146,8 +146,6 @@ class EvalReport:
         write_atomic(path, "\n".join(self.to_lines()) + "\n")
 
     def write_roc_table(self, path: str | Path) -> None:
-        if self.roc is None:
-            raise ValueError("no ROC curve attached to this report")
         rows = ["threshold\tfpr\ttpr"]
         rows += [f"{t:.9g}\t{f:.9f}\t{p:.9f}"
                  for t, f, p in zip(self.roc.thresholds, self.roc.fpr, self.roc.tpr)]

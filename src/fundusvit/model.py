@@ -129,29 +129,14 @@ def patchify(image: np.ndarray, patch: int) -> np.ndarray:
     return tiles.reshape(*lead, gh * gw, 3 * patch * patch)
 
 
-@dataclass
-class AggregationHead:
-    """Learnable patch-weighting head: two projections, each followed by a
-    layer norm and ReLU, then a softmax over patches. Its tensors carry the
-    leading task axis of a task stack's parameters.
+def aggregate_patches(features: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
+    """Weighted sum of patch-token features under the ``agg.*`` entries of
+    a task stack's parameter map: two projections, each followed by a layer
+    norm and ReLU, then a softmax over patches.
 
     The second norm acts across the N per-patch scores (scalar gain/bias);
     normalizing each single-element score vector would pin every score to
     zero and freeze the weights at uniform.
-    """
-
-    proj1_w: Tensor
-    proj1_b: Tensor
-    norm1_gain: Tensor
-    norm1_bias: Tensor
-    proj2_w: Tensor
-    proj2_b: Tensor
-    norm2_gain: Tensor
-    norm2_bias: Tensor
-
-
-def aggregate_patches(features: Tensor, head: AggregationHead) -> tuple[Tensor, Tensor]:
-    """Weighted sum of patch-token features.
 
     ``features`` is a task stack's (K, B, N, D). Returns ``(aggregated,
     weights)``: per task and image, a (1, D) convex combination of the N
@@ -161,11 +146,12 @@ def aggregate_patches(features: Tensor, head: AggregationHead) -> tuple[Tensor, 
     if features.ndim != 4 or features.shape[-2] == 0:
         raise ShapeError(f"expected (K, B, N, D) features with N > 0, got "
                          f"{features.shape}")
-    s = linear(features, head.proj1_w, head.proj1_b)
-    s = relu(layer_norm(s, head.norm1_gain, head.norm1_bias, LAYER_NORM_EPS))
-    s = linear(s, head.proj2_w, head.proj2_b)
+    p = params
+    s = linear(features, p["agg.proj1.weight"], p["agg.proj1.bias"])
+    s = relu(layer_norm(s, p["agg.norm1.gain"], p["agg.norm1.bias"], LAYER_NORM_EPS))
+    s = linear(s, p["agg.proj2.weight"], p["agg.proj2.bias"])
     s = transpose(s)  # (1, N): normalize the score distribution across patches
-    s = relu(layer_norm(s, head.norm2_gain, head.norm2_bias, LAYER_NORM_EPS))
+    s = relu(layer_norm(s, p["agg.norm2.gain"], p["agg.norm2.bias"], LAYER_NORM_EPS))
     w = softmax(s, axis=-1)
     aggregated = matmul(w, features)
     return aggregated, transpose(w)
@@ -271,12 +257,6 @@ class DualHeadViT:
                                  f"K >= 1 tasks as in every other parameter")
             self.params[name] = Tensor(arrays[name], requires_grad=True)
         self.dtype = self.params["cls_token"].dtype
-        p = self.params
-        self.agg_head = AggregationHead(
-            p["agg.proj1.weight"], p["agg.proj1.bias"],
-            p["agg.norm1.gain"], p["agg.norm1.bias"],
-            p["agg.proj2.weight"], p["agg.proj2.bias"],
-            p["agg.norm2.gain"], p["agg.norm2.bias"])
 
     @staticmethod
     def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -308,12 +288,6 @@ class DualHeadViT:
             ("final_fc.weight", (d, 2)), ("final_fc.bias", (1, 2)),
         ]
         return shapes
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return list(self.params.items())
-
-    def parameters(self) -> list[Tensor]:
-        return list(self.params.values())
 
     def parameter_groups(self) -> dict[str, list[str]]:
         """Coarse grouping used by the gradient-flow check."""
@@ -381,7 +355,7 @@ class DualHeadViT:
         patch_out = narrow(x, x.ndim - 2, 1, cfg.n_patches)
         p_cls = softmax(linear(cls_out, p["mlp_head.weight"], p["mlp_head.bias"]),
                         axis=-1)
-        aggregated, weights = aggregate_patches(patch_out, self.agg_head)
+        aggregated, weights = aggregate_patches(patch_out, p)
         p_agg = softmax(linear(aggregated, p["final_fc.weight"], p["final_fc.bias"]),
                         axis=-1)
         return HeadOutputs(p_cls, p_agg, weights)

@@ -187,21 +187,17 @@ def _bilinear_sample(images: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.n
 
 def rotate(images: np.ndarray, degrees) -> np.ndarray:
     """Rotate counterclockwise about the image center; bilinear, zero fill.
-    A BxHxWx3 stack takes one angle per image; a zero angle copies."""
+    A BxHxWx3 stack takes one angle per image; a zero angle is exact identity."""
     images = _require_rgb(images, stack=True)
     stack = images.reshape(-1, *images.shape[-3:])
     degrees = np.broadcast_to(np.asarray(degrees, dtype=np.float64), stack.shape[:1])
-    out = stack.copy()
-    turn = np.flatnonzero(degrees != 0.0)
-    if turn.size:
-        h, w = stack.shape[1:3]
-        cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-        # one scalar cos/sin per image, the same values a single image gets
-        c, s = np.array([(np.cos(t), np.sin(t))
-                         for t in map(np.deg2rad, degrees[turn])]).T[..., None, None]
-        dy, dx = np.meshgrid(np.arange(h) - cy, np.arange(w) - cx, indexing="ij")
-        out[turn] = _bilinear_sample(stack[turn], cx + c * dx + s * dy,
-                                     cy - s * dx + c * dy)
+    h, w = stack.shape[1:3]
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    # one scalar cos/sin per image, the same values a single image gets
+    c, s = np.reshape([(np.cos(t), np.sin(t)) for t in map(np.deg2rad, degrees)],
+                      (-1, 2)).T[..., None, None]
+    dy, dx = np.meshgrid(np.arange(h) - cy, np.arange(w) - cx, indexing="ij")
+    out = _bilinear_sample(stack, cx + c * dx + s * dy, cy - s * dx + c * dy)
     return out.reshape(images.shape)
 
 
@@ -241,22 +237,18 @@ def hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
 def color_jitter(images: np.ndarray, sat, bright, hue) -> np.ndarray:
     """Scale saturation and brightness (clamped to [0, 1]) and hue
     (multiplicative, modulo 1) in HSV space. A BxHxWx3 stack takes one
-    factor of each kind per image; factors all 1 copy the image."""
+    factor of each kind per image; unit factors leave every 8-bit colour as is."""
     images = _require_rgb(images, stack=True)
     stack = images.reshape(-1, *images.shape[-3:])
     sat, bright, hue = (np.broadcast_to(np.asarray(f, dtype=np.float64), stack.shape[:1])
                         for f in (sat, bright, hue))
-    out = stack.copy()
-    moved = np.flatnonzero((sat != 1.0) | (bright != 1.0) | (hue != 1.0))
-    if moved.size:
-        hsv = rgb_to_hsv(stack[moved] / 255.0)
-        hsv[..., 0] = (hsv[..., 0] * hue[moved, None, None]) % 1.0
-        hsv[..., 1] = np.clip(hsv[..., 1] * sat[moved, None, None], 0.0, 1.0)
-        hsv[..., 2] = np.clip(hsv[..., 2] * bright[moved, None, None], 0.0, 1.0)
-        # p, q and t lie in [0, v] and v in [0, 1]: no clip before the cast
-        rgb = hsv_to_rgb(hsv) * 255.0
-        out[moved] = np.rint(rgb, out=rgb).astype(np.uint8)
-    return out.reshape(images.shape)
+    hsv = rgb_to_hsv(stack / 255.0)
+    hsv[..., 0] = (hsv[..., 0] * hue[:, None, None]) % 1.0
+    hsv[..., 1] = np.clip(hsv[..., 1] * sat[:, None, None], 0.0, 1.0)
+    hsv[..., 2] = np.clip(hsv[..., 2] * bright[:, None, None], 0.0, 1.0)
+    # p, q and t lie in [0, v] and v in [0, 1]: no clip before the cast
+    rgb = hsv_to_rgb(hsv) * 255.0
+    return np.rint(rgb, out=rgb).astype(np.uint8).reshape(images.shape)
 
 
 @dataclass(frozen=True)
@@ -288,8 +280,8 @@ def augment(images: np.ndarray, params: AugmentParams, draws) -> np.ndarray:
     ``images`` is one HxWx3 image with one ``AugmentDraws``, or a BxHxWx3
     stack with B of them: flipped per image, then rotated and colour-scaled
     with one call each, every image bit-identical to augmenting it alone.
-    Disabled params, or identity draws (which short-circuit each stage
-    exactly), reproduce the input bit for bit.
+    Disabled params, or identity draws (no flip, a zero angle, unit factors:
+    each exact in its stage), reproduce the input bit for bit.
     """
     images = _require_rgb(images, stack=True)
     stack = images.reshape(-1, *images.shape[-3:]).copy()

@@ -88,6 +88,11 @@ def generate_dataset(out_dir: str | Path, n: int, seed: int, *,
     samples draw each feature flag with probability ``feature_rate``;
     negatives carry none.
     """
+    if n < 1 or size < 1:
+        raise ValueError(f"need n >= 1 images of size >= 1, got n={n}, size={size}")
+    for name, rate in (("pos_fraction", pos_fraction), ("feature_rate", feature_rate)):
+        if not 0.0 <= rate <= 1.0:  # NaN fails too
+            raise ValueError(f"{name} must lie in [0, 1], got {rate}")
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
     (out_dir / "detections").mkdir(parents=True, exist_ok=True)

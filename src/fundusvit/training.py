@@ -305,7 +305,7 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
     model = DualHeadViT.stack([initial(task) for task in tasks])
     groups = model.task_groups(min(model_cfg.stack_size, train_cfg.batch_size))
     # the groups' parameters view the stack's arrays, which Adam updates in place
-    optimizer = Adam([p for _, group in groups for p in group.parameters()],
+    optimizer = Adam([p for _, group in groups for p in group.params.values()],
                      train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps)
 
     results = [TaskResult(task, model=None, history=[], best_epoch=-1, best_metric=-np.inf,
@@ -352,7 +352,7 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
             if not inputs.val_rows or val_metric[k] >= result.best_metric:
                 result.best_metric = val_metric[k] if inputs.val_rows else -np.inf
                 result.best_epoch = epoch
-                for name, t in model.named_parameters():
+                for name, t in model.params.items():
                     best_state[name][k] = t.data[k]
 
     best = DualHeadViT.from_arrays(model_cfg, best_state)

@@ -93,7 +93,7 @@ def reference_forward(model, image: np.ndarray):
     Returns (p_cls, p_agg, weights) as flat float arrays.
     """
     cfg = model.config
-    p = {name: t.data[0].astype(np.float64) for name, t in model.named_parameters()}
+    p = {name: t.data[0].astype(np.float64) for name, t in model.params.items()}
     act = (lambda v: np.maximum(v, 0.0)) if cfg.activation == "relu" else None
     assert act is not None, "reference covers the relu configuration"
 
@@ -143,7 +143,7 @@ def min_relu_preactivation(model, image: np.ndarray) -> float:
     """
     cfg = model.config
     assert cfg.activation == "relu"
-    p = {name: t.data[0].astype(np.float64) for name, t in model.named_parameters()}
+    p = {name: t.data[0].astype(np.float64) for name, t in model.params.items()}
     margins = []
 
     x = _np_patchify(np.asarray(image, dtype=np.float64), cfg.patch)

@@ -85,7 +85,7 @@ def test_02_gradient_suite_full_model_finite_differences():
 
         step = 1e-4
         checked = 0
-        for name, tensor in model.named_parameters():
+        for name, tensor in model.params.items():
             grad = tensor.grad
             assert grad is not None, f"{name} received no gradient"
             flat = tensor.data.reshape(-1)

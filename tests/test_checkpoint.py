@@ -39,8 +39,8 @@ class TestRoundTrip:
         assert task == "feature3"
         assert loaded_prep == prep
         assert loaded.config == CFG
-        for (na, ta), (nb, tb) in zip(model.named_parameters(),
-                                      loaded.named_parameters()):
+        for (na, ta), (nb, tb) in zip(model.params.items(),
+                                      loaded.params.items()):
             assert na == nb
             assert ta.data.tobytes() == tb.data.tobytes()
         # a second save is byte-identical to the first
@@ -58,7 +58,7 @@ class TestRoundTrip:
 
         monkeypatch.setattr(model_module, "_trunc_normal", no_draws)
         loaded, _, _ = load_checkpoint(path)
-        for (_, ta), (_, tb) in zip(model.named_parameters(), loaded.named_parameters()):
+        for (_, ta), (_, tb) in zip(model.params.items(), loaded.params.items()):
             assert tb.data.dtype == np.float32
             assert ta.data.tobytes() == tb.data.tobytes()
 
@@ -72,7 +72,7 @@ class TestRoundTrip:
         assert any(line == "model.dim = 16" for line in header)
         assert any(line == "task = glaucoma" for line in header)
         tensor_lines = [l for l in header if l.startswith("tensor ")]
-        assert len(tensor_lines) == len(model.named_parameters())
+        assert len(tensor_lines) == len(model.params)
         assert tensor_lines[0].startswith("tensor patch_proj.weight 768x16 @ 0")
         # offsets are cumulative over little-endian float32 payloads
         offsets = [int(l.rsplit("@", 1)[1]) for l in tensor_lines]

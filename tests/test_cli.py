@@ -560,3 +560,27 @@ class TestPreprocessCommand:
         assert len(rows) == 10
         image = read_ppm(out / rows[0].image_path)
         assert image.shape == (48, 48, 3)
+
+    def test_nonpositive_target_is_one_and_writes_nothing(self, workspace, tmp_path,
+                                                          capsys):
+        root, data, config = workspace
+        out = tmp_path / "prep"
+        assert run_cli(["preprocess", "--manifest", data / "manifest.tsv",
+                        "--out", out, "--target", 0]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fundusvit: error:") and "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--n", 2, "--size", 0], ["--n", 2, "--size", -4],
+                                  ["--n", -3], ["--n", 0],
+                                  ["--n", 2, "--pos-fraction", 1.5],
+                                  ["--n", 2, "--pos-fraction", -0.5],
+                                  ["--n", 2, "--pos-fraction", "nan"]],
+                         ids=lambda args: "_".join(map(str, args)))
+def test_synth_rejects_what_it_cannot_generate(args, tmp_path, capsys):
+    out = tmp_path / "data"
+    assert run_cli(["synth", "--out", out, *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fundusvit: error:") and "Traceback" not in err
+    assert not out.exists()

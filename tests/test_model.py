@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from fundusvit import autodiff as ad
 from fundusvit import model as model_module
 from fundusvit.autodiff import ShapeError, Tensor
-from fundusvit.model import (AggregationHead, DualHeadViT, ModelConfig,
-                             aggregate_patches, average_prediction, patchify)
+from fundusvit.model import (DualHeadViT, ModelConfig, aggregate_patches,
+                             average_prediction, patchify)
 from fundusvit.training import dual_bce_loss
 
 from helpers import reference_forward, unpatchify
@@ -27,25 +27,25 @@ GOLDEN_WEIGHTS = [0.136762433355659, 0.136762433355659, 0.136762433355659,
                   0.589712699933022]
 
 
+def head_shapes(dim, hidden):
+    """The ``agg.*`` parameter names and per-task shapes of a model with
+    feature width ``dim`` and aggregation width ``hidden``."""
+    cfg = ModelConfig(height=16, width=16, patch=16, dim=dim, depth=1, heads=1,
+                      agg_hidden=hidden)
+    return [(n, s) for n, s in DualHeadViT.parameter_shapes(cfg) if n.startswith("agg.")]
+
+
 def random_head(dim, hidden, seed, dtype=np.float64):
-    """An aggregation head of one task (K = 1) with normal parameters."""
+    """The ``agg.*`` parameters of one task (K = 1), drawn normal."""
     rng = np.random.default_rng(seed)
-    mk = lambda *s: Tensor(rng.normal(size=(1, *s)).astype(dtype), requires_grad=True)
-    return AggregationHead(
-        proj1_w=mk(dim, hidden), proj1_b=mk(1, hidden),
-        norm1_gain=mk(hidden), norm1_bias=mk(hidden),
-        proj2_w=mk(hidden, 1), proj2_b=mk(1, 1),
-        norm2_gain=mk(1), norm2_bias=mk(1))
+    return {n: Tensor(rng.normal(size=(1, *s)).astype(dtype), requires_grad=True)
+            for n, s in head_shapes(dim, hidden)}
 
 
 def zero_head(dim, hidden):
-    """An aggregation head of one task (K = 1) with zero parameters."""
-    mk = lambda *s: Tensor(np.zeros((1, *s)), requires_grad=True)
-    return AggregationHead(
-        proj1_w=mk(dim, hidden), proj1_b=mk(1, hidden),
-        norm1_gain=mk(hidden), norm1_bias=mk(hidden),
-        proj2_w=mk(hidden, 1), proj2_b=mk(1, 1),
-        norm2_gain=mk(1), norm2_bias=mk(1))
+    """The ``agg.*`` parameters of one task (K = 1), all zero."""
+    return {n: Tensor(np.zeros((1, *s)), requires_grad=True)
+            for n, s in head_shapes(dim, hidden)}
 
 
 def one_task(features):
@@ -105,17 +105,17 @@ class TestAggregatePatches:
         features = rng.normal(size=(4, 8))
         head = random_head(8, 8, seed=6)
         aggregated, weights = aggregate_patches(one_task(features), head)
-        h = {name: a.data[0] for name, a in vars(head).items()}  # task 0
+        h = {name: a.data[0] for name, a in head.items()}  # task 0
 
         def np_ln(x, gain, bias, eps=1e-5):
             mu = x.mean(-1, keepdims=True)
             var = ((x - mu) ** 2).mean(-1, keepdims=True)
             return gain * (x - mu) / np.sqrt(var + eps) + bias
 
-        s = features @ h["proj1_w"] + h["proj1_b"]
-        s = np.maximum(np_ln(s, h["norm1_gain"], h["norm1_bias"]), 0.0)
-        s = (s @ h["proj2_w"] + h["proj2_b"]).T
-        s = np.maximum(np_ln(s, h["norm2_gain"], h["norm2_bias"]), 0.0)
+        s = features @ h["agg.proj1.weight"] + h["agg.proj1.bias"]
+        s = np.maximum(np_ln(s, h["agg.norm1.gain"], h["agg.norm1.bias"]), 0.0)
+        s = (s @ h["agg.proj2.weight"] + h["agg.proj2.bias"]).T
+        s = np.maximum(np_ln(s, h["agg.norm2.gain"], h["agg.norm2.bias"]), 0.0)
         e = np.exp(s - s.max())
         w = e / e.sum()
         np.testing.assert_allclose(weights.data.ravel(), w.ravel(), atol=1e-10)
@@ -220,7 +220,7 @@ class TestStructure:
     ])
     def test_param_count_is_pure_function_of_config(self, cfg):
         model = DualHeadViT(cfg, seed=1)
-        assert sum(t.data.size for t in model.parameters()) == cfg.param_count()
+        assert sum(t.data.size for t in model.params.values()) == cfg.param_count()
 
     def test_position_row_zero_is_the_class_token_slot(self):
         model = DualHeadViT(TINY, seed=0)
@@ -229,7 +229,7 @@ class TestStructure:
 
     def test_initialization_conventions(self):
         model = DualHeadViT(TINY, seed=3)
-        for name, tensor in model.named_parameters():
+        for name, tensor in model.params.items():
             if name.endswith(".gain"):
                 np.testing.assert_array_equal(tensor.data, np.ones_like(tensor.data))
             elif name.endswith(".bias"):
@@ -240,7 +240,7 @@ class TestStructure:
     def test_same_seed_same_parameters(self):
         a = DualHeadViT(TINY, seed=5)
         b = DualHeadViT(TINY, seed=5)
-        for (_, ta), (_, tb) in zip(a.named_parameters(), b.named_parameters()):
+        for (_, ta), (_, tb) in zip(a.params.items(), b.params.items()):
             np.testing.assert_array_equal(ta.data, tb.data)
 
     def test_invalid_configs_rejected(self):
@@ -297,11 +297,11 @@ class TestStacking:
         images = rng.random((4, 32, 32, 3))
         labels = [(0.0, 1.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
         ad.backward(dual_bce_loss(labels, model.forward(images)).total)
-        stacked = {name: t.grad.copy() for name, t in model.named_parameters()}
-        ad.zero_grads(model.parameters())
+        stacked = {name: t.grad.copy() for name, t in model.params.items()}
+        ad.zero_grads(model.params.values())
         for image, y in zip(images, labels):
             ad.backward(dual_bce_loss(y, model.forward(image)).total)
-        for name, t in model.named_parameters():
+        for name, t in model.params.items():
             np.testing.assert_allclose(stacked[name], t.grad, rtol=0, atol=1e-12,
                                        err_msg=name)
 
@@ -353,13 +353,13 @@ class TestTaskStack:
         for k, m in enumerate(members):
             member = stacked.member(k)
             assert member.n_tasks == 1
-            for (name, a), (_, b) in zip(member.named_parameters(),
-                                         m.named_parameters()):
+            for (name, a), (_, b) in zip(member.params.items(),
+                                         m.params.items()):
                 assert np.shares_memory(a.data, stacked.params[name].data)
                 np.testing.assert_array_equal(a.data, b.data)
 
     def test_arrays_without_a_task_axis_rejected(self):
-        arrays = {n: t.data[0] for n, t in DualHeadViT(TINY, seed=0).named_parameters()}
+        arrays = {n: t.data[0] for n, t in DualHeadViT(TINY, seed=0).params.items()}
         with pytest.raises(ShapeError, match="task"):
             DualHeadViT.from_arrays(TINY, arrays)
         with pytest.raises(ShapeError):
@@ -386,7 +386,7 @@ class TestTaskStack:
             for name in ("p_cls", "p_agg", "patch_weights"):
                 np.testing.assert_array_equal(getattr(out, name).data[k:k + 1],
                                               getattr(alone, name).data)
-            for name, t in member.named_parameters():
+            for name, t in member.params.items():
                 np.testing.assert_array_equal(stacked.params[name].grad[k:k + 1], t.grad,
                                               err_msg=name)
 

@@ -318,6 +318,18 @@ class TestAugment:
         out = augment(image, self.params, identity)
         np.testing.assert_array_equal(out, image)
 
+    @pytest.mark.parametrize("h, w", [(1, 1), (2, 3), (31, 17), (32, 32), (512, 512)])
+    def test_zero_angle_samples_every_pixel_at_its_centre(self, h, w):
+        images = np.stack([random_image(22, h, w), random_image(23, h, w)])
+        np.testing.assert_array_equal(rotate(images, [0.0, -0.0]), images)
+
+    def test_unit_factors_return_every_colour_unchanged(self):
+        # every 13th of the 2^24 8-bit colours, as one image column
+        codes = np.arange(0, 1 << 24, 13)
+        colours = np.stack([codes >> 16, (codes >> 8) & 255, codes & 255],
+                           axis=-1).astype(np.uint8)[:, None]
+        np.testing.assert_array_equal(color_jitter(colours, 1.0, 1.0, 1.0), colours)
+
     def test_disabled_params_ignore_the_draws(self):
         image = random_image(16)
         draws = AugmentDraws(u_flip_h=0.0, u_flip_v=0.0, rot_deg=7.0,

@@ -5,6 +5,7 @@ import hashlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fundusvit.dataset import read_manifest
 from fundusvit.detections import load_detection_file
@@ -52,6 +53,12 @@ class TestLabels:
         for row in read_manifest(manifest):
             if row.rg == 1:
                 assert row.features == (1,) * 10
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan")])
+    def test_feature_rate_outside_unit_interval_rejected(self, rate, tmp_path):
+        with pytest.raises(ValueError, match="feature_rate"):
+            generate_dataset(tmp_path / "data", n=2, seed=3, size=32, feature_rate=rate)
+        assert not (tmp_path / "data").exists()
 
 
 class TestGeometry:
