@@ -44,11 +44,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--size", type=int, default=128)
-    p.add_argument("--pos-fraction", type=float, default=0.5)
+    p.add_argument("--n", type=int, required=True, help="number of images, at least 1")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of every image and detection (default 0)")
+    p.add_argument("--out", type=Path, required=True, help="output directory")
+    p.add_argument("--size", type=int, default=128,
+                   help="image side in pixels, at least 3 (default 128)")
+    p.add_argument("--pos-fraction", type=float, default=0.5,
+                   help="share of referable images, in [0, 1] (default 0.5)")
 
     p = sub.add_parser("preprocess", help="apply crop/background/resize to a manifest")
     p.add_argument("--manifest", type=Path, required=True)

@@ -177,10 +177,12 @@ def average_prediction(outputs: HeadOutputs) -> np.ndarray:
 def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     """Normal(0, std) resampled until every draw lies within 2 std."""
     out = rng.standard_normal(shape)
-    bad = np.abs(out) > 2.0
-    while bad.any():
-        out[bad] = rng.standard_normal(int(bad.sum()))
-        bad = np.abs(out) > 2.0
+    flat = out.reshape(-1)
+    # Only the rejected positions are redrawn, in index order, each round.
+    bad = np.flatnonzero(np.abs(flat) > 2.0)
+    while bad.size:
+        flat[bad] = rng.standard_normal(bad.size)
+        bad = bad[np.abs(flat[bad]) > 2.0]
     return out * std
 
 

@@ -31,9 +31,28 @@ NOTCH_COLOR = np.array([120.0, 44.0, 26.0])
 TICK_COLOR = np.array([84.0, 30.0, 20.0])
 
 
-def _disc_mask(grid: np.ndarray, cx: float, cy: float, radius: float) -> np.ndarray:
-    yy, xx = grid
+def _bounding_box(size: int, cx: float, cy: float, radius: float) -> tuple[slice, slice]:
+    """Rows and columns of the circle's bounding box, padded by one pixel and
+    clipped to the image. Every pixel outside lies at least radius + 1 from
+    the centre, so the circle test can never pass there."""
+    def span(c: float) -> slice:
+        return slice(max(math.floor(c - radius) - 1, 0),
+                     min(math.ceil(c + radius) + 2, size))
+    return span(cy), span(cx)
+
+
+def _disc_mask(box: tuple[slice, slice], cx: float, cy: float,
+               radius: float) -> np.ndarray:
+    rows, cols = box
+    yy = np.arange(rows.start, rows.stop)[:, None]
+    xx = np.arange(cols.start, cols.stop)
     return (xx - cx) ** 2 + (yy - cy) ** 2 <= radius ** 2
+
+
+def _paint(img: np.ndarray, cx: float, cy: float, radius: float,
+           color: np.ndarray) -> None:
+    box = _bounding_box(len(img), cx, cy, radius)
+    img[box][_disc_mask(box, cx, cy, radius)] = color
 
 
 def render_sample(size: int, rng: np.random.Generator, positive: bool,
@@ -44,38 +63,43 @@ def render_sample(size: int, rng: np.random.Generator, positive: bool,
     img = rng.integers(0, 8, size=(size, size, 3)).astype(np.float64)
     center = (size - 1) / 2.0
     retina_r = 0.47 * size
-    yy, xx = grid = np.mgrid[0:size, 0:size]
-    rad2 = (xx - center) ** 2 + (yy - center) ** 2
+    offsets = np.arange(size) - center
+    rad2 = offsets ** 2 + offsets[:, None] ** 2
     retina = rad2 <= retina_r ** 2
     # Radial shading plus pixel noise so the retina is not a flat disc.
     shade = 1.0 - 0.35 * np.sqrt(rad2) / retina_r
     noise = rng.normal(0.0, 6.0, size=(size, size, 1))
-    img[retina] = (RETINA_COLOR * shade[..., None] + noise)[retina]
+    value = RETINA_COLOR * shade[..., None]
+    value += noise
+    np.copyto(img, value, where=retina[..., None])
 
     disc_r = rng.uniform(0.09, 0.12) * size
     offset = rng.uniform(0.18, 0.30) * size
     angle = rng.uniform(0.0, 2.0 * math.pi)
     dcx = center + offset * math.cos(angle)
     dcy = center + offset * math.sin(angle)
-    img[_disc_mask(grid, dcx, dcy, disc_r)] = DISC_COLOR
-    img[_disc_mask(grid, dcx, dcy, 0.45 * disc_r)] = CUP_COLOR
+    _paint(img, dcx, dcy, disc_r, DISC_COLOR)
+    _paint(img, dcx, dcy, 0.45 * disc_r, CUP_COLOR)
 
     if positive:
         # Rim notch: a dark bite on the disc boundary, the referable cue.
         notch_angle = rng.uniform(0.0, 2.0 * math.pi)
         nx = dcx + disc_r * math.cos(notch_angle)
         ny = dcy + disc_r * math.sin(notch_angle)
-        notch = _disc_mask(grid, nx, ny, 0.55 * disc_r)
-        notch &= _disc_mask(grid, dcx, dcy, disc_r)
-        img[notch] = NOTCH_COLOR
+        box = _bounding_box(size, nx, ny, 0.55 * disc_r)
+        notch = _disc_mask(box, nx, ny, 0.55 * disc_r)
+        notch &= _disc_mask(box, dcx, dcy, disc_r)
+        img[box][notch] = NOTCH_COLOR
     for k in np.nonzero(features)[0]:
         # Feature k renders as a small tick at its own rim slot.
         tick_angle = 2.0 * math.pi * (k + 0.5) / len(features)
         tx = dcx + 0.8 * disc_r * math.cos(tick_angle)
         ty = dcy + 0.8 * disc_r * math.sin(tick_angle)
-        img[_disc_mask(grid, tx, ty, 0.22 * disc_r)] = TICK_COLOR
+        _paint(img, tx, ty, 0.22 * disc_r, TICK_COLOR)
 
-    return np.clip(np.rint(img), 0, 255).astype(np.uint8), (dcx, dcy, disc_r)
+    np.rint(img, out=img)
+    np.clip(img, 0, 255, out=img)
+    return img.astype(np.uint8), (dcx, dcy, disc_r)
 
 
 def generate_dataset(out_dir: str | Path, n: int, seed: int, *,
@@ -86,10 +110,12 @@ def generate_dataset(out_dir: str | Path, n: int, seed: int, *,
 
     Exactly ``round(n * pos_fraction)`` samples are positive. Positive
     samples draw each feature flag with probability ``feature_rate``;
-    negatives carry none.
+    negatives carry none. The disc centre lies at least ``0.2 * size - 0.5``
+    pixels from each edge, so ``size >= 3`` keeps every written detection
+    inside the image.
     """
-    if n < 1 or size < 1:
-        raise ValueError(f"need n >= 1 images of size >= 1, got n={n}, size={size}")
+    if n < 1 or size < 3:
+        raise ValueError(f"need n >= 1 images of size >= 3, got n={n}, size={size}")
     for name, rate in (("pos_fraction", pos_fraction), ("feature_rate", feature_rate)):
         if not 0.0 <= rate <= 1.0:  # NaN fails too
             raise ValueError(f"{name} must lie in [0, 1], got {rate}")

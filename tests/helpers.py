@@ -3,11 +3,14 @@ pass, and brute-force metric recounts. Everything here is deliberately
 independent of the implementation paths it checks (loops instead of
 vectorized sweeps, no autodiff involvement). The reference image kernels
 are the preprocessing expressions the pipeline's faster kernels must match
-byte for byte. The inverses, loaders and the report reader at the end exist
-only for the tests; the pipeline never calls them."""
+byte for byte, and the reference renderer and truncated-normal draw are the
+full-grid and full-array forms whose bytes and random-generator state the
+faster ones reproduce. The inverses, loaders and the report reader at the
+end exist only for the tests; the pipeline never calls them."""
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Mapping
 
@@ -19,6 +22,7 @@ from fundusvit import autodiff as ad
 from fundusvit.detections import DiscDetection, load_detection_file
 from fundusvit.metrics import auc, roc_curve
 from fundusvit.preprocess import DEFAULT_BG_TAU, AugmentParams
+from fundusvit.synth import CUP_COLOR, DISC_COLOR, NOTCH_COLOR, RETINA_COLOR, TICK_COLOR
 
 FD_STEP = 1e-4
 GRAD_RTOL = 1e-4
@@ -401,6 +405,63 @@ def reference_require_rgb(image: np.ndarray, stack: bool = False) -> np.ndarray:
     if image.ndim not in ((3, 4) if stack else (3,)) or image.shape[-1] != 3:
         raise ValueError(f"expected an HxWx3 RGB image (or stack), got {image.shape}")
     return image
+
+
+# ---------------------------------------------------------------------------
+# reference random draws: every cue mask over the full pixel grid, and the
+# truncated normal redrawing through full-array masks each round
+
+
+def _reference_disc_mask(grid: np.ndarray, cx: float, cy: float, radius: float) -> np.ndarray:
+    yy, xx = grid
+    return (xx - cx) ** 2 + (yy - cy) ** 2 <= radius ** 2
+
+
+def reference_render_sample(size: int, rng: np.random.Generator, positive: bool,
+                            features: np.ndarray) -> tuple[np.ndarray, tuple[float, float, float]]:
+    """The bytes, disc and draws ``synth.render_sample`` must reproduce."""
+    img = rng.integers(0, 8, size=(size, size, 3)).astype(np.float64)
+    center = (size - 1) / 2.0
+    retina_r = 0.47 * size
+    yy, xx = grid = np.mgrid[0:size, 0:size]
+    rad2 = (xx - center) ** 2 + (yy - center) ** 2
+    retina = rad2 <= retina_r ** 2
+    shade = 1.0 - 0.35 * np.sqrt(rad2) / retina_r
+    noise = rng.normal(0.0, 6.0, size=(size, size, 1))
+    img[retina] = (RETINA_COLOR * shade[..., None] + noise)[retina]
+
+    disc_r = rng.uniform(0.09, 0.12) * size
+    offset = rng.uniform(0.18, 0.30) * size
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    dcx = center + offset * math.cos(angle)
+    dcy = center + offset * math.sin(angle)
+    img[_reference_disc_mask(grid, dcx, dcy, disc_r)] = DISC_COLOR
+    img[_reference_disc_mask(grid, dcx, dcy, 0.45 * disc_r)] = CUP_COLOR
+
+    if positive:
+        notch_angle = rng.uniform(0.0, 2.0 * math.pi)
+        nx = dcx + disc_r * math.cos(notch_angle)
+        ny = dcy + disc_r * math.sin(notch_angle)
+        notch = _reference_disc_mask(grid, nx, ny, 0.55 * disc_r)
+        notch &= _reference_disc_mask(grid, dcx, dcy, disc_r)
+        img[notch] = NOTCH_COLOR
+    for k in np.nonzero(features)[0]:
+        tick_angle = 2.0 * math.pi * (k + 0.5) / len(features)
+        tx = dcx + 0.8 * disc_r * math.cos(tick_angle)
+        ty = dcy + 0.8 * disc_r * math.sin(tick_angle)
+        img[_reference_disc_mask(grid, tx, ty, 0.22 * disc_r)] = TICK_COLOR
+
+    return np.clip(np.rint(img), 0, 255).astype(np.uint8), (dcx, dcy, disc_r)
+
+
+def reference_trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
+    """The values and draws ``model._trunc_normal`` must reproduce."""
+    out = rng.standard_normal(shape)
+    bad = np.abs(out) > 2.0
+    while bad.any():
+        out[bad] = rng.standard_normal(int(bad.sum()))
+        bad = np.abs(out) > 2.0
+    return out * std
 
 
 # ---------------------------------------------------------------------------

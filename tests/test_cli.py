@@ -573,6 +573,7 @@ class TestPreprocessCommand:
 
 
 @pytest.mark.parametrize("args", [["--n", 2, "--size", 0], ["--n", 2, "--size", -4],
+                                  ["--n", 2, "--size", 1], ["--n", 2, "--size", 2],
                                   ["--n", -3], ["--n", 0],
                                   ["--n", 2, "--pos-fraction", 1.5],
                                   ["--n", 2, "--pos-fraction", -0.5],
@@ -584,3 +585,11 @@ def test_synth_rejects_what_it_cannot_generate(args, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("fundusvit: error:") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_synth_help_names_each_bound_and_default(capsys):
+    assert run_cli(["synth", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for phrase in ["number of images, at least 1", "(default 0)",
+                   "at least 3 (default 128)", "in [0, 1] (default 0.5)"]:
+        assert phrase in text

@@ -14,7 +14,7 @@ from fundusvit.model import (DualHeadViT, ModelConfig, aggregate_patches,
                              average_prediction, patchify)
 from fundusvit.training import dual_bce_loss
 
-from helpers import reference_forward, unpatchify
+from helpers import reference_forward, reference_trunc_normal, unpatchify
 
 TINY = ModelConfig(height=32, width=32, patch=16, dim=16, depth=2, heads=2,
                    agg_hidden=16)
@@ -236,6 +236,18 @@ class TestStructure:
                 np.testing.assert_array_equal(tensor.data, np.zeros_like(tensor.data))
             else:
                 assert np.abs(tensor.data).max() <= 2 * 0.02 + 1e-12
+
+    def test_trunc_normal_matches_full_array_redraws(self):
+        # shapes with no, one and several rejection rounds; the generator
+        # state afterwards shows the same number of draws was consumed
+        for seed in range(40):
+            for shape in [(1,), (1, 7), (3, 5, 9), (1, 32, 64), (1, 768, 32)]:
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                out = model_module._trunc_normal(rng, shape, 0.02)
+                ref = reference_trunc_normal(ref_rng, shape, 0.02)
+                assert out.shape == shape
+                assert out.tobytes() == ref.tobytes()
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_same_seed_same_parameters(self):
         a = DualHeadViT(TINY, seed=5)

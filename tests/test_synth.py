@@ -1,5 +1,6 @@
-"""Synthetic dataset generator tests: determinism, label bookkeeping and the
-geometric contract between rendered discs and their recorded detections."""
+"""Synthetic dataset generator tests: determinism, label bookkeeping, the
+geometric contract between rendered discs and their recorded detections,
+and the renderer's bytes and draws against the full-grid reference."""
 
 import hashlib
 from pathlib import Path
@@ -11,12 +12,24 @@ from fundusvit.dataset import read_manifest
 from fundusvit.detections import load_detection_file
 from fundusvit.ppm import read_ppm
 from fundusvit.preprocess import crop_roi, roi_side
-from fundusvit.synth import generate_dataset
+from fundusvit.synth import generate_dataset, render_sample
+
+from helpers import reference_render_sample
 
 
 def tree_digest(root: Path) -> dict[str, str]:
     return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def tree_sha256(root: Path) -> str:
+    """One sha256 over every file's relative path and bytes, in path order."""
+    h = hashlib.sha256()
+    for p in sorted(root.rglob("*")):
+        if p.is_file():
+            h.update(f"{p.relative_to(root).as_posix()}\n".encode())
+            h.update(p.read_bytes())
+    return h.hexdigest()
 
 
 class TestDeterminism:
@@ -95,3 +108,50 @@ class TestGeometry:
         image = read_ppm(tmp_path / row.image_path)
         corners = np.stack([image[0, 0], image[0, -1], image[-1, 0], image[-1, -1]])
         assert corners.max() < 10
+
+
+class TestSizeBound:
+    def test_smallest_sizes_write_loadable_detections(self, tmp_path):
+        for size in range(3, 9):
+            for seed in range(20):
+                root = tmp_path / f"s{size}_{seed}"
+                for row in read_manifest(generate_dataset(root, n=2, seed=seed, size=size)):
+                    dets = load_detection_file(root / row.detection_path, size, size)
+                    assert len(dets) == 1
+
+
+FEATURE_FLAGS = {
+    "none": lambda rng: np.zeros(10, dtype=int),
+    "random": lambda rng: (rng.random(10) < 0.5).astype(int),
+    "all": lambda rng: np.ones(10, dtype=int),
+}
+
+
+def assert_renders_like_reference(size, seed, positive, flags):
+    features = FEATURE_FLAGS[flags](np.random.default_rng((seed, size)))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    image, disc = render_sample(size, rng, positive, features)
+    ref_image, ref_disc = reference_render_sample(size, ref_rng, positive, features)
+    assert image.dtype == np.uint8 and image.shape == (size, size, 3)
+    assert image.tobytes() == ref_image.tobytes(), (size, seed, positive, flags)
+    assert disc == ref_disc
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestRendererOracle:
+    """Each cue painted on its bounding box gives the full-grid bytes, disc
+    and generator state, including circles clipped by the image edge."""
+
+    @pytest.mark.parametrize("flags", sorted(FEATURE_FLAGS))
+    @pytest.mark.parametrize("positive", [False, True])
+    def test_matches_reference(self, positive, flags):
+        for size in [*range(3, 41), 64, 96, 128]:
+            assert_renders_like_reference(size, 100 + size, positive, flags)
+
+    def test_full_resolution_image_matches_reference(self):
+        assert_renders_like_reference(512, 7, True, "random")
+
+    def test_small_tree_bytes_are_pinned(self, tmp_path):
+        generate_dataset(tmp_path, n=6, seed=11, size=24)
+        assert tree_sha256(tmp_path) == \
+            "91ae372ba9e86007bd44e53c1df35ddf85da56afa0653ec2a35957df941fb182"
