@@ -14,6 +14,11 @@ Offsets are relative to the first byte after the ``---`` line. A file holds
 one task, a K = 1 stack whose task axis the tensor lines leave out.
 Round-trips are bit-exact for float32 models.
 
+``_header`` alone defines the manifest: a header loads only if it is the
+exact bytes ``_header`` writes for the ``model.*``, ``prep.*`` and ``task``
+values it names, so a missing, repeated or reordered line, or a value
+spelled otherwise, is refused rather than read with a default.
+
 ``load_checkpoint`` and ``load_bank`` share one reader. A bank load reads
 each member file once and parses each distinct header text, less its
 ``task = `` line, once: the members one run writes share it, so an
@@ -25,7 +30,6 @@ single task-stacked ``DualHeadViT``; no per-member model is built.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,6 +57,14 @@ def _layout(shapes) -> tuple[list[str], int]:
     return lines, offset
 
 
+def _header(config: ModelConfig, prep: PreprocessOptions, task: str,
+            tensor_lines: list[str]) -> bytes:
+    """The manifest bytes before ``---``: ASCII for every setting the configs
+    accept, latin-1 so that any text a reader decodes maps back to its bytes."""
+    return "\n".join([MAGIC, *kv.dump("model", config), *kv.dump("prep", prep),
+                      f"task = {task}", *tensor_lines]).encode("latin-1")
+
+
 def save_checkpoint(path: str | Path, model: DualHeadViT,
                     prep: PreprocessOptions, task: str) -> None:
     """Write ``model``, a stack of K = 1, as ``task``'s checkpoint."""
@@ -61,12 +73,10 @@ def save_checkpoint(path: str | Path, model: DualHeadViT,
     if model.n_tasks != 1:
         raise ValueError(f"a checkpoint holds one task, got a stack of {model.n_tasks}")
     tensor_lines, _ = _layout(model.parameter_shapes(model.config))
-    header = [MAGIC, *kv.dump("model", model.config), *kv.dump("prep", prep),
-              f"task = {task}", *tensor_lines]
     payload = [np.ascontiguousarray(t.data, dtype="<f4").tobytes()
                for t in model.params.values()]
-    write_atomic(path, b"".join([("\n".join(header) + "\n---\n").encode("ascii"),
-                                 *payload]))
+    write_atomic(path, b"".join([_header(model.config, prep, task, tensor_lines),
+                                 b"\n---\n", *payload]))
 
 
 @dataclass(frozen=True)
@@ -80,43 +90,41 @@ class _Header:
     size: int
 
 
+def _first_difference(head: bytes, expected: bytes) -> str:
+    """The first line where ``head`` departs from ``expected``: its number,
+    and the line read and the line expected, each cut to 60 characters."""
+    read, want = head.split(b"\n"), expected.split(b"\n")
+    n = next((i for i, (a, b) in enumerate(zip(read, want)) if a != b),
+             min(len(read), len(want)))
+    shown = [repr(lines[n].decode("ascii", "backslashreplace")[:60]) if n < len(lines)
+             else "the end of the header" for lines in (read, want)]
+    return f"header line {n + 1} reads {shown[0]}, expected {shown[1]}"
+
+
 def _parse_header(path: Path, head: bytes) -> tuple[_Header, str]:
-    """Parse the header bytes before ``---``, accepting only the exact
-    layout ``save_checkpoint`` writes."""
-    try:
-        header = head.decode("ascii").splitlines()
-    except UnicodeDecodeError:
-        raise IncompatibleCheckpointError(f"{path}: header is not ASCII") from None
-    if not header or header[0] != MAGIC:
-        raise IncompatibleCheckpointError(f"{path}: bad magic line "
-                                          f"{header[0] if header else ''!r}")
+    """Parse the header bytes before ``---``: the settings and task it
+    names, accepted only if ``_header`` writes exactly ``head`` for them."""
     values: dict[str, dict[str, str]] = {"model": {}, "prep": {}}
-    task = None
-    tensor_lines: list[str] = []
-    for line in header[1:]:
+    task = ""
+    for line in head.decode("latin-1").split("\n"):
         key, _, value = line.partition(" = ")
         section, _, name = key.partition(".")
-        if line.startswith("tensor "):
-            tensor_lines.append(line)
-        elif section in values and name and name not in values[section]:
+        if section in values:
             values[section][name] = value
-        elif key == "task" and task is None:
+        elif key == "task":
             task = value
-        else:
-            raise IncompatibleCheckpointError(f"{path}: unknown or repeated "
-                                              f"header line {line!r}")
-    if task not in TASKS:
-        raise IncompatibleCheckpointError(f"{path}: missing or unknown task {task!r}")
     try:
         config = kv.build(ModelConfig, "model", values["model"])
         prep = kv.build(PreprocessOptions, "prep", values["prep"])
     except ValueError as exc:
         raise IncompatibleCheckpointError(f"{path}: {exc}") from None
     shapes = DualHeadViT.parameter_shapes(config)
-    expected, size = _layout(shapes)
-    if tensor_lines != expected:
-        raise IncompatibleCheckpointError(
-            f"{path}: tensor lines do not match the configured architecture")
+    tensor_lines, size = _layout(shapes)
+    expected = _header(config, prep, task, tensor_lines)
+    if head != expected:
+        raise IncompatibleCheckpointError(f"{path}: {_first_difference(head, expected)}")
+    if task not in TASKS:
+        raise IncompatibleCheckpointError(f"{path}: unknown task {task!r}")
     return _Header(config, prep, shapes, size), task
 
 
@@ -125,26 +133,24 @@ def _read(path: Path, parsed: dict[tuple[bytes, bytes], _Header]
     """Read one checkpoint file once: its header, task and payload (a
     read-only float32 view of the file's bytes, checked finite).
 
-    ``parsed`` maps the header texts seen before, split around their
+    ``parsed`` maps the header texts accepted before, split around their
     ``task = `` line, to their parsed headers. Members written by one run
-    differ only in that line, so a header found there is not parsed again;
-    the text around the line is known valid and the line holds a known
-    task, so parsing it would give that header and task.
+    differ only in that line, so a header found there is not parsed again:
+    an accepted header is canonical, so its task line is unique and whole,
+    and the same text around a known task is that task's canonical header.
     """
     if not path.is_file():
         raise FileNotFoundError(f"checkpoint not found: {path}")
     head, sep, binary = path.read_bytes().partition(b"\n---\n")
     if not sep:
         raise IncompatibleCheckpointError(f"{path}: missing header terminator")
-    before, found, after = head.partition(b"\ntask = ")
+    before, _, after = head.partition(b"\ntask = ")
     value, _, rest = after.partition(b"\n")
     task = value.decode("latin-1")
-    header = parsed.get((before, rest)) if found and task in TASKS else None
+    header = parsed.get((before, rest)) if task in TASKS else None
     if header is None:
-        header, parsed_task = _parse_header(path, head)
-        if found and parsed_task == task:  # the task line is a whole line
-            parsed[before, rest] = header
-        task = parsed_task
+        header, task = _parse_header(path, head)
+        parsed[before, rest] = header
     if len(binary) != header.size:
         raise IncompatibleCheckpointError(
             f"{path}: payload size {len(binary)} out of range, "
@@ -175,28 +181,6 @@ def load_checkpoint(path: str | Path) -> tuple[DualHeadViT, PreprocessOptions, s
     return _stacked(header, [payload]), header.prep, task
 
 
-class _Members(Mapping):
-    """A bank's task -> member classifier map, in task order; a member (a
-    K = 1 view into the task stack) is made only when looked up."""
-
-    def __init__(self, bank: "ClassifierBank"):
-        self._bank = bank
-
-    def __getitem__(self, task: str) -> DualHeadViT:
-        if task not in self._bank.tasks:
-            raise KeyError(task)
-        return self._bank.stacked.member(self._bank.tasks.index(task))
-
-    def __contains__(self, task) -> bool:
-        return task in self._bank.tasks
-
-    def __iter__(self):
-        return iter(self._bank.tasks)
-
-    def __len__(self) -> int:
-        return len(self._bank.tasks)
-
-
 @dataclass
 class ClassifierBank:
     """Independently trained per-task classifiers sharing one architecture
@@ -213,8 +197,9 @@ class ClassifierBank:
         return self.stacked.config
 
     @property
-    def models(self) -> Mapping[str, DualHeadViT]:
-        return _Members(self)
+    def models(self) -> tuple[str, ...]:
+        """``tasks``, under the name the benchmark harness reads."""
+        return self.tasks
 
 
 def load_bank(path: str | Path) -> ClassifierBank:

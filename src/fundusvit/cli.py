@@ -1,7 +1,8 @@
 """Command-line surface: synth, preprocess, train, eval, infer.
 
-Exit codes are a stable contract: 0 success, 1 usage or configuration
-error, 2 missing input, 3 checkpoint/configuration incompatibility.
+Exit codes are a stable contract: 0 success, 1 usage, configuration or
+unwritable-output error, 2 missing input, 3 checkpoint/configuration
+incompatibility.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def cmd_train(args) -> int:
     if cfg.train.task == "bank":
         bank = train_bank(cfg.model, cfg.train, cfg.augment, cfg.prep, rows, base,
                           out_dir=out_dir, config_lines=lines)
-        print(f"trained {len(bank.models)} tasks, skipped {len(bank.skipped)}")
+        print(f"trained {len(bank.tasks)} tasks, skipped {len(bank.skipped)}")
     else:
         [result] = train_task(cfg.model, cfg.train, cfg.augment, cfg.prep, rows, base,
                               out_dir=out_dir, config_lines=lines)
@@ -167,12 +168,12 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     bank = load_bank(args.checkpoint)
     rows = read_manifest(args.manifest)
-    report, g_scores, g_labels, f_scores, _ = evaluate(
-        bank, rows, args.manifest.parent, threshold=args.threshold,
-        collect_scores=True)
     for path in (args.out, args.roc_out, args.scores_out):
         if path is not None:
             path.parent.mkdir(parents=True, exist_ok=True)
+    report, g_scores, g_labels, f_scores, _ = evaluate(
+        bank, rows, args.manifest.parent, threshold=args.threshold,
+        collect_scores=True)
     report.write(args.out)
     if args.roc_out is not None:
         report.write_roc_table(args.roc_out)
@@ -207,7 +208,7 @@ def cmd_infer(args) -> int:
     if bank.prep.od_crop and detection is None:
         print("fallback: full image", file=sys.stderr)
     scores = bank.stacked.predict(to_unit(prepared))
-    print("\n".join(f"{task} {score:.6f}" for task, score in zip(bank.models, scores)))
+    print("\n".join(f"{task} {score:.6f}" for task, score in zip(bank.tasks, scores)))
     return EXIT_OK
 
 
@@ -235,6 +236,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"fundusvit: missing input: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
+    except OSError as exc:  # e.g. an output path that is a file or a directory
+        print(f"fundusvit: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except IncompatibleCheckpointError as exc:
         print(f"fundusvit: incompatible checkpoint: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE

@@ -182,9 +182,9 @@ def evaluate(bank, rows, base_dir: str | Path,
     """Score a labeled dataset with a classifier bank: one predict of the
     bank's task stack per ``config.stack_size`` prepared images.
 
-    ``bank`` must expose ``prep`` (preprocessing options), ``config``, a
-    ``models`` mapping with a ``glaucoma`` entry plus any of ``feature1`` ..
-    ``feature10``, and their task stack ``stacked``, in ``models`` order;
+    ``bank`` must expose ``prep`` (preprocessing options), ``config``,
+    ``tasks``: ``glaucoma`` plus any of ``feature1`` .. ``feature10``, and
+    their task stack ``stacked``, in ``tasks`` order;
     feature tasks missing from the bank (skipped at training time) predict
     probability 0. Returns the report, plus the raw score arrays when
     ``collect_scores`` is set.
@@ -195,7 +195,7 @@ def evaluate(bank, rows, base_dir: str | Path,
     g_labels = [row.rg for row in rows]
     # one column per task: glaucoma, then feature1 .. feature10
     scores = np.zeros((len(rows), len(TASKS)))
-    columns = [TASKS.index(task) for task in bank.models]
+    columns = [TASKS.index(task) for task in bank.tasks]
     f_truth = np.array([row.features for row in rows], dtype=int).reshape(-1, N_FEATURES)
     size = bank.config.stack_size
     for start in range(0, len(rows), size):

@@ -58,9 +58,10 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("height", "width", "patch", "dim", "heads", "depth",
-                     "agg_hidden", "mlp_width"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+                     "agg_hidden", "mlp_hidden"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.height % self.patch or self.width % self.patch:
             raise ShapeError(f"image {self.height}x{self.width} not divisible by "
                              f"patch {self.patch}")

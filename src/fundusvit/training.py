@@ -69,6 +69,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if not 0.0 < self.adam_eps < np.inf:
             raise ValueError(f"adam_eps must be positive and finite, got {self.adam_eps}")
+        if self.n_nrg is not None and self.n_nrg < 0:
+            raise ValueError(f"n_nrg must be nonnegative, got {self.n_nrg}")
         if min(self.split) < 0 or sum(self.split) == 0:
             raise ValueError(f"split needs nonnegative parts with a positive sum, "
                              f"got {self.split}")
@@ -288,6 +290,9 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
     tasks = [train_cfg.task] if tasks is None else list(tasks)
     if not tasks or not set(tasks) <= set(TASKS):
         raise ValueError(f"train_task needs single tasks, got {tasks!r}")
+    if out_dir is not None:  # an unwritable output fails before any work
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     if inputs is None:
         inputs = prepare_split(model_cfg, train_cfg, prep, rows, base_dir)
     elif inputs.settings != _split_settings(model_cfg, train_cfg, prep, rows):
@@ -361,8 +366,6 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
         result.log_lines.append(f"# best_epoch={result.best_epoch} "
                                 f"best_val_metric={result.best_metric:.6f}")
         if out_dir is not None:
-            out_dir = Path(out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
             result.checkpoint_path = out_dir / f"{result.task}.ckpt"
             save_checkpoint(result.checkpoint_path, result.model, prep, result.task)
             write_atomic(out_dir / f"{result.task}.log", "\n".join(result.log_lines) + "\n")
@@ -382,6 +385,8 @@ def train_bank(model_cfg: ModelConfig, train_cfg: TrainConfig,
     bank log; every other member is bitwise identical to a standalone run
     with the same seed. The bank holds the run's best-state task stack.
     """
+    if out_dir is not None:  # an unwritable output fails before any work
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     inputs = prepare_split(model_cfg, train_cfg, prep, rows, base_dir)
     skipped: dict[str, str] = {}
     for task in TASKS[1:]:
@@ -397,6 +402,6 @@ def train_bank(model_cfg: ModelConfig, train_cfg: TrainConfig,
         f"task={task} status=skipped reason={skipped[task]}" if task in skipped
         else f"task={task} status=trained best_epoch={results[task].best_epoch} "
              f"best_val_metric={results[task].best_metric:.6f}" for task in TASKS]]
-    if out_dir is not None:  # train_task made the directory
+    if out_dir is not None:
         write_atomic(Path(out_dir) / "bank.log", "\n".join(bank_lines) + "\n")
     return ClassifierBank(tuple(results), trained[0].stack, prep, skipped)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from fundusvit import atomic, kv
 from fundusvit.atomic import write_atomic
-from fundusvit.checkpoint import (TASKS, IncompatibleCheckpointError, load_bank,
+from fundusvit.checkpoint import (TASKS, IncompatibleCheckpointError, _header,
+                                  _layout, _parse_header, load_bank,
                                   load_checkpoint, save_checkpoint)
 from fundusvit import model as model_module
 from fundusvit.dataset import ManifestRow, PreprocessOptions, write_manifest
@@ -19,6 +20,8 @@ from fundusvit.metrics import evaluate_scores
 from fundusvit.model import DualHeadViT, ModelConfig
 from fundusvit.ppm import write_ppm
 from fundusvit.synth import generate_dataset
+
+from test_kv import SETTINGS
 
 CFG = ModelConfig(height=32, width=32, patch=16, dim=16, depth=1, heads=2,
                   agg_hidden=8, mlp_hidden=16)
@@ -79,6 +82,16 @@ class TestRoundTrip:
         sizes = [4 * int(np.prod([int(d) for d in l.split(" ")[2].split("x")]))
                  for l in tensor_lines]
         assert offsets == [sum(sizes[:i]) for i in range(len(sizes))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfg=SETTINGS["model"][1], prep=SETTINGS["prep"][1], task=st.sampled_from(TASKS))
+def test_every_written_header_parses_to_its_settings(cfg, prep, task):
+    # the reader accepts a header only as the writer's bytes, so the writer
+    # must give those bytes back for every setting it accepts
+    tensor_lines, size = _layout(DualHeadViT.parameter_shapes(cfg))
+    header, parsed = _parse_header(Path("m.ckpt"), _header(cfg, prep, task, tensor_lines))
+    assert (header.config, header.prep, header.size, parsed) == (cfg, prep, size, task)
 
 
 class TestValidation:
@@ -268,11 +281,9 @@ class TestStackedLoad:
         image = np.random.default_rng(0).random((3, CFG.height, CFG.width, 3))
         assert bank.stacked.predict(image).tobytes() == members.predict(image).tobytes()
         # a member looked up by task is that task's slice of the stack
-        assert_same_stack(bank.models["feature4"],
+        assert_same_stack(bank.stacked.member(bank.tasks.index("feature4")),
                           members.member(TASKS.index("feature4")))
         assert "feature4" in bank.models and "bank" not in bank.models
-        with pytest.raises(KeyError):
-            bank.models["bank"]
 
     def test_one_read_per_file_one_parse_one_model(self, tmp_path, monkeypatch):
         save_bank(tmp_path)
@@ -299,19 +310,17 @@ class TestStackedLoad:
         assert builds == ["model", "prep"]  # the members share one header text
         assert binds == [bank.stacked] and bank.stacked.n_tasks == len(TASKS)
 
-    def test_member_with_equal_settings_in_other_text_loads(self, tmp_path):
-        # "yes" and "true" parse to the same flag: the member is parsed on
-        # its own and compared by value, so it joins the bank
+    def test_member_with_equal_settings_in_other_text_is_refused(self, tmp_path):
+        # "yes" and "true" parse to the same flag, but the writer spells it
+        # "true": a header in any other text than the writer's is refused
         save_bank(tmp_path)
-        expected = load_bank(tmp_path)
         path = tmp_path / "feature3.ckpt"
         raw = path.read_bytes()
         assert b"\nprep.od_crop = true\n" in raw
         path.write_bytes(raw.replace(b"\nprep.od_crop = true\n",
                                      b"\nprep.od_crop = yes\n", 1))
-        bank = load_bank(tmp_path)
-        assert bank.prep == expected.prep and bank.tasks == expected.tasks
-        assert_same_stack(bank.stacked, expected.stacked)
+        with pytest.raises(IncompatibleCheckpointError, match="feature3.ckpt"):
+            load_bank(tmp_path)
 
 
 # bytes that move line and key boundaries around the task line

@@ -6,14 +6,17 @@ import argparse
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from fundusvit import cli
+from fundusvit.checkpoint import load_checkpoint, save_checkpoint
 from fundusvit.config import ConfigError, effective_lines, parse_config_text
+from fundusvit.dataset import PreprocessOptions
 from fundusvit.metrics import auc, normalized_hamming, roc_curve, tpr_at_specificity
+from fundusvit.model import DualHeadViT, ModelConfig
 
 from helpers import read_report
 
@@ -184,6 +187,74 @@ MALFORMED_CHECKPOINTS = {
 }
 
 
+# settings where a header missing their line used to load with the default:
+# od_crop (true), bg_tau (10) and the activation (relu)
+EDIT_MODEL = ModelConfig(height=32, width=32, patch=16, dim=16, depth=1, heads=2,
+                         agg_hidden=8, activation="gelu")
+EDIT_PREP = PreprocessOptions(od_crop=False, bg_tau=30)
+# magic, model.*, prep.*, task and one tensor line per parameter
+EDIT_LINES = (1 + len(fields(ModelConfig)) + len(fields(PreprocessOptions)) + 1
+              + len(DualHeadViT.parameter_shapes(EDIT_MODEL)))
+
+
+def _respell(line, new):
+    return lambda lines: ([new if l == line else l for l in lines], lines.index(line))
+
+
+# header edits: lines -> (edited lines, index of the first line that differs)
+HEADER_EDITS = {
+    **{f"delete-{i}": (lambda lines, i=i: (lines[:i] + lines[i + 1:], i))
+       for i in range(EDIT_LINES)},
+    **{f"duplicate-{i}": (lambda lines, i=i: (lines[:i + 1] + lines[i:], i + 1))
+       for i in range(EDIT_LINES)},
+    **{f"drop-{line}": (lambda lines, line=line: (
+        [l for l in lines if l != line], lines.index(line)))
+       for line in ("prep.od_crop = false", "prep.bg_tau = 30",
+                    "model.activation = gelu")},
+    "yes": _respell("prep.bg_removal = true", "prep.bg_removal = yes"),
+    "leading-space": _respell("model.height = 32", "model.height =  32"),
+    "underscore": _respell("model.height = 32", "model.height = 3_2"),
+    "trailing-zero": _respell("prep.confidence_floor = 0.25",
+                              "prep.confidence_floor = 0.250"),
+}
+
+
+@pytest.fixture(scope="module")
+def edit_checkpoint(workspace, tmp_path_factory):
+    """A saved checkpoint's header lines and payload, and an image to score."""
+    root, data, config = workspace
+    path = tmp_path_factory.mktemp("edit") / "glaucoma.ckpt"
+    save_checkpoint(path, DualHeadViT(EDIT_MODEL, 3), EDIT_PREP, "glaucoma")
+    head, _, body = path.read_bytes().partition(b"\n---\n")
+    lines = head.decode("ascii").split("\n")
+    assert len(lines) == EDIT_LINES
+    return lines, body, data / "images" / "img0000.ppm"
+
+
+class TestHeaderEdits:
+    """A header loads only as the exact bytes the writer gives its settings."""
+
+    def test_intact_header_loads(self, edit_checkpoint, tmp_path):
+        lines, body, image = edit_checkpoint
+        path = tmp_path / "glaucoma.ckpt"
+        path.write_bytes("\n".join(lines).encode("ascii") + b"\n---\n" + body)
+        model, prep, task = load_checkpoint(path)
+        assert (model.config, prep, task) == (EDIT_MODEL, EDIT_PREP, "glaucoma")
+        assert run_cli(["infer", "--checkpoint", path, "--image", image]) == 0
+
+    @pytest.mark.parametrize("case", list(HEADER_EDITS))
+    def test_edited_header_is_three_and_names_the_line(self, case, edit_checkpoint,
+                                                       tmp_path, capsys):
+        lines, body, image = edit_checkpoint
+        edited, first = HEADER_EDITS[case](lines)
+        path = tmp_path / "glaucoma.ckpt"
+        path.write_bytes("\n".join(edited).encode("ascii") + b"\n---\n" + body)
+        capsys.readouterr()
+        assert run_cli(["infer", "--checkpoint", path, "--image", image]) == 3
+        err = capsys.readouterr().err
+        assert "incompatible checkpoint" in err and f"header line {first + 1} " in err
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
     def test_malformed_checkpoint_infer_is_three(self, case, workspace, tmp_path,
@@ -227,7 +298,7 @@ class TestMalformedInputs:
                                               "confidence_floor"),
                                              ("model.depth = -1", "depth"),
                                              ("model.agg_hidden = 0", "agg_hidden"),
-                                             ("model.mlp_hidden = 0", "mlp_width"),
+                                             ("model.mlp_hidden = 0", "mlp_hidden"),
                                              ("train.lr0 = -0.001", "lr0"),
                                              ("train.lr0 = 0", "lr0"),
                                              ("train.lr_decay = -1", "lr_decay"),
@@ -237,7 +308,8 @@ class TestMalformedInputs:
                                              ("train.beta1 = -0.1", "beta1"),
                                              ("train.beta2 = 1.5", "beta2"),
                                              ("train.adam_eps = 0", "adam_eps"),
-                                             ("train.adam_eps = -1e-8", "adam_eps")])
+                                             ("train.adam_eps = -1e-8", "adam_eps"),
+                                             ("train.n_nrg = -1", "n_nrg")])
     def test_malformed_config_train_is_one(self, line, field, workspace, tmp_path,
                                            capsys, monkeypatch):
         from fundusvit import training
@@ -251,6 +323,37 @@ class TestMalformedInputs:
         assert run_cli(["train", "--config", bad]) == 1
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists() and prepared == []
+
+    @pytest.mark.parametrize("command", ["synth", "preprocess", "train", "eval",
+                                         "eval-into-directory"])
+    def test_unwritable_output_is_one(self, command, workspace, tmp_path, capsys,
+                                      monkeypatch):
+        # an existing file where a directory goes, or a directory where the
+        # report goes; train must fail before it prepares any image
+        from fundusvit import training
+        from fundusvit.config import load_config
+
+        root, data, config = workspace
+        manifest = data / "manifest.tsv"
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n")
+        ckpt = tmp_path / "glaucoma.ckpt"
+        save_checkpoint(ckpt, DualHeadViT(load_config(config).model, 0),
+                        load_config(config).prep, "glaucoma")
+        prepared = []
+        monkeypatch.setattr(training, "prepare_input", lambda *a: prepared.append(a))
+        args = {"synth": ["synth", "--n", 2, "--size", 32, "--out", afile],
+                "preprocess": ["preprocess", "--manifest", manifest, "--out", afile],
+                "train": ["train", "--config", config, "--out", afile],
+                "eval": ["eval", "--checkpoint", ckpt, "--manifest", manifest,
+                         "--out", afile / "r.txt"],
+                "eval-into-directory": ["eval", "--checkpoint", ckpt,
+                                        "--manifest", manifest, "--out", tmp_path]}
+        capsys.readouterr()
+        assert run_cli(args[command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fundusvit: error: ") and err.count("\n") == 1
+        assert afile.read_text() == "not a directory\n" and prepared == []
 
     def test_bad_boolean_flag_is_one(self, workspace, capsys):
         root, data, config = workspace
