@@ -37,11 +37,10 @@ import numpy as np
 
 from . import kv
 from .atomic import write_atomic
-from .dataset import PreprocessOptions
+from .dataset import TASKS, PreprocessOptions
 from .model import DualHeadViT, ModelConfig
 
 MAGIC = "fundusvit-checkpoint v1"
-TASKS = ["glaucoma", *[f"feature{k}" for k in range(1, 11)]]
 
 
 class IncompatibleCheckpointError(ValueError):

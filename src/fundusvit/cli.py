@@ -168,9 +168,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     bank = load_bank(args.checkpoint)
     rows = read_manifest(args.manifest)
-    for path in (args.out, args.roc_out, args.scores_out):
-        if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
+    for path in filter(None, (args.out, args.roc_out, args.scores_out)):
+        if path.is_dir():  # refused before any image is scored
+            raise IsADirectoryError(f"output {path} is a directory")
+        path.parent.mkdir(parents=True, exist_ok=True)
     report, g_scores, g_labels, f_scores, _ = evaluate(
         bank, rows, args.manifest.parent, threshold=args.threshold,
         collect_scores=True)
@@ -201,13 +202,13 @@ def cmd_infer(args) -> int:
             raise FileNotFoundError(f"detection file not found: {args.detection}")
         detection_path = str(args.detection.resolve())
     row = ManifestRow(image_id=args.image.stem, image_path=str(args.image.resolve()),
-                      width=width, height=height, rg=0, features=(0,) * 10,
+                      width=width, height=height, rg=0, features=(0,) * N_FEATURES,
                       detection_path=detection_path)
     prepared, detection = prepare_input(image, row, Path("/"), bank.prep,
                                         bank.config.height, bank.config.width)
     if bank.prep.od_crop and detection is None:
         print("fallback: full image", file=sys.stderr)
-    scores = bank.stacked.predict(to_unit(prepared))
+    scores = bank.stacked.predict(to_unit(prepared)[None])[:, 0]
     print("\n".join(f"{task} {score:.6f}" for task, score in zip(bank.tasks, scores)))
     return EXIT_OK
 

@@ -7,7 +7,7 @@ echoed into the run log so results stay re-derivable from the log alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import kv
@@ -39,13 +39,7 @@ class RunConfig:
     paths: Paths = field(default_factory=Paths)
 
 
-_SECTIONS = {
-    "model": ModelConfig,
-    "train": TrainConfig,
-    "augment": AugmentParams,
-    "prep": PreprocessOptions,
-    "paths": Paths,
-}
+_SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}  # in field order
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:

@@ -1,9 +1,9 @@
 """Dataset manifest handling and the per-image preprocessing pipeline.
 
 The manifest is tab-separated text with a header row; one row per image:
-id, path, extents, the referable-glaucoma label, the ten feature flags and
-an optional per-image detection file. Paths are resolved relative to the
-manifest's directory.
+id, path, extents, the referable-glaucoma label, the feature flags and an
+optional per-image detection file. Paths are resolved relative to the
+manifest's directory. ``TASKS`` names one binary task per label column.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ from .detections import (DEFAULT_CONFIDENCE_FLOOR, DiscDetection,
 from .ppm import read_ppm
 from .preprocess import DEFAULT_BG_TAU, crop_roi, remove_background, resize_bilinear
 
+N_FEATURES = 10
+TASKS = ["glaucoma", *[f"feature{k}" for k in range(1, N_FEATURES + 1)]]
 MANIFEST_COLUMNS = ["image_id", "image_path", "width", "height", "rg",
-                    *[f"f{k}" for k in range(1, 11)], "detection_path"]
+                    *[f"f{k}" for k in range(1, N_FEATURES + 1)], "detection_path"]
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,10 @@ class ManifestRow:
     rg: int
     features: tuple[int, ...]
     detection_path: str | None = None
+
+    def label(self, task: str) -> int:
+        """The 0/1 label of ``task``, one of ``TASKS``."""
+        return (self.rg, *self.features)[TASKS.index(task)]
 
 
 @dataclass(frozen=True)
@@ -95,8 +101,8 @@ def read_manifest(path: str | Path) -> list[ManifestRow]:
                 height=_extent(rec[3], "height", where),
                 rg=_binary(rec[4], "rg", where),
                 features=tuple(_binary(v, f"f{k + 1}", where)
-                               for k, v in enumerate(rec[5:15])),
-                detection_path=rec[15] or None)
+                               for k, v in enumerate(rec[5:-1])),
+                detection_path=rec[-1] or None)
             if not (base / row.image_path).is_file():
                 raise FileNotFoundError(f"{where}: image not found: "
                                         f"{base / row.image_path}")

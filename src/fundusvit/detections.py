@@ -33,8 +33,7 @@ def parse_detection_lines(text: str, width: int, height: int,
     """Parse one image's detection file, converting to pixels.
 
     Malformed lines are rejected with their 1-based line number; geometry
-    outside [0, 1] is an error. Results are ordered by confidence,
-    descending (stable for ties).
+    outside [0, 1] is an error. Results keep the file's order.
     """
     out: list[DiscDetection] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -59,7 +58,6 @@ def parse_detection_lines(text: str, width: int, height: int,
         if w <= 0 or h <= 0:
             raise ValueError(f"{source}:{lineno}: nonpositive box size ({w}, {h})")
         out.append(DiscDetection(cx * width, cy * height, w * width, h * height, conf))
-    out.sort(key=lambda d: -d.confidence)
     return out
 
 
@@ -72,6 +70,6 @@ def load_detection_file(path: str | Path, width: int, height: int) -> list[DiscD
 
 def select_roi(detections: list[DiscDetection],
                floor: float = DEFAULT_CONFIDENCE_FLOOR) -> DiscDetection | None:
-    """Highest-confidence detection above the floor; None means the full image."""
+    """The first most confident detection at or above the floor; None: the full image."""
     candidates = [d for d in detections if d.confidence >= floor]
     return max(candidates, key=lambda d: d.confidence, default=None)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .atomic import write_atomic
-from .checkpoint import TASKS
+from .dataset import N_FEATURES, TASKS
 
 CHALLENGE_DEV_PHASE = {
     "tpr_at_95": 0.8570,
@@ -27,7 +27,6 @@ CHALLENGE_DEV_PHASE = {
     "reproducible_here": False,
 }
 
-N_FEATURES = 10
 DEFAULT_FEATURE_THRESHOLD = 0.5
 
 

@@ -12,11 +12,11 @@ produce a 2-way probability pair:
 Test-time prediction is the mean of the two heads' positive-class
 probabilities.
 
-Every model is a task stack of K >= 1 independent classifiers: every
-parameter has a leading task axis K, the K tasks share one stack of B
-images, and the activations are (K, B, T, D). Every product and sum keeps
-per-task and per-image slices, so a member's output for an image is, bit
-for bit, what it computes for that image alone.
+Every model is a task stack of K >= 1 independent classifiers on a stack
+of B >= 1 images: every parameter has a leading task axis K, the K tasks
+share the images, and the activations are (K, B, T, D). Every product and
+sum keeps per-task and per-image slices, so a member's output for an image
+is, bit for bit, what it computes for that image in a stack of one.
 """
 
 from __future__ import annotations
@@ -108,26 +108,22 @@ class ModelConfig:
                 + d * 2 + 2)                         # final fc on aggregated feature
 
 
-def patchify(image: np.ndarray, patch: int) -> np.ndarray:
-    """Flatten an HxWx3 image into an N x (3 P^2) matrix, or a BxHxWx3 stack
-    into B such matrices.
+def patchify(images: np.ndarray, patch: int) -> np.ndarray:
+    """Flatten a BxHxWx3 stack into B matrices of N x (3 P^2).
 
     Row k is patch k in row-major patch order; within a patch, values are
     laid out (row, column, channel) row-major, so the three channels of a
     pixel stay adjacent.
     """
-    image = np.asarray(image)
-    if image.ndim not in (3, 4) or image.shape[-1] != 3:
-        raise ShapeError(f"expected an HxWx3 image or a BxHxWx3 stack, got shape "
-                         f"{image.shape}")
-    *lead, h, w, _ = image.shape
+    images = np.asarray(images)
+    if images.ndim != 4 or images.shape[-1] != 3:
+        raise ShapeError(f"expected a BxHxWx3 stack, got shape {images.shape}")
+    b, h, w, _ = images.shape
     if h % patch or w % patch:
         raise ShapeError(f"image {h}x{w} not divisible by patch {patch}")
     gh, gw = h // patch, w // patch
-    k = len(lead)
-    tiles = image.reshape(*lead, gh, patch, gw, patch, 3).transpose(
-        *range(k), k, k + 2, k + 1, k + 3, k + 4)
-    return tiles.reshape(*lead, gh * gw, 3 * patch * patch)
+    tiles = images.reshape(b, gh, patch, gw, patch, 3).transpose(0, 1, 3, 2, 4, 5)
+    return tiles.reshape(b, gh * gw, 3 * patch * patch)
 
 
 def aggregate_patches(features: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
@@ -329,20 +325,17 @@ class DualHeadViT:
         return x
 
     def _stack(self, images: np.ndarray) -> np.ndarray:
-        """``images`` as a BxHxWx3 stack; one HxWx3 image is a stack of one."""
+        """``images`` as a nonempty BxHxWx3 stack of the configured extents."""
         cfg = self.config
         images = np.asarray(images)
-        stack = images[None] if images.ndim == 3 else images
-        if stack.ndim != 4 or stack.shape[1:] != (cfg.height, cfg.width, 3) \
-                or not len(stack):
-            raise ShapeError(f"input shape {images.shape} does not match configured "
-                             f"{(cfg.height, cfg.width, 3)} or a nonempty stack of it")
-        return stack
+        if images.shape[1:] != (cfg.height, cfg.width, 3) or not len(images):
+            raise ShapeError(f"input shape {images.shape} is not a nonempty "
+                             f"(B, {cfg.height}, {cfg.width}, 3) stack")
+        return images
 
     def forward(self, images: np.ndarray) -> HeadOutputs:
-        """Run one HxWx3 image or a BxHxWx3 stack (values pre-scaled to
-        [0, 1]) as one graph; one image is a stack of one. Every task runs
-        on the same images."""
+        """Run a nonempty BxHxWx3 stack (values pre-scaled to [0, 1]) as one
+        graph, every task on the same images; one image is a stack of one."""
         cfg = self.config
         stack = self._stack(images)
         p = self.params
@@ -364,15 +357,13 @@ class DualHeadViT:
         return HeadOutputs(p_cls, p_agg, weights)
 
     def predict(self, images: np.ndarray):
-        """Positive-class probability, the mean of the two heads, in
-        float64: a (K,) array for one HxWx3 image, a (K, B) array for a
-        BxHxWx3 stack. Each forward takes at most ``config.stack_size``
-        images of one of the ``task_groups``."""
+        """Positive-class probability, the mean of the two heads, in float64,
+        as a (K, B) array for a nonempty BxHxWx3 stack. Each forward takes at
+        most ``config.stack_size`` images of one of the ``task_groups``."""
         stack = self._stack(images)
         size = min(len(stack), self.config.stack_size)
         with no_grad():
-            scores = np.concatenate([np.concatenate(
+            return np.concatenate([np.concatenate(
                 [average_prediction(group.forward(stack[i:i + size]))
                  for i in range(0, len(stack), size)], axis=-1)
                 for _, group in self.task_groups(size)])
-        return scores[:, 0] if np.ndim(images) == 3 else scores

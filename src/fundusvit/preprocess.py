@@ -1,12 +1,12 @@
 """Deterministic image preprocessing: disc-centered ROI cropping, background
 removal, bilinear resizing and the training-time augmentation pipeline.
 
-All operations take and return 8-bit RGB arrays (HxWx3 uint8; the
-augmentation stages also take BxHxWx3 stacks with per-image draws) and are
-pure functions of their inputs plus any random draws supplied by the caller,
-so they parallelize across images without shared state. Every kernel returns
-exactly the bytes of its plain reference expression, kept in tests/helpers.py
-and compared byte for byte by tests/test_kernel_oracles.py.
+All operations take and return 8-bit RGB arrays (HxWx3 uint8 images; the
+augmentation stages take BxHxWx3 stacks with per-image draws, one image
+being a stack of one) and are pure functions of their inputs plus any random
+draws supplied by the caller, so they parallelize across images. Every
+kernel returns exactly the bytes of its plain reference expression, kept in
+tests/helpers.py and compared byte for byte by tests/test_kernel_oracles.py.
 
 The module needs numpy alone: background removal finds the border-connected
 dark set with ``border_fill``, a numpy reconstruction from the border that
@@ -160,8 +160,8 @@ def resize_bilinear(image: np.ndarray, th: int, tw: int) -> np.ndarray:
 
 
 def _bilinear_sample(images: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample a (B, H, W, 3) uint8 stack at fractional (B, h, w) or shared
-    (h, w) coords, rounded back to uint8; out-of-bounds reads are zero."""
+    """Sample a (B, H, W, 3) uint8 stack at fractional (B, h, w) coords,
+    rounded back to uint8; out-of-bounds reads are zero."""
     b, h, w, _ = images.shape
     x0 = np.floor(xs).astype(int)
     y0 = np.floor(ys).astype(int)
@@ -186,19 +186,17 @@ def _bilinear_sample(images: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.n
 
 
 def rotate(images: np.ndarray, degrees) -> np.ndarray:
-    """Rotate counterclockwise about the image center; bilinear, zero fill.
-    A BxHxWx3 stack takes one angle per image; a zero angle is exact identity."""
-    images = _require_rgb(images, stack=True)
-    stack = images.reshape(-1, *images.shape[-3:])
-    degrees = np.broadcast_to(np.asarray(degrees, dtype=np.float64), stack.shape[:1])
-    h, w = stack.shape[1:3]
+    """Rotate each image of a BxHxWx3 stack counterclockwise about its center
+    by its own angle; bilinear, zero fill. A zero angle is exact identity."""
+    images = _require_stack(images)
+    degrees = np.broadcast_to(np.asarray(degrees, dtype=np.float64), images.shape[:1])
+    h, w = images.shape[1:3]
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    # one scalar cos/sin per image, the same values a single image gets
+    # one scalar cos/sin per image, the same values in any stack
     c, s = np.reshape([(np.cos(t), np.sin(t)) for t in map(np.deg2rad, degrees)],
                       (-1, 2)).T[..., None, None]
     dy, dx = np.meshgrid(np.arange(h) - cy, np.arange(w) - cx, indexing="ij")
-    out = _bilinear_sample(stack, cx + c * dx + s * dy, cy - s * dx + c * dy)
-    return out.reshape(images.shape)
+    return _bilinear_sample(images, cx + c * dx + s * dy, cy - s * dx + c * dy)
 
 
 def rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
@@ -236,19 +234,18 @@ def hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
 
 def color_jitter(images: np.ndarray, sat, bright, hue) -> np.ndarray:
     """Scale saturation and brightness (clamped to [0, 1]) and hue
-    (multiplicative, modulo 1) in HSV space. A BxHxWx3 stack takes one
-    factor of each kind per image; unit factors leave every 8-bit colour as is."""
-    images = _require_rgb(images, stack=True)
-    stack = images.reshape(-1, *images.shape[-3:])
-    sat, bright, hue = (np.broadcast_to(np.asarray(f, dtype=np.float64), stack.shape[:1])
+    (multiplicative, modulo 1) in HSV space, each image of a BxHxWx3 stack by
+    its own factor of each kind; unit factors leave every 8-bit colour as is."""
+    images = _require_stack(images)
+    sat, bright, hue = (np.broadcast_to(np.asarray(f, dtype=np.float64), images.shape[:1])
                         for f in (sat, bright, hue))
-    hsv = rgb_to_hsv(stack / 255.0)
+    hsv = rgb_to_hsv(images / 255.0)
     hsv[..., 0] = (hsv[..., 0] * hue[:, None, None]) % 1.0
     hsv[..., 1] = np.clip(hsv[..., 1] * sat[:, None, None], 0.0, 1.0)
     hsv[..., 2] = np.clip(hsv[..., 2] * bright[:, None, None], 0.0, 1.0)
     # p, q and t lie in [0, v] and v in [0, 1]: no clip before the cast
     rgb = hsv_to_rgb(hsv) * 255.0
-    return np.rint(rgb, out=rgb).astype(np.uint8).reshape(images.shape)
+    return np.rint(rgb, out=rgb).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -277,32 +274,38 @@ def augment(images: np.ndarray, params: AugmentParams, draws) -> np.ndarray:
     """Apply, in fixed order: horizontal flip, vertical flip, rotation about
     the center (bilinear, zero fill), then saturation/brightness/hue scaling.
 
-    ``images`` is one HxWx3 image with one ``AugmentDraws``, or a BxHxWx3
-    stack with B of them: flipped per image, then rotated and colour-scaled
-    with one call each, every image bit-identical to augmenting it alone.
-    Disabled params, or identity draws (no flip, a zero angle, unit factors:
-    each exact in its stage), reproduce the input bit for bit.
+    ``images`` is a BxHxWx3 stack and ``draws`` a list of B
+    ``AugmentDraws``: flipped per image, then rotated and colour-scaled with
+    one call each, every image bit-identical to augmenting it in a stack of
+    one. Disabled params, or identity draws (no flip, a zero angle, unit
+    factors: each exact in its stage), reproduce the input bit for bit.
     """
-    images = _require_rgb(images, stack=True)
-    stack = images.reshape(-1, *images.shape[-3:]).copy()
-    draws = list(draws) if images.ndim == 4 else [draws]
-    if len(draws) != len(stack):
-        raise ValueError(f"{len(stack)} images need as many draws, got {len(draws)}")
+    images = _require_stack(images).copy()
+    if len(draws) != len(images):
+        raise ValueError(f"{len(images)} images need as many draws, got {len(draws)}")
     if params.enabled:
         for i, d in enumerate(draws):
             if d.u_flip_h < params.p_flip_h:
-                stack[i] = stack[i, :, ::-1]
+                images[i] = images[i, :, ::-1]
             if d.u_flip_v < params.p_flip_v:
-                stack[i] = stack[i, ::-1]
-        stack = rotate(stack, [d.rot_deg for d in draws])
-        stack = color_jitter(stack, *np.reshape(
+                images[i] = images[i, ::-1]
+        images = rotate(images, [d.rot_deg for d in draws])
+        images = color_jitter(images, *np.reshape(
             [(d.sat, d.bright, d.hue) for d in draws], (-1, 3)).T)
-    return stack.reshape(images.shape)
+    return images
 
 
-def _require_rgb(image: np.ndarray, stack: bool = False) -> np.ndarray:
-    """``image`` as an HxWx3 array; with ``stack``, a BxHxWx3 one passes too."""
+def _require_rgb(image: np.ndarray) -> np.ndarray:
+    """``image`` as an HxWx3 array."""
     image = np.asarray(image)
-    if image.ndim not in ((3, 4) if stack else (3,)) or image.shape[-1] != 3:
-        raise ValueError(f"expected an HxWx3 RGB image (or stack), got {image.shape}")
+    if image.ndim != 3 or image.shape[-1] != 3:
+        raise ValueError(f"expected an HxWx3 RGB image, got {image.shape}")
     return image
+
+
+def _require_stack(images: np.ndarray) -> np.ndarray:
+    """``images`` as a BxHxWx3 stack of RGB images."""
+    images = np.asarray(images)
+    if images.ndim != 4 or images.shape[-1] != 3:
+        raise ValueError(f"expected a BxHxWx3 stack of RGB images, got {images.shape}")
+    return images

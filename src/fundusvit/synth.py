@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_atomic
-from .dataset import ManifestRow, write_manifest
+from .dataset import N_FEATURES, ManifestRow, write_manifest
 from .ppm import write_ppm
 
 RETINA_COLOR = np.array([168.0, 74.0, 42.0])
@@ -127,8 +127,8 @@ def generate_dataset(out_dir: str | Path, n: int, seed: int, *,
     for i in range(n):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xDA7A, i)))
         positive = i < n_pos
-        features = (rng.random(10) < feature_rate).astype(int) if positive \
-            else np.zeros(10, dtype=int)
+        features = (rng.random(N_FEATURES) < feature_rate).astype(int) if positive \
+            else np.zeros(N_FEATURES, dtype=int)
         image, (dcx, dcy, disc_r) = render_sample(size, rng, positive, features)
         image_id = f"img{i:04d}"
         write_ppm(out_dir / "images" / f"{image_id}.ppm", image)

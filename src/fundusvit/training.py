@@ -19,8 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from .atomic import write_atomic
 from .autodiff import Tensor
-from .checkpoint import TASKS, ClassifierBank, save_checkpoint
-from .dataset import (ManifestRow, PreprocessOptions, load_input_image,
+from .checkpoint import ClassifierBank, save_checkpoint
+from .dataset import (TASKS, ManifestRow, PreprocessOptions, load_input_image,
                       prepare_input, to_unit)
 from .metrics import tpr_at_specificity
 from .model import DualHeadViT, HeadOutputs, ModelConfig
@@ -86,18 +86,16 @@ class LossValue:
 
 
 def dual_bce_loss(y, outputs: HeadOutputs) -> LossValue:
-    """Cross-entropy of both heads against one-hot pairs, one per task.
-
-    ``y`` holds the (K, B, 2) pairs of a task stack's forward over B images
-    ((B, 2) pairs stand for K = 1, one pair for K = B = 1). Each head
-    contributes -sum_i y_i log p_i, a (K,) vector of sums over each task's
-    images, with probabilities clamped to [PROB_CLAMP, 1 - PROB_CLAMP]; the
-    total is the mean of the two terms.
+    """Cross-entropy of both heads against the (K, B, 2) one-hot pairs ``y``
+    of a forward of K tasks over B images. Each head contributes
+    -sum_i y_i log p_i, a (K,) vector of sums over each task's images, with
+    probabilities clamped to [PROB_CLAMP, 1 - PROB_CLAMP]; the total is the
+    mean of the two terms.
     """
     y_arr = np.asarray(y, dtype=np.float64)
-    if y_arr.ndim not in (1, 2, 3) or y_arr.shape[-1] != 2 \
+    if y_arr.shape != (*outputs.p_cls.shape[:2], 2) \
             or not np.isin(y_arr, (0.0, 1.0)).all() or (y_arr.sum(axis=-1) != 1.0).any():
-        raise ValueError(f"y must be a one-hot pair or a sequence of them, got {y!r}")
+        raise ValueError(f"y must be the forward's (K, B, 2) one-hot pairs, got {y!r}")
     # -y, so that each head term is one sum with no negation node after it
     target = Tensor((-y_arr).reshape(outputs.p_cls.shape).astype(outputs.p_cls.dtype))
 
@@ -183,12 +181,6 @@ def rebalance_and_split(samples: Sequence, labels: Sequence[int],
         train += [group[i] for i in order[:n_train]]
         val += [group[i] for i in order[n_train:]]
     return train, val
-
-
-def task_label(row: ManifestRow, task: str) -> int:
-    if task == "glaucoma":
-        return row.rg
-    return row.features[int(task.removeprefix("feature")) - 1]
 
 
 @dataclass
@@ -297,11 +289,11 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
         inputs = prepare_split(model_cfg, train_cfg, prep, rows, base_dir)
     elif inputs.settings != _split_settings(model_cfg, train_cfg, prep, rows):
         raise ValueError("inputs were prepared for other rows, extents or settings")
-    train_y = np.array([[task_label(r, task) for r in inputs.train_rows] for task in tasks])
+    train_y = np.array([[r.label(task) for r in inputs.train_rows] for task in tasks])
     for task, y in zip(tasks, train_y):
         if len(set(y)) < 2:
             raise ValueError(f"single-class training set for task {task!r}")
-    val_y = [[task_label(r, task) for r in inputs.val_rows] for task in tasks]
+    val_y = [[r.label(task) for r in inputs.val_rows] for task in tasks]
 
     def initial(task):  # each task's own initial values
         return DualHeadViT(model_cfg, seed=np.random.SeedSequence(
@@ -390,7 +382,7 @@ def train_bank(model_cfg: ModelConfig, train_cfg: TrainConfig,
     inputs = prepare_split(model_cfg, train_cfg, prep, rows, base_dir)
     skipped: dict[str, str] = {}
     for task in TASKS[1:]:
-        present = {task_label(r, task) for r in inputs.train_rows}
+        present = {r.label(task) for r in inputs.train_rows}
         if present != {0, 1}:
             skipped[task] = f"no {'positive' if 1 not in present else 'negative'} " \
                             "training samples"

@@ -73,14 +73,14 @@ def test_02_gradient_suite_full_model_finite_differences():
 
         model = DualHeadViT(GRAD_MODEL, seed=48, dtype=np.float64)
         image = np.random.default_rng(0).random((32, 32, 3))
-        label = (0.0, 1.0)
+        label = [[(0.0, 1.0)]]
         assert min_relu_preactivation(model, image) > 20 * 1e-4
 
         def loss_value() -> float:
             with ad.no_grad():
-                return dual_bce_loss(label, model.forward(image)).total.item()
+                return dual_bce_loss(label, model.forward(image[None])).total.item()
 
-        loss = dual_bce_loss(label, model.forward(image)).total
+        loss = dual_bce_loss(label, model.forward(image[None])).total
         ad.backward(loss)
 
         step = 1e-4
@@ -129,7 +129,7 @@ def test_03_aggregation_head_properties():
             np.testing.assert_allclose(w, 1.0 / n, rtol=0, atol=1e-15)
         # the full model's reported weights obey the same contract
         model = DualHeadViT(GRAD_MODEL, seed=2, dtype=np.float64)
-        out = model.forward(np.random.default_rng(0).random((32, 32, 3)))
+        out = model.forward(np.random.default_rng(0).random((32, 32, 3))[None])
         w = out.patch_weights.data.ravel()
         assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-6
 
@@ -159,7 +159,7 @@ def test_04_overfit_check(tmp_path):
         for row in train_rows:
             image = prepare_input(load_input_image(row, manifest.parent), row,
                                   manifest.parent, prep, 32, 32)[0]
-            [p] = result.model.predict(image.astype(np.float64) / 255.0)
+            [p] = result.model.predict(image[None].astype(np.float64) / 255.0)[:, 0]
             p_true = p if row.rg == 1 else 1.0 - p
             worst = min(worst, p_true)
             assert p_true > 0.95, f"{row.image_id}: true-class prob {p_true:.4f}"
@@ -193,7 +193,8 @@ def test_05_preprocessing_ordering_effect(tmp_path):
             for row in val_rows:
                 image = prepare_input(load_input_image(row, manifest.parent), row,
                                       manifest.parent, prep, 32, 32)[0]
-                scores.append(res.model.predict(image.astype(np.float64) / 255.0)[0])
+                scores.append(
+                    res.model.predict(image[None].astype(np.float64) / 255.0)[:, 0][0])
                 labels.append(row.rg)
             results[crop] = (tpr_at_specificity(scores, labels, 0.95),
                              sha256(out_dir / "glaucoma.ckpt"))

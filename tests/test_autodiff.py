@@ -420,7 +420,7 @@ class TestGraphSize:
                           agg_hidden=16)
         model = DualHeadViT(cfg, seed=0, dtype=np.float64)
         image = np.random.default_rng(0).random((32, 32, 3))
-        loss = dual_bce_loss((0.0, 1.0), model.forward(image)).total
+        loss = dual_bce_loss([[(0.0, 1.0)]], model.forward(image[None])).total
         assert sum(node.op != "leaf" for node in ad.trace(loss)) == 55
 
 
@@ -562,8 +562,8 @@ class TestStackedGraph:
         def nodes(loss):
             return sum(node.op != "leaf" for node in ad.trace(loss))
 
-        one = nodes(dual_bce_loss((0.0, 1.0), model.forward(images[0])).total)
-        eight = nodes(dual_bce_loss([(0.0, 1.0)] * 8, model.forward(images)).total)
+        one = nodes(dual_bce_loss([[(0.0, 1.0)]], model.forward(images[0][None])).total)
+        eight = nodes(dual_bce_loss([[(0.0, 1.0)] * 8], model.forward(images)).total)
         assert one == eight <= 56
 
 

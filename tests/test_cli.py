@@ -325,12 +325,14 @@ class TestMalformedInputs:
         assert not (tmp_path / "out").exists() and prepared == []
 
     @pytest.mark.parametrize("command", ["synth", "preprocess", "train", "eval",
-                                         "eval-into-directory"])
+                                         "eval-into-directory", "eval-roc-into-directory",
+                                         "eval-scores-into-directory"])
     def test_unwritable_output_is_one(self, command, workspace, tmp_path, capsys,
                                       monkeypatch):
-        # an existing file where a directory goes, or a directory where the
-        # report goes; train must fail before it prepares any image
-        from fundusvit import training
+        # an existing file where a directory goes, or a directory where an
+        # output file goes; train and eval must fail before they prepare any
+        # image (evaluate looks prepare_input up in dataset when it runs)
+        from fundusvit import dataset, training
         from fundusvit.config import load_config
 
         root, data, config = workspace
@@ -342,13 +344,18 @@ class TestMalformedInputs:
                         load_config(config).prep, "glaucoma")
         prepared = []
         monkeypatch.setattr(training, "prepare_input", lambda *a: prepared.append(a))
+        monkeypatch.setattr(dataset, "prepare_input", lambda *a: prepared.append(a))
+        report = ["eval", "--checkpoint", ckpt, "--manifest", manifest,
+                  "--out", tmp_path / "r.txt"]
         args = {"synth": ["synth", "--n", 2, "--size", 32, "--out", afile],
                 "preprocess": ["preprocess", "--manifest", manifest, "--out", afile],
                 "train": ["train", "--config", config, "--out", afile],
                 "eval": ["eval", "--checkpoint", ckpt, "--manifest", manifest,
                          "--out", afile / "r.txt"],
                 "eval-into-directory": ["eval", "--checkpoint", ckpt,
-                                        "--manifest", manifest, "--out", tmp_path]}
+                                        "--manifest", manifest, "--out", tmp_path],
+                "eval-roc-into-directory": [*report, "--roc-out", tmp_path],
+                "eval-scores-into-directory": [*report, "--scores-out", tmp_path]}
         capsys.readouterr()
         assert run_cli(args[command]) == 1
         err = capsys.readouterr().err

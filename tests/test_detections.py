@@ -21,11 +21,21 @@ class TestParsing:
         assert parse_detection_lines("", 100, 100) == []
         assert parse_detection_lines("\n# comment only\n", 100, 100) == []
 
-    def test_multiple_detections_ordered_by_confidence(self):
-        text = "0 0.2 0.2 0.1 0.1 0.30\n0 0.7 0.7 0.1 0.1 0.80\n"
-        dets = parse_detection_lines(text, 100, 100)
-        confs = [d.confidence for d in dets]
-        assert confs == sorted(confs, reverse=True) == [0.80, 0.30]
+    def test_selection_takes_the_most_confident_and_the_first_of_ties(self):
+        text = ("0 0.2 0.2 0.1 0.1 0.30\n0 0.4 0.4 0.1 0.1 0.80\n"
+                "0 0.7 0.7 0.1 0.1 0.80\n0 0.9 0.9 0.1 0.1 0.50\n")
+        chosen = select_roi(parse_detection_lines(text, 100, 100))
+        assert chosen.confidence == 0.80
+        assert chosen.cx == pytest.approx(40.0)
+
+    @pytest.mark.parametrize("line", [
+        "0 0.5 0.5 0.2 0.2 0.0", "0 0.5 0.5 0.2 0.2 1.0",  # confidence ends
+        "0 0.0 0.0 0.2 0.2 0.9", "0 1.0 1.0 0.2 0.2 0.9",  # centre ends
+        "0 0.5 0.5 1.0 1.0 0.9",                           # the widest box
+    ], ids=["confidence-0", "confidence-1", "centre-0", "centre-1", "size-1"])
+    def test_range_ends_accepted(self, line):
+        [d] = parse_detection_lines(line + "\n", 100, 100)
+        assert 0.0 <= d.confidence <= 1.0
 
     def test_malformed_line_reports_line_number(self):
         text = "0 0.5 0.5 0.2 0.2 0.9\n0 0.5 0.5 0.2\n"
@@ -45,6 +55,8 @@ class TestParsing:
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError, match="nonpositive"):
             parse_detection_lines("0 0.5 0.5 0.0 0.2 0.9\n", 100, 100)
+        with pytest.raises(ValueError, match="nonpositive"):  # zero height
+            parse_detection_lines("0 0.5 0.5 0.2 0.0 0.9\n", 100, 100)
 
     def test_pixel_round_trip_within_half_pixel(self):
         dets = parse_detection_lines("0 0.333333 0.777778 0.123456 0.2 0.5\n",
@@ -81,6 +93,7 @@ class TestSelectRoi:
 
     def test_confident_detection_is_cropped(self):
         assert select_roi([self.d(0.9)], floor=0.25) == self.d(0.9)
+        assert select_roi([self.d(0.25)], floor=0.25) == self.d(0.25)  # at the floor
 
     def test_argmax_over_confidences(self):
         assert select_roi([self.d(0.3), self.d(0.8)]).confidence == 0.8

@@ -163,16 +163,16 @@ class TestAugmentStages:
                             for _ in range(3))
         assert_same_bytes(color_jitter(images, sat, bright, hue),
                           reference_color_jitter(images, sat, bright, hue))
-        assert_same_bytes(color_jitter(images[0], sat[0], bright[0], hue[0]),
-                          reference_color_jitter(images[0], sat[0], bright[0], hue[0]))
+        assert_same_bytes(color_jitter(images[0][None], sat[0], bright[0], hue[0]),
+                          reference_color_jitter(images[0][None], sat[0], bright[0], hue[0]))
 
     @settings(max_examples=100, deadline=None)
     @given(stacks(), st.data())
     def test_rotate(self, images, data):
         degrees = data.draw(st.lists(angles, min_size=len(images), max_size=len(images)))
         assert_same_bytes(rotate(images, degrees), reference_rotate(images, degrees))
-        assert_same_bytes(rotate(images[0], degrees[0]),
-                          reference_rotate(images[0], degrees[0]))
+        assert_same_bytes(rotate(images[0][None], degrees[0]),
+                          reference_rotate(images[0][None], degrees[0]))
 
     @settings(max_examples=100, deadline=None)
     @given(stacks(), st.data())
@@ -204,5 +204,5 @@ def test_full_resolution_prepare_and_augment_match_reference(tmp_path):
     params = AugmentParams()
     draws = AugmentDraws(u_flip_h=0.2, u_flip_v=0.7, rot_deg=7.5, sat=1.04,
                          bright=0.96, hue=1.03)
-    assert_same_bytes(augment(prepared, params, draws),
-                      reference_augment(reference, params, draws))
+    assert_same_bytes(augment(prepared[None], params, [draws]),
+                      reference_augment(reference[None], params, [draws]))

@@ -57,22 +57,22 @@ def one_task(features):
 class TestPatchify:
     def test_single_patch(self):
         image = np.random.default_rng(0).random((16, 16, 3))
-        rows = patchify(image, 16)
+        rows = patchify(image[None], 16)[0]
         assert rows.shape == (1, 768)
 
     def test_full_resolution_patch_grid(self):
         image = np.zeros((512, 512, 3), dtype=np.float32)
-        assert patchify(image, 16).shape == (1024, 768)
+        assert patchify(image[None], 16)[0].shape == (1024, 768)
         assert ModelConfig.full_resolution().n_patches == 1024
 
     def test_round_trip(self):
         image = np.random.default_rng(1).random((64, 64, 3))
-        rows = patchify(image, 16)
+        rows = patchify(image[None], 16)[0]
         np.testing.assert_array_equal(unpatchify(rows, 64, 64, 16), image)
 
     def test_layout_is_row_major_with_interleaved_channels(self):
         image = np.arange(2 * 4 * 3, dtype=np.float64).reshape(2, 4, 3)
-        rows = patchify(image, 2)
+        rows = patchify(image[None], 2)[0]
         # patch 0 covers columns 0..1; its first entries are pixel (0,0) rgb
         np.testing.assert_array_equal(rows[0, :6], image[0, :2].reshape(-1))
         # patch 1 covers columns 2..3
@@ -80,7 +80,7 @@ class TestPatchify:
 
     def test_non_divisible_extent_rejected(self):
         with pytest.raises(ShapeError):
-            patchify(np.zeros((30, 32, 3)), 16)
+            patchify(np.zeros((1, 30, 32, 3)), 16)
 
 
 class TestAggregatePatches:
@@ -154,15 +154,15 @@ class TestForward:
     def test_probability_pairs_sum_to_one(self):
         model = DualHeadViT(TINY, seed=0, dtype=np.float64)
         image = np.random.default_rng(10).random((32, 32, 3))
-        out = model.forward(image)
+        out = model.forward(image[None])
         np.testing.assert_allclose(out.p_cls.data.sum(), 1.0, atol=1e-6)
         np.testing.assert_allclose(out.p_agg.data.sum(), 1.0, atol=1e-6)
 
     def test_duplicate_image_bitwise_identical(self):
         model = DualHeadViT(TINY, seed=0)
         image = np.random.default_rng(11).random((32, 32, 3))
-        a = model.forward(image.copy())
-        b = model.forward(image.copy())
+        a = model.forward(image[None].copy())
+        b = model.forward(image[None].copy())
         np.testing.assert_array_equal(a.p_cls.data, b.p_cls.data)
         np.testing.assert_array_equal(a.p_agg.data, b.p_agg.data)
 
@@ -170,15 +170,15 @@ class TestForward:
         model = DualHeadViT(TINY, seed=0)
         rng = np.random.default_rng(12)
         image = rng.random((32, 32, 3))
-        alone = model.predict(image)
+        alone = model.predict(image[None])
         for _ in range(3):  # interleave other work, then re-evaluate
-            model.predict(rng.random((32, 32, 3)))
-        assert model.predict(image).tolist() == alone.tolist()
+            model.predict(rng.random((32, 32, 3))[None])
+        assert model.predict(image[None]).tolist() == alone.tolist()
 
     def test_golden_forward_matches_straight_line_recomputation(self):
         model = DualHeadViT(TINY, seed=7, dtype=np.float64)
         image = np.random.default_rng(99).random((32, 32, 3))
-        out = model.forward(image)
+        out = model.forward(image[None])
         ref_cls, ref_agg, ref_w = reference_forward(model, image)
         np.testing.assert_allclose(out.p_cls.data.ravel(), ref_cls, atol=1e-12)
         np.testing.assert_allclose(out.p_agg.data.ravel(), ref_agg, atol=1e-12)
@@ -191,7 +191,7 @@ class TestForward:
     def test_shape_mismatch_rejected(self):
         model = DualHeadViT(TINY, seed=0)
         with pytest.raises(ShapeError):
-            model.forward(np.zeros((64, 64, 3)))
+            model.forward(np.zeros((1, 64, 64, 3)))
 
 
 class TestPrediction:
@@ -269,7 +269,7 @@ class TestStructure:
     def test_gradient_reaches_every_parameter_group(self):
         model = DualHeadViT(TINY, seed=1, dtype=np.float64)
         image = np.random.default_rng(0).random((32, 32, 3))
-        loss = dual_bce_loss((0.0, 1.0), model.forward(image)).total
+        loss = dual_bce_loss([[(0.0, 1.0)]], model.forward(image[None])).total
         ad.backward(loss)
         for group, names in model.parameter_groups().items():
             assert any(model.params[n].grad is not None
@@ -279,12 +279,12 @@ class TestStructure:
 
 class TestStacking:
     """A BxHxWx3 stack runs as one graph, and every image's result equals
-    its single-image result."""
+    its result in a stack of one."""
 
     def test_stacked_predict_equals_single_predicts_bitwise(self):
         model = DualHeadViT(TINY, seed=3)  # float32, as trained and served
         images = np.random.default_rng(20).random((8, 32, 32, 3))
-        singles = [model.predict(image) for image in images]
+        singles = [model.predict(image[None])[:, 0] for image in images]
         assert singles[0].shape == (1,)
         for size in (1, 2, 8):
             stacked = model.predict(images[:size])
@@ -298,7 +298,7 @@ class TestStacking:
         assert out.p_cls.shape == (1, 3, 1, 2)
         assert out.patch_weights.shape == (1, 3, TINY.n_patches, 1)
         for i, image in enumerate(images):
-            alone = model.forward(image)
+            alone = model.forward(image[None])
             for name in ("p_cls", "p_agg", "patch_weights"):
                 np.testing.assert_array_equal(getattr(out, name).data[:, i:i + 1],
                                               getattr(alone, name).data)
@@ -308,11 +308,11 @@ class TestStacking:
         rng = np.random.default_rng(22)
         images = rng.random((4, 32, 32, 3))
         labels = [(0.0, 1.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-        ad.backward(dual_bce_loss(labels, model.forward(images)).total)
+        ad.backward(dual_bce_loss([labels], model.forward(images)).total)
         stacked = {name: t.grad.copy() for name, t in model.params.items()}
         ad.zero_grads(model.params.values())
         for image, y in zip(images, labels):
-            ad.backward(dual_bce_loss(y, model.forward(image)).total)
+            ad.backward(dual_bce_loss([[y]], model.forward(image[None])).total)
         for name, t in model.params.items():
             np.testing.assert_allclose(stacked[name], t.grad, rtol=0, atol=1e-12,
                                        err_msg=name)
@@ -330,14 +330,24 @@ class TestStacking:
         with pytest.raises(ShapeError):
             model.predict(np.zeros((2, 64, 64, 3)))
         with pytest.raises(ValueError):
-            dual_bce_loss([(0.0, 1.0)], model.forward(np.zeros((2, 32, 32, 3))))
+            dual_bce_loss([[(0.0, 1.0)]], model.forward(np.zeros((2, 32, 32, 3))))
+        with pytest.raises(ValueError):  # two tasks' pairs for one task's two images
+            dual_bce_loss([[(0.0, 1.0)], [(1.0, 0.0)]],
+                          model.forward(np.zeros((2, 32, 32, 3))))
+        image = np.zeros((32, 32, 3))  # one image is a stack of one, image[None]
+        with pytest.raises(ShapeError):
+            patchify(image, 16)
+        with pytest.raises(ShapeError):
+            model.forward(image)
+        with pytest.raises(ShapeError):
+            model.predict(image)
 
     def test_stacked_patchify_is_per_image_patchify(self):
         images = np.random.default_rng(23).random((3, 32, 48, 3))
         rows = patchify(images, 16)
         assert rows.shape == (3, 6, 768)
         for i in range(3):
-            np.testing.assert_array_equal(rows[i], patchify(images[i], 16))
+            np.testing.assert_array_equal(rows[i], patchify(images[i][None], 16)[0])
 
 
 def recording_forward(monkeypatch):
@@ -346,7 +356,7 @@ def recording_forward(monkeypatch):
     forward = DualHeadViT.forward
 
     def recorded(self, images):
-        sizes.append(self.n_tasks * (1 if np.ndim(images) == 3 else len(images)))
+        sizes.append(self.n_tasks * len(images))
         return forward(self, images)
 
     monkeypatch.setattr(DualHeadViT, "forward", recorded)
@@ -392,7 +402,7 @@ class TestTaskStack:
         ad.backward(ad.tsum(ad.mul(loss.total, 0.25)))
         for k, member in enumerate(members):
             alone = member.forward(images)
-            loss_k = dual_bce_loss(pairs[k], alone)
+            loss_k = dual_bce_loss(pairs[k][None], alone)
             ad.backward(ad.mul(loss_k.total, 0.25))
             assert loss.total.data[k:k + 1].tolist() == loss_k.total.data.tolist()
             for name in ("p_cls", "p_agg", "patch_weights"):
@@ -409,8 +419,8 @@ class TestTaskStack:
         scores = stacked.predict(images)
         assert scores.shape == (2, 5)
         assert scores.tolist() == [m.predict(images)[0].tolist() for m in members]
-        assert stacked.predict(images[0]).tolist() == [m.predict(images[0])[0]
-                                                       for m in members]
+        assert stacked.predict(images[0][None])[:, 0].tolist() == [
+            m.predict(images[0][None])[:, 0][0] for m in members]
 
     def test_task_groups_split_the_stack_into_capped_member_views(self, monkeypatch):
         stacked = DualHeadViT.stack([DualHeadViT(TINY, seed=s) for s in range(11)])

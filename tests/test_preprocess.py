@@ -315,7 +315,7 @@ class TestAugment:
         image = random_image(11)
         identity = AugmentDraws(u_flip_h=1.0, u_flip_v=1.0, rot_deg=0.0,
                                 sat=1.0, bright=1.0, hue=1.0)
-        out = augment(image, self.params, identity)
+        out = augment(image[None], self.params, [identity])[0]
         np.testing.assert_array_equal(out, image)
 
     @pytest.mark.parametrize("h, w", [(1, 1), (2, 3), (31, 17), (32, 32), (512, 512)])
@@ -328,37 +328,38 @@ class TestAugment:
         codes = np.arange(0, 1 << 24, 13)
         colours = np.stack([codes >> 16, (codes >> 8) & 255, codes & 255],
                            axis=-1).astype(np.uint8)[:, None]
-        np.testing.assert_array_equal(color_jitter(colours, 1.0, 1.0, 1.0), colours)
+        np.testing.assert_array_equal(color_jitter(colours[None], 1.0, 1.0, 1.0)[0],
+                                      colours)
 
     def test_disabled_params_ignore_the_draws(self):
-        image = random_image(16)
+        images = random_image(16)[None]
         draws = AugmentDraws(u_flip_h=0.0, u_flip_v=0.0, rot_deg=7.0,
                              sat=1.05, bright=0.95, hue=1.02)
-        out = augment(image, AugmentParams(enabled=False), draws)
-        np.testing.assert_array_equal(out, image)
-        assert out is not image
+        out = augment(images, AugmentParams(enabled=False), [draws])
+        np.testing.assert_array_equal(out, images)
+        assert out is not images
 
     def test_both_flips_give_point_reflection(self):
         image = random_image(12)
         draws = AugmentDraws(u_flip_h=0.0, u_flip_v=0.0, rot_deg=0.0,
                              sat=1.0, bright=1.0, hue=1.0)
-        out = augment(image, self.params, draws)
+        out = augment(image[None], self.params, [draws])[0]
         np.testing.assert_array_equal(out, image[::-1, ::-1, :])
 
     def test_horizontal_flip_is_an_involution(self):
         image = random_image(13)
         draws = AugmentDraws(u_flip_h=0.0, u_flip_v=1.0, rot_deg=0.0,
                              sat=1.0, bright=1.0, hue=1.0)
-        once = augment(image, self.params, draws)
-        twice = augment(once, self.params, draws)
-        np.testing.assert_array_equal(twice, image)
+        once = augment(image[None], self.params, [draws])
+        twice = augment(once, self.params, [draws])
+        np.testing.assert_array_equal(twice[0], image)
 
     def test_fixed_seed_bitwise_reproducible(self):
         image = random_image(14)
-        out1 = augment(image, self.params,
-                       AugmentDraws.sample(np.random.default_rng(77), self.params))
-        out2 = augment(image, self.params,
-                       AugmentDraws.sample(np.random.default_rng(77), self.params))
+        out1 = augment(image[None], self.params,
+                       [AugmentDraws.sample(np.random.default_rng(77), self.params)])
+        out2 = augment(image[None], self.params,
+                       [AugmentDraws.sample(np.random.default_rng(77), self.params)])
         np.testing.assert_array_equal(out1, out2)
 
     def test_draw_order_is_stable(self):
@@ -373,14 +374,14 @@ class TestAugment:
 
     def test_rotation_zero_fills_corners(self):
         image = np.full((21, 21, 3), 200, dtype=np.uint8)
-        out = rotate(image, 45.0)
+        out = rotate(image[None], 45.0)[0]
         assert out.shape == image.shape
         assert out[0, 0].max() == 0 and out[-1, -1].max() == 0
         assert out[10, 10].min() > 0
 
     def test_color_jitter_ranges(self):
         image = random_image(15)
-        out = color_jitter(image, sat=1.05, bright=0.95, hue=1.02)
+        out = color_jitter(image[None], sat=1.05, bright=0.95, hue=1.02)[0]
         assert out.dtype == np.uint8
         assert out.shape == image.shape
 
@@ -418,7 +419,8 @@ def stacks(draw):
 
 
 class TestStackedAugment:
-    """Every image of a stacked call equals the single-image call, bit for bit."""
+    """Every image of a stacked call equals its call in a stack of one, bit
+    for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(stacks())
@@ -428,7 +430,7 @@ class TestStackedAugment:
         out = augment(images, params, draws)
         assert out.shape == images.shape and out.dtype == np.uint8
         for image, d, got in zip(images, draws, out):
-            np.testing.assert_array_equal(got, augment(image, params, d))
+            np.testing.assert_array_equal(got, augment(image[None], params, [d])[0])
 
     @settings(max_examples=60, deadline=None)
     @given(stacks())
@@ -436,7 +438,7 @@ class TestStackedAugment:
         images, draws = case
         out = rotate(images, [d.rot_deg for d in draws])
         for image, d, got in zip(images, draws, out):
-            np.testing.assert_array_equal(got, rotate(image, d.rot_deg))
+            np.testing.assert_array_equal(got, rotate(image[None], [d.rot_deg])[0])
 
     @settings(max_examples=60, deadline=None)
     @given(stacks())
@@ -445,7 +447,8 @@ class TestStackedAugment:
         out = color_jitter(images, [d.sat for d in draws], [d.bright for d in draws],
                            [d.hue for d in draws])
         for image, d, got in zip(images, draws, out):
-            np.testing.assert_array_equal(got, color_jitter(image, d.sat, d.bright, d.hue))
+            np.testing.assert_array_equal(
+                got, color_jitter(image[None], d.sat, d.bright, d.hue)[0])
 
     def test_stack_leaves_its_input_alone(self):
         images = np.stack([random_image(20, 8, 6), random_image(21, 8, 6)])
@@ -458,6 +461,26 @@ class TestStackedAugment:
         draws = [AugmentDraws(1.0, 1.0, 0.0, 1.0, 1.0, 1.0)]
         with pytest.raises(ValueError, match="draws"):
             augment(np.zeros((2, 4, 4, 3), dtype=np.uint8), AugmentParams(), draws)
+
+    def test_one_image_is_rejected(self):
+        """The augmentation stages take stacks only; one image is a stack of one."""
+        image = random_image(24, 8, 6)
+        draw = AugmentDraws(1.0, 1.0, 0.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="BxHxWx3"):
+            augment(image, AugmentParams(), [draw])
+        with pytest.raises(ValueError, match="BxHxWx3"):
+            rotate(image, 0.0)
+        with pytest.raises(ValueError, match="BxHxWx3"):
+            color_jitter(image, 1.0, 1.0, 1.0)
+
+    def test_per_image_kernels_reject_a_stack(self):
+        images = np.stack([random_image(25, 8, 6)] * 2)
+        with pytest.raises(ValueError, match="an HxWx3"):
+            crop_roi(images, DiscDetection(3.0, 4.0, 2.0, 2.0, 0.9))
+        with pytest.raises(ValueError, match="an HxWx3"):
+            remove_background(images)
+        with pytest.raises(ValueError, match="an HxWx3"):
+            resize_bilinear(images, 4, 4)
 
 
 class TestPpm:

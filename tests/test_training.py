@@ -11,7 +11,7 @@ import pytest
 from fundusvit import autodiff as ad
 from fundusvit.autodiff import Tensor
 from fundusvit.checkpoint import ClassifierBank
-from fundusvit.dataset import PreprocessOptions, read_manifest
+from fundusvit.dataset import TASKS, ManifestRow, PreprocessOptions, read_manifest
 from fundusvit.metrics import evaluate
 from fundusvit.model import HeadOutputs, ModelConfig
 from fundusvit.preprocess import AugmentParams
@@ -19,7 +19,7 @@ from fundusvit.synth import generate_dataset
 from fundusvit import model as model_module
 from fundusvit import preprocess, training
 from fundusvit.training import (Adam, TrainConfig, dual_bce_loss, lr_schedule,
-                                prepare_split, rebalance_and_split, task_label,
+                                prepare_split, rebalance_and_split,
                                 train_bank, train_task)
 
 from helpers import assert_grad_close, finite_difference_grad
@@ -31,56 +31,65 @@ FAST_AUG = AugmentParams(rot_lo=-5.0, rot_hi=5.0)
 
 
 def outputs_from(p_cls, p_agg):
-    return HeadOutputs(p_cls=Tensor(np.array([p_cls])),
-                       p_agg=Tensor(np.array([p_agg])),
-                       patch_weights=Tensor(np.ones((1, 1))))
+    """Head outputs of one task and one image."""
+    return HeadOutputs(p_cls=Tensor(np.array([[[p_cls]]])),
+                       p_agg=Tensor(np.array([[[p_agg]]])),
+                       patch_weights=Tensor(np.ones((1, 1, 1, 1))))
 
 
 class TestDualBceLoss:
     def test_perfect_prediction_is_zero(self):
-        loss = dual_bce_loss((0.0, 1.0), outputs_from([0.0, 1.0], [0.0, 1.0]))
+        loss = dual_bce_loss([[(0.0, 1.0)]], outputs_from([0.0, 1.0], [0.0, 1.0]))
         # the 1e-7 clamp leaves a vanishing residual
         assert loss.total.item() == pytest.approx(0.0, abs=1e-6)
 
     def test_symmetric_uncertainty_is_ln2(self):
-        loss = dual_bce_loss((0.0, 1.0), outputs_from([0.5, 0.5], [0.5, 0.5]))
+        loss = dual_bce_loss([[(0.0, 1.0)]], outputs_from([0.5, 0.5], [0.5, 0.5]))
         assert loss.total.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_hand_evaluated_example(self):
         # -0.5*(ln 0.9 + ln 0.6) = 0.30809306...
-        loss = dual_bce_loss((1.0, 0.0), outputs_from([0.9, 0.1], [0.6, 0.4]))
+        loss = dual_bce_loss([[(1.0, 0.0)]], outputs_from([0.9, 0.1], [0.6, 0.4]))
         assert loss.total.item() == pytest.approx(0.5 * (-math.log(0.9) - math.log(0.6)),
                                                   abs=1e-12)
         assert loss.total.item() == pytest.approx(0.3081, abs=1e-4)
 
     def test_total_is_mean_of_head_terms(self):
-        loss = dual_bce_loss((0.0, 1.0), outputs_from([0.3, 0.7], [0.2, 0.8]))
+        loss = dual_bce_loss([[(0.0, 1.0)]], outputs_from([0.3, 0.7], [0.2, 0.8]))
         assert loss.total.item() == pytest.approx(
             0.5 * (loss.cls_term.item() + loss.agg_term.item()), abs=1e-12)
         assert loss.total.item() >= 0.0
 
     def test_non_one_hot_rejected(self):
         out = outputs_from([0.5, 0.5], [0.5, 0.5])
-        for bad in ((1.0, 1.0), (0.0, 0.0), (0.5, 0.5), (1.0, 0.0, 0.0)):
+        for bad in ([[(1.0, 1.0)]], [[(0.0, 0.0)]], [[(0.5, 0.5)]], [[(1.0, 0.0, 0.0)]],
+                    (0.0, 1.0), [(0.0, 1.0)]):  # a pair needs its task and image axes
             with pytest.raises(ValueError):
                 dual_bce_loss(bad, out)
 
     def test_gradient_wrt_logits_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        logits_cls = Tensor(rng.normal(size=(1, 2)), requires_grad=True)
-        logits_agg = Tensor(rng.normal(size=(1, 2)), requires_grad=True)
+        logits_cls = Tensor(rng.normal(size=(1, 1, 1, 2)), requires_grad=True)
+        logits_agg = Tensor(rng.normal(size=(1, 1, 1, 2)), requires_grad=True)
 
         def build():
-            out = HeadOutputs(p_cls=ad.softmax(logits_cls, axis=1),
-                              p_agg=ad.softmax(logits_agg, axis=1),
-                              patch_weights=Tensor(np.ones((1, 1))))
-            return dual_bce_loss((0.0, 1.0), out).total
+            out = HeadOutputs(p_cls=ad.softmax(logits_cls, axis=-1),
+                              p_agg=ad.softmax(logits_agg, axis=-1),
+                              patch_weights=Tensor(np.ones((1, 1, 1, 1))))
+            return dual_bce_loss([[(0.0, 1.0)]], out).total
 
         loss = build()
         ad.backward(loss)
         for leaf in (logits_cls, logits_agg):
             fd = finite_difference_grad(lambda: build().item(), leaf)
             assert_grad_close(leaf.grad, fd)
+
+
+def test_row_label_follows_the_task_order():
+    row = ManifestRow("a", "a.ppm", 4, 4, rg=1, features=(0, 1, 0, 0, 0, 0, 0, 0, 0, 1))
+    assert [row.label(task) for task in TASKS] == [1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1]
+    with pytest.raises(ValueError):
+        row.label("feature11")
 
 
 class TestAdam:
@@ -244,7 +253,7 @@ class TestTrainTask:
                                     SMALL_MODEL.height,
                                     SMALL_MODEL.width)[0].astype(np.float64) / 255.0
                       for r in val_rows]
-        val_y = [task_label(r, "glaucoma") for r in val_rows]
+        val_y = [r.label("glaucoma") for r in val_rows]
         [s1], [s2] = result.model.predict(val_images), result.model.predict(val_images)
         m1 = _task_metric(s1, val_y, "glaucoma")
         m2 = _task_metric(s2, val_y, "glaucoma")
