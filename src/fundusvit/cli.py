@@ -15,11 +15,11 @@ from pathlib import Path
 from . import kv
 from .autodiff import NonFiniteError
 from .atomic import write_atomic
-from .checkpoint import TASKS, IncompatibleCheckpointError, load_bank
+from .checkpoint import IncompatibleCheckpointError, load_bank
 from .config import ConfigError, RunConfig, effective_lines, load_config
-from .dataset import (ManifestRow, PreprocessOptions, load_input_image,
+from .dataset import (N_FEATURES, TASKS, ManifestRow, PreprocessOptions, load_input_image,
                       prepare_input, read_manifest, to_unit, write_manifest)
-from .metrics import N_FEATURES, evaluate
+from .metrics import evaluate
 from .ppm import read_ppm, write_ppm
 from .synth import generate_dataset
 from .training import train_bank, train_task
@@ -179,8 +179,7 @@ def cmd_eval(args) -> int:
     if args.roc_out is not None:
         report.write_roc_table(args.roc_out)
     if args.scores_out is not None:
-        lines = ["image_id\trg\tglaucoma_score\t"
-                 + "\t".join(f"feature{k}" for k in range(1, N_FEATURES + 1))]
+        lines = ["image_id\trg\tglaucoma_score\t" + "\t".join(TASKS[1:])]
         for i, row in enumerate(rows):
             feats = "\t".join(f"{v:.9f}" for v in f_scores[i])
             lines.append(f"{row.image_id}\t{g_labels[i]}\t{g_scores[i]:.9f}\t{feats}")

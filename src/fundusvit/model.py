@@ -357,13 +357,14 @@ class DualHeadViT:
         return HeadOutputs(p_cls, p_agg, weights)
 
     def predict(self, images: np.ndarray):
-        """Positive-class probability, the mean of the two heads, in float64,
-        as a (K, B) array for a nonempty BxHxWx3 stack. Each forward takes at
-        most ``config.stack_size`` images of one of the ``task_groups``."""
-        stack = self._stack(images)
+        """Positive-class probability, the mean of the two heads, in float64: (K, B)
+        for a nonempty BxHxWx3 stack, (K,) for one HxWx3 image (ROADMAP item 9).
+        Each forward takes at most ``config.stack_size`` images of one task group."""
+        stack = self._stack(images[None] if np.ndim(images) == 3 else images)
         size = min(len(stack), self.config.stack_size)
         with no_grad():
-            return np.concatenate([np.concatenate(
+            scores = np.concatenate([np.concatenate(
                 [average_prediction(group.forward(stack[i:i + size]))
                  for i in range(0, len(stack), size)], axis=-1)
                 for _, group in self.task_groups(size)])
+        return scores[:, 0] if np.ndim(images) == 3 else scores

@@ -28,14 +28,16 @@ class TestParsing:
         assert chosen.confidence == 0.80
         assert chosen.cx == pytest.approx(40.0)
 
-    @pytest.mark.parametrize("line", [
-        "0 0.5 0.5 0.2 0.2 0.0", "0 0.5 0.5 0.2 0.2 1.0",  # confidence ends
-        "0 0.0 0.0 0.2 0.2 0.9", "0 1.0 1.0 0.2 0.2 0.9",  # centre ends
-        "0 0.5 0.5 1.0 1.0 0.9",                           # the widest box
+    @pytest.mark.parametrize("line, expected", [
+        ("0 0.5 0.5 0.2 0.2 0.0", (50.0, 40.0, 20.0, 16.0, 0.0)),  # confidence ends
+        ("0 0.5 0.5 0.2 0.2 1.0", (50.0, 40.0, 20.0, 16.0, 1.0)),
+        ("0 0.0 0.0 0.2 0.2 0.9", (0.0, 0.0, 20.0, 16.0, 0.9)),    # centre ends
+        ("0 1.0 1.0 0.2 0.2 0.9", (100.0, 80.0, 20.0, 16.0, 0.9)),
+        ("0 0.5 0.5 1.0 1.0 0.9", (50.0, 40.0, 100.0, 80.0, 0.9)),  # the widest box
     ], ids=["confidence-0", "confidence-1", "centre-0", "centre-1", "size-1"])
-    def test_range_ends_accepted(self, line):
-        [d] = parse_detection_lines(line + "\n", 100, 100)
-        assert 0.0 <= d.confidence <= 1.0
+    def test_range_ends_accepted(self, line, expected):
+        [d] = parse_detection_lines(line + "\n", 100, 80)
+        assert (d.cx, d.cy, d.w, d.h, d.confidence) == pytest.approx(expected, abs=1e-12)
 
     def test_malformed_line_reports_line_number(self):
         text = "0 0.5 0.5 0.2 0.2 0.9\n0 0.5 0.5 0.2\n"

@@ -286,6 +286,9 @@ class TestStacking:
         images = np.random.default_rng(20).random((8, 32, 32, 3))
         singles = [model.predict(image[None])[:, 0] for image in images]
         assert singles[0].shape == (1,)
+        # one HxWx3 image is still scored, as a stack of one (ROADMAP item 9)
+        assert [model.predict(image).tolist() for image in images] == [
+            s.tolist() for s in singles]
         for size in (1, 2, 8):
             stacked = model.predict(images[:size])
             assert stacked.shape == (1, size) and stacked.dtype == np.float64
@@ -339,8 +342,6 @@ class TestStacking:
             patchify(image, 16)
         with pytest.raises(ShapeError):
             model.forward(image)
-        with pytest.raises(ShapeError):
-            model.predict(image)
 
     def test_stacked_patchify_is_per_image_patchify(self):
         images = np.random.default_rng(23).random((3, 32, 48, 3))
