@@ -37,6 +37,7 @@ class NonFiniteError(FloatingPointError):
 
 
 _grad_enabled = True
+LAYER_NORM_EPS = 1e-5  # added to the variance in layer_norm
 
 
 @contextmanager
@@ -63,8 +64,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "op", "parents", "_vjp",
                  "_backward_done")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
@@ -217,32 +218,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` for a task stack, as one node.
 
-    ``w`` is (K, Din, n) and ``b`` is (K, 1, n), one row per task; ``x`` is
-    a (B, T, Din) stack shared by all K tasks or a (K, B, T, Din) one per
+    ``x`` is (K, B, T, Din), an ``np.broadcast_to`` view for an input shared
+    by all K tasks; ``w`` is (K, Din, n), ``b`` is (K, 1, n), one row per
     task, and the output is (K, B, T, n). Each stacked (T, Din) slice gets
     its own product with its task's (Din, n) weight, so a slice's output
     does not depend on the rest of the stack, and each task's weight
     gradient is one 2-d product over all of its rows.
     """
-    if w.ndim != 3 or x.ndim not in (3, 4) or x.shape[-1] != w.shape[1] \
-            or (x.ndim == 4 and x.shape[0] != w.shape[0]):
+    if w.ndim != 3 or x.ndim != 4 or x.shape[0] != w.shape[0] \
+            or x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear operands do not chain: {x.shape} x {w.shape}")
     if b.shape != (w.shape[0], 1, w.shape[2]):
         raise ShapeError(f"linear bias must be {(w.shape[0], 1, w.shape[2])}, "
                          f"got {b.shape}")
     # broadcast each task's weight over the images of the stack
     xd, wd, bd = x.data, w.data[:, None], b.data[:, None]
-    per_task = x.ndim == 4
 
     def vjp(g):
         rows = g.reshape(w.shape[0], -1, g.shape[-1])
-        x_rows = xd.reshape(*xd.shape[:per_task], -1, xd.shape[-1])
+        x_rows = xd.reshape(w.shape[0], -1, xd.shape[-1])
         # an untracked input (the image patches) needs no (N x 3P^2) product
-        dx = None
-        if x.requires_grad:
-            dx = g @ wd.swapaxes(-1, -2)
-            if not per_task:  # a shared input gathers every task's share
-                dx = dx.sum(axis=0)
+        dx = g @ wd.swapaxes(-1, -2) if x.requires_grad else None
         return dx, x_rows.swapaxes(-1, -2) @ rows, rows.sum(axis=-2, keepdims=True)
 
     return _result(xd @ wd + bd, "linear", (x, w, b), vjp)
@@ -303,22 +299,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum. The one broadcast allowed is over ``a``'s axis 1,
-    the images of a task stack: ``b`` equals ``a``'s shape with axis 1 set
-    to 1 or left out, as a task stack's (K, T, D) position table on
-    (K, B, T, D) activations or its (K, 1, D) class token on (K, B, 1, D).
+    the images of a task stack: ``b`` equals ``a``'s shape or leaves axis 1
+    out, as a task stack's (K, T, D) position table on (K, B, T, D)
+    activations or its (K, 1, D) class token on (K, B, 1, D).
     """
     bd = b.data
     if a.shape == b.shape:
         def vjp(g):
             return g, g
     else:
-        spread = (*a.shape[:1], 1, *a.shape[2:])
-        if a.ndim < 2 or b.shape not in (spread, spread[:1] + spread[2:]):
+        if b.shape != a.shape[:1] + a.shape[2:]:
             raise ShapeError(f"add shapes incompatible: {a.shape} + {b.shape}")
-        bd, shape = bd.reshape(spread), b.shape
+        bd = bd[:, None]
 
         def vjp(g):
-            return g, g.sum(axis=1).reshape(shape)
+            return g, g.sum(axis=1)
     return _result(a.data + bd, "add", (a, b), vjp)
 
 
@@ -425,22 +420,20 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _result(np.clip(a.data, lo, hi), "clip", (a,), vjp)
 
 
-def softmax(a: Tensor, axis: int) -> Tensor:
-    """Softmax along ``axis``, subtracting the axis max before exponentiation."""
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a: Tensor) -> Tensor:
+    """Softmax along the last axis, subtracting its max before exponentiation."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        inner = (g * s).sum(axis=axis, keepdims=True)
+        inner = (g * s).sum(axis=-1, keepdims=True)
         return (s * (g - inner),)
 
     return _result(s, "softmax", (a,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     ``x`` is a task stack's (K, ..., D); ``gain`` and ``bias`` are (K, D)
@@ -449,8 +442,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """
     if x.ndim < 2 or x.shape[-1] == 0:
         raise ShapeError(f"layer_norm needs a (K, ..., D) input with D > 0, got {x.shape}")
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
     d = x.shape[-1]
     for p in (gain, bias):
         if p.ndim != 2 or p.shape[0] != x.shape[0] or p.shape[1] not in (1, d):
@@ -459,7 +450,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     xc = x.data - mu
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     # each task's affine row, broadcast over the axes between task and channel
     spread = (x.shape[0], *(1,) * (x.ndim - 2))

@@ -30,7 +30,6 @@ from .autodiff import (ShapeError, Tensor, add, attention, concat, gelu,
                        layer_norm, linear, matmul, mul, narrow, no_grad, relu,
                        softmax, transpose)
 
-LAYER_NORM_EPS = 1e-5
 INIT_STD = 0.02
 # Attention scores per head that one stacked forward may hold: a training
 # stack keeps every task's and image's T x T probabilities in each layer and
@@ -145,11 +144,11 @@ def aggregate_patches(features: Tensor, params: dict[str, Tensor]) -> tuple[Tens
                          f"{features.shape}")
     p = params
     s = linear(features, p["agg.proj1.weight"], p["agg.proj1.bias"])
-    s = relu(layer_norm(s, p["agg.norm1.gain"], p["agg.norm1.bias"], LAYER_NORM_EPS))
+    s = relu(layer_norm(s, p["agg.norm1.gain"], p["agg.norm1.bias"]))
     s = linear(s, p["agg.proj2.weight"], p["agg.proj2.bias"])
     s = transpose(s)  # (1, N): normalize the score distribution across patches
-    s = relu(layer_norm(s, p["agg.norm2.gain"], p["agg.norm2.bias"], LAYER_NORM_EPS))
-    w = softmax(s, axis=-1)
+    s = relu(layer_norm(s, p["agg.norm2.gain"], p["agg.norm2.bias"]))
+    w = softmax(s)
     aggregated = matmul(w, features)
     return aggregated, transpose(w)
 
@@ -316,9 +315,9 @@ class DualHeadViT:
         for i in range(self.config.depth):
             b = f"block{i}"
             attended = self._attention(
-                layer_norm(x, p[f"{b}.ln1.gain"], p[f"{b}.ln1.bias"], LAYER_NORM_EPS), b)
+                layer_norm(x, p[f"{b}.ln1.gain"], p[f"{b}.ln1.bias"]), b)
             x = add(x, attended)
-            hidden = layer_norm(x, p[f"{b}.ln2.gain"], p[f"{b}.ln2.bias"], LAYER_NORM_EPS)
+            hidden = layer_norm(x, p[f"{b}.ln2.gain"], p[f"{b}.ln2.bias"])
             hidden = act(linear(hidden, p[f"{b}.mlp.fc1.weight"], p[f"{b}.mlp.fc1.bias"]))
             hidden = linear(hidden, p[f"{b}.mlp.fc2.weight"], p[f"{b}.mlp.fc2.bias"])
             x = add(x, hidden)
@@ -339,8 +338,10 @@ class DualHeadViT:
         cfg = self.config
         stack = self._stack(images)
         p = self.params
-        patches = Tensor(patchify(stack.astype(self.dtype, copy=False), cfg.patch))
-        x = linear(patches, p["patch_proj.weight"], p["patch_proj.bias"])
+        patches = patchify(stack.astype(self.dtype, copy=False), cfg.patch)
+        # every task reads the same patches: one (K, B, N, 3P^2) view, no copy
+        x = linear(Tensor(np.broadcast_to(patches, (self.n_tasks, *patches.shape))),
+                   p["patch_proj.weight"], p["patch_proj.bias"])
         # the class token repeated over the stack: a (1, D) row added to zeros
         cls = add(Tensor(np.zeros((self.n_tasks, len(stack), 1, cfg.dim),
                                   dtype=self.dtype)), p["cls_token"])
@@ -349,11 +350,9 @@ class DualHeadViT:
         x = self._encoder(x)
         cls_out = narrow(x, x.ndim - 2, 0, 1)
         patch_out = narrow(x, x.ndim - 2, 1, cfg.n_patches)
-        p_cls = softmax(linear(cls_out, p["mlp_head.weight"], p["mlp_head.bias"]),
-                        axis=-1)
+        p_cls = softmax(linear(cls_out, p["mlp_head.weight"], p["mlp_head.bias"]))
         aggregated, weights = aggregate_patches(patch_out, p)
-        p_agg = softmax(linear(aggregated, p["final_fc.weight"], p["final_fc.bias"]),
-                        axis=-1)
+        p_agg = softmax(linear(aggregated, p["final_fc.weight"], p["final_fc.bias"]))
         return HeadOutputs(p_cls, p_agg, weights)
 
     def predict(self, images: np.ndarray):

@@ -86,18 +86,18 @@ class LossValue:
 
 
 def dual_bce_loss(y, outputs: HeadOutputs) -> LossValue:
-    """Cross-entropy of both heads against the (K, B, 2) one-hot pairs ``y``
-    of a forward of K tasks over B images. Each head contributes
+    """Cross-entropy of both heads against the (K, B) 0/1 labels ``y`` of a
+    forward of K tasks over B images, as one-hot pairs. Each head contributes
     -sum_i y_i log p_i, a (K,) vector of sums over each task's images, with
     probabilities clamped to [PROB_CLAMP, 1 - PROB_CLAMP]; the total is the
     mean of the two terms.
     """
     y_arr = np.asarray(y, dtype=np.float64)
-    if y_arr.shape != (*outputs.p_cls.shape[:2], 2) \
-            or not np.isin(y_arr, (0.0, 1.0)).all() or (y_arr.sum(axis=-1) != 1.0).any():
-        raise ValueError(f"y must be the forward's (K, B, 2) one-hot pairs, got {y!r}")
-    # -y, so that each head term is one sum with no negation node after it
-    target = Tensor((-y_arr).reshape(outputs.p_cls.shape).astype(outputs.p_cls.dtype))
+    if y_arr.shape != outputs.p_cls.shape[:2] or not np.isin(y_arr, (0.0, 1.0)).all():
+        raise ValueError(f"y must be the forward's (K, B) 0/1 labels, got {y!r}")
+    # negated one-hot pairs, so each head term is one sum with no negation node after it
+    target = Tensor((-np.stack([1.0 - y_arr, y_arr], -1))[..., None, :]
+                    .astype(outputs.p_cls.dtype))
 
     def head_term(p: Tensor) -> Tensor:
         return ad.tsum(ad.mul(target, ad.log(ad.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))),
@@ -327,8 +327,7 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
                     for idx in stack]))
                 for group_tasks, group in groups:
                     y = train_y[group_tasks][:, stack]
-                    loss = dual_bce_loss(np.stack([1.0 - y, y], axis=-1),
-                                         group.forward(images))
+                    loss = dual_bce_loss(y, group.forward(images))
                     epoch_loss[group_tasks] += loss.total.data
                     ad.backward(ad.tsum(ad.mul(loss.total, inv)))
                     del loss  # free the graph before the next forward

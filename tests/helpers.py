@@ -68,16 +68,16 @@ def check_op_gradients(build, leaves: list[ad.Tensor], step: float = FD_STEP) ->
 # straight-line numpy forward pass (no autodiff, loop-based patch handling)
 
 
-def _np_layer_norm(x, gain, bias, eps=1e-5):
+def _np_layer_norm(x, gain, bias):
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    return gain * (xc / np.sqrt(var + eps)) + bias
+    return gain * (xc / np.sqrt(var + 1e-5)) + bias
 
 
-def _np_softmax(x, axis):
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def _np_softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _np_patchify(image, patch):
@@ -90,16 +90,18 @@ def _np_patchify(image, patch):
     return np.stack(rows)
 
 
-def reference_forward(model, image: np.ndarray):
-    """Recompute the full forward pass of ``model``'s first task with plain
-    numpy.
-
-    Returns (p_cls, p_agg, weights) as flat float arrays.
-    """
+def _np_forward(model, image: np.ndarray):
+    """The full forward pass of ``model``'s first task in plain numpy: the
+    flat (p_cls, p_agg, weights) and the smallest |pre-activation| over
+    every ReLU site."""
     cfg = model.config
+    assert cfg.activation == "relu", "reference covers the relu configuration"
     p = {name: t.data[0].astype(np.float64) for name, t in model.params.items()}
-    act = (lambda v: np.maximum(v, 0.0)) if cfg.activation == "relu" else None
-    assert act is not None, "reference covers the relu configuration"
+    margins = []
+
+    def relu(pre):
+        margins.append(np.abs(pre).min())
+        return np.maximum(pre, 0.0)
 
     x = _np_patchify(np.asarray(image, dtype=np.float64), cfg.patch)
     x = x @ p["patch_proj.weight"] + p["patch_proj.bias"]
@@ -116,25 +118,34 @@ def reference_forward(model, image: np.ndarray):
         for h in range(cfg.heads):
             sl = slice(h * dh, (h + 1) * dh)
             scores = q[:, sl] @ k[:, sl].T / np.sqrt(dh)
-            heads.append(_np_softmax(scores, axis=1) @ v[:, sl])
+            heads.append(_np_softmax(scores) @ v[:, sl])
         x = x + (np.concatenate(heads, axis=1) @ p[f"{b}.attn.out.weight"]
                  + p[f"{b}.attn.out.bias"])
         hid = _np_layer_norm(x, p[f"{b}.ln2.gain"], p[f"{b}.ln2.bias"])
-        hid = act(hid @ p[f"{b}.mlp.fc1.weight"] + p[f"{b}.mlp.fc1.bias"])
+        hid = relu(hid @ p[f"{b}.mlp.fc1.weight"] + p[f"{b}.mlp.fc1.bias"])
         x = x + (hid @ p[f"{b}.mlp.fc2.weight"] + p[f"{b}.mlp.fc2.bias"])
 
     cls_out = x[:1]
     patches = x[1:]
-    p_cls = _np_softmax(cls_out @ p["mlp_head.weight"] + p["mlp_head.bias"], axis=1)
+    p_cls = _np_softmax(cls_out @ p["mlp_head.weight"] + p["mlp_head.bias"])
 
     s = patches @ p["agg.proj1.weight"] + p["agg.proj1.bias"]
-    s = np.maximum(_np_layer_norm(s, p["agg.norm1.gain"], p["agg.norm1.bias"]), 0.0)
+    s = relu(_np_layer_norm(s, p["agg.norm1.gain"], p["agg.norm1.bias"]))
     s = (s @ p["agg.proj2.weight"] + p["agg.proj2.bias"]).T
-    s = np.maximum(_np_layer_norm(s, p["agg.norm2.gain"], p["agg.norm2.bias"]), 0.0)
-    weights = _np_softmax(s, axis=1)
+    s = relu(_np_layer_norm(s, p["agg.norm2.gain"], p["agg.norm2.bias"]))
+    weights = _np_softmax(s)
     aggregated = weights @ patches
-    p_agg = _np_softmax(aggregated @ p["final_fc.weight"] + p["final_fc.bias"], axis=1)
-    return p_cls.ravel(), p_agg.ravel(), weights.ravel()
+    p_agg = _np_softmax(aggregated @ p["final_fc.weight"] + p["final_fc.bias"])
+    return p_cls.ravel(), p_agg.ravel(), weights.ravel(), float(min(margins))
+
+
+def reference_forward(model, image: np.ndarray):
+    """Recompute the full forward pass of ``model``'s first task with plain
+    numpy.
+
+    Returns (p_cls, p_agg, weights) as flat float arrays.
+    """
+    return _np_forward(model, image)[:3]
 
 
 def min_relu_preactivation(model, image: np.ndarray) -> float:
@@ -145,44 +156,7 @@ def min_relu_preactivation(model, image: np.ndarray) -> float:
     parameter perturbation can flip a ReLU input across zero, so gradient
     checks assert this margin is comfortably larger than the step size.
     """
-    cfg = model.config
-    assert cfg.activation == "relu"
-    p = {name: t.data[0].astype(np.float64) for name, t in model.params.items()}
-    margins = []
-
-    x = _np_patchify(np.asarray(image, dtype=np.float64), cfg.patch)
-    x = x @ p["patch_proj.weight"] + p["patch_proj.bias"]
-    x = np.concatenate([p["cls_token"], x], axis=0)
-    x = x + p["pos_embed"]
-    dh = cfg.dim // cfg.heads
-    for i in range(cfg.depth):
-        b = f"block{i}"
-        a = _np_layer_norm(x, p[f"{b}.ln1.gain"], p[f"{b}.ln1.bias"])
-        q = a @ p[f"{b}.attn.q.weight"] + p[f"{b}.attn.q.bias"]
-        k = a @ p[f"{b}.attn.k.weight"] + p[f"{b}.attn.k.bias"]
-        v = a @ p[f"{b}.attn.v.weight"] + p[f"{b}.attn.v.bias"]
-        heads = []
-        for h in range(cfg.heads):
-            sl = slice(h * dh, (h + 1) * dh)
-            scores = q[:, sl] @ k[:, sl].T / np.sqrt(dh)
-            heads.append(_np_softmax(scores, axis=1) @ v[:, sl])
-        x = x + (np.concatenate(heads, axis=1) @ p[f"{b}.attn.out.weight"]
-                 + p[f"{b}.attn.out.bias"])
-        hid = _np_layer_norm(x, p[f"{b}.ln2.gain"], p[f"{b}.ln2.bias"])
-        pre = hid @ p[f"{b}.mlp.fc1.weight"] + p[f"{b}.mlp.fc1.bias"]
-        margins.append(np.abs(pre).min())
-        x = x + (np.maximum(pre, 0.0) @ p[f"{b}.mlp.fc2.weight"]
-                 + p[f"{b}.mlp.fc2.bias"])
-
-    patches = x[1:]
-    s = patches @ p["agg.proj1.weight"] + p["agg.proj1.bias"]
-    pre1 = _np_layer_norm(s, p["agg.norm1.gain"], p["agg.norm1.bias"])
-    margins.append(np.abs(pre1).min())
-    s = np.maximum(pre1, 0.0)
-    s = (s @ p["agg.proj2.weight"] + p["agg.proj2.bias"]).T
-    pre2 = _np_layer_norm(s, p["agg.norm2.gain"], p["agg.norm2.bias"])
-    margins.append(np.abs(pre2).min())
-    return float(min(margins))
+    return _np_forward(model, image)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -300,23 +274,22 @@ def reference_bilinear_sample(images: np.ndarray, xs: np.ndarray,
 
 
 def reference_rotate(images: np.ndarray, degrees) -> np.ndarray:
-    """Rotate counterclockwise about the image center; bilinear, zero fill.
-    A BxHxWx3 stack takes one angle per image; a zero angle copies."""
-    images = reference_require_rgb(images, stack=True)
-    stack = images.reshape(-1, *images.shape[-3:])
-    degrees = np.broadcast_to(np.asarray(degrees, dtype=np.float64), stack.shape[:1])
-    out = stack.copy()
+    """Rotate each image of a BxHxWx3 stack counterclockwise about its
+    center by its own angle; bilinear, zero fill. A zero angle copies."""
+    images = reference_require_stack(images)
+    degrees = np.broadcast_to(np.asarray(degrees, dtype=np.float64), images.shape[:1])
+    out = images.copy()
     turn = np.flatnonzero(degrees != 0.0)
     if turn.size:
-        h, w = stack.shape[1:3]
+        h, w = images.shape[1:3]
         cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
         # one scalar cos/sin per image, the same values a single image gets
         c, s = np.array([(np.cos(t), np.sin(t))
                          for t in map(np.deg2rad, degrees[turn])]).T[..., None, None]
         dy, dx = np.meshgrid(np.arange(h) - cy, np.arange(w) - cx, indexing="ij")
-        out[turn] = reference_bilinear_sample(stack[turn], cx + c * dx + s * dy,
-                                     cy - s * dx + c * dy)
-    return out.reshape(images.shape)
+        out[turn] = reference_bilinear_sample(images[turn], cx + c * dx + s * dy,
+                                              cy - s * dx + c * dy)
+    return out
 
 
 def reference_rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
@@ -354,57 +327,62 @@ def reference_hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
 
 def reference_color_jitter(images: np.ndarray, sat, bright, hue) -> np.ndarray:
     """Scale saturation and brightness (clamped to [0, 1]) and hue
-    (multiplicative, modulo 1) in HSV space. A BxHxWx3 stack takes one
-    factor of each kind per image; factors all 1 copy the image."""
-    images = reference_require_rgb(images, stack=True)
-    stack = images.reshape(-1, *images.shape[-3:])
-    sat, bright, hue = (np.broadcast_to(np.asarray(f, dtype=np.float64), stack.shape[:1])
+    (multiplicative, modulo 1) in HSV space, each image of a BxHxWx3 stack
+    by its own factor of each kind; factors all 1 copy the image."""
+    images = reference_require_stack(images)
+    sat, bright, hue = (np.broadcast_to(np.asarray(f, dtype=np.float64), images.shape[:1])
                         for f in (sat, bright, hue))
-    out = stack.copy()
+    out = images.copy()
     moved = np.flatnonzero((sat != 1.0) | (bright != 1.0) | (hue != 1.0))
     if moved.size:
-        hsv = reference_rgb_to_hsv(stack[moved].astype(np.float64) / 255.0)
+        hsv = reference_rgb_to_hsv(images[moved].astype(np.float64) / 255.0)
         hsv[..., 0] = (hsv[..., 0] * hue[moved, None, None]) % 1.0
         hsv[..., 1] = np.clip(hsv[..., 1] * sat[moved, None, None], 0.0, 1.0)
         hsv[..., 2] = np.clip(hsv[..., 2] * bright[moved, None, None], 0.0, 1.0)
         rgb = reference_hsv_to_rgb(hsv) * 255.0
         out[moved] = np.clip(np.rint(rgb, out=rgb), 0, 255, out=rgb).astype(np.uint8)
-    return out.reshape(images.shape)
+    return out
 
 
 def reference_augment(images: np.ndarray, params: AugmentParams, draws) -> np.ndarray:
     """Apply, in fixed order: horizontal flip, vertical flip, rotation about
     the center (bilinear, zero fill), then saturation/brightness/hue scaling.
 
-    ``images`` is one HxWx3 image with one ``AugmentDraws``, or a BxHxWx3
-    stack with B of them: flipped per image, then rotated and colour-scaled
-    with one call each, every image bit-identical to augmenting it alone.
+    ``images`` is a BxHxWx3 stack and ``draws`` a list of B
+    ``AugmentDraws``: flipped per image, then rotated and colour-scaled with
+    one call each, every image bit-identical to augmenting it alone.
     Disabled params, or identity draws (which short-circuit each stage
     exactly), reproduce the input bit for bit.
     """
-    images = reference_require_rgb(images, stack=True)
-    stack = images.reshape(-1, *images.shape[-3:]).copy()
-    draws = list(draws) if images.ndim == 4 else [draws]
-    if len(draws) != len(stack):
-        raise ValueError(f"{len(stack)} images need as many draws, got {len(draws)}")
+    images = reference_require_stack(images).copy()
+    if len(draws) != len(images):
+        raise ValueError(f"{len(images)} images need as many draws, got {len(draws)}")
     if params.enabled:
         for i, d in enumerate(draws):
             if d.u_flip_h < params.p_flip_h:
-                stack[i] = stack[i, :, ::-1]
+                images[i] = images[i, :, ::-1]
             if d.u_flip_v < params.p_flip_v:
-                stack[i] = stack[i, ::-1]
-        stack = reference_rotate(stack, [d.rot_deg for d in draws])
-        stack = reference_color_jitter(stack, *np.reshape(
+                images[i] = images[i, ::-1]
+        images = reference_rotate(images, [d.rot_deg for d in draws])
+        images = reference_color_jitter(images, *np.reshape(
             [(d.sat, d.bright, d.hue) for d in draws], (-1, 3)).T)
-    return stack.reshape(images.shape)
+    return images
 
 
-def reference_require_rgb(image: np.ndarray, stack: bool = False) -> np.ndarray:
-    """``image`` as an HxWx3 array; with ``stack``, a BxHxWx3 one passes too."""
+def reference_require_rgb(image: np.ndarray) -> np.ndarray:
+    """``image`` as an HxWx3 array."""
     image = np.asarray(image)
-    if image.ndim not in ((3, 4) if stack else (3,)) or image.shape[-1] != 3:
-        raise ValueError(f"expected an HxWx3 RGB image (or stack), got {image.shape}")
+    if image.ndim != 3 or image.shape[-1] != 3:
+        raise ValueError(f"expected an HxWx3 RGB image, got {image.shape}")
     return image
+
+
+def reference_require_stack(images: np.ndarray) -> np.ndarray:
+    """``images`` as a BxHxWx3 stack of RGB images."""
+    images = np.asarray(images)
+    if images.ndim != 4 or images.shape[-1] != 3:
+        raise ValueError(f"expected a BxHxWx3 stack of RGB images, got {images.shape}")
+    return images
 
 
 # ---------------------------------------------------------------------------

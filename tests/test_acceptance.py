@@ -73,7 +73,7 @@ def test_02_gradient_suite_full_model_finite_differences():
 
         model = DualHeadViT(GRAD_MODEL, seed=48, dtype=np.float64)
         image = np.random.default_rng(0).random((32, 32, 3))
-        label = [[(0.0, 1.0)]]
+        label = [[1]]
         assert min_relu_preactivation(model, image) > 20 * 1e-4
 
         def loss_value() -> float:

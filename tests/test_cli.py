@@ -4,6 +4,7 @@ calls."""
 
 import argparse
 import math
+import shutil
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -14,7 +15,7 @@ import pytest
 from fundusvit import cli
 from fundusvit.checkpoint import load_checkpoint, save_checkpoint
 from fundusvit.config import ConfigError, effective_lines, parse_config_text
-from fundusvit.dataset import PreprocessOptions
+from fundusvit.dataset import PreprocessOptions, read_manifest, write_manifest
 from fundusvit.metrics import auc, normalized_hamming, roc_curve, tpr_at_specificity
 from fundusvit.model import DualHeadViT, ModelConfig
 
@@ -109,6 +110,17 @@ class TestExitCodes:
         config = tmp_path / "c.cfg"
         config.write_text("model.banana = 1\n")
         assert run_cli(["train", "--config", config]) == 1
+
+    @pytest.mark.parametrize("unset", ["paths.manifest", "paths.out"])
+    def test_unset_path_is_one_and_names_it(self, unset, workspace, tmp_path, capsys):
+        root, data, config = workspace
+        config_text = config.read_text()
+        assert f"\n{unset} = " in config_text
+        bad = tmp_path / "c.cfg"
+        bad.write_text("".join(line for line in config_text.splitlines(keepends=True)
+                               if not line.startswith(unset)))
+        assert run_cli(["train", "--config", bad]) == 1
+        assert f"config error: {unset} is not set" in capsys.readouterr().err
 
     def test_incompatible_bank_is_three(self, tmp_path, workspace, capsys):
         from fundusvit.checkpoint import save_checkpoint
@@ -309,7 +321,8 @@ class TestMalformedInputs:
                                              ("train.beta2 = 1.5", "beta2"),
                                              ("train.adam_eps = 0", "adam_eps"),
                                              ("train.adam_eps = -1e-8", "adam_eps"),
-                                             ("train.n_nrg = -1", "n_nrg")])
+                                             ("train.n_nrg = -1", "n_nrg"),
+                                             ("train.task = x", "unknown task 'x'")])
     def test_malformed_config_train_is_one(self, line, field, workspace, tmp_path,
                                            capsys, monkeypatch):
         from fundusvit import training
@@ -415,6 +428,21 @@ class TestMalformedInputs:
                 in capsys.readouterr().err)
         assert not (tmp_path / "run").exists()
 
+    def test_duplicate_image_id_names_the_row(self, workspace, tmp_path, capsys):
+        root, data, config = workspace
+        lines = (data / "manifest.tsv").read_text().splitlines()
+        bad = data / "dup.tsv"
+        bad.write_text("\n".join([*lines, lines[1]]) + "\n")
+        bad_config = tmp_path / "bad.cfg"
+        bad_config.write_text(config.read_text().replace(str(data / "manifest.tsv"),
+                                                         str(bad)))
+        capsys.readouterr()
+        assert run_cli(["train", "--config", bad_config, "--out", tmp_path / "run"]) == 1
+        image_id = lines[1].split("\t")[0]
+        assert (f"{bad}:{len(lines) + 1}: duplicate image id {image_id!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
     def test_calls_construct_no_parser(self, tmp_path, monkeypatch):
         # the parser is built once per process; each call only parses
         built = []
@@ -439,6 +467,28 @@ class TestTrainEvalInfer:
         log = (root / "run" / "glaucoma.log").read_text()
         assert "train.seed = 5" in log            # config echoed for provenance
         assert "epoch=0" in log and "epoch=1" in log
+
+    @pytest.mark.parametrize("flag, key, value, other", [
+        ("--seed", "train.seed", "5", "9"),
+        ("--task", "train.task", "glaucoma", "feature1")])
+    def test_flag_gives_the_bytes_of_the_same_config_setting(self, flag, key, value, other,
+                                                             workspace, tmp_path):
+        root, data, config = workspace
+        config_text = config.read_text()
+        assert f"\n{key} = {value}\n" in config_text
+        other_config = tmp_path / "other.cfg"
+        other_config.write_text(config_text.replace(f"\n{key} = {value}\n",
+                                                    f"\n{key} = {other}\n"))
+        out = tmp_path / "run"
+
+        def artifacts(*args):
+            shutil.rmtree(out, ignore_errors=True)
+            assert run_cli(["train", *args, "--out", out]) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        in_file = artifacts("--config", config)
+        assert artifacts("--config", other_config, flag, value) == in_file
+        assert artifacts("--config", other_config) != in_file
 
     def test_rerun_identical_log_body(self, workspace):
         root, data, config = workspace
@@ -597,6 +647,18 @@ class TestTrainEvalInfer:
                         "--image", image]) == 1
         assert "extents must be positive" in capsys.readouterr().err
 
+    def test_infer_missing_detection_is_two(self, workspace, tmp_path, capsys):
+        root, data, config = workspace
+        run_cli(["train", "--config", config])
+        capsys.readouterr()  # drop the train command's output
+        assert run_cli(["infer", "--checkpoint", root / "run" / "glaucoma.ckpt",
+                        "--image", data / "images" / "img0000.ppm",
+                        "--detection", tmp_path / "ghost.txt"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"missing input: detection file not found: {tmp_path / 'ghost.txt'}" \
+            in captured.err
+
     def test_infer_missing_image_is_two(self, workspace, tmp_path):
         root, data, config = workspace
         run_cli(["train", "--config", config])
@@ -670,6 +732,25 @@ class TestPreprocessCommand:
         assert len(rows) == 10
         image = read_ppm(out / rows[0].image_path)
         assert image.shape == (48, 48, 3)
+
+    def test_row_without_detection_falls_back_to_the_full_image(self, workspace,
+                                                                tmp_path, capsys):
+        root, data, config = workspace
+        rows = read_manifest(data / "manifest.tsv")[:3]
+        manifest = tmp_path / "m.tsv"
+        write_manifest(manifest, [
+            replace(r, image_path=str(data / r.image_path),
+                    detection_path=None if i == 1 else str(data / r.detection_path))
+            for i, r in enumerate(rows)])
+        capsys.readouterr()
+        for crop in ("true", "false"):
+            assert run_cli(["preprocess", "--manifest", manifest, "--out", tmp_path / crop,
+                            "--target", 32, "--od-crop", crop]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"{rows[1].image_id}: fallback: full image"]
+        image = f"images/{rows[1].image_id}.ppm"  # the whole image, as without crops
+        assert (tmp_path / "true" / image).read_bytes() \
+            == (tmp_path / "false" / image).read_bytes()
 
     def test_nonpositive_target_is_one_and_writes_nothing(self, workspace, tmp_path,
                                                           capsys):

@@ -60,6 +60,17 @@ class TestRocCurve:
         with pytest.raises(DegenerateLabelsError):
             roc_curve([0.1, 0.2], [0, 0])
 
+    def test_scores_and_labels_of_other_shapes_raise(self):
+        for scores, labels in [([0.1, 0.2], [1, 0, 1]), ([[0.1, 0.2]], [[1, 0]]),
+                               (0.1, 1)]:
+            with pytest.raises(ValueError, match="equal-length vectors"):
+                roc_curve(scores, labels)
+
+    def test_non_binary_labels_raise(self):
+        for labels in ([1, 2], [0.5, 1], [-1, 0]):
+            with pytest.raises(ValueError, match="binary 0/1"):
+                roc_curve([0.1, 0.2], labels)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
     def test_matches_brute_force_recount(self, seed):
@@ -89,6 +100,13 @@ class TestTprAtSpecificity:
         assert result == pytest.approx(0.6, abs=1e-12)
         assert result == pytest.approx(brute_force_tpr_at_spec(scores, labels, 0.95),
                                        abs=1e-12)
+
+    def test_specificity_outside_unit_interval_raises(self):
+        curve = roc_curve([0.9, 0.1], [1, 0])
+        assert curve.tpr_at(0.0) == curve.tpr_at(1.0) == 1.0
+        for spec in (-0.01, 1.01, float("nan")):
+            with pytest.raises(ValueError, match="outside"):
+                curve.tpr_at(spec)
 
     def test_monotone_non_increasing_in_specificity(self):
         scores, labels = random_instance(17)

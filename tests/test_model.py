@@ -269,7 +269,7 @@ class TestStructure:
     def test_gradient_reaches_every_parameter_group(self):
         model = DualHeadViT(TINY, seed=1, dtype=np.float64)
         image = np.random.default_rng(0).random((32, 32, 3))
-        loss = dual_bce_loss([[(0.0, 1.0)]], model.forward(image[None])).total
+        loss = dual_bce_loss([[1]], model.forward(image[None])).total
         ad.backward(loss)
         for group, names in model.parameter_groups().items():
             assert any(model.params[n].grad is not None
@@ -310,7 +310,7 @@ class TestStacking:
         model = DualHeadViT(TINY, seed=4, dtype=np.float64)
         rng = np.random.default_rng(22)
         images = rng.random((4, 32, 32, 3))
-        labels = [(0.0, 1.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+        labels = [1, 0, 0, 1]
         ad.backward(dual_bce_loss([labels], model.forward(images)).total)
         stacked = {name: t.grad.copy() for name, t in model.params.items()}
         ad.zero_grads(model.params.values())
@@ -333,10 +333,9 @@ class TestStacking:
         with pytest.raises(ShapeError):
             model.predict(np.zeros((2, 64, 64, 3)))
         with pytest.raises(ValueError):
-            dual_bce_loss([[(0.0, 1.0)]], model.forward(np.zeros((2, 32, 32, 3))))
-        with pytest.raises(ValueError):  # two tasks' pairs for one task's two images
-            dual_bce_loss([[(0.0, 1.0)], [(1.0, 0.0)]],
-                          model.forward(np.zeros((2, 32, 32, 3))))
+            dual_bce_loss([[1]], model.forward(np.zeros((2, 32, 32, 3))))
+        with pytest.raises(ValueError):  # two tasks' labels for one task's two images
+            dual_bce_loss([[1], [0]], model.forward(np.zeros((2, 32, 32, 3))))
         image = np.zeros((32, 32, 3))  # one image is a stack of one, image[None]
         with pytest.raises(ShapeError):
             patchify(image, 16)
@@ -394,16 +393,15 @@ class TestTaskStack:
         rng = np.random.default_rng(24)
         images = rng.random((4, 32, 32, 3))
         y = rng.integers(0, 2, size=(3, 4))
-        pairs = np.stack([1.0 - y, y], axis=-1)
         out = stacked.forward(images)
         assert out.p_cls.shape == (3, 4, 1, 2)
         assert out.patch_weights.shape == (3, 4, TINY.n_patches, 1)
-        loss = dual_bce_loss(pairs, out)
+        loss = dual_bce_loss(y, out)
         assert loss.total.shape == (3,)
         ad.backward(ad.tsum(ad.mul(loss.total, 0.25)))
         for k, member in enumerate(members):
             alone = member.forward(images)
-            loss_k = dual_bce_loss(pairs[k][None], alone)
+            loss_k = dual_bce_loss(y[k][None], alone)
             ad.backward(ad.mul(loss_k.total, 0.25))
             assert loss.total.data[k:k + 1].tolist() == loss_k.total.data.tolist()
             for name in ("p_cls", "p_agg", "patch_weights"):

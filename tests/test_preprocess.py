@@ -508,3 +508,22 @@ class TestPpm:
         path.write_bytes(b"P6\n2 2\n255\n\x00\x00\x00")
         with pytest.raises(ValueError, match="truncated"):
             read_ppm(path)
+
+    @pytest.mark.parametrize("raw", [b"P6\n2 2\n", b"P6\n2 2 # no maxval\n", b""],
+                             ids=["no-maxval", "comment-to-end", "empty"])
+    def test_truncated_header_rejected(self, raw, tmp_path):
+        path = tmp_path / "short.ppm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="truncated PPM header"):
+            read_ppm(path)
+
+    @pytest.mark.parametrize("image", [np.zeros((2, 2), np.uint8),
+                                       np.zeros((2, 2, 4), np.uint8),
+                                       np.zeros((1, 2, 2, 3), np.uint8),
+                                       np.zeros((2, 2, 3))],
+                             ids=["grey", "four-channel", "stack", "float"])
+    def test_write_needs_one_hxwx3_uint8_image(self, image, tmp_path):
+        path = tmp_path / "x.ppm"
+        with pytest.raises(ValueError, match="HxWx3 uint8"):
+            write_ppm(path, image)
+        assert not path.exists()

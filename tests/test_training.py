@@ -39,33 +39,41 @@ def outputs_from(p_cls, p_agg):
 
 class TestDualBceLoss:
     def test_perfect_prediction_is_zero(self):
-        loss = dual_bce_loss([[(0.0, 1.0)]], outputs_from([0.0, 1.0], [0.0, 1.0]))
+        loss = dual_bce_loss([[1]], outputs_from([0.0, 1.0], [0.0, 1.0]))
         # the 1e-7 clamp leaves a vanishing residual
         assert loss.total.item() == pytest.approx(0.0, abs=1e-6)
 
     def test_symmetric_uncertainty_is_ln2(self):
-        loss = dual_bce_loss([[(0.0, 1.0)]], outputs_from([0.5, 0.5], [0.5, 0.5]))
+        loss = dual_bce_loss([[1]], outputs_from([0.5, 0.5], [0.5, 0.5]))
         assert loss.total.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_hand_evaluated_example(self):
         # -0.5*(ln 0.9 + ln 0.6) = 0.30809306...
-        loss = dual_bce_loss([[(1.0, 0.0)]], outputs_from([0.9, 0.1], [0.6, 0.4]))
+        loss = dual_bce_loss([[0]], outputs_from([0.9, 0.1], [0.6, 0.4]))
         assert loss.total.item() == pytest.approx(0.5 * (-math.log(0.9) - math.log(0.6)),
                                                   abs=1e-12)
         assert loss.total.item() == pytest.approx(0.3081, abs=1e-4)
 
     def test_total_is_mean_of_head_terms(self):
-        loss = dual_bce_loss([[(0.0, 1.0)]], outputs_from([0.3, 0.7], [0.2, 0.8]))
+        loss = dual_bce_loss([[1]], outputs_from([0.3, 0.7], [0.2, 0.8]))
         assert loss.total.item() == pytest.approx(
             0.5 * (loss.cls_term.item() + loss.agg_term.item()), abs=1e-12)
         assert loss.total.item() >= 0.0
 
     def test_non_one_hot_rejected(self):
+        # a label other than 0 or 1 has no one-hot pair
         out = outputs_from([0.5, 0.5], [0.5, 0.5])
-        for bad in ([[(1.0, 1.0)]], [[(0.0, 0.0)]], [[(0.5, 0.5)]], [[(1.0, 0.0, 0.0)]],
-                    (0.0, 1.0), [(0.0, 1.0)]):  # a pair needs its task and image axes
+        for bad in ([[0.5]], [[2]], [[-1]], [[1, 0]],
+                    1, [1]):  # a label needs its task and image axes
             with pytest.raises(ValueError):
                 dual_bce_loss(bad, out)
+
+    def test_one_hot_pairs_rejected(self):
+        # the loss builds each label's pair itself; a pair is no label
+        out = outputs_from([0.5, 0.5], [0.5, 0.5])
+        for pairs in ([[(0.0, 1.0)]], [[(1.0, 0.0)]], np.zeros((1, 1, 2))):
+            with pytest.raises(ValueError, match=r"\(K, B\) 0/1 labels"):
+                dual_bce_loss(pairs, out)
 
     def test_gradient_wrt_logits_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -73,10 +81,10 @@ class TestDualBceLoss:
         logits_agg = Tensor(rng.normal(size=(1, 1, 1, 2)), requires_grad=True)
 
         def build():
-            out = HeadOutputs(p_cls=ad.softmax(logits_cls, axis=-1),
-                              p_agg=ad.softmax(logits_agg, axis=-1),
+            out = HeadOutputs(p_cls=ad.softmax(logits_cls),
+                              p_agg=ad.softmax(logits_agg),
                               patch_weights=Tensor(np.ones((1, 1, 1, 1))))
-            return dual_bce_loss([[(0.0, 1.0)]], out).total
+            return dual_bce_loss([[1]], out).total
 
         loss = build()
         ad.backward(loss)
@@ -199,6 +207,11 @@ class TestRebalanceAndSplit:
     def test_too_many_negatives_requested(self):
         with pytest.raises(ValueError, match="negatives"):
             rebalance_and_split([1, 2, 3], [1, 0, 0], n_nrg=5, ratio=(4, 1), seed=0)
+
+    def test_unequal_lengths_rejected(self):
+        for samples, labels in [([1, 2, 3], [1, 0]), ([1, 2], [1, 0, 0])]:
+            with pytest.raises(ValueError, match="differ in length"):
+                rebalance_and_split(samples, labels, n_nrg=None, ratio=(4, 1), seed=0)
 
 
 @pytest.fixture(scope="module")
