@@ -93,9 +93,6 @@ class Tensor:
             raise ShapeError(f"item() requires a scalar, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
-
 
 def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
             vjp: Callable | None) -> Tensor:

@@ -145,7 +145,7 @@ class Adam:
         ad.zero_grads(self.params)
 
 
-def lr_schedule(epoch: int, cfg: TrainConfig = TrainConfig()) -> float:
+def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
     """Initial rate scaled by the decay factor once per decay period."""
     if epoch < 0:
         raise ValueError("epoch must be nonnegative")
@@ -200,8 +200,6 @@ class TaskResult:
     best_metric: float
     log_lines: list[str]
     checkpoint_path: Path | None = None
-    # the run's best-state task stack, one per train_task call; model its K = 1 view
-    stack: DualHeadViT | None = None
 
 
 def _augment_rng(seed: int, epoch: int, index: int) -> np.random.Generator:
@@ -209,42 +207,11 @@ def _augment_rng(seed: int, epoch: int, index: int) -> np.random.Generator:
         np.random.SeedSequence((int(seed), _STREAM_AUGMENT, int(epoch), int(index))))
 
 
-@dataclass(frozen=True)
-class PreparedSplit:
-    """A rebalance/split with its images prepared: the (N, H, W, 3) uint8
-    train stack, the unit-scaled validation stack (None if no rows) and the
-    rows, extents, prep and split ``settings`` they were prepared for."""
-
-    settings: tuple
-    train_rows: list[ManifestRow]
-    train_images: np.ndarray
-    val_rows: list[ManifestRow]
-    val_images: np.ndarray | None
-
-
-def _split_settings(model_cfg: ModelConfig, train_cfg: TrainConfig, prep, rows) -> tuple:
-    return (tuple(rows), model_cfg.height, model_cfg.width, prep,
-            train_cfg.n_nrg, train_cfg.split, train_cfg.seed)
-
-
-def prepare_split(model_cfg: ModelConfig, train_cfg: TrainConfig,
-                  prep: PreprocessOptions, rows: Sequence[ManifestRow],
-                  base_dir: str | Path) -> PreparedSplit:
-    """Rebalance and split ``rows`` by the referable-glaucoma label, then
-    prepare every image once; nothing here depends on the task."""
-    train_rows, val_rows = rebalance_and_split(rows, [r.rg for r in rows], train_cfg.n_nrg,
-                                               train_cfg.split, train_cfg.seed)
-    if not train_rows:
-        raise ValueError("empty training set after split" if rows else "empty dataset")
-
-    def prepared(split):
-        return np.stack([prepare_input(load_input_image(r, base_dir), r, base_dir, prep,
-                                       model_cfg.height, model_cfg.width)[0]
-                         for r in split])
-
-    return PreparedSplit(_split_settings(model_cfg, train_cfg, prep, rows), train_rows,
-                         prepared(train_rows), val_rows,
-                         to_unit(prepared(val_rows)) if val_rows else None)
+def _prepared(rows: Sequence[ManifestRow], base_dir: str | Path,
+              prep: PreprocessOptions, model_cfg: ModelConfig) -> np.ndarray:
+    """The (N, H, W, 3) uint8 stack of ``rows``' prepared images."""
+    return np.stack([prepare_input(load_input_image(r, base_dir), r, base_dir, prep,
+                                   model_cfg.height, model_cfg.width)[0] for r in rows])
 
 
 def _task_metric(scores: np.ndarray, labels: Sequence[int], task: str) -> float:
@@ -260,12 +227,13 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
                rows: Sequence[ManifestRow], base_dir: str | Path,
                out_dir: str | Path | None = None,
                config_lines: Sequence[str] = (),
-               inputs: PreparedSplit | None = None,
                tasks: Sequence[str] | None = None) -> list[TaskResult]:
     """Train binary ``tasks`` (default: ``train_cfg.task`` alone; one task
-    is a bank of one) in lockstep on ``inputs``, the ``prepare_split`` of
-    ``rows`` (built here when None; inputs prepared for other rows, extents,
-    prep or split settings raise ValueError). Returns one result per task.
+    is a bank of one) in lockstep on ``rows``, rebalanced and split by the
+    referable-glaucoma label. A task with one class in the training split
+    raises ValueError before any image is prepared; then every image is
+    prepared (crop, background removal, resize) once for all the tasks.
+    Returns one result per task.
 
     The tasks differ only in labels and initial values: the shuffle order
     and the augmentation draws are keyed by (seed, epoch, image). Loops:
@@ -285,15 +253,17 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
     if out_dir is not None:  # an unwritable output fails before any work
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-    if inputs is None:
-        inputs = prepare_split(model_cfg, train_cfg, prep, rows, base_dir)
-    elif inputs.settings != _split_settings(model_cfg, train_cfg, prep, rows):
-        raise ValueError("inputs were prepared for other rows, extents or settings")
-    train_y = np.array([[r.label(task) for r in inputs.train_rows] for task in tasks])
+    train_rows, val_rows = rebalance_and_split(rows, [r.rg for r in rows], train_cfg.n_nrg,
+                                               train_cfg.split, train_cfg.seed)
+    if not train_rows:
+        raise ValueError("empty training set after split" if rows else "empty dataset")
+    train_y = np.array([[r.label(task) for r in train_rows] for task in tasks])
     for task, y in zip(tasks, train_y):
         if len(set(y)) < 2:
             raise ValueError(f"single-class training set for task {task!r}")
-    val_y = [[r.label(task) for r in inputs.val_rows] for task in tasks]
+    val_y = [[r.label(task) for r in val_rows] for task in tasks]
+    train_images = _prepared(train_rows, base_dir, prep, model_cfg)
+    val_images = to_unit(_prepared(val_rows, base_dir, prep, model_cfg)) if val_rows else None
 
     def initial(task):  # each task's own initial values
         return DualHeadViT(model_cfg, seed=np.random.SeedSequence(
@@ -322,7 +292,7 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
             inv = 1.0 / len(batch)
             for first in range(0, len(batch), model_cfg.stack_size):
                 stack = batch[first:first + model_cfg.stack_size]
-                images = to_unit(augment(inputs.train_images[stack], aug, [
+                images = to_unit(augment(train_images[stack], aug, [
                     AugmentDraws.sample(_augment_rng(train_cfg.seed, epoch, idx), aug)
                     for idx in stack]))
                 for group_tasks, group in groups:
@@ -333,8 +303,8 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
                     del loss  # free the graph before the next forward
             optimizer.step(lr)
         val_metric = [float("nan")] * len(tasks)
-        if inputs.val_rows:
-            scores = model.predict(inputs.val_images)
+        if val_rows:
+            scores = model.predict(val_images)
             val_metric = [_task_metric(*args) for args in zip(scores, val_y, tasks)]
         if epoch == 0:  # made past the training peak; epoch 0 writes every slice
             best_state = {name: np.empty_like(t.data) for name, t in model.params.items()}
@@ -345,15 +315,15 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
                                     f"val_metric={val_metric[k]:.6f}")
             # without a validation set keep the latest parameters; with one,
             # ties keep the later epoch: equal validation, lower train loss
-            if not inputs.val_rows or val_metric[k] >= result.best_metric:
-                result.best_metric = val_metric[k] if inputs.val_rows else -np.inf
+            if not val_rows or val_metric[k] >= result.best_metric:
+                result.best_metric = val_metric[k] if val_rows else -np.inf
                 result.best_epoch = epoch
                 for name, t in model.params.items():
                     best_state[name][k] = t.data[k]
 
     best = DualHeadViT.from_arrays(model_cfg, best_state)
     for k, result in enumerate(results):
-        result.stack, result.model = best, best.member(k)
+        result.model = best.member(k)
         result.log_lines.append(f"# best_epoch={result.best_epoch} "
                                 f"best_val_metric={result.best_metric:.6f}")
         if out_dir is not None:
@@ -369,25 +339,24 @@ def train_bank(model_cfg: ModelConfig, train_cfg: TrainConfig,
                out_dir: str | Path | None = None,
                config_lines: Sequence[str] = ()) -> ClassifierBank:
     """Train all eleven tasks independently with the same base seed, as one
-    lockstep ``train_task`` call on one shared ``prepare_split`` of the rows.
+    lockstep ``train_task`` call, which prepares every image once for all
+    of them.
 
     A feature task whose training split holds one class (no positive, or
     no negative sample) is skipped before training, with its reason in the
     bank log; every other member is bitwise identical to a standalone run
-    with the same seed. The bank holds the run's best-state task stack.
+    with the same seed. The bank holds the trained members as one task stack.
     """
-    if out_dir is not None:  # an unwritable output fails before any work
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-    inputs = prepare_split(model_cfg, train_cfg, prep, rows, base_dir)
+    train_rows, _ = rebalance_and_split(rows, [r.rg for r in rows], train_cfg.n_nrg,
+                                        train_cfg.split, train_cfg.seed)
     skipped: dict[str, str] = {}
     for task in TASKS[1:]:
-        present = {r.label(task) for r in inputs.train_rows}
+        present = {r.label(task) for r in train_rows}
         if present != {0, 1}:
             skipped[task] = f"no {'positive' if 1 not in present else 'negative'} " \
                             "training samples"
     trained = train_task(model_cfg, train_cfg, aug, prep, rows, base_dir, out_dir=out_dir,
-                         config_lines=config_lines, inputs=inputs,
-                         tasks=[task for task in TASKS if task not in skipped])
+                         config_lines=config_lines, tasks=[task for task in TASKS if task not in skipped])
     results = {r.task: r for r in trained}
     bank_lines = ["# fundusvit bank log", *[
         f"task={task} status=skipped reason={skipped[task]}" if task in skipped
@@ -395,4 +364,5 @@ def train_bank(model_cfg: ModelConfig, train_cfg: TrainConfig,
              f"best_val_metric={results[task].best_metric:.6f}" for task in TASKS]]
     if out_dir is not None:
         write_atomic(Path(out_dir) / "bank.log", "\n".join(bank_lines) + "\n")
-    return ClassifierBank(tuple(results), trained[0].stack, prep, skipped)
+    return ClassifierBank(tuple(results), DualHeadViT.stack([r.model for r in trained]),
+                          prep, skipped)

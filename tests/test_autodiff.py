@@ -223,6 +223,10 @@ class TestBackwardContract:
         with pytest.raises(ValueError, match="not tracked"):
             ad.backward(ad.tsum(t([[1.0]], grad=False)))
 
+    def test_non_tensor_loss_rejected(self):
+        with pytest.raises(TypeError, match="expects a Tensor"):
+            ad.backward(np.float64(1.0))
+
     def test_trace_visits_each_tracked_tensor_once(self):
         x = t([[1.0, 2.0]])
         y = ad.mul(x, x)
@@ -449,6 +453,33 @@ class TestNumericGuards:
             ad.add(t(np.zeros((2, 3))), t(np.zeros(3)))
         with pytest.raises(ShapeError):
             ad.mul(t(np.zeros((2, 3))), t(np.zeros((2, 1))))
+
+
+class TestInputGuards:
+    def test_non_float_data_is_cast_to_float64(self):
+        x = Tensor(np.arange(3))
+        assert x.dtype == np.float64
+        np.testing.assert_array_equal(x.data, [0.0, 1.0, 2.0])
+
+    def test_item_requires_a_scalar(self):
+        assert t([[2.5]]).item() == 2.5
+        with pytest.raises(ShapeError, match="scalar"):
+            t([1.0, 2.0]).item()
+
+    def test_transpose_requires_two_axes(self):
+        with pytest.raises(ShapeError, match="at least 2 axes"):
+            ad.transpose(t([1.0, 2.0]))
+
+    @pytest.mark.parametrize("axis, start, length, match", [
+        (-1, 0, 1, "invalid"), (2, 0, 1, "invalid"),
+        (1, -1, 1, "out of range"), (1, 0, 0, "out of range"), (1, 2, 2, "out of range")])
+    def test_narrow_outside_the_tensor_rejected(self, axis, start, length, match):
+        with pytest.raises(ShapeError, match=match):
+            ad.narrow(t(np.zeros((2, 3))), axis, start, length)
+
+    def test_concat_of_nothing_rejected(self):
+        with pytest.raises(ShapeError, match="at least one"):
+            ad.concat([], 0)
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@ header text, typed round-trips for the four settings classes, and config
 parsing that fails only with ConfigError."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -196,6 +197,14 @@ class TestBuild:
             prep = kv.build(PreprocessOptions, "prep",
                             {"bg_tau": tau, "confidence_floor": floor})
             assert (prep.bg_tau, prep.confidence_floor) == (int(tau), float(floor))
+
+    def test_field_type_without_text_form_is_a_type_error(self):
+        @dataclass
+        class Toy:
+            values: list[int]
+
+        with pytest.raises(TypeError, match="no text form"):
+            kv.build(Toy, "toy", {"values": "1"})
 
     def test_optional_and_boolean(self):
         assert kv.build(ModelConfig, "model", {"mlp_hidden": "none"}).mlp_hidden is None

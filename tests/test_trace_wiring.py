@@ -41,8 +41,9 @@ def test_traced_train_evaluate_infer_reach_every_required_span(tmp_path):
 
 
 def test_traced_bank_prepares_each_image_once(tmp_path):
-    # the benchmark's bank-screen workload times each train_task call, one
-    # per bank, and reads useful_ratio as prepared images per prepare
+    # the benchmark's bank-screen workload times the bank's one train_task
+    # call, which prepares every image once, so its timing includes the
+    # preparation; it reads useful_ratio as prepared images per prepare
     manifest = generate_dataset(tmp_path / "data", n=10, seed=4, size=64)
     base, rows = manifest.parent, read_manifest(manifest)
     out = tmp_path / "bank"

@@ -19,8 +19,7 @@ from fundusvit.synth import generate_dataset
 from fundusvit import model as model_module
 from fundusvit import preprocess, training
 from fundusvit.training import (Adam, TrainConfig, dual_bce_loss, lr_schedule,
-                                prepare_split, rebalance_and_split,
-                                train_bank, train_task)
+                                rebalance_and_split, train_bank, train_task)
 
 from helpers import assert_grad_close, finite_difference_grad
 from test_model import recording_forward
@@ -142,6 +141,13 @@ class TestAdam:
         assert p.data[0] == pytest.approx(scalar_adam(1.0, 3.0), abs=1e-12)
         assert p.data[1] == pytest.approx(scalar_adam(-2.0, 7.0), abs=1e-12)
 
+    def test_gradient_of_another_shape_rejected(self):
+        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        p.grad = np.zeros(3)
+        with pytest.raises(ad.ShapeError, match="gradient shape"):
+            Adam([p]).step(0.1)
+        np.testing.assert_array_equal(p.data, [1.0, -2.0])
+
     def test_step_clears_gradients(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.array([0.5])
@@ -168,7 +174,7 @@ class TestLrSchedule:
 
     def test_negative_epoch_rejected(self):
         with pytest.raises(ValueError):
-            lr_schedule(-1)
+            lr_schedule(-1, TrainConfig())
 
 
 class TestRebalanceAndSplit:
@@ -277,7 +283,7 @@ class TestTrainTask:
         wide = replace(SMALL_MODEL, width=64)  # 32 x 64: 2 x 4 patches
         [result] = train_task(wide, quick_cfg(epochs=1), FAST_AUG, PreprocessOptions(),
                               rows, manifest.parent)
-        bank = ClassifierBank(("glaucoma",), result.stack, PreprocessOptions())
+        bank = ClassifierBank(("glaucoma",), result.model, PreprocessOptions())
         report = evaluate(bank, rows, manifest.parent)
         assert report.n_samples == len(rows)
         assert 0.0 <= report.auc <= 1.0
@@ -294,12 +300,43 @@ class TestTrainTask:
             train_task(SMALL_MODEL, quick_cfg(), FAST_AUG, PreprocessOptions(),
                        [], tmp_path)
 
-    def test_single_class_training_set_rejected(self, tiny_dataset):
+    def test_single_class_training_set_rejected(self, tiny_dataset, monkeypatch):
         manifest, rows = tiny_dataset
         negatives = [r for r in rows if r.rg == 0]
-        with pytest.raises(ValueError):
+        prepared = []
+        monkeypatch.setattr(training, "prepare_input",
+                            lambda *args, **kwargs: prepared.append(args))
+        with pytest.raises(ValueError, match="single-class training set"):
             train_task(SMALL_MODEL, quick_cfg(), FAST_AUG, PreprocessOptions(),
                        negatives, manifest.parent)
+        assert not prepared  # the check comes before any image is prepared
+
+
+def bank_preparation(monkeypatch, rows, base_dir):
+    """The task lists of a one-epoch ``train_bank`` run's ``train_task``
+    calls and the image ids it prepared, asserting that every
+    ``prepare_input`` call falls inside a ``train_task`` call."""
+    calls, prepared, inside = [], [], []
+    original_task, original_prepare = training.train_task, training.prepare_input
+
+    def recording_task(*args, tasks=None, **kwargs):
+        calls.append(list(tasks))
+        inside.append(True)
+        try:
+            return original_task(*args, tasks=tasks, **kwargs)
+        finally:
+            inside.pop()
+
+    def recording_prepare(image, row, *args, **kwargs):
+        assert inside, "an image was prepared outside train_task"
+        prepared.append(row.image_id)
+        return original_prepare(image, row, *args, **kwargs)
+
+    monkeypatch.setattr(training, "train_task", recording_task)
+    monkeypatch.setattr(training, "prepare_input", recording_prepare)
+    train_bank(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG, PreprocessOptions(), rows,
+               base_dir)
+    return calls, prepared
 
 
 class TestTrainBank:
@@ -419,51 +456,16 @@ class TestTrainBank:
 
     def test_bank_prepares_each_row_once(self, tiny_dataset, monkeypatch):
         manifest, rows = tiny_dataset
-        prepared = []
-        original = training.prepare_input
-
-        def counting(image, row, *args, **kwargs):
-            prepared.append(row.image_id)
-            return original(image, row, *args, **kwargs)
-
-        monkeypatch.setattr(training, "prepare_input", counting)
-        bank = train_bank(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG,
-                          PreprocessOptions(), rows, manifest.parent)
-        assert len(bank.models) == 11
+        calls, prepared = bank_preparation(monkeypatch, rows, manifest.parent)
+        assert calls == [list(TASKS)]
         assert sorted(prepared) == sorted(r.image_id for r in rows)
 
-
-class TestPreparedSplit:
-    def test_given_inputs_train_the_same_bytes(self, tiny_dataset, tmp_path):
+    def test_bank_with_a_skipped_feature_prepares_each_row_once(self, tiny_dataset,
+                                                                monkeypatch):
         manifest, rows = tiny_dataset
-        cfg = quick_cfg(task="feature2")
-        inputs = prepare_split(SMALL_MODEL, cfg, PreprocessOptions(), rows,
-                               manifest.parent)
-        assert inputs.train_images.shape == (len(inputs.train_rows), 32, 32, 3)
-        assert inputs.train_images.dtype == np.uint8
-        assert inputs.val_images.shape == (len(inputs.val_rows), 32, 32, 3)
-        assert 0.0 <= inputs.val_images.min() and inputs.val_images.max() <= 1.0
-        train_task(SMALL_MODEL, cfg, FAST_AUG, PreprocessOptions(), rows,
-                   manifest.parent, out_dir=tmp_path / "given", inputs=inputs)
-        train_task(SMALL_MODEL, cfg, FAST_AUG, PreprocessOptions(), rows,
-                   manifest.parent, out_dir=tmp_path / "built")
-        for name in ("feature2.ckpt", "feature2.log"):
-            assert (tmp_path / "given" / name).read_bytes() == \
-                (tmp_path / "built" / name).read_bytes()
+        stripped = [replace(r, features=r.features[:6] + (0,) + r.features[7:])
+                    for r in rows]
+        calls, prepared = bank_preparation(monkeypatch, stripped, manifest.parent)
+        assert calls == [[task for task in TASKS if task != "feature7"]]
+        assert sorted(prepared) == sorted(r.image_id for r in rows)
 
-    @pytest.mark.parametrize("change", ["height", "width", "prep", "seed", "split",
-                                        "n_nrg", "rows"])
-    def test_inputs_for_other_settings_rejected(self, tiny_dataset, change):
-        manifest, rows = tiny_dataset
-        model, cfg, prep = SMALL_MODEL, quick_cfg(), PreprocessOptions()
-        inputs = prepare_split(model, cfg, prep, rows, manifest.parent)
-        if change in ("height", "width"):
-            model = replace(model, **{change: 48})
-        elif change == "prep":
-            prep = PreprocessOptions(od_crop=False)
-        elif change == "rows":
-            rows = rows[1:]
-        else:
-            cfg = replace(cfg, **{change: {"seed": 6, "split": (3, 1), "n_nrg": 5}[change]})
-        with pytest.raises(ValueError, match="prepared for other"):
-            train_task(model, cfg, FAST_AUG, prep, rows, manifest.parent, inputs=inputs)
