@@ -140,9 +140,7 @@ def _read(path: Path, parsed: dict[tuple[bytes, bytes], _Header]
     """
     if not path.is_file():
         raise FileNotFoundError(f"checkpoint not found: {path}")
-    head, sep, binary = path.read_bytes().partition(b"\n---\n")
-    if not sep:
-        raise IncompatibleCheckpointError(f"{path}: missing header terminator")
+    head, _, binary = path.read_bytes().partition(b"\n---\n")
     before, _, after = head.partition(b"\ntask = ")
     value, _, rest = after.partition(b"\n")
     task = value.decode("latin-1")

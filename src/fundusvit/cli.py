@@ -19,7 +19,7 @@ from .checkpoint import IncompatibleCheckpointError, load_bank
 from .config import ConfigError, RunConfig, effective_lines, load_config
 from .dataset import (N_FEATURES, TASKS, ManifestRow, PreprocessOptions, load_input_image,
                       prepare_input, read_manifest, to_unit, write_manifest)
-from .metrics import evaluate
+from .metrics import DEFAULT_FEATURE_THRESHOLD, evaluate
 from .ppm import read_ppm, write_ppm
 from .synth import generate_dataset
 from .training import train_bank, train_task
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roc-out", type=Path, default=None)
     p.add_argument("--scores-out", type=Path, default=None,
                    help="dump raw per-image scores for cross-checking")
-    p.add_argument("--threshold", type=_probability, default=0.5,
+    p.add_argument("--threshold", type=_probability, default=DEFAULT_FEATURE_THRESHOLD,
                    help="feature-flag threshold in [0, 1]")
 
     p = sub.add_parser("infer", help="score one image")
@@ -152,14 +152,13 @@ def cmd_train(args) -> int:
     rows = read_manifest(manifest_path)
     base = manifest_path.parent
     lines = effective_lines(cfg)
-    out_dir = Path(cfg.paths.out)
     if cfg.train.task == "bank":
         bank = train_bank(cfg.model, cfg.train, cfg.augment, cfg.prep, rows, base,
-                          out_dir=out_dir, config_lines=lines)
+                          out_dir=cfg.paths.out, config_lines=lines)
         print(f"trained {len(bank.tasks)} tasks, skipped {len(bank.skipped)}")
     else:
         [result] = train_task(cfg.model, cfg.train, cfg.augment, cfg.prep, rows, base,
-                              out_dir=out_dir, config_lines=lines)
+                              out_dir=cfg.paths.out, config_lines=lines)
         print(f"task {result.task}: best_epoch={result.best_epoch} "
               f"best_val_metric={result.best_metric:.6f}")
     return EXIT_OK

@@ -168,7 +168,7 @@ def evaluate_scores(image_ids: Sequence[str],
     return EvalReport(
         tpr_at_95=curve.tpr_at(0.95),
         auc=auc(curve),
-        nhd_mean=float(np.mean(list(per_sample.values()))) if per_sample else 0.0,
+        nhd_mean=float(np.mean(list(per_sample.values()))),
         per_sample_nhd=per_sample,
         feature_threshold=threshold,
         n_samples=len(image_ids),

@@ -26,13 +26,17 @@ from .metrics import tpr_at_specificity
 from .model import DualHeadViT, HeadOutputs, ModelConfig
 from .preprocess import AugmentDraws, AugmentParams, augment
 
-# Seed-stream tags (arbitrary distinct constants).
+# Seed-stream tags (arbitrary distinct constants); _rng(seed, tag, ...) draws a stream.
 _STREAM_INIT = 1
 _STREAM_SPLIT = 2
 _STREAM_SHUFFLE = 3
 _STREAM_AUGMENT = 4
 
 PROB_CLAMP = 1e-7
+
+
+def _rng(*key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(key))
 
 
 @dataclass(frozen=True)
@@ -71,9 +75,8 @@ class TrainConfig:
             raise ValueError(f"adam_eps must be positive and finite, got {self.adam_eps}")
         if self.n_nrg is not None and self.n_nrg < 0:
             raise ValueError(f"n_nrg must be nonnegative, got {self.n_nrg}")
-        if min(self.split) < 0 or sum(self.split) == 0:
-            raise ValueError(f"split needs nonnegative parts with a positive sum, "
-                             f"got {self.split}")
+        if min(self.split) < 1:  # so every class group puts a row into validation
+            raise ValueError(f"split parts must be at least 1, got {self.split}")
 
 
 @dataclass
@@ -109,6 +112,10 @@ def dual_bce_loss(y, outputs: HeadOutputs) -> LossValue:
     return LossValue(total=total, cls_term=cls_term, agg_term=agg_term)
 
 
+class MissingGradientError(ValueError):
+    """A parameter off the loss path reached an optimizer step with no gradient."""
+
+
 class Adam:
     """Adam with bias correction; ``step`` applies the update and clears the
     gradients (the engine's single reset point). Moments and parameters are
@@ -126,8 +133,10 @@ class Adam:
     def step(self, lr: float) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        for i, (p, m, v) in enumerate(zip(self.params, self.m, self.v)):
+            g = p.grad
+            if g is None:
+                raise MissingGradientError(f"parameter {i}, shape {p.data.shape}, has no gradient")
             if g.shape != p.data.shape:
                 raise ad.ShapeError(f"gradient shape {g.shape} does not match "
                                     f"parameter shape {p.data.shape}")
@@ -165,15 +174,14 @@ def rebalance_and_split(samples: Sequence, labels: Sequence[int],
     labels = [int(v) for v in labels]
     if len(labels) != len(samples):
         raise ValueError("samples and labels differ in length")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), _STREAM_SPLIT)))
+    rng = _rng(int(seed), _STREAM_SPLIT)
     pos = [s for s, y in zip(samples, labels) if y == 1]
     neg = [s for s, y in zip(samples, labels) if y == 0]
     if n_nrg is not None:
         if n_nrg > len(neg):
             raise ValueError(f"requested {n_nrg} negatives, only {len(neg)} available")
         neg = [neg[i] for i in rng.choice(len(neg), size=n_nrg, replace=False)]
-    train: list = []
-    val: list = []
+    train, val = [], []
     r_train, r_val = ratio
     for group in (pos, neg):
         order = rng.permutation(len(group))
@@ -194,17 +202,10 @@ class EpochRecord:
 @dataclass
 class TaskResult:
     task: str
-    model: DualHeadViT | None  # set when training ends
+    model: DualHeadViT
     history: list[EpochRecord]
     best_epoch: int
     best_metric: float
-    log_lines: list[str]
-    checkpoint_path: Path | None = None
-
-
-def _augment_rng(seed: int, epoch: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence((int(seed), _STREAM_AUGMENT, int(epoch), int(index))))
 
 
 def _prepared(rows: Sequence[ManifestRow], base_dir: str | Path,
@@ -222,10 +223,22 @@ def _task_metric(scores: np.ndarray, labels: Sequence[int], task: str) -> float:
     return float(np.mean([(s > 0.5) == y for s, y in zip(scores, labels)]))
 
 
+def _log_text(result: TaskResult, config_lines: Sequence[str]) -> str:
+    """``<task>.log``: the config echo, one line per epoch and the chosen epoch."""
+    return "\n".join([f"# fundusvit training log, task={result.task}",
+                      *[f"# {line}" for line in config_lines],
+                      "# note: batch_size, epochs and adam moment constants "
+                      "are implementation defaults, not protocol values",
+                      *[f"epoch={r.epoch} lr={r.lr:.6e} train_loss={r.train_loss:.6f} "
+                        f"val_metric={r.val_metric:.6f}" for r in result.history],
+                      f"# best_epoch={result.best_epoch} "
+                      f"best_val_metric={result.best_metric:.6f}\n"])
+
+
 def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
                aug: AugmentParams, prep: PreprocessOptions,
                rows: Sequence[ManifestRow], base_dir: str | Path,
-               out_dir: str | Path | None = None,
+               out_dir: str | Path,
                config_lines: Sequence[str] = (),
                tasks: Sequence[str] | None = None) -> list[TaskResult]:
     """Train binary ``tasks`` (default: ``train_cfg.task`` alone; one task
@@ -233,7 +246,7 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
     referable-glaucoma label. A task with one class in the training split
     raises ValueError before any image is prepared; then every image is
     prepared (crop, background removal, resize) once for all the tasks.
-    Returns one result per task.
+    Returns one finished result per task.
 
     The tasks differ only in labels and initial values: the shuffle order
     and the augmentation draws are keyed by (seed, epoch, image). Loops:
@@ -243,16 +256,15 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
     of the task stack's ``task_groups`` beside those images (all 11 tasks
     at desk and default scale, one at 512x512) one forward, one loss summed
     over its tasks and one backward; then one Adam step. Each task keeps the
-    parameters from its epoch with the best validation metric and, when
-    ``out_dir`` is given, writes ``<task>.ckpt`` and ``<task>.log`` there,
-    the bytes it would write trained alone.
+    parameters from its epoch with the best validation metric and writes
+    ``<task>.ckpt`` and ``<task>.log`` into ``out_dir``, the bytes it would
+    write trained alone.
     """
     tasks = [train_cfg.task] if tasks is None else list(tasks)
     if not tasks or not set(tasks) <= set(TASKS):
         raise ValueError(f"train_task needs single tasks, got {tasks!r}")
-    if out_dir is not None:  # an unwritable output fails before any work
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable output fails before any work
     train_rows, val_rows = rebalance_and_split(rows, [r.rg for r in rows], train_cfg.n_nrg,
                                                train_cfg.split, train_cfg.seed)
     if not train_rows:
@@ -263,7 +275,7 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
             raise ValueError(f"single-class training set for task {task!r}")
     val_y = [[r.label(task) for r in val_rows] for task in tasks]
     train_images = _prepared(train_rows, base_dir, prep, model_cfg)
-    val_images = to_unit(_prepared(val_rows, base_dir, prep, model_cfg)) if val_rows else None
+    val_images = to_unit(_prepared(val_rows, base_dir, prep, model_cfg))
 
     def initial(task):  # each task's own initial values
         return DualHeadViT(model_cfg, seed=np.random.SeedSequence(
@@ -275,17 +287,11 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
     optimizer = Adam([p for _, group in groups for p in group.params.values()],
                      train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps)
 
-    results = [TaskResult(task, model=None, history=[], best_epoch=-1, best_metric=-np.inf,
-                          log_lines=[f"# fundusvit training log, task={task}",
-                                     *[f"# {line}" for line in config_lines],
-                                     "# note: batch_size, epochs and adam moment constants "
-                                     "are implementation defaults, not protocol values"])
-               for task in tasks]
+    histories: list[list[EpochRecord]] = [[] for _ in tasks]
+    best_epoch, best_metric = [0] * len(tasks), [-np.inf] * len(tasks)
     for epoch in range(train_cfg.epochs):
         lr = lr_schedule(epoch, train_cfg)
-        shuffle_rng = np.random.default_rng(
-            np.random.SeedSequence((train_cfg.seed, _STREAM_SHUFFLE, epoch)))
-        order = shuffle_rng.permutation(train_y.shape[1])
+        order = _rng(train_cfg.seed, _STREAM_SHUFFLE, epoch).permutation(train_y.shape[1])
         epoch_loss = np.zeros(len(tasks))
         for start in range(0, len(order), train_cfg.batch_size):
             batch = [int(idx) for idx in order[start:start + train_cfg.batch_size]]
@@ -293,7 +299,7 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
             for first in range(0, len(batch), model_cfg.stack_size):
                 stack = batch[first:first + model_cfg.stack_size]
                 images = to_unit(augment(train_images[stack], aug, [
-                    AugmentDraws.sample(_augment_rng(train_cfg.seed, epoch, idx), aug)
+                    AugmentDraws.sample(_rng(train_cfg.seed, _STREAM_AUGMENT, epoch, idx), aug)
                     for idx in stack]))
                 for group_tasks, group in groups:
                     y = train_y[group_tasks][:, stack]
@@ -302,41 +308,30 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
                     ad.backward(ad.tsum(ad.mul(loss.total, inv)))
                     del loss  # free the graph before the next forward
             optimizer.step(lr)
-        val_metric = [float("nan")] * len(tasks)
-        if val_rows:
-            scores = model.predict(val_images)
-            val_metric = [_task_metric(*args) for args in zip(scores, val_y, tasks)]
+        metric = [_task_metric(*a) for a in zip(model.predict(val_images), val_y, tasks)]
         if epoch == 0:  # made past the training peak; epoch 0 writes every slice
             best_state = {name: np.empty_like(t.data) for name, t in model.params.items()}
-        for k, result in enumerate(results):
-            train_loss = float(epoch_loss[k] / len(order))
-            result.history.append(EpochRecord(epoch, lr, train_loss, val_metric[k]))
-            result.log_lines.append(f"epoch={epoch} lr={lr:.6e} train_loss={train_loss:.6f} "
-                                    f"val_metric={val_metric[k]:.6f}")
-            # without a validation set keep the latest parameters; with one,
+        for k, history in enumerate(histories):
+            history.append(EpochRecord(epoch, lr, float(epoch_loss[k]) / len(order), metric[k]))
             # ties keep the later epoch: equal validation, lower train loss
-            if not val_rows or val_metric[k] >= result.best_metric:
-                result.best_metric = val_metric[k] if val_rows else -np.inf
-                result.best_epoch = epoch
+            if metric[k] >= best_metric[k]:
+                best_epoch[k], best_metric[k] = epoch, metric[k]
                 for name, t in model.params.items():
                     best_state[name][k] = t.data[k]
 
     best = DualHeadViT.from_arrays(model_cfg, best_state)
-    for k, result in enumerate(results):
-        result.model = best.member(k)
-        result.log_lines.append(f"# best_epoch={result.best_epoch} "
-                                f"best_val_metric={result.best_metric:.6f}")
-        if out_dir is not None:
-            result.checkpoint_path = out_dir / f"{result.task}.ckpt"
-            save_checkpoint(result.checkpoint_path, result.model, prep, result.task)
-            write_atomic(out_dir / f"{result.task}.log", "\n".join(result.log_lines) + "\n")
+    results = [TaskResult(task, best.member(k), histories[k], best_epoch[k], best_metric[k])
+               for k, task in enumerate(tasks)]
+    for result in results:
+        save_checkpoint(out_dir / f"{result.task}.ckpt", result.model, prep, result.task)
+        write_atomic(out_dir / f"{result.task}.log", _log_text(result, config_lines))
     return results
 
 
 def train_bank(model_cfg: ModelConfig, train_cfg: TrainConfig,
                aug: AugmentParams, prep: PreprocessOptions,
                rows: Sequence[ManifestRow], base_dir: str | Path,
-               out_dir: str | Path | None = None,
+               out_dir: str | Path,
                config_lines: Sequence[str] = ()) -> ClassifierBank:
     """Train all eleven tasks independently with the same base seed, as one
     lockstep ``train_task`` call, which prepares every image once for all
@@ -353,8 +348,7 @@ def train_bank(model_cfg: ModelConfig, train_cfg: TrainConfig,
     for task in TASKS[1:]:
         present = {r.label(task) for r in train_rows}
         if present != {0, 1}:
-            skipped[task] = f"no {'positive' if 1 not in present else 'negative'} " \
-                            "training samples"
+            skipped[task] = f"no {'negative' if 1 in present else 'positive'} training samples"
     trained = train_task(model_cfg, train_cfg, aug, prep, rows, base_dir, out_dir=out_dir,
                          config_lines=config_lines, tasks=[task for task in TASKS if task not in skipped])
     results = {r.task: r for r in trained}
@@ -362,7 +356,6 @@ def train_bank(model_cfg: ModelConfig, train_cfg: TrainConfig,
         f"task={task} status=skipped reason={skipped[task]}" if task in skipped
         else f"task={task} status=trained best_epoch={results[task].best_epoch} "
              f"best_val_metric={results[task].best_metric:.6f}" for task in TASKS]]
-    if out_dir is not None:
-        write_atomic(Path(out_dir) / "bank.log", "\n".join(bank_lines) + "\n")
+    write_atomic(Path(out_dir) / "bank.log", "\n".join(bank_lines) + "\n")
     return ClassifierBank(tuple(results), DualHeadViT.stack([r.model for r in trained]),
                           prep, skipped)

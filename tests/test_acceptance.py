@@ -146,7 +146,7 @@ def test_04_overfit_check(tmp_path):
                                 batch_size=16, seed=1)
         prep = PreprocessOptions()
         [result] = train_task(model_cfg, train_cfg, AugmentParams(enabled=False),
-                              prep, rows, manifest.parent)
+                              prep, rows, manifest.parent, out_dir=tmp_path / "out")
         steps = sum(int(np.ceil(16 / train_cfg.batch_size))
                     for _ in result.history)
         assert steps <= 200

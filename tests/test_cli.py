@@ -294,6 +294,8 @@ class TestMalformedInputs:
         assert "incompatible checkpoint" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line, field", [("train.split = 0:0", "split"),
+                                             ("train.split = 4:0", "split"),
+                                             ("train.split = 0:1", "split"),
                                              ("model.patch = 0", "patch"),
                                              ("augment.rot_lo = nan", "rot_lo"),
                                              ("train.lr_decay_every = 0",

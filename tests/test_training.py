@@ -18,8 +18,8 @@ from fundusvit.preprocess import AugmentParams
 from fundusvit.synth import generate_dataset
 from fundusvit import model as model_module
 from fundusvit import preprocess, training
-from fundusvit.training import (Adam, TrainConfig, dual_bce_loss, lr_schedule,
-                                rebalance_and_split, train_bank, train_task)
+from fundusvit.training import (Adam, MissingGradientError, TrainConfig, dual_bce_loss,
+                                lr_schedule, rebalance_and_split, train_bank, train_task)
 
 from helpers import assert_grad_close, finite_difference_grad
 from test_model import recording_forward
@@ -106,6 +106,16 @@ class TestAdam:
         before = p.data.copy()
         Adam([p]).step(lr=0.1)
         np.testing.assert_array_equal(p.data, before)
+
+    def test_missing_gradient_is_refused(self):
+        # a parameter off the loss path must not be decayed as if its gradient were zero
+        on_path = Tensor(np.array([1.0]), requires_grad=True)
+        off_path = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        on_path.grad = np.array([0.5])
+        with pytest.raises(MissingGradientError,
+                           match=r"parameter 1, shape \(2,\), has no gradient"):
+            Adam([on_path, off_path]).step(lr=0.1)
+        np.testing.assert_array_equal(off_path.data, [1.0, -2.0])
 
     def test_constant_gradient_reaches_sign_scaled_steps(self):
         p = Tensor(np.array([0.0, 0.0]), requires_grad=True)
@@ -240,7 +250,7 @@ class TestTrainTask:
         [result] = train_task(SMALL_MODEL, quick_cfg(), FAST_AUG, PreprocessOptions(),
                               rows, manifest.parent, out_dir=tmp_path,
                               config_lines=["model.dim = 16"])
-        assert result.checkpoint_path.is_file()
+        assert (tmp_path / "glaucoma.ckpt").is_file()
         assert (tmp_path / "glaucoma.log").is_file()
         assert len(result.history) == 2
         log = (tmp_path / "glaucoma.log").read_text()
@@ -257,14 +267,14 @@ class TestTrainTask:
         assert (a / "glaucoma.ckpt").read_bytes() == (b / "glaucoma.ckpt").read_bytes()
         assert (a / "glaucoma.log").read_bytes() == (b / "glaucoma.log").read_bytes()
 
-    def test_validation_is_deterministic(self, tiny_dataset):
+    def test_validation_is_deterministic(self, tiny_dataset, tmp_path):
         from fundusvit.dataset import load_input_image, prepare_input
         from fundusvit.training import _task_metric
 
         manifest, rows = tiny_dataset
         cfg = quick_cfg()
         [result] = train_task(SMALL_MODEL, cfg, FAST_AUG, PreprocessOptions(),
-                              rows, manifest.parent)
+                              rows, manifest.parent, out_dir=tmp_path)
         _, val_rows = rebalance_and_split(rows, [r.rg for r in rows], cfg.n_nrg,
                                           cfg.split, cfg.seed)
         val_images = [prepare_input(load_input_image(r, manifest.parent), r,
@@ -278,29 +288,30 @@ class TestTrainTask:
         m2 = _task_metric(s2, val_y, "glaucoma")
         assert m1 == m2 == result.best_metric
 
-    def test_non_square_inputs_train_and_evaluate(self, tiny_dataset):
+    def test_non_square_inputs_train_and_evaluate(self, tiny_dataset, tmp_path):
         manifest, rows = tiny_dataset
         wide = replace(SMALL_MODEL, width=64)  # 32 x 64: 2 x 4 patches
         [result] = train_task(wide, quick_cfg(epochs=1), FAST_AUG, PreprocessOptions(),
-                              rows, manifest.parent)
+                              rows, manifest.parent, out_dir=tmp_path)
         bank = ClassifierBank(("glaucoma",), result.model, PreprocessOptions())
         report = evaluate(bank, rows, manifest.parent)
         assert report.n_samples == len(rows)
         assert 0.0 <= report.auc <= 1.0
 
     @pytest.mark.parametrize("tasks", [[], ["bank"], ["glaucoma", "feature11"]])
-    def test_task_lists_other_than_single_tasks_rejected(self, tiny_dataset, tasks):
+    def test_task_lists_other_than_single_tasks_rejected(self, tiny_dataset, tasks,
+                                                         tmp_path):
         manifest, rows = tiny_dataset
         with pytest.raises(ValueError, match="single tasks"):
             train_task(SMALL_MODEL, quick_cfg(), FAST_AUG, PreprocessOptions(), rows,
-                       manifest.parent, tasks=tasks)
+                       manifest.parent, out_dir=tmp_path, tasks=tasks)
 
     def test_empty_dataset_rejected(self, tiny_dataset, tmp_path):
         with pytest.raises(ValueError, match="empty"):
             train_task(SMALL_MODEL, quick_cfg(), FAST_AUG, PreprocessOptions(),
-                       [], tmp_path)
+                       [], tmp_path, out_dir=tmp_path / "out")
 
-    def test_single_class_training_set_rejected(self, tiny_dataset, monkeypatch):
+    def test_single_class_training_set_rejected(self, tiny_dataset, monkeypatch, tmp_path):
         manifest, rows = tiny_dataset
         negatives = [r for r in rows if r.rg == 0]
         prepared = []
@@ -308,11 +319,11 @@ class TestTrainTask:
                             lambda *args, **kwargs: prepared.append(args))
         with pytest.raises(ValueError, match="single-class training set"):
             train_task(SMALL_MODEL, quick_cfg(), FAST_AUG, PreprocessOptions(),
-                       negatives, manifest.parent)
+                       negatives, manifest.parent, out_dir=tmp_path)
         assert not prepared  # the check comes before any image is prepared
 
 
-def bank_preparation(monkeypatch, rows, base_dir):
+def bank_preparation(monkeypatch, rows, base_dir, out_dir):
     """The task lists of a one-epoch ``train_bank`` run's ``train_task``
     calls and the image ids it prepared, asserting that every
     ``prepare_input`` call falls inside a ``train_task`` call."""
@@ -335,7 +346,7 @@ def bank_preparation(monkeypatch, rows, base_dir):
     monkeypatch.setattr(training, "train_task", recording_task)
     monkeypatch.setattr(training, "prepare_input", recording_prepare)
     train_bank(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG, PreprocessOptions(), rows,
-               base_dir)
+               base_dir, out_dir=out_dir)
     return calls, prepared
 
 
@@ -399,7 +410,8 @@ class TestTrainBank:
             for name in (f"{task}.ckpt", f"{task}.log"):
                 assert (bank_dir / name).read_bytes() == (solo_dir / name).read_bytes()
 
-    def test_lockstep_tasks_share_one_forward_per_stack(self, tiny_dataset, monkeypatch):
+    def test_lockstep_tasks_share_one_forward_per_stack(self, tiny_dataset, monkeypatch,
+                                                        tmp_path):
         manifest, rows = tiny_dataset
         sizes = recording_forward(monkeypatch)
         augments = []
@@ -410,7 +422,7 @@ class TestTrainBank:
 
         monkeypatch.setattr(training, "augment", counting)
         results = train_task(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG,
-                             PreprocessOptions(), rows, manifest.parent,
+                             PreprocessOptions(), rows, manifest.parent, out_dir=tmp_path,
                              tasks=["glaucoma", "feature1", "feature2"])
         assert [r.task for r in results] == ["glaucoma", "feature1", "feature2"]
         # 8 training images in minibatches of 4: two stacks of 3 tasks x 4
@@ -450,22 +462,23 @@ class TestTrainBank:
         sizes = recording_forward(monkeypatch)
         results = train_task(cfg, quick_cfg(epochs=1), AugmentParams(enabled=False),
                              PreprocessOptions(), rows, manifest.parent,
-                             tasks=["glaucoma", "feature1"])
+                             out_dir=tmp_path / "out", tasks=["glaucoma", "feature1"])
         assert len(results) == 2
         assert sizes and set(sizes) == {1}
 
-    def test_bank_prepares_each_row_once(self, tiny_dataset, monkeypatch):
+    def test_bank_prepares_each_row_once(self, tiny_dataset, monkeypatch, tmp_path):
         manifest, rows = tiny_dataset
-        calls, prepared = bank_preparation(monkeypatch, rows, manifest.parent)
+        calls, prepared = bank_preparation(monkeypatch, rows, manifest.parent, tmp_path)
         assert calls == [list(TASKS)]
         assert sorted(prepared) == sorted(r.image_id for r in rows)
 
     def test_bank_with_a_skipped_feature_prepares_each_row_once(self, tiny_dataset,
-                                                                monkeypatch):
+                                                                monkeypatch, tmp_path):
         manifest, rows = tiny_dataset
         stripped = [replace(r, features=r.features[:6] + (0,) + r.features[7:])
                     for r in rows]
-        calls, prepared = bank_preparation(monkeypatch, stripped, manifest.parent)
+        calls, prepared = bank_preparation(monkeypatch, stripped, manifest.parent,
+                                           tmp_path)
         assert calls == [[task for task in TASKS if task != "feature7"]]
         assert sorted(prepared) == sorted(r.image_id for r in rows)
 

@@ -16,6 +16,11 @@ This tool merges those files and prints, per module, each statement whose
 own lines never ran: all lines of a simple statement, the header of a
 compound one, or an ``except`` clause. Lines with no bytecode, such as
 docstrings inside functions and ``else:``, are not counted.
+
+It lists statements, not branches. A statement that ran counts as reached
+even if one side of it never ran, so the untaken side of a one-line
+``x if c else y`` or ``a or b`` is never listed, and a run that lists
+nothing can still leave such a side unreached.
 Standard library only. It exits with the command's exit code.
 
 Not seen: processes that end through ``os._exit``, forked children, and
