@@ -19,19 +19,24 @@ exact bytes ``_header`` writes for the ``model.*``, ``prep.*`` and ``task``
 values it names, so a missing, repeated or reordered line, or a value
 spelled otherwise, is refused rather than read with a default.
 
-``load_checkpoint`` and ``load_bank`` share one reader. A bank load reads
-each member file once and parses each distinct header text, less its
-``task = `` line, once: the members one run writes share it, so an
-11-member bank parses one header. Each member's payload is checked finite
-and copied once, straight into the per-parameter (K, ...) arrays of a
-single task-stacked ``DualHeadViT``; no per-member model is built.
+``load_checkpoint`` and ``load_bank`` share one reader. A bank load opens
+each member file once, reads its header in chunks up to the ``---`` line
+and parses each distinct header text, less its ``task = `` line, once: the
+members one run writes share it, so an 11-member bank parses one header.
+Each member's payload is read from its file straight into its row of one
+C-contiguous (K, P) float32 block, in task order, and checked finite; every
+parameter of the single task-stacked ``DualHeadViT`` is a (K, ...) view of
+that block's columns. No per-member model is built.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -41,6 +46,8 @@ from .dataset import TASKS, PreprocessOptions
 from .model import DualHeadViT, ModelConfig
 
 MAGIC = "fundusvit-checkpoint v1"
+_END = b"\n---\n"  # ends the header
+_CHUNK = 8192  # bytes per header read; a depth-4 header (about 3.5 KB) takes one
 
 
 class IncompatibleCheckpointError(ValueError):
@@ -127,10 +134,24 @@ def _parse_header(path: Path, head: bytes) -> tuple[_Header, str]:
     return _Header(config, prep, shapes, size), task
 
 
-def _read(path: Path, parsed: dict[tuple[bytes, bytes], _Header]
-          ) -> tuple[_Header, str, np.ndarray]:
-    """Read one checkpoint file once: its header, task and payload (a
-    read-only float32 view of the file's bytes, checked finite).
+def _open(path: Path) -> BinaryIO:
+    """``path`` opened for unbuffered reading, if it is a regular file; the
+    open does not wait for a FIFO's writer."""
+    try:
+        file = open(path, "rb", buffering=0,
+                    opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK))
+        if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+            return file
+        file.close()
+    except (FileNotFoundError, IsADirectoryError):
+        pass
+    raise FileNotFoundError(f"checkpoint not found: {path}")
+
+
+def _read_header(file: BinaryIO, path: Path, parsed: dict[tuple[bytes, bytes], _Header]
+                 ) -> tuple[_Header, str, bytearray]:
+    """Read ``file`` up to its ``---`` line and accept its header: the
+    header, its task, and the payload bytes read past the terminator.
 
     ``parsed`` maps the header texts accepted before, split around their
     ``task = `` line, to their parsed headers. Members written by one run
@@ -138,9 +159,15 @@ def _read(path: Path, parsed: dict[tuple[bytes, bytes], _Header]
     an accepted header is canonical, so its task line is unique and whole,
     and the same text around a known task is that task's canonical header.
     """
-    if not path.is_file():
-        raise FileNotFoundError(f"checkpoint not found: {path}")
-    head, _, binary = path.read_bytes().partition(b"\n---\n")
+    data, searched = bytearray(), 0
+    while (end := data.find(_END, searched)) < 0:
+        chunk = file.read(_CHUNK)
+        if not chunk:  # no terminator: the whole file is the header
+            end = len(data)
+            break
+        searched = max(0, len(data) - len(_END) + 1)
+        data += chunk
+    head, spill = bytes(data[:end]), data[end + len(_END):]
     before, _, after = head.partition(b"\ntask = ")
     value, _, rest = after.partition(b"\n")
     task = value.decode("latin-1")
@@ -148,24 +175,65 @@ def _read(path: Path, parsed: dict[tuple[bytes, bytes], _Header]
     if header is None:
         header, task = _parse_header(path, head)
         parsed[before, rest] = header
-    if len(binary) != header.size:
+    size = max(0, os.fstat(file.fileno()).st_size - end - len(_END))
+    if size != header.size:
         raise IncompatibleCheckpointError(
-            f"{path}: payload size {len(binary)} out of range, "
-            f"expected {header.size} bytes")
-    payload = np.frombuffer(binary, dtype="<f4")
-    if not np.isfinite(payload).all():
+            f"{path}: payload size {size} out of range, expected {header.size} bytes")
+    return header, task, spill
+
+
+def _read_payload(file: BinaryIO, path: Path, spill: bytearray, row: np.ndarray
+                  ) -> None:
+    """Fill ``row`` with the payload: ``spill``, then the rest of ``file``,
+    read straight into it; the row must come out whole and finite."""
+    view = memoryview(row).cast("B")
+    filled = len(spill)
+    view[:filled] = spill
+    while filled < len(view) and (count := file.readinto(view[filled:])):
+        filled += count
+    if filled != len(view):
+        raise IncompatibleCheckpointError(
+            f"{path}: payload size {filled} out of range, expected {len(view)} bytes")
+    if not np.isfinite(row).all():
         raise IncompatibleCheckpointError(f"{path}: non-finite parameter values")
-    return header, task, payload
 
 
-def _stacked(header: _Header, payloads: list[np.ndarray]) -> DualHeadViT:
-    """The task stack of ``payloads`` (one per task, in order): each is
-    copied once, straight into per-parameter (K, ...) float32 arrays."""
+def _load(paths: list[Path]) -> tuple[_Header, tuple[str, ...], np.ndarray]:
+    """Read the checkpoint files ``paths``, each whole before the next:
+    their shared header, their tasks in ``TASKS`` order, and one
+    C-contiguous (K, P) float32 block whose row k is task k's payload.
+    Several files fill the rows of their ``TASKS`` indices, kept only where
+    a file was read; one file is row 0."""
+    parsed: dict[tuple[bytes, bytes], _Header] = {}
+    rows: dict[str, int] = {}
+    first = block = None
+    for path in paths:
+        with _open(path) as file:
+            header, task, spill = _read_header(file, path, parsed)
+            if task in rows:
+                raise IncompatibleCheckpointError(f"{path}: duplicate task {task!r}")
+            if first is None:
+                first = header
+                block = np.empty((len(TASKS) if len(paths) > 1 else 1, header.size // 4),
+                                 dtype="<f4")
+            elif (header.config, header.prep) != (first.config, first.prep):
+                raise IncompatibleCheckpointError(
+                    f"{path}: configuration differs from the rest of the bank")
+            rows[task] = TASKS.index(task) if len(block) > 1 else 0
+            _read_payload(file, path, spill, block[rows[task]])
+    tasks = tuple(task for task in TASKS if task in rows)
+    if len(tasks) < len(block):
+        block = block[[rows[task] for task in tasks]]
+    return first, tasks, block
+
+
+def _stacked(header: _Header, block: np.ndarray) -> DualHeadViT:
+    """The task stack whose parameters are column views of ``block``, one
+    payload per row: ``block[:, offset:offset + n]`` shaped (K, ...)."""
     arrays, offset = {}, 0
     for name, shape in header.shapes:
         count = math.prod(shape)
-        arrays[name] = np.concatenate([p[offset:offset + count] for p in payloads],
-                                      dtype=np.float32).reshape(len(payloads), *shape)
+        arrays[name] = block[:, offset:offset + count].reshape(len(block), *shape)
         offset += count
     return DualHeadViT.from_arrays(header.config, arrays)
 
@@ -174,8 +242,8 @@ def load_checkpoint(path: str | Path) -> tuple[DualHeadViT, PreprocessOptions, s
     """Read a checkpoint, accepting only the exact layout ``save_checkpoint``
     writes: every parameter once, in order, at cumulative offsets, with no
     trailing bytes and only finite values. The model is a stack of K = 1."""
-    header, task, payload = _read(Path(path), {})
-    return _stacked(header, [payload]), header.prep, task
+    header, (task,), block = _load([Path(path)])
+    return _stacked(header, block), header.prep, task
 
 
 @dataclass
@@ -203,8 +271,9 @@ def load_bank(path: str | Path) -> ClassifierBank:
     """Load a bank from a single checkpoint file or a directory of
     ``<task>.ckpt`` files, stacked in task order; every member must share
     one architecture and preprocessing. Each file is read once, each
-    distinct header parsed once, and the members' payloads are copied into
-    one task stack; no per-member model is built."""
+    distinct header parsed once, and each member's payload is read straight
+    into its row of the task stack's one parameter block; no per-member
+    model is built."""
     path = Path(path)
     if path.is_file():
         candidates = [path]
@@ -214,21 +283,7 @@ def load_bank(path: str | Path) -> ClassifierBank:
             raise FileNotFoundError(f"no *.ckpt files under {path}")
     else:
         raise FileNotFoundError(f"checkpoint path not found: {path}")
-    parsed: dict[tuple[bytes, bytes], _Header] = {}
-    payloads: dict[str, np.ndarray] = {}
-    first = None
-    for ckpt in candidates:
-        header, task, payload = _read(ckpt, parsed)
-        if task in payloads:
-            raise IncompatibleCheckpointError(f"{ckpt}: duplicate task {task!r}")
-        if first is None:
-            first = header
-        elif (header.config, header.prep) != (first.config, first.prep):
-            raise IncompatibleCheckpointError(
-                f"{ckpt}: configuration differs from the rest of the bank")
-        payloads[task] = payload
-    if "glaucoma" not in payloads:
+    header, tasks, block = _load(candidates)
+    if "glaucoma" not in tasks:
         raise IncompatibleCheckpointError(f"{path}: bank has no glaucoma classifier")
-    tasks = tuple(task for task in TASKS if task in payloads)
-    return ClassifierBank(tasks, _stacked(first, [payloads[task] for task in tasks]),
-                          first.prep)
+    return ClassifierBank(tasks, _stacked(header, block), header.prep)

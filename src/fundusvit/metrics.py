@@ -64,7 +64,7 @@ def _check_binary(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     if scores.ndim != 1 or labels.shape != scores.shape:
         raise ValueError(f"scores/labels must be equal-length vectors, got "
                          f"{scores.shape} and {labels.shape}")
-    if not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be binary 0/1")
     labels = labels.astype(np.int64)
     pos, neg = int(labels.sum()), int((1 - labels).sum())
@@ -112,7 +112,7 @@ def _hamming_rows(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     if pred.shape != truth.shape or pred.ndim != 2:
         raise ValueError(f"flag vectors must have equal length, got "
                          f"{pred.shape[1:]} and {truth.shape[1:]}")
-    if not (np.isin(pred, (0, 1)).all() and np.isin(truth, (0, 1)).all()):
+    if not (((pred == 0) | (pred == 1)).all() and ((truth == 0) | (truth == 1)).all()):
         raise ValueError("flag vectors must be binary 0/1")
     return np.mean(pred != truth, axis=1)
 

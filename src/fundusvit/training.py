@@ -96,7 +96,7 @@ def dual_bce_loss(y, outputs: HeadOutputs) -> LossValue:
     mean of the two terms.
     """
     y_arr = np.asarray(y, dtype=np.float64)
-    if y_arr.shape != outputs.p_cls.shape[:2] or not np.isin(y_arr, (0.0, 1.0)).all():
+    if y_arr.shape != outputs.p_cls.shape[:2] or not ((y_arr == 0) | (y_arr == 1)).all():
         raise ValueError(f"y must be the forward's (K, B) 0/1 labels, got {y!r}")
     # negated one-hot pairs, so each head term is one sum with no negation node after it
     target = Tensor((-np.stack([1.0 - y_arr, y_arr], -1))[..., None, :]
@@ -131,15 +131,16 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, lr: float) -> None:
+        for i, p in enumerate(self.params):  # a refused step changes nothing
+            if p.grad is None:
+                raise MissingGradientError(f"parameter {i}, shape {p.data.shape}, has no gradient")
+            if p.grad.shape != p.data.shape:
+                raise ad.ShapeError(f"gradient shape {p.grad.shape} does not match "
+                                    f"parameter shape {p.data.shape}")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, (p, m, v) in enumerate(zip(self.params, self.m, self.v)):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            if g is None:
-                raise MissingGradientError(f"parameter {i}, shape {p.data.shape}, has no gradient")
-            if g.shape != p.data.shape:
-                raise ad.ShapeError(f"gradient shape {g.shape} does not match "
-                                    f"parameter shape {p.data.shape}")
             m *= b1
             m += (1 - b1) * g
             v *= b2

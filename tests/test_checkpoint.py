@@ -2,6 +2,7 @@
 incompatibility detection, atomic artifact writes, and the one-pass bank
 load against loading each member alone."""
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fundusvit import atomic, kv
+from fundusvit import atomic, checkpoint, cli, kv
 from fundusvit.atomic import write_atomic
 from fundusvit.checkpoint import (TASKS, IncompatibleCheckpointError, _header,
                                   _layout, _parse_header, load_bank,
@@ -251,11 +252,12 @@ class TestAtomicWrites:
         assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
 
-def save_bank(directory):
-    """Eleven members with distinct weights, one per task."""
-    for seed, task in enumerate(TASKS):
-        save_checkpoint(directory / f"{task}.ckpt", make_model(seed), PreprocessOptions(),
-                        task)
+def save_bank(directory, tasks=TASKS):
+    """One member per task in ``tasks`` (all eleven by default), each with
+    its own weights."""
+    for task in tasks:
+        save_checkpoint(directory / f"{task}.ckpt", make_model(TASKS.index(task)),
+                        PreprocessOptions(), task)
 
 
 def assert_same_stack(a: DualHeadViT, b: DualHeadViT):
@@ -288,11 +290,11 @@ class TestStackedLoad:
     def test_one_read_per_file_one_parse_one_model(self, tmp_path, monkeypatch):
         save_bank(tmp_path)
         reads, builds, binds = [], [], []
-        read_bytes, build, bind = Path.read_bytes, kv.build, DualHeadViT._bind
+        build, bind = kv.build, DualHeadViT._bind
 
-        def counting_read(self):
-            reads.append(self.name)
-            return read_bytes(self)
+        def counting_open(file, *args, **kwargs):
+            reads.append(Path(file).name)
+            return open(file, *args, **kwargs)
 
         def counting_build(*args):
             builds.append(args[1])
@@ -302,7 +304,7 @@ class TestStackedLoad:
             binds.append(self)
             return bind(self, *args)
 
-        monkeypatch.setattr(Path, "read_bytes", counting_read)
+        monkeypatch.setattr(checkpoint, "open", counting_open, raising=False)
         monkeypatch.setattr(kv, "build", counting_build)
         monkeypatch.setattr(DualHeadViT, "_bind", counting_bind)
         bank = load_bank(tmp_path)
@@ -320,6 +322,165 @@ class TestStackedLoad:
         path.write_bytes(raw.replace(b"\nprep.od_crop = true\n",
                                      b"\nprep.od_crop = yes\n", 1))
         with pytest.raises(IncompatibleCheckpointError, match="feature3.ckpt"):
+            load_bank(tmp_path)
+
+
+def payload(path):
+    raw = path.read_bytes()
+    return raw[raw.index(b"\n---\n") + 5:]
+
+
+def with_nan(path):
+    """``path`` with its last parameter value replaced by NaN."""
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-4] + np.float32(np.nan).tobytes())
+
+
+def assert_loads_as_saved(path, model, task):
+    loaded, _, loaded_task = load_checkpoint(path)
+    assert loaded_task == task and loaded.config == model.config
+    assert_same_stack(loaded, model)
+
+
+class TestBlockLoad:
+    """Each member's payload is read from its file straight into its row of
+    one (K, P) block; every parameter is a view of that block's columns."""
+
+    @pytest.mark.parametrize("tasks, single", [
+        (TASKS, False), (["glaucoma"], True), (["glaucoma"], False),
+        (["glaucoma", "feature3", "feature10"], False)])
+    def test_parameters_are_column_views_of_one_block(self, tmp_path, tasks, single):
+        save_bank(tmp_path, tasks)
+        bank = load_bank(tmp_path / "glaucoma.ckpt" if single else tmp_path)
+        assert bank.tasks == tuple(tasks)
+        arrays = [t.data for t in bank.stacked.params.values()]
+        block = arrays[0].base
+        assert block.flags.c_contiguous and block.dtype == np.float32
+        assert block.shape == (len(tasks), sum(a[0].size for a in arrays))
+        assert all(a.base is block and np.shares_memory(a, block) for a in arrays)
+        # row k is task k's payload, as its file holds it, in task order
+        for row, task in zip(block, bank.tasks):
+            assert row.tobytes() == payload(tmp_path / f"{task}.ckpt")
+
+    def test_full_resolution_round_trips_bit_exactly(self, tmp_path):
+        model = DualHeadViT(ModelConfig.full_resolution(), seed=3, dtype=np.float32)
+        path = tmp_path / "glaucoma.ckpt"
+        save_checkpoint(path, model, PreprocessOptions(), "glaucoma")
+        assert len(payload(path)) == 4 * model.config.param_count() > 1_000_000
+        assert_loads_as_saved(path, model, "glaucoma")
+        bank = load_bank(tmp_path)
+        assert_same_stack(bank.stacked, model)
+
+    def test_header_longer_than_the_first_read_loads(self, tmp_path):
+        cfg = ModelConfig(height=32, width=32, patch=16, dim=8, depth=16, heads=2,
+                          agg_hidden=4, mlp_hidden=8)
+        model = DualHeadViT(cfg, seed=1, dtype=np.float32)
+        path = tmp_path / "feature2.ckpt"
+        save_checkpoint(path, model, PreprocessOptions(), "feature2")
+        assert path.read_bytes().index(b"\n---\n") > checkpoint._CHUNK
+        assert_loads_as_saved(path, model, "feature2")
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 64])
+    def test_terminator_split_across_reads_is_found(self, tmp_path, monkeypatch, chunk):
+        save_bank(tmp_path, ["glaucoma", "feature1"])
+        monkeypatch.setattr(checkpoint, "_CHUNK", chunk)
+        bank = load_bank(tmp_path)
+        for row, task in zip(bank.stacked.params["cls_token"].data.base, bank.tasks):
+            assert row.tobytes() == payload(tmp_path / f"{task}.ckpt")
+
+    @staticmethod
+    def fault(name, bank):
+        """Damage the bank ``bank`` (glaucoma and feature1 members) in one
+        way; the path the error names."""
+        member = bank / "feature1.ckpt"
+        raw = member.read_bytes()
+        if name == "missing member":
+            member.unlink()
+            member.symlink_to(bank / "nowhere.ckpt")
+        elif name == "directory member":
+            member.unlink()
+            member.mkdir()
+        elif name == "fifo member":
+            member.unlink()
+            os.mkfifo(member)
+        elif name == "truncated payload":
+            member.write_bytes(raw[:-32])
+        elif name == "trailing bytes":
+            member.write_bytes(raw + b"\0" * 8)
+        elif name == "non-finite value":
+            with_nan(member)
+        elif name == "duplicate task":
+            save_checkpoint(bank / "glaucoma2.ckpt", make_model(7), PreprocessOptions(),
+                            "glaucoma")
+            return bank / "glaucoma2.ckpt"
+        elif name == "other settings":  # the second member in file order
+            save_checkpoint(bank / "glaucoma.ckpt", make_model(0),
+                            PreprocessOptions(od_crop=False), "glaucoma")
+            return bank / "glaucoma.ckpt"
+        elif name == "no glaucoma":
+            (bank / "glaucoma.ckpt").unlink()
+            return bank
+        return member
+
+    @pytest.mark.parametrize("name, error, message, code", [
+        ("missing member", FileNotFoundError, "checkpoint not found: {}", 2),
+        ("directory member", FileNotFoundError, "checkpoint not found: {}", 2),
+        ("fifo member", FileNotFoundError, "checkpoint not found: {}", 2),
+        ("truncated payload", IncompatibleCheckpointError,
+         "{}: payload size {size_cut} out of range, expected {size} bytes", 3),
+        ("trailing bytes", IncompatibleCheckpointError,
+         "{}: payload size {size_long} out of range, expected {size} bytes", 3),
+        ("non-finite value", IncompatibleCheckpointError,
+         "{}: non-finite parameter values", 3),
+        ("duplicate task", IncompatibleCheckpointError,
+         "{}: duplicate task 'glaucoma'", 3),
+        ("other settings", IncompatibleCheckpointError,
+         "{}: configuration differs from the rest of the bank", 3),
+        ("no glaucoma", IncompatibleCheckpointError,
+         "{}: bank has no glaucoma classifier", 3),
+    ])
+    def test_each_single_fault_keeps_its_error_and_exit_code(self, tmp_path, capsys,
+                                                             name, error, message, code):
+        save_bank(tmp_path, ["glaucoma", "feature1"])
+        size = len(payload(tmp_path / "glaucoma.ckpt"))
+        named = self.fault(name, tmp_path)
+        expected = message.format(named, size=size, size_cut=size - 32,
+                                  size_long=size + 8)
+        with pytest.raises(error) as caught:
+            load_bank(tmp_path)
+        assert str(caught.value) == expected
+        capsys.readouterr()
+        assert cli.main(["infer", "--checkpoint", str(tmp_path),
+                         "--image", str(tmp_path / "x.ppm")]) == code
+        assert capsys.readouterr().err.rstrip("\n").endswith(expected)
+
+    def test_files_fail_in_file_order(self, tmp_path):
+        # two faulty members: the first file in sorted order is reported,
+        # whether its fault is in the payload or the header
+        save_bank(tmp_path, ["glaucoma", "feature1"])
+        with_nan(tmp_path / "feature1.ckpt")
+        save_checkpoint(tmp_path / "glaucoma.ckpt", make_model(1),
+                        PreprocessOptions(od_crop=False), "glaucoma")
+        with pytest.raises(IncompatibleCheckpointError, match="feature1.ckpt: non-finite"):
+            load_bank(tmp_path)
+
+    def test_header_faults_come_before_the_payload_of_the_same_file(self, tmp_path):
+        # one member with a non-finite payload that also repeats a task or
+        # has other settings: its header's fault is reported (the settings
+        # are checked before its payload is read into the block)
+        save_bank(tmp_path, ["feature1", "glaucoma"])
+        save_checkpoint(tmp_path / "glaucoma2.ckpt", make_model(7), PreprocessOptions(),
+                        "glaucoma")
+        with_nan(tmp_path / "glaucoma2.ckpt")
+        with pytest.raises(IncompatibleCheckpointError,
+                           match="glaucoma2.ckpt: duplicate task 'glaucoma'"):
+            load_bank(tmp_path)
+        (tmp_path / "glaucoma2.ckpt").unlink()
+        save_checkpoint(tmp_path / "glaucoma.ckpt", make_model(1),
+                        PreprocessOptions(od_crop=False), "glaucoma")
+        with_nan(tmp_path / "glaucoma.ckpt")
+        with pytest.raises(IncompatibleCheckpointError,
+                           match="glaucoma.ckpt: configuration differs"):
             load_bank(tmp_path)
 
 

@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fundusvit import metrics
+from fundusvit.autodiff import Tensor
 from fundusvit.metrics import (CHALLENGE_DEV_PHASE, DegenerateLabelsError,
                                auc, evaluate_scores,
                                normalized_hamming, roc_curve,
                                tpr_at_specificity)
+from fundusvit.model import HeadOutputs
+from fundusvit.training import dual_bce_loss
 
 from helpers import (brute_force_auc, brute_force_roc, brute_force_tpr_at_spec,
                      read_report)
@@ -236,6 +239,43 @@ class TestEvaluateScores:
         lines = path.read_text().splitlines()
         assert lines[0] == "threshold\tfpr\ttpr"
         assert len(lines) == len(report.roc.thresholds) + 1
+
+
+def _loss_on(y):
+    """``dual_bce_loss`` of one task's (1, B) labels ``y``."""
+    p = Tensor(np.full((1, len(y), 1, 2), 0.5))
+    return dual_bce_loss(y[None], HeadOutputs(p_cls=p, p_agg=p,
+                                              patch_weights=Tensor(np.ones((1, len(y), 1, 1)))))
+
+
+# each exact 0/1 check, with the message it refuses with
+BINARY_CHECKS = {
+    "roc labels": (lambda v: roc_curve([0.1, 0.2, 0.3], v), "labels must be binary 0/1"),
+    "hamming pred": (lambda v: normalized_hamming(v, [0, 1, 1]),
+                     "flag vectors must be binary 0/1"),
+    "hamming truth": (lambda v: normalized_hamming([0, 1, 1], v),
+                      "flag vectors must be binary 0/1"),
+    "loss labels": (_loss_on, r"y must be the forward's \(K, B\) 0/1 labels"),
+}
+
+
+@pytest.mark.parametrize("check", BINARY_CHECKS)
+@pytest.mark.parametrize("values, accepted", [
+    (np.array([0, 1, 1]), True),
+    (np.array([0.0, 1.0, 1.0]), True),
+    (np.array([False, True, True]), True),
+    (np.array([0, 1, 2]), False),
+    (np.array([0, 1, -1]), False),
+    (np.array([0.0, 1.0, 0.5]), False),
+    (np.array([0.0, 1.0, np.nan]), False),
+], ids=["int", "float", "bool", "2", "-1", "0.5", "nan"])
+def test_exact_binary_checks_accept_only_zero_and_one(check, values, accepted):
+    run, message = BINARY_CHECKS[check]
+    if accepted:
+        run(values)
+    else:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            run(values)
 
 
 def test_published_numbers_are_recorded_as_non_reproducible():

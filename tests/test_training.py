@@ -158,6 +158,25 @@ class TestAdam:
             Adam([p]).step(0.1)
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
+    @pytest.mark.parametrize("bad_grad, error", [
+        (None, MissingGradientError), (np.zeros(3), ad.ShapeError)])
+    def test_refused_step_changes_nothing(self, bad_grad, error):
+        # the later parameter's gradient is refused before the earlier one,
+        # its moments or the step count move
+        a = Tensor(np.array([1.0]), requires_grad=True)
+        b = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        opt = Adam([a, b])
+        a.grad, b.grad = np.array([0.5]), np.array([0.1, 0.2])
+        opt.step(0.1)
+        before = (opt.t, [x.copy() for x in (a.data, b.data, *opt.m, *opt.v)])
+        a.grad, b.grad = np.array([0.5]), bad_grad
+        with pytest.raises(error):
+            opt.step(0.1)
+        after = (opt.t, [a.data, b.data, *opt.m, *opt.v])
+        assert before[0] == after[0] == 1
+        for x, y in zip(before[1], after[1]):
+            assert x.tobytes() == y.tobytes()
+
     def test_step_clears_gradients(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.array([0.5])
@@ -310,6 +329,19 @@ class TestTrainTask:
         with pytest.raises(ValueError, match="empty"):
             train_task(SMALL_MODEL, quick_cfg(), FAST_AUG, PreprocessOptions(),
                        [], tmp_path, out_dir=tmp_path / "out")
+
+    def test_empty_training_split_rejected(self, tiny_dataset, monkeypatch, tmp_path):
+        # one positive and one negative at 4:1: each class group keeps
+        # floor(1 * 4 / 5) = 0 training rows
+        manifest, rows = tiny_dataset
+        pair = [next(r for r in rows if r.rg == 1), next(r for r in rows if r.rg == 0)]
+        prepared = []
+        monkeypatch.setattr(training, "prepare_input",
+                            lambda *args, **kwargs: prepared.append(args))
+        with pytest.raises(ValueError, match="^empty training set after split$"):
+            train_task(SMALL_MODEL, quick_cfg(split=(4, 1)), FAST_AUG,
+                       PreprocessOptions(), pair, manifest.parent, out_dir=tmp_path)
+        assert not prepared
 
     def test_single_class_training_set_rejected(self, tiny_dataset, monkeypatch, tmp_path):
         manifest, rows = tiny_dataset
