@@ -1,32 +1,31 @@
 """Versioned checkpoint format and the multi-task classifier bank.
 
-A checkpoint is a text manifest followed by raw parameter data:
+A training run writes one checkpoint, ``model.ckpt``: a text manifest
+followed by raw parameter data,
 
-    fundusvit-checkpoint v1
+    fundusvit-checkpoint v2
     model.<field> = <value>        (architecture)
     prep.<field> = <value>         (preprocessing the model was trained with)
-    task = <glaucoma|feature1..feature10>
-    tensor <name> <d0>x<d1>... @ <byte offset>
+    tasks = <task> <task> ...      (K distinct tasks, in TASKS order)
+    tensor <name> <K>x<d0>x<d1>... @ <byte offset>
     ---
     <little-endian float32 arrays, manifest order>
 
-Offsets are relative to the first byte after the ``---`` line. A file holds
-one task, a K = 1 stack whose task axis the tensor lines leave out.
-Round-trips are bit-exact for float32 models.
+Each tensor line is one parameter as the task-stacked ``DualHeadViT`` holds
+it, a (K, ...) array, stored whole; a single-task run is K = 1, a bank run
+every trained task. Offsets are relative to the first byte after the
+``---`` line. Round-trips are bit-exact for float32 models.
 
 ``_header`` alone defines the manifest: a header loads only if it is the
-exact bytes ``_header`` writes for the ``model.*``, ``prep.*`` and ``task``
+exact bytes ``_header`` writes for the ``model.*``, ``prep.*`` and ``tasks``
 values it names, so a missing, repeated or reordered line, or a value
-spelled otherwise, is refused rather than read with a default.
+spelled otherwise, is refused rather than read with a default. A file whose
+first line is not the magic is refused as soon as a read shows it.
 
-``load_checkpoint`` and ``load_bank`` share one reader. A bank load opens
-each member file once, reads its header in chunks up to the ``---`` line
-and parses each distinct header text, less its ``task = `` line, once: the
-members one run writes share it, so an 11-member bank parses one header.
-Each member's payload is read from its file straight into its row of one
-C-contiguous (K, P) float32 block, in task order, and checked finite; every
-parameter of the single task-stacked ``DualHeadViT`` is a (K, ...) view of
-that block's columns. No per-member model is built.
+The reader opens the file once, reads the header in chunks up to the
+``---`` line, then reads the payload straight into one float32 buffer and
+checks it finite. Every parameter of the loaded model is a contiguous
+(K, ...) view of that buffer; no per-member model is built.
 """
 
 from __future__ import annotations
@@ -36,16 +35,18 @@ import os
 import stat
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
 from . import kv
 from .atomic import write_atomic
-from .dataset import TASKS, PreprocessOptions
+from .dataset import PreprocessOptions, ordered_tasks
 from .model import DualHeadViT, ModelConfig
 
-MAGIC = "fundusvit-checkpoint v1"
+MAGIC = "fundusvit-checkpoint v2"
+CHECKPOINT_NAME = "model.ckpt"  # a run directory's checkpoint
+_MAGIC_LINE = MAGIC.encode() + b"\n"
 _END = b"\n---\n"  # ends the header
 _CHUNK = 8192  # bytes per header read; a depth-4 header (about 3.5 KB) takes one
 
@@ -54,45 +55,45 @@ class IncompatibleCheckpointError(ValueError):
     """Checkpoint contents do not match the requested configuration."""
 
 
-def _layout(shapes) -> tuple[list[str], int]:
-    """Header lines for float32 arrays stored back to back, and their bytes."""
+def _layout(shapes, k: int) -> tuple[list[str], int]:
+    """Header lines for (k, ...) float32 arrays stored back to back, and
+    their bytes."""
     lines, offset = [], 0
     for name, shape in shapes:
-        lines.append(f"tensor {name} {'x'.join(map(str, shape))} @ {offset}")
-        offset += 4 * math.prod(shape)
+        lines.append(f"tensor {name} {'x'.join(map(str, (k, *shape)))} @ {offset}")
+        offset += 4 * k * math.prod(shape)
     return lines, offset
 
 
-def _header(config: ModelConfig, prep: PreprocessOptions, task: str,
+def _header(config: ModelConfig, prep: PreprocessOptions, tasks: tuple[str, ...],
             tensor_lines: list[str]) -> bytes:
     """The manifest bytes before ``---``: ASCII for every setting the configs
     accept, latin-1 so that any text a reader decodes maps back to its bytes."""
     return "\n".join([MAGIC, *kv.dump("model", config), *kv.dump("prep", prep),
-                      f"task = {task}", *tensor_lines]).encode("latin-1")
+                      f"tasks = {' '.join(tasks)}", *tensor_lines]).encode("latin-1")
 
 
 def save_checkpoint(path: str | Path, model: DualHeadViT,
-                    prep: PreprocessOptions, task: str) -> None:
-    """Write ``model``, a stack of K = 1, as ``task``'s checkpoint."""
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}")
-    if model.n_tasks != 1:
-        raise ValueError(f"a checkpoint holds one task, got a stack of {model.n_tasks}")
-    tensor_lines, _ = _layout(model.parameter_shapes(model.config))
-    payload = [np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-               for t in model.params.values()]
-    write_atomic(path, b"".join([_header(model.config, prep, task, tensor_lines),
-                                 b"\n---\n", *payload]))
+                    prep: PreprocessOptions, tasks: Sequence[str]) -> None:
+    """Write ``model``, a stack of K tasks, as the checkpoint of ``tasks``:
+    K distinct tasks in ``TASKS`` order, one per member of the stack."""
+    tasks = ordered_tasks(tasks)
+    if model.n_tasks != len(tasks):
+        raise ValueError(f"a stack of {model.n_tasks} tasks saved as {len(tasks)}")
+    tensor_lines, _ = _layout(model.parameter_shapes(model.config), len(tasks))
+    write_atomic(path, b"".join([_header(model.config, prep, tasks, tensor_lines), _END,
+                                 *[np.ascontiguousarray(t.data, dtype="<f4")
+                                   for t in model.params.values()]]))
 
 
 @dataclass(frozen=True)
 class _Header:
-    """A checkpoint header without its task: the settings and the payload
-    layout they imply."""
+    """An accepted checkpoint header: its settings, its tasks and the
+    payload bytes they imply."""
 
     config: ModelConfig
     prep: PreprocessOptions
-    shapes: list[tuple[str, tuple[int, ...]]]
+    tasks: tuple[str, ...]
     size: int
 
 
@@ -107,31 +108,30 @@ def _first_difference(head: bytes, expected: bytes) -> str:
     return f"header line {n + 1} reads {shown[0]}, expected {shown[1]}"
 
 
-def _parse_header(path: Path, head: bytes) -> tuple[_Header, str]:
-    """Parse the header bytes before ``---``: the settings and task it
-    names, accepted only if ``_header`` writes exactly ``head`` for them."""
+def _parse_header(path: Path, head: bytes) -> _Header:
+    """Parse the header bytes before ``---``, accepted only if ``_header``
+    writes exactly ``head`` for the settings and tasks it names, and only
+    if those tasks are distinct and in ``TASKS`` order."""
     values: dict[str, dict[str, str]] = {"model": {}, "prep": {}}
-    task = ""
+    tasks = ""
     for line in head.decode("latin-1").split("\n"):
         key, _, value = line.partition(" = ")
         section, _, name = key.partition(".")
         if section in values:
             values[section][name] = value
-        elif key == "task":
-            task = value
+        elif key == "tasks":
+            tasks = value
     try:
         config = kv.build(ModelConfig, "model", values["model"])
         prep = kv.build(PreprocessOptions, "prep", values["prep"])
+        names = tuple(tasks.split(" "))
+        tensor_lines, size = _layout(DualHeadViT.parameter_shapes(config), len(names))
+        expected = _header(config, prep, names, tensor_lines)
+        if head != expected:
+            raise ValueError(_first_difference(head, expected))
+        return _Header(config, prep, ordered_tasks(names), size)
     except ValueError as exc:
         raise IncompatibleCheckpointError(f"{path}: {exc}") from None
-    shapes = DualHeadViT.parameter_shapes(config)
-    tensor_lines, size = _layout(shapes)
-    expected = _header(config, prep, task, tensor_lines)
-    if head != expected:
-        raise IncompatibleCheckpointError(f"{path}: {_first_difference(head, expected)}")
-    if task not in TASKS:
-        raise IncompatibleCheckpointError(f"{path}: unknown task {task!r}")
-    return _Header(config, prep, shapes, size), task
 
 
 def _open(path: Path) -> BinaryIO:
@@ -148,17 +148,10 @@ def _open(path: Path) -> BinaryIO:
     raise FileNotFoundError(f"checkpoint not found: {path}")
 
 
-def _read_header(file: BinaryIO, path: Path, parsed: dict[tuple[bytes, bytes], _Header]
-                 ) -> tuple[_Header, str, bytearray]:
+def _read_header(file: BinaryIO, path: Path) -> tuple[_Header, bytearray]:
     """Read ``file`` up to its ``---`` line and accept its header: the
-    header, its task, and the payload bytes read past the terminator.
-
-    ``parsed`` maps the header texts accepted before, split around their
-    ``task = `` line, to their parsed headers. Members written by one run
-    differ only in that line, so a header found there is not parsed again:
-    an accepted header is canonical, so its task line is unique and whole,
-    and the same text around a known task is that task's canonical header.
-    """
+    header, and the payload bytes read past the terminator. A first line
+    that is not the magic is refused at the read that shows it."""
     data, searched = bytearray(), 0
     while (end := data.find(_END, searched)) < 0:
         chunk = file.read(_CHUNK)
@@ -167,26 +160,22 @@ def _read_header(file: BinaryIO, path: Path, parsed: dict[tuple[bytes, bytes], _
             break
         searched = max(0, len(data) - len(_END) + 1)
         data += chunk
-    head, spill = bytes(data[:end]), data[end + len(_END):]
-    before, _, after = head.partition(b"\ntask = ")
-    value, _, rest = after.partition(b"\n")
-    task = value.decode("latin-1")
-    header = parsed.get((before, rest)) if task in TASKS else None
-    if header is None:
-        header, task = _parse_header(path, head)
-        parsed[before, rest] = header
+        if not _MAGIC_LINE.startswith(data[:len(_MAGIC_LINE)]):
+            raise IncompatibleCheckpointError(
+                f"{path}: {_first_difference(bytes(data), MAGIC.encode())}")
+    header = _parse_header(path, bytes(data[:end]))
     size = max(0, os.fstat(file.fileno()).st_size - end - len(_END))
     if size != header.size:
         raise IncompatibleCheckpointError(
             f"{path}: payload size {size} out of range, expected {header.size} bytes")
-    return header, task, spill
+    return header, data[end + len(_END):]
 
 
-def _read_payload(file: BinaryIO, path: Path, spill: bytearray, row: np.ndarray
+def _read_payload(file: BinaryIO, path: Path, spill: bytearray, buffer: np.ndarray
                   ) -> None:
-    """Fill ``row`` with the payload: ``spill``, then the rest of ``file``,
-    read straight into it; the row must come out whole and finite."""
-    view = memoryview(row).cast("B")
+    """Fill ``buffer`` with the payload: ``spill``, then the rest of
+    ``file``, read straight into it; it must come out whole and finite."""
+    view = memoryview(buffer).cast("B")
     filled = len(spill)
     view[:filled] = spill
     while filled < len(view) and (count := file.readinto(view[filled:])):
@@ -194,56 +183,33 @@ def _read_payload(file: BinaryIO, path: Path, spill: bytearray, row: np.ndarray
     if filled != len(view):
         raise IncompatibleCheckpointError(
             f"{path}: payload size {filled} out of range, expected {len(view)} bytes")
-    if not np.isfinite(row).all():
+    if not np.isfinite(buffer).all():
         raise IncompatibleCheckpointError(f"{path}: non-finite parameter values")
 
 
-def _load(paths: list[Path]) -> tuple[_Header, tuple[str, ...], np.ndarray]:
-    """Read the checkpoint files ``paths``, each whole before the next:
-    their shared header, their tasks in ``TASKS`` order, and one
-    C-contiguous (K, P) float32 block whose row k is task k's payload.
-    Several files fill the rows of their ``TASKS`` indices, kept only where
-    a file was read; one file is row 0."""
-    parsed: dict[tuple[bytes, bytes], _Header] = {}
-    rows: dict[str, int] = {}
-    first = block = None
-    for path in paths:
-        with _open(path) as file:
-            header, task, spill = _read_header(file, path, parsed)
-            if task in rows:
-                raise IncompatibleCheckpointError(f"{path}: duplicate task {task!r}")
-            if first is None:
-                first = header
-                block = np.empty((len(TASKS) if len(paths) > 1 else 1, header.size // 4),
-                                 dtype="<f4")
-            elif (header.config, header.prep) != (first.config, first.prep):
-                raise IncompatibleCheckpointError(
-                    f"{path}: configuration differs from the rest of the bank")
-            rows[task] = TASKS.index(task) if len(block) > 1 else 0
-            _read_payload(file, path, spill, block[rows[task]])
-    tasks = tuple(task for task in TASKS if task in rows)
-    if len(tasks) < len(block):
-        block = block[[rows[task] for task in tasks]]
-    return first, tasks, block
-
-
-def _stacked(header: _Header, block: np.ndarray) -> DualHeadViT:
-    """The task stack whose parameters are column views of ``block``, one
-    payload per row: ``block[:, offset:offset + n]`` shaped (K, ...)."""
-    arrays, offset = {}, 0
-    for name, shape in header.shapes:
-        count = math.prod(shape)
-        arrays[name] = block[:, offset:offset + count].reshape(len(block), *shape)
+def _load(path: Path) -> tuple[DualHeadViT, PreprocessOptions, tuple[str, ...]]:
+    """Read the checkpoint file ``path``: its task stack, whose parameters
+    are consecutive (K, ...) views of one float32 buffer, its preprocessing
+    and its tasks."""
+    with _open(path) as file:
+        header, spill = _read_header(file, path)
+        buffer = np.empty(header.size // 4, dtype="<f4")
+        _read_payload(file, path, spill, buffer)
+    k, arrays, offset = len(header.tasks), {}, 0
+    for name, shape in DualHeadViT.parameter_shapes(header.config):
+        count = k * math.prod(shape)
+        arrays[name] = buffer[offset:offset + count].reshape(k, *shape)
         offset += count
-    return DualHeadViT.from_arrays(header.config, arrays)
+    return DualHeadViT.from_arrays(header.config, arrays), header.prep, header.tasks
 
 
-def load_checkpoint(path: str | Path) -> tuple[DualHeadViT, PreprocessOptions, str]:
+def load_checkpoint(path: str | Path
+                    ) -> tuple[DualHeadViT, PreprocessOptions, tuple[str, ...]]:
     """Read a checkpoint, accepting only the exact layout ``save_checkpoint``
     writes: every parameter once, in order, at cumulative offsets, with no
-    trailing bytes and only finite values. The model is a stack of K = 1."""
-    header, (task,), block = _load([Path(path)])
-    return _stacked(header, block), header.prep, task
+    trailing bytes and only finite values. The model is a stack of K >= 1
+    tasks, returned with them."""
+    return _load(Path(path))
 
 
 @dataclass
@@ -268,22 +234,12 @@ class ClassifierBank:
 
 
 def load_bank(path: str | Path) -> ClassifierBank:
-    """Load a bank from a single checkpoint file or a directory of
-    ``<task>.ckpt`` files, stacked in task order; every member must share
-    one architecture and preprocessing. Each file is read once, each
-    distinct header parsed once, and each member's payload is read straight
-    into its row of the task stack's one parameter block; no per-member
-    model is built."""
+    """Load a bank from a checkpoint file, or from a run directory's
+    ``model.ckpt``; its tasks must include glaucoma."""
     path = Path(path)
-    if path.is_file():
-        candidates = [path]
-    elif path.is_dir():
-        candidates = sorted(path.glob("*.ckpt"))
-        if not candidates:
-            raise FileNotFoundError(f"no *.ckpt files under {path}")
-    else:
-        raise FileNotFoundError(f"checkpoint path not found: {path}")
-    header, tasks, block = _load(candidates)
+    if path.is_dir():
+        path = path / CHECKPOINT_NAME
+    stacked, prep, tasks = _load(path)
     if "glaucoma" not in tasks:
         raise IncompatibleCheckpointError(f"{path}: bank has no glaucoma classifier")
-    return ClassifierBank(tasks, _stacked(header, block), header.prep)
+    return ClassifierBank(tasks, stacked, prep)

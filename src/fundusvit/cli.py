@@ -29,6 +29,8 @@ EXIT_USAGE = 1
 EXIT_MISSING_INPUT = 2
 EXIT_INCOMPATIBLE = 3
 
+_CHECKPOINT_HELP = "a train run's output directory (its model.ckpt) or a .ckpt file"
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems with exit code 1."""
@@ -70,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", default=None, choices=[*TASKS, "bank"])
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or bank on a manifest")
-    p.add_argument("--checkpoint", type=Path, required=True,
-                   help="a .ckpt file or a directory of <task>.ckpt files")
+    p.add_argument("--checkpoint", type=Path, required=True, help=_CHECKPOINT_HELP)
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="report file")
     p.add_argument("--roc-out", type=Path, default=None)
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="feature-flag threshold in [0, 1]")
 
     p = sub.add_parser("infer", help="score one image")
-    p.add_argument("--checkpoint", type=Path, required=True)
+    p.add_argument("--checkpoint", type=Path, required=True, help=_CHECKPOINT_HELP)
     p.add_argument("--image", type=Path, required=True)
     p.add_argument("--detection", type=Path, default=None,
                    help="normalized bbox text file for this image")

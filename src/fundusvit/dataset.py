@@ -12,6 +12,7 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +26,15 @@ N_FEATURES = 10
 TASKS = ["glaucoma", *[f"feature{k}" for k in range(1, N_FEATURES + 1)]]
 MANIFEST_COLUMNS = ["image_id", "image_path", "width", "height", "rg",
                     *[f"f{k}" for k in range(1, N_FEATURES + 1)], "detection_path"]
+
+
+def ordered_tasks(tasks: Sequence[str]) -> tuple[str, ...]:
+    """``tasks`` as a tuple, if they are one or more distinct ``TASKS`` in
+    ``TASKS`` order, as a training run and its checkpoint hold them."""
+    tasks = tuple(tasks)
+    if not tasks or tasks != tuple(task for task in TASKS if task in tasks):
+        raise ValueError(f"tasks must be distinct and in TASKS order, got {tasks!r}")
+    return tasks
 
 
 @dataclass(frozen=True)

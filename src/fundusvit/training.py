@@ -19,9 +19,9 @@ import numpy as np
 from . import autodiff as ad
 from .atomic import write_atomic
 from .autodiff import Tensor
-from .checkpoint import ClassifierBank, save_checkpoint
+from .checkpoint import CHECKPOINT_NAME, ClassifierBank, save_checkpoint
 from .dataset import (TASKS, ManifestRow, PreprocessOptions, load_input_image,
-                      prepare_input, to_unit)
+                      ordered_tasks, prepare_input, to_unit)
 from .metrics import tpr_at_specificity
 from .model import DualHeadViT, HeadOutputs, ModelConfig
 from .preprocess import AugmentDraws, AugmentParams, augment
@@ -243,10 +243,11 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
                config_lines: Sequence[str] = (),
                tasks: Sequence[str] | None = None) -> list[TaskResult]:
     """Train binary ``tasks`` (default: ``train_cfg.task`` alone; one task
-    is a bank of one) in lockstep on ``rows``, rebalanced and split by the
-    referable-glaucoma label. A task with one class in the training split
-    raises ValueError before any image is prepared; then every image is
-    prepared (crop, background removal, resize) once for all the tasks.
+    is a bank of one; otherwise distinct tasks in ``TASKS`` order) in
+    lockstep on ``rows``, rebalanced and split by the referable-glaucoma
+    label. Any other task list, or a task with one class in the training
+    split, raises ValueError before any image is prepared; then every image
+    is prepared (crop, background removal, resize) once for all the tasks.
     Returns one finished result per task.
 
     The tasks differ only in labels and initial values: the shuffle order
@@ -257,13 +258,11 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
     of the task stack's ``task_groups`` beside those images (all 11 tasks
     at desk and default scale, one at 512x512) one forward, one loss summed
     over its tasks and one backward; then one Adam step. Each task keeps the
-    parameters from its epoch with the best validation metric and writes
-    ``<task>.ckpt`` and ``<task>.log`` into ``out_dir``, the bytes it would
-    write trained alone.
+    parameters from its epoch with the best validation metric, the values
+    it would reach trained alone, and writes ``<task>.log`` into
+    ``out_dir``; the run writes them all as one ``model.ckpt`` there.
     """
-    tasks = [train_cfg.task] if tasks is None else list(tasks)
-    if not tasks or not set(tasks) <= set(TASKS):
-        raise ValueError(f"train_task needs single tasks, got {tasks!r}")
+    tasks = ordered_tasks([train_cfg.task] if tasks is None else tasks)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable output fails before any work
     train_rows, val_rows = rebalance_and_split(rows, [r.rg for r in rows], train_cfg.n_nrg,
@@ -323,8 +322,8 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
     best = DualHeadViT.from_arrays(model_cfg, best_state)
     results = [TaskResult(task, best.member(k), histories[k], best_epoch[k], best_metric[k])
                for k, task in enumerate(tasks)]
+    save_checkpoint(out_dir / CHECKPOINT_NAME, best, prep, tasks)
     for result in results:
-        save_checkpoint(out_dir / f"{result.task}.ckpt", result.model, prep, result.task)
         write_atomic(out_dir / f"{result.task}.log", _log_text(result, config_lines))
     return results
 

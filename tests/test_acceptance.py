@@ -197,7 +197,7 @@ def test_05_preprocessing_ordering_effect(tmp_path):
                     res.model.predict(image[None].astype(np.float64) / 255.0)[:, 0][0])
                 labels.append(row.rg)
             results[crop] = (tpr_at_specificity(scores, labels, 0.95),
-                             sha256(out_dir / "glaucoma.ckpt"))
+                             sha256(out_dir / "model.ckpt"))
         tpr_crop, sum_crop = results[True]
         tpr_nocrop, sum_nocrop = results[False]
         print(f"val TPR@95: cropped={tpr_crop:.3f} uncropped={tpr_nocrop:.3f}")
@@ -285,11 +285,11 @@ def test_10_end_to_end_determinism(tmp_path):
                 f"paths.manifest = {data / 'manifest.tsv'}\n"
                 f"paths.out = {root / 'run'}\n")
             assert cli.main(["train", "--config", str(config)]) == 0
-            assert cli.main(["eval", "--checkpoint", str(root / "run" / "glaucoma.ckpt"),
+            assert cli.main(["eval", "--checkpoint", str(root / "run" / "model.ckpt"),
                              "--manifest", str(data / "manifest.tsv"),
                              "--out", str(root / "report.txt")]) == 0
             return {
-                "checkpoint": sha256(root / "run" / "glaucoma.ckpt"),
+                "checkpoint": sha256(root / "run" / "model.ckpt"),
                 "report": sha256(root / "report.txt"),
                 "dataset": hashlib.sha256(
                     b"".join(sorted(p.read_bytes() for p in data.rglob("*.ppm")))

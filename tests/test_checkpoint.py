@@ -1,8 +1,9 @@
 """Checkpoint format tests: bit-exact round-trips, manifest structure,
-incompatibility detection, atomic artifact writes, and the one-pass bank
-load against loading each member alone."""
+incompatibility detection, atomic artifact writes, and the one-read load of
+a run's task stack against loading each member's own run."""
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,11 @@ from hypothesis import strategies as st
 
 from fundusvit import atomic, checkpoint, cli, kv
 from fundusvit.atomic import write_atomic
-from fundusvit.checkpoint import (TASKS, IncompatibleCheckpointError, _header,
-                                  _layout, _parse_header, load_bank,
+from fundusvit.checkpoint import (CHECKPOINT_NAME, IncompatibleCheckpointError, _END,
+                                  _header, _layout, _parse_header, load_bank,
                                   load_checkpoint, save_checkpoint)
 from fundusvit import model as model_module
-from fundusvit.dataset import ManifestRow, PreprocessOptions, write_manifest
+from fundusvit.dataset import TASKS, ManifestRow, PreprocessOptions, write_manifest
 from fundusvit.metrics import evaluate_scores
 from fundusvit.model import DualHeadViT, ModelConfig
 from fundusvit.ppm import write_ppm
@@ -26,36 +27,120 @@ from test_kv import SETTINGS
 
 CFG = ModelConfig(height=32, width=32, patch=16, dim=16, depth=1, heads=2,
                   agg_hidden=8, mlp_hidden=16)
+# nonempty task lists in TASKS order, the only lists a checkpoint holds
+TASK_LISTS = st.sets(st.sampled_from(TASKS), min_size=1).map(
+    lambda chosen: [task for task in TASKS if task in chosen])
 
 
 def make_model(seed=0):
     return DualHeadViT(CFG, seed=seed, dtype=np.float32)
 
 
+def save_bank(directory, tasks=TASKS):
+    """Save one member per task in ``tasks`` (all eleven by default), each
+    with its own weights, as ``directory``'s one checkpoint; its path."""
+    path = directory / CHECKPOINT_NAME
+    save_checkpoint(path, DualHeadViT.stack([make_model(TASKS.index(t)) for t in tasks]),
+                    PreprocessOptions(), tasks)
+    return path
+
+
+def payload(path):
+    raw = path.read_bytes()
+    return raw[raw.index(_END) + len(_END):]
+
+
+def with_nan(path):
+    """``path`` with its last parameter value replaced by NaN."""
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-4] + np.float32(np.nan).tobytes())
+
+
+def assert_same_stack(a: DualHeadViT, b: DualHeadViT):
+    assert a.config == b.config and a.n_tasks == b.n_tasks
+    assert list(a.params) == list(b.params)
+    for name, t in a.params.items():
+        assert t.data.dtype == b.params[name].data.dtype == np.float32
+        assert t.data.shape == b.params[name].data.shape
+        assert t.data.tobytes() == b.params[name].data.tobytes(), name
+
+
+def assert_loads_as_saved(path, model, tasks):
+    loaded, _, loaded_tasks = load_checkpoint(path)
+    assert loaded_tasks == tuple(tasks) and loaded.config == model.config
+    assert_same_stack(loaded, model)
+
+
+class FileSpy:
+    """A checkpoint file opened as ``checkpoint`` opens it, counting the
+    bytes each read returns; ``readinto`` may be capped to fewer bytes than
+    asked for, and to none after its first call."""
+
+    def __init__(self, *args, cap=None, **kwargs):
+        self.file = open(*args, **kwargs)
+        self.reads: list[int] = []
+        self.cap = cap
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def fileno(self):
+        return self.file.fileno()
+
+    def close(self):
+        self.file.close()
+
+    def read(self, size):
+        data = self.file.read(size)
+        self.reads.append(len(data))
+        return data
+
+    def readinto(self, view):
+        if self.cap is not None:
+            view = view[:self.cap]
+            self.cap = 0
+        count = self.file.readinto(view)
+        self.reads.append(count)
+        return count
+
+
+def spy_on_opens(monkeypatch, cap=None) -> list[FileSpy]:
+    """Open every checkpoint through a ``FileSpy``; the spies, in order."""
+    spies = []
+
+    def spying_open(*args, **kwargs):
+        spies.append(FileSpy(*args, cap=cap, **kwargs))
+        return spies[-1]
+
+    monkeypatch.setattr(checkpoint, "open", spying_open, raising=False)
+    return spies
+
+
 class TestRoundTrip:
     def test_bit_exact(self, tmp_path):
-        model = make_model(seed=4)
         prep = PreprocessOptions(od_crop=False, bg_removal=True, bg_tau=12,
                                  confidence_floor=0.3)
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, prep, "feature3")
-        loaded, loaded_prep, task = load_checkpoint(path)
-        assert task == "feature3"
-        assert loaded_prep == prep
-        assert loaded.config == CFG
-        for (na, ta), (nb, tb) in zip(model.params.items(),
-                                      loaded.params.items()):
-            assert na == nb
-            assert ta.data.tobytes() == tb.data.tobytes()
-        # a second save is byte-identical to the first
-        path2 = tmp_path / "m2.ckpt"
-        save_checkpoint(path2, loaded, loaded_prep, task)
-        assert path.read_bytes() == path2.read_bytes()
+        for tasks in (["feature3"], ["glaucoma", "feature2", "feature10"]):
+            model = DualHeadViT.stack([make_model(seed=4 + k) for k in range(len(tasks))])
+            path = tmp_path / "m.ckpt"
+            save_checkpoint(path, model, prep, tasks)
+            loaded, loaded_prep, loaded_tasks = load_checkpoint(path)
+            assert loaded_tasks == tuple(tasks)
+            assert loaded_prep == prep
+            assert loaded.config == CFG
+            assert_same_stack(loaded, model)
+            # a second save is byte-identical to the first
+            path2 = tmp_path / "m2.ckpt"
+            save_checkpoint(path2, loaded, loaded_prep, loaded_tasks)
+            assert path.read_bytes() == path2.read_bytes()
 
     def test_load_draws_no_initial_values(self, tmp_path, monkeypatch):
         model = make_model(seed=5)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, PreprocessOptions(), "glaucoma")
+        save_checkpoint(path, model, PreprocessOptions(), ["glaucoma"])
 
         def no_draws(*args, **kwargs):
             raise AssertionError("load_checkpoint drew an initial value")
@@ -67,32 +152,36 @@ class TestRoundTrip:
             assert ta.data.tobytes() == tb.data.tobytes()
 
     def test_header_structure(self, tmp_path):
-        model = make_model()
+        model = DualHeadViT.stack([make_model(1), make_model(2)])
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, PreprocessOptions(), "glaucoma")
+        save_checkpoint(path, model, PreprocessOptions(), ["glaucoma", "feature2"])
         raw = path.read_bytes()
-        header = raw[:raw.find(b"\n---\n")].decode("ascii").splitlines()
-        assert header[0] == "fundusvit-checkpoint v1"
+        header = raw[:raw.find(_END)].decode("ascii").splitlines()
+        assert header[0] == "fundusvit-checkpoint v2"
         assert any(line == "model.dim = 16" for line in header)
-        assert any(line == "task = glaucoma" for line in header)
+        assert any(line == "tasks = glaucoma feature2" for line in header)
         tensor_lines = [l for l in header if l.startswith("tensor ")]
         assert len(tensor_lines) == len(model.params)
-        assert tensor_lines[0].startswith("tensor patch_proj.weight 768x16 @ 0")
-        # offsets are cumulative over little-endian float32 payloads
+        # each line is a (K, ...) parameter as the stack holds it
+        assert tensor_lines[0].startswith("tensor patch_proj.weight 2x768x16 @ 0")
+        # offsets are cumulative over little-endian float32 (K, ...) arrays,
+        # each stored whole: the payload is the stack's arrays back to back
         offsets = [int(l.rsplit("@", 1)[1]) for l in tensor_lines]
         sizes = [4 * int(np.prod([int(d) for d in l.split(" ")[2].split("x")]))
                  for l in tensor_lines]
         assert offsets == [sum(sizes[:i]) for i in range(len(sizes))]
+        assert payload(path) == b"".join(t.data.tobytes() for t in model.params.values())
 
 
 @settings(max_examples=80, deadline=None)
-@given(cfg=SETTINGS["model"][1], prep=SETTINGS["prep"][1], task=st.sampled_from(TASKS))
-def test_every_written_header_parses_to_its_settings(cfg, prep, task):
+@given(cfg=SETTINGS["model"][1], prep=SETTINGS["prep"][1], tasks=TASK_LISTS)
+def test_every_written_header_parses_to_its_settings(cfg, prep, tasks):
     # the reader accepts a header only as the writer's bytes, so the writer
     # must give those bytes back for every setting it accepts
-    tensor_lines, size = _layout(DualHeadViT.parameter_shapes(cfg))
-    header, parsed = _parse_header(Path("m.ckpt"), _header(cfg, prep, task, tensor_lines))
-    assert (header.config, header.prep, header.size, parsed) == (cfg, prep, size, task)
+    tensor_lines, size = _layout(DualHeadViT.parameter_shapes(cfg), len(tasks))
+    header = _parse_header(Path("m.ckpt"), _header(cfg, prep, tuple(tasks), tensor_lines))
+    assert (header.config, header.prep, header.size, header.tasks) \
+        == (cfg, prep, size, tuple(tasks))
 
 
 class TestValidation:
@@ -102,62 +191,106 @@ class TestValidation:
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"not-a-checkpoint\n---\n")
-        with pytest.raises(IncompatibleCheckpointError):
-            load_checkpoint(path)
+        for first_line in (b"not-a-checkpoint", b"fundusvit-checkpoint v1"):
+            path.write_bytes(first_line + b"\n---\n")
+            with pytest.raises(IncompatibleCheckpointError) as caught:
+                load_checkpoint(path)
+            assert str(caught.value) == (f"{path}: header line 1 reads "
+                                         f"{first_line.decode()!r}, "
+                                         "expected 'fundusvit-checkpoint v2'")
 
     def test_truncated_payload(self, tmp_path):
-        model = make_model()
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, PreprocessOptions(), "glaucoma")
+        path = save_bank(tmp_path, ["glaucoma"])
         raw = path.read_bytes()
         (tmp_path / "cut.ckpt").write_bytes(raw[:-32])
         with pytest.raises(IncompatibleCheckpointError, match="out of range"):
             load_checkpoint(tmp_path / "cut.ckpt")
 
     def test_unknown_task(self, tmp_path):
-        model = make_model()
-        with pytest.raises(ValueError):
-            save_checkpoint(tmp_path / "x.ckpt", model, PreprocessOptions(), "foo")
-        with pytest.raises(ValueError, match="one task"):  # a file holds K = 1
-            save_checkpoint(tmp_path / "x.ckpt", DualHeadViT.stack([model, model]),
-                            PreprocessOptions(), "glaucoma")
+        # a checkpoint holds one or more distinct tasks in TASKS order
+        for tasks in (["foo"], ["glaucoma", "glaucoma"], ["feature1", "glaucoma"], [],
+                      ["bank"], "glaucoma"):
+            with pytest.raises(ValueError, match="distinct and in TASKS order"):
+                save_checkpoint(tmp_path / "x.ckpt", make_model(), PreprocessOptions(),
+                                tasks)
         assert not (tmp_path / "x.ckpt").exists()
+
+    def test_stack_of_another_size_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="a stack of 2 tasks saved as 1"):
+            save_checkpoint(tmp_path / "x.ckpt", DualHeadViT.stack([make_model()] * 2),
+                            PreprocessOptions(), ["glaucoma"])
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_other_file_is_refused_after_one_read(self, tmp_path, monkeypatch, capsys):
+        # 50 MB that are not a checkpoint, sparse on disk: refused at the
+        # first read, not read whole
+        path = tmp_path / CHECKPOINT_NAME
+        with open(path, "wb") as fh:
+            fh.write(b"PK\x03\x04 an archive")
+            fh.truncate(50 * 1024 * 1024)
+        spies = spy_on_opens(monkeypatch)
+        with pytest.raises(IncompatibleCheckpointError) as caught:
+            load_bank(tmp_path)
+        message = str(caught.value)
+        assert message.startswith(f"{path}: header line 1 reads 'PK\\x03\\x04 an archive")
+        assert message.endswith(", expected 'fundusvit-checkpoint v2'")
+        assert [spy.reads for spy in spies] == [[checkpoint._CHUNK]]
+        capsys.readouterr()
+        assert cli.main(["infer", "--checkpoint", str(tmp_path),
+                         "--image", str(tmp_path / "x.ppm")]) == 3
+        assert capsys.readouterr().err.rstrip("\n").endswith(message)
+        assert sum(spies[-1].reads) == checkpoint._CHUNK
+
+    def test_file_that_shrinks_under_the_reader_is_refused(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # the size check passed, then the payload reads come up short: one
+        # byte, then none; without the check the block would keep garbage
+        path = save_bank(tmp_path, ["glaucoma", "feature1"])
+        raw = path.read_bytes()
+        spill = checkpoint._CHUNK - raw.index(_END) - len(_END)
+        assert 0 < spill < len(payload(path))
+        spies = spy_on_opens(monkeypatch, cap=1)
+        expected = (f"{path}: payload size {spill + 1} out of range, "
+                    f"expected {len(payload(path))} bytes")
+        with pytest.raises(IncompatibleCheckpointError) as caught:
+            load_bank(tmp_path)
+        assert str(caught.value) == expected
+        assert spies[0].reads[-2:] == [1, 0]
+        capsys.readouterr()
+        assert cli.main(["infer", "--checkpoint", str(tmp_path),
+                         "--image", str(tmp_path / "x.ppm")]) == 3
+        assert capsys.readouterr().err.rstrip("\n").endswith(expected)
 
 
 class TestBank:
     def test_load_bank_from_directory(self, tmp_path):
-        prep = PreprocessOptions()
-        save_checkpoint(tmp_path / "glaucoma.ckpt", make_model(1), prep, "glaucoma")
-        save_checkpoint(tmp_path / "feature1.ckpt", make_model(2), prep, "feature1")
+        save_bank(tmp_path, ["glaucoma", "feature1"])
         bank = load_bank(tmp_path)
-        assert set(bank.models) == {"glaucoma", "feature1"}
+        assert bank.models == ("glaucoma", "feature1")
         assert bank.config == CFG
 
     def test_single_file_bank(self, tmp_path):
-        save_checkpoint(tmp_path / "glaucoma.ckpt", make_model(1),
-                        PreprocessOptions(), "glaucoma")
-        bank = load_bank(tmp_path / "glaucoma.ckpt")
-        assert set(bank.models) == {"glaucoma"}
+        path = save_bank(tmp_path, ["glaucoma"])
+        bank = load_bank(path)
+        assert bank.models == ("glaucoma",)
 
     def test_mixed_architectures_rejected(self, tmp_path):
-        prep = PreprocessOptions()
-        save_checkpoint(tmp_path / "glaucoma.ckpt", make_model(1), prep, "glaucoma")
-        other = DualHeadViT(ModelConfig(height=32, width=32, patch=16, dim=32,
-                                        depth=1, heads=2, agg_hidden=8),
-                            seed=0, dtype=np.float32)
-        save_checkpoint(tmp_path / "feature1.ckpt", other, prep, "feature1")
-        with pytest.raises(IncompatibleCheckpointError, match="differs"):
+        # model lines of one architecture over the tensors of another
+        path = save_bank(tmp_path, ["glaucoma", "feature1"])
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b"\nmodel.dim = 16\n", b"\nmodel.dim = 32\n", 1))
+        with pytest.raises(IncompatibleCheckpointError,
+                           match=re.escape("reads 'tensor patch_proj.weight 2x768x16 @ 0', "
+                                           "expected 'tensor patch_proj.weight 2x768x32 @ 0'")):
             load_bank(tmp_path)
 
     def test_bank_without_glaucoma_rejected(self, tmp_path):
-        save_checkpoint(tmp_path / "feature1.ckpt", make_model(1),
-                        PreprocessOptions(), "feature1")
+        save_bank(tmp_path, ["feature1"])
         with pytest.raises(IncompatibleCheckpointError, match="glaucoma"):
             load_bank(tmp_path)
 
     def test_empty_directory(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(FileNotFoundError, match=CHECKPOINT_NAME):
             load_bank(tmp_path)
 
 
@@ -200,14 +333,14 @@ class TestAtomicWrites:
 
     def test_failed_checkpoint_write_keeps_the_previous_checkpoint(self, tmp_path,
                                                                    monkeypatch):
-        path = tmp_path / "glaucoma.ckpt"
-        save_checkpoint(path, make_model(seed=1), PreprocessOptions(), "glaucoma")
+        path = tmp_path / CHECKPOINT_NAME
+        save_checkpoint(path, make_model(seed=1), PreprocessOptions(), ["glaucoma"])
         before = path.read_bytes()
         self.fail_midway(monkeypatch)
         with pytest.raises(OSError, match="no space"):
-            save_checkpoint(path, make_model(seed=2), PreprocessOptions(), "glaucoma")
+            save_checkpoint(path, make_model(seed=2), PreprocessOptions(), ["glaucoma"])
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["glaucoma.ckpt"]
+        assert [p.name for p in tmp_path.iterdir()] == [CHECKPOINT_NAME]
 
     def test_failed_report_write_keeps_the_previous_report(self, tmp_path,
                                                            monkeypatch):
@@ -252,32 +385,18 @@ class TestAtomicWrites:
         assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
 
-def save_bank(directory, tasks=TASKS):
-    """One member per task in ``tasks`` (all eleven by default), each with
-    its own weights."""
-    for task in tasks:
-        save_checkpoint(directory / f"{task}.ckpt", make_model(TASKS.index(task)),
-                        PreprocessOptions(), task)
-
-
-def assert_same_stack(a: DualHeadViT, b: DualHeadViT):
-    assert a.config == b.config and a.n_tasks == b.n_tasks
-    assert list(a.params) == list(b.params)
-    for name, t in a.params.items():
-        assert t.data.dtype == b.params[name].data.dtype == np.float32
-        assert t.data.shape == b.params[name].data.shape
-        assert t.data.tobytes() == b.params[name].data.tobytes(), name
-
-
 class TestStackedLoad:
-    """``load_bank`` reads, parses and stacks in one pass; it must give
-    what stacking each member's ``load_checkpoint`` gives."""
+    """A run's checkpoint holds its task stack; loading it must give what
+    stacking each member's own single-task run gives."""
 
     def test_bank_equals_stack_of_loaded_members(self, tmp_path):
         save_bank(tmp_path)
         bank = load_bank(tmp_path)
         assert bank.tasks == tuple(TASKS) and list(bank.models) == TASKS
-        members = DualHeadViT.stack([load_checkpoint(tmp_path / f"{task}.ckpt")[0]
+        for task in TASKS:  # each member saved alone, as its own run
+            (tmp_path / task).mkdir()
+            save_bank(tmp_path / task, [task])
+        members = DualHeadViT.stack([load_checkpoint(tmp_path / task / CHECKPOINT_NAME)[0]
                                      for task in TASKS])
         assert_same_stack(bank.stacked, members)
         image = np.random.default_rng(0).random((3, CFG.height, CFG.width, 3))
@@ -289,12 +408,8 @@ class TestStackedLoad:
 
     def test_one_read_per_file_one_parse_one_model(self, tmp_path, monkeypatch):
         save_bank(tmp_path)
-        reads, builds, binds = [], [], []
+        builds, binds = [], []
         build, bind = kv.build, DualHeadViT._bind
-
-        def counting_open(file, *args, **kwargs):
-            reads.append(Path(file).name)
-            return open(file, *args, **kwargs)
 
         def counting_build(*args):
             builds.append(args[1])
@@ -304,70 +419,69 @@ class TestStackedLoad:
             binds.append(self)
             return bind(self, *args)
 
-        monkeypatch.setattr(checkpoint, "open", counting_open, raising=False)
+        spies = spy_on_opens(monkeypatch)
         monkeypatch.setattr(kv, "build", counting_build)
         monkeypatch.setattr(DualHeadViT, "_bind", counting_bind)
         bank = load_bank(tmp_path)
-        assert sorted(reads) == sorted(f"{task}.ckpt" for task in TASKS)
-        assert builds == ["model", "prep"]  # the members share one header text
+        # one open, one header read, then one read of the rest of the payload
+        [spy] = spies
+        size = (tmp_path / CHECKPOINT_NAME).stat().st_size
+        assert spy.reads == [checkpoint._CHUNK, size - checkpoint._CHUNK]
+        assert builds == ["model", "prep"]
         assert binds == [bank.stacked] and bank.stacked.n_tasks == len(TASKS)
 
     def test_member_with_equal_settings_in_other_text_is_refused(self, tmp_path):
         # "yes" and "true" parse to the same flag, but the writer spells it
         # "true": a header in any other text than the writer's is refused
-        save_bank(tmp_path)
-        path = tmp_path / "feature3.ckpt"
+        path = save_bank(tmp_path)
         raw = path.read_bytes()
         assert b"\nprep.od_crop = true\n" in raw
         path.write_bytes(raw.replace(b"\nprep.od_crop = true\n",
                                      b"\nprep.od_crop = yes\n", 1))
-        with pytest.raises(IncompatibleCheckpointError, match="feature3.ckpt"):
+        with pytest.raises(IncompatibleCheckpointError, match=CHECKPOINT_NAME):
             load_bank(tmp_path)
 
 
-def payload(path):
-    raw = path.read_bytes()
-    return raw[raw.index(b"\n---\n") + 5:]
-
-
-def with_nan(path):
-    """``path`` with its last parameter value replaced by NaN."""
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-4] + np.float32(np.nan).tobytes())
-
-
-def assert_loads_as_saved(path, model, task):
-    loaded, _, loaded_task = load_checkpoint(path)
-    assert loaded_task == task and loaded.config == model.config
-    assert_same_stack(loaded, model)
+def retasked(path, tasks, k=None):
+    """Rewrite ``path`` with its header naming ``tasks`` and, if ``k`` is
+    given, tensor lines for a stack of ``k``; the payload stays."""
+    model, prep, _ = load_checkpoint(path)
+    tensor_lines, _ = _layout(model.parameter_shapes(model.config),
+                              len(tasks) if k is None else k)
+    path.write_bytes(_header(model.config, prep, tasks, tensor_lines) + _END
+                     + payload(path))
 
 
 class TestBlockLoad:
-    """Each member's payload is read from its file straight into its row of
-    one (K, P) block; every parameter is a view of that block's columns."""
+    """A checkpoint's payload is read from its file straight into one
+    float32 block; every parameter is a contiguous view of that block."""
 
     @pytest.mark.parametrize("tasks, single", [
         (TASKS, False), (["glaucoma"], True), (["glaucoma"], False),
         (["glaucoma", "feature3", "feature10"], False)])
-    def test_parameters_are_column_views_of_one_block(self, tmp_path, tasks, single):
-        save_bank(tmp_path, tasks)
-        bank = load_bank(tmp_path / "glaucoma.ckpt" if single else tmp_path)
+    def test_parameters_are_consecutive_views_of_one_block(self, tmp_path, tasks, single):
+        path = save_bank(tmp_path, tasks)
+        bank = load_bank(path if single else tmp_path)
         assert bank.tasks == tuple(tasks)
         arrays = [t.data for t in bank.stacked.params.values()]
         block = arrays[0].base
-        assert block.flags.c_contiguous and block.dtype == np.float32
-        assert block.shape == (len(tasks), sum(a[0].size for a in arrays))
-        assert all(a.base is block and np.shares_memory(a, block) for a in arrays)
-        # row k is task k's payload, as its file holds it, in task order
-        for row, task in zip(block, bank.tasks):
-            assert row.tobytes() == payload(tmp_path / f"{task}.ckpt")
+        assert block.flags.c_contiguous and block.dtype == np.float32 and block.ndim == 1
+        # the block is the payload as the file holds it, each parameter's
+        # (K, ...) array in turn
+        assert block.tobytes() == payload(path)
+        start, offset = block.__array_interface__["data"][0], 0
+        for a in arrays:
+            assert a.base is block and a.flags.c_contiguous and len(a) == len(tasks)
+            assert a.__array_interface__["data"][0] - start == offset
+            offset += a.nbytes
+        assert offset == block.nbytes
 
     def test_full_resolution_round_trips_bit_exactly(self, tmp_path):
         model = DualHeadViT(ModelConfig.full_resolution(), seed=3, dtype=np.float32)
-        path = tmp_path / "glaucoma.ckpt"
-        save_checkpoint(path, model, PreprocessOptions(), "glaucoma")
+        path = tmp_path / CHECKPOINT_NAME
+        save_checkpoint(path, model, PreprocessOptions(), ["glaucoma"])
         assert len(payload(path)) == 4 * model.config.param_count() > 1_000_000
-        assert_loads_as_saved(path, model, "glaucoma")
+        assert_loads_as_saved(path, model, ["glaucoma"])
         bank = load_bank(tmp_path)
         assert_same_stack(bank.stacked, model)
 
@@ -376,51 +490,62 @@ class TestBlockLoad:
                           agg_hidden=4, mlp_hidden=8)
         model = DualHeadViT(cfg, seed=1, dtype=np.float32)
         path = tmp_path / "feature2.ckpt"
-        save_checkpoint(path, model, PreprocessOptions(), "feature2")
-        assert path.read_bytes().index(b"\n---\n") > checkpoint._CHUNK
-        assert_loads_as_saved(path, model, "feature2")
+        save_checkpoint(path, model, PreprocessOptions(), ["feature2"])
+        assert path.read_bytes().index(_END) > checkpoint._CHUNK
+        assert_loads_as_saved(path, model, ["feature2"])
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 64])
     def test_terminator_split_across_reads_is_found(self, tmp_path, monkeypatch, chunk):
-        save_bank(tmp_path, ["glaucoma", "feature1"])
+        # the magic is checked, and the terminator searched, across reads
+        path = save_bank(tmp_path, ["glaucoma", "feature1"])
         monkeypatch.setattr(checkpoint, "_CHUNK", chunk)
         bank = load_bank(tmp_path)
-        for row, task in zip(bank.stacked.params["cls_token"].data.base, bank.tasks):
-            assert row.tobytes() == payload(tmp_path / f"{task}.ckpt")
+        assert bank.stacked.params["cls_token"].data.base.tobytes() == payload(path)
 
     @staticmethod
-    def fault(name, bank):
-        """Damage the bank ``bank`` (glaucoma and feature1 members) in one
-        way; the path the error names."""
-        member = bank / "feature1.ckpt"
-        raw = member.read_bytes()
+    def fault(name, path):
+        """Damage the checkpoint ``path`` (glaucoma and feature1) in one way;
+        the message's fields beyond the path."""
+        raw = path.read_bytes()
+        size = len(payload(path))
+        header_lines = raw[:raw.index(_END)].split(b"\n")
+        first_tensor = next(i for i, line in enumerate(header_lines)
+                            if line.startswith(b"tensor ")) + 1
         if name == "missing member":
-            member.unlink()
-            member.symlink_to(bank / "nowhere.ckpt")
+            path.unlink()
+            path.symlink_to(path.parent / "nowhere.ckpt")
         elif name == "directory member":
-            member.unlink()
-            member.mkdir()
+            path.unlink()
+            path.mkdir()
         elif name == "fifo member":
-            member.unlink()
-            os.mkfifo(member)
+            path.unlink()
+            os.mkfifo(path)
         elif name == "truncated payload":
-            member.write_bytes(raw[:-32])
+            path.write_bytes(raw[:-32])
         elif name == "trailing bytes":
-            member.write_bytes(raw + b"\0" * 8)
+            path.write_bytes(raw + b"\0" * 8)
         elif name == "non-finite value":
-            with_nan(member)
+            with_nan(path)
         elif name == "duplicate task":
-            save_checkpoint(bank / "glaucoma2.ckpt", make_model(7), PreprocessOptions(),
-                            "glaucoma")
-            return bank / "glaucoma2.ckpt"
-        elif name == "other settings":  # the second member in file order
-            save_checkpoint(bank / "glaucoma.ckpt", make_model(0),
-                            PreprocessOptions(od_crop=False), "glaucoma")
-            return bank / "glaucoma.ckpt"
+            retasked(path, ("glaucoma", "glaucoma"))
+        elif name == "other settings":  # model lines another run's, tensors this one's
+            path.write_bytes(raw.replace(b"\nmodel.dim = 16\n", b"\nmodel.dim = 32\n", 1))
         elif name == "no glaucoma":
-            (bank / "glaucoma.ckpt").unlink()
-            return bank
-        return member
+            save_bank(path.parent, ["feature1"])
+        elif name == "unknown task":
+            retasked(path, ("glaucoma", "feature11"))
+        elif name == "tasks out of order":
+            retasked(path, ("feature1", "glaucoma"))
+        elif name == "empty tasks":
+            save_bank(path.parent, ["glaucoma"])
+            path.write_bytes(path.read_bytes().replace(b"\ntasks = glaucoma\n",
+                                                       b"\ntasks = \n", 1))
+        elif name == "task count off the tensors":  # three tasks, tensors of two
+            retasked(path, ("glaucoma", "feature1", "feature2"), k=2)
+        elif name == "task count off the payload":  # three tasks, payload of two
+            retasked(path, ("glaucoma", "feature1", "feature2"))
+        return dict(size=size, size_cut=size - 32, size_long=size + 8,
+                    size_three=size // 2 * 3, first_tensor=first_tensor)
 
     @pytest.mark.parametrize("name, error, message, code", [
         ("missing member", FileNotFoundError, "checkpoint not found: {}", 2),
@@ -433,19 +558,28 @@ class TestBlockLoad:
         ("non-finite value", IncompatibleCheckpointError,
          "{}: non-finite parameter values", 3),
         ("duplicate task", IncompatibleCheckpointError,
-         "{}: duplicate task 'glaucoma'", 3),
+         "{}: tasks must be distinct and in TASKS order, got ('glaucoma', 'glaucoma')", 3),
         ("other settings", IncompatibleCheckpointError,
-         "{}: configuration differs from the rest of the bank", 3),
+         "{}: header line {first_tensor} reads 'tensor patch_proj.weight 2x768x16 @ 0', "
+         "expected 'tensor patch_proj.weight 2x768x32 @ 0'", 3),
         ("no glaucoma", IncompatibleCheckpointError,
          "{}: bank has no glaucoma classifier", 3),
+        ("unknown task", IncompatibleCheckpointError,
+         "{}: tasks must be distinct and in TASKS order, got ('glaucoma', 'feature11')", 3),
+        ("tasks out of order", IncompatibleCheckpointError,
+         "{}: tasks must be distinct and in TASKS order, got ('feature1', 'glaucoma')", 3),
+        ("empty tasks", IncompatibleCheckpointError,
+         "{}: tasks must be distinct and in TASKS order, got ('',)", 3),
+        ("task count off the tensors", IncompatibleCheckpointError,
+         "{}: header line {first_tensor} reads 'tensor patch_proj.weight 2x768x16 @ 0', "
+         "expected 'tensor patch_proj.weight 3x768x16 @ 0'", 3),
+        ("task count off the payload", IncompatibleCheckpointError,
+         "{}: payload size {size} out of range, expected {size_three} bytes", 3),
     ])
     def test_each_single_fault_keeps_its_error_and_exit_code(self, tmp_path, capsys,
                                                              name, error, message, code):
-        save_bank(tmp_path, ["glaucoma", "feature1"])
-        size = len(payload(tmp_path / "glaucoma.ckpt"))
-        named = self.fault(name, tmp_path)
-        expected = message.format(named, size=size, size_cut=size - 32,
-                                  size_long=size + 8)
+        path = save_bank(tmp_path, ["glaucoma", "feature1"])
+        expected = message.format(path, **self.fault(name, path))
         with pytest.raises(error) as caught:
             load_bank(tmp_path)
         assert str(caught.value) == expected
@@ -454,49 +588,38 @@ class TestBlockLoad:
                          "--image", str(tmp_path / "x.ppm")]) == code
         assert capsys.readouterr().err.rstrip("\n").endswith(expected)
 
-    def test_files_fail_in_file_order(self, tmp_path):
-        # two faulty members: the first file in sorted order is reported,
-        # whether its fault is in the payload or the header
-        save_bank(tmp_path, ["glaucoma", "feature1"])
-        with_nan(tmp_path / "feature1.ckpt")
-        save_checkpoint(tmp_path / "glaucoma.ckpt", make_model(1),
-                        PreprocessOptions(od_crop=False), "glaucoma")
-        with pytest.raises(IncompatibleCheckpointError, match="feature1.ckpt: non-finite"):
-            load_bank(tmp_path)
-
     def test_header_faults_come_before_the_payload_of_the_same_file(self, tmp_path):
-        # one member with a non-finite payload that also repeats a task or
-        # has other settings: its header's fault is reported (the settings
-        # are checked before its payload is read into the block)
-        save_bank(tmp_path, ["feature1", "glaucoma"])
-        save_checkpoint(tmp_path / "glaucoma2.ckpt", make_model(7), PreprocessOptions(),
-                        "glaucoma")
-        with_nan(tmp_path / "glaucoma2.ckpt")
+        # a non-finite payload under a header that repeats a task or has
+        # other settings: the header's fault is reported (the header is
+        # checked before the payload is read into the block)
+        path = save_bank(tmp_path, ["glaucoma", "feature1"])
+        retasked(path, ("glaucoma", "glaucoma"))
+        with_nan(path)
         with pytest.raises(IncompatibleCheckpointError,
-                           match="glaucoma2.ckpt: duplicate task 'glaucoma'"):
+                           match=re.escape(f"{path}: tasks must be distinct")):
             load_bank(tmp_path)
-        (tmp_path / "glaucoma2.ckpt").unlink()
-        save_checkpoint(tmp_path / "glaucoma.ckpt", make_model(1),
-                        PreprocessOptions(od_crop=False), "glaucoma")
-        with_nan(tmp_path / "glaucoma.ckpt")
+        save_bank(tmp_path, ["glaucoma", "feature1"])
+        with_nan(path)
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b"\nmodel.dim = 16\n", b"\nmodel.dim = 32\n", 1))
         with pytest.raises(IncompatibleCheckpointError,
-                           match="glaucoma.ckpt: configuration differs"):
+                           match=re.escape(f"{path}: header line")):
             load_bank(tmp_path)
 
 
-# bytes that move line and key boundaries around the task line
-BOUNDARY = st.sampled_from(b"\n\r\x0b\x0c\x1c\x1d\x1e =.tk1glaucomafeature")
+# bytes that move line and key boundaries around the tasks line
+BOUNDARY = st.sampled_from(b"\n\r\x0b\x0c\x1c\x1d\x1e =.tks1glaucomafeature")
 
 
 @st.composite
 def damaged_header(draw, raw: bytes) -> bytes:
-    """``raw`` with one to three byte edits, most in or near its task line."""
+    """``raw`` with one to three byte edits, most in or near its tasks line."""
     buf = bytearray(raw)
-    line = raw.index(b"\ntask = ")
-    header_end = raw.index(b"\n---\n")
+    line = raw.index(b"\ntasks = ")
+    header_end = raw.index(_END)
     for _ in range(draw(st.integers(1, 3))):
-        pos = draw(st.one_of(st.integers(line + 8, line + 16),  # the task name
-                             st.integers(max(0, line - 12), line + 24),
+        pos = draw(st.one_of(st.integers(line + 9, line + 26),  # the task names
+                             st.integers(max(0, line - 12), line + 32),
                              st.integers(0, header_end)))
         op = draw(st.sampled_from(["replace", "insert", "delete"]))
         byte = draw(st.one_of(BOUNDARY, st.integers(0, 255)))
@@ -509,73 +632,43 @@ def damaged_header(draw, raw: bytes) -> bytes:
     return bytes(buf)
 
 
-def outcome(load):
-    try:
-        return load()
-    except (FileNotFoundError, IncompatibleCheckpointError) as exc:
-        return type(exc), str(exc)
-
-
-def assert_bank_loads_as_its_members(root):
-    """``load_bank(root)`` on two members, against what loading each member
-    alone implies: the first member's error, then the second's, then a
-    duplicate task, other settings or no glaucoma member, else their stack."""
-    first, second = [outcome(lambda: load_checkpoint(p)) for p in sorted(root.iterdir())]
-    bank = outcome(lambda: load_bank(root))
-    failed = [o for o in (first, second) if not isinstance(o[0], DualHeadViT)]
-    if failed:
-        assert bank == failed[0]
-        return
-    if first[2] == second[2]:
-        assert bank[0] is IncompatibleCheckpointError and "duplicate task" in bank[1]
-    elif (first[0].config, first[1]) != (second[0].config, second[1]):
-        assert bank[0] is IncompatibleCheckpointError and "differs" in bank[1]
-    elif "glaucoma" not in (first[2], second[2]):
-        assert bank[0] is IncompatibleCheckpointError and "no glaucoma" in bank[1]
-    else:
-        order = sorted((first, second), key=lambda o: TASKS.index(o[2]))
-        assert bank.tasks == tuple(o[2] for o in order)
-        assert_same_stack(bank.stacked, DualHeadViT.stack([o[0] for o in order]))
-
-
-def two_members(root):
-    prep = PreprocessOptions()
-    save_checkpoint(root / "a.ckpt", make_model(1), prep, "glaucoma")
-    save_checkpoint(root / "b.ckpt", make_model(2), prep, "feature1")
-    return root / "a.ckpt", root / "b.ckpt"
-
-
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_reused_header_parse_matches_a_fresh_parse(tmp_path_factory, data):
-    # a bank parses a header text once and reuses it for members that differ
-    # only in their task line; damaged members must load, or fail, exactly
-    # as they do alone
+def test_damaged_header_loads_only_as_the_writers_bytes(tmp_path_factory, data):
+    # a damaged file is refused, naming it, unless the writer writes exactly
+    # its bytes for what it loads as (a task renamed to another task, say)
     root = tmp_path_factory.mktemp("bank")
-    for path in two_members(root):
-        raw = path.read_bytes()
-        path.write_bytes(data.draw(st.one_of(st.just(raw), damaged_header(raw))))
-    assert_bank_loads_as_its_members(root)
+    path = save_bank(root, ["glaucoma", "feature1"])
+    damaged = data.draw(damaged_header(path.read_bytes()))
+    path.write_bytes(damaged)
+    try:
+        model, prep, tasks = load_checkpoint(path)
+    except IncompatibleCheckpointError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    save_checkpoint(root / "again.ckpt", model, prep, tasks)
+    assert (root / "again.ckpt").read_bytes() == damaged
 
 
-# splitlines() also ends a line at "\r", so each first header below parses
-# like an intact one; its task line, cut at "\n", is not a whole line
-@pytest.mark.parametrize("first, second", [
-    # the text after a task line joined to the first tensor line by "\r"
-    # matches a second member that lacks that tensor line
-    ((b"task = glaucoma\n", b"task = glaucoma\r"),
-     (b"task = feature1\ntensor patch_proj.weight 768x16 @ 0\n", b"task = feature1\n")),
-    ((b"task = glaucoma\n", b"task = glaucoma\r\n"), None),
-    ((b"\ntask = glaucoma\n", b"\rtask = glaucoma\n"), None),
-    ((b"task = glaucoma\n", b"task = glaucoma\ntask = feature1\n"), None),
-    # only the task differs from the first header, and it is no task
-    (None, (b"task = feature1\n", b"task = feature11\n")),
-])
-def test_task_line_edge_cases_load_as_their_members(tmp_path, first, second):
-    for path, edit in zip(two_members(tmp_path), (first, second)):
-        if edit is not None:
-            raw = path.read_bytes()
-            assert edit[0] in raw
-            path.write_bytes(raw.replace(*edit, 1))
-    assert_bank_loads_as_its_members(tmp_path)
+# tasks lines that split, join or respell the line, or name no task; each
+# is refused
+@pytest.mark.parametrize("edit", [
+    (b"tasks = glaucoma feature1\n", b"tasks = glaucoma feature1\r"),
+    (b"tasks = glaucoma feature1\n", b"tasks = glaucoma feature1\r\n"),
+    (b"\ntasks = glaucoma", b"\rtasks = glaucoma"),
+    (b"tasks = glaucoma feature1\n", b"tasks = glaucoma feature1\ntasks = glaucoma feature1\n"),
+    (b"tasks = glaucoma feature1\n", b"tasks = glaucoma  feature1\n"),
+    (b"tasks = glaucoma feature1\n", b"tasks = glaucoma feature1 \n"),
+    (b"tasks = glaucoma feature1\n", b"tasks = glaucoma,feature1\n"),
+    (b"tasks = glaucoma feature1\n", b"task = glaucoma feature1\n"),
+    (b"tasks = glaucoma feature1\n", b"tasks = glaucoma feature11\n"),
+], ids=["cr", "crlf", "cr-before", "twice", "two-spaces", "trailing-space", "comma",
+        "v1-key", "no-task"])
+def test_tasks_line_edge_cases_are_refused(tmp_path, edit):
+    path = save_bank(tmp_path, ["glaucoma", "feature1"])
+    raw = path.read_bytes()
+    assert edit[0] in raw
+    path.write_bytes(raw.replace(*edit, 1))
+    with pytest.raises(IncompatibleCheckpointError, match=re.escape(f"{path}: ")):
+        load_bank(tmp_path)

@@ -123,6 +123,8 @@ class TestExitCodes:
         assert f"config error: {unset} is not set" in capsys.readouterr().err
 
     def test_incompatible_bank_is_three(self, tmp_path, workspace, capsys):
+        # a checkpoint of the old one-file-per-task format, and one whose
+        # model lines name another architecture than its tensors
         from fundusvit.checkpoint import save_checkpoint
         from fundusvit.dataset import PreprocessOptions
         from fundusvit.model import DualHeadViT, ModelConfig
@@ -130,15 +132,19 @@ class TestExitCodes:
         root, data, config = workspace
         bank = tmp_path / "bank"
         bank.mkdir()
-        a = DualHeadViT(ModelConfig(height=32, width=32, patch=16, dim=16,
-                                    depth=1, heads=2, agg_hidden=8), 0, np.float32)
-        b = DualHeadViT(ModelConfig(height=32, width=32, patch=16, dim=32,
-                                    depth=1, heads=2, agg_hidden=8), 0, np.float32)
-        save_checkpoint(bank / "glaucoma.ckpt", a, PreprocessOptions(), "glaucoma")
-        save_checkpoint(bank / "feature1.ckpt", b, PreprocessOptions(), "feature1")
-        assert run_cli(["eval", "--checkpoint", bank,
-                        "--manifest", data / "manifest.tsv",
-                        "--out", tmp_path / "r.txt"]) == 3
+        model = DualHeadViT(ModelConfig(height=32, width=32, patch=16, dim=16,
+                                        depth=1, heads=2, agg_hidden=8), 0, np.float32)
+        save_checkpoint(bank / "model.ckpt", DualHeadViT.stack([model] * 2),
+                        PreprocessOptions(), ["glaucoma", "feature1"])
+        raw = (bank / "model.ckpt").read_bytes()
+        for old, new in [(b"fundusvit-checkpoint v2\n", b"fundusvit-checkpoint v1\n"),
+                         (b"\nmodel.dim = 16\n", b"\nmodel.dim = 32\n")]:
+            (bank / "model.ckpt").write_bytes(raw.replace(old, new, 1))
+            capsys.readouterr()
+            assert run_cli(["eval", "--checkpoint", bank,
+                            "--manifest", data / "manifest.tsv",
+                            "--out", tmp_path / "r.txt"]) == 3
+            assert f"{bank / 'model.ckpt'}: header line " in capsys.readouterr().err
 
 
 def _tensor_line(lines, name):
@@ -151,7 +157,7 @@ def _replace_line(prefix, new):
 
 
 def _drop_last_tensor(lines, body):
-    # the final tensor is final_fc.bias, 1x2 float32
+    # the final tensor is final_fc.bias, 1x1x2 float32
     return lines[:-1], body[:-8]
 
 
@@ -204,7 +210,7 @@ MALFORMED_CHECKPOINTS = {
 EDIT_MODEL = ModelConfig(height=32, width=32, patch=16, dim=16, depth=1, heads=2,
                          agg_hidden=8, activation="gelu")
 EDIT_PREP = PreprocessOptions(od_crop=False, bg_tau=30)
-# magic, model.*, prep.*, task and one tensor line per parameter
+# magic, model.*, prep.*, tasks and one tensor line per parameter
 EDIT_LINES = (1 + len(fields(ModelConfig)) + len(fields(PreprocessOptions)) + 1
               + len(DualHeadViT.parameter_shapes(EDIT_MODEL)))
 
@@ -235,8 +241,8 @@ HEADER_EDITS = {
 def edit_checkpoint(workspace, tmp_path_factory):
     """A saved checkpoint's header lines and payload, and an image to score."""
     root, data, config = workspace
-    path = tmp_path_factory.mktemp("edit") / "glaucoma.ckpt"
-    save_checkpoint(path, DualHeadViT(EDIT_MODEL, 3), EDIT_PREP, "glaucoma")
+    path = tmp_path_factory.mktemp("edit") / "model.ckpt"
+    save_checkpoint(path, DualHeadViT(EDIT_MODEL, 3), EDIT_PREP, ["glaucoma"])
     head, _, body = path.read_bytes().partition(b"\n---\n")
     lines = head.decode("ascii").split("\n")
     assert len(lines) == EDIT_LINES
@@ -248,10 +254,10 @@ class TestHeaderEdits:
 
     def test_intact_header_loads(self, edit_checkpoint, tmp_path):
         lines, body, image = edit_checkpoint
-        path = tmp_path / "glaucoma.ckpt"
+        path = tmp_path / "model.ckpt"
         path.write_bytes("\n".join(lines).encode("ascii") + b"\n---\n" + body)
-        model, prep, task = load_checkpoint(path)
-        assert (model.config, prep, task) == (EDIT_MODEL, EDIT_PREP, "glaucoma")
+        model, prep, tasks = load_checkpoint(path)
+        assert (model.config, prep, tasks) == (EDIT_MODEL, EDIT_PREP, ("glaucoma",))
         assert run_cli(["infer", "--checkpoint", path, "--image", image]) == 0
 
     @pytest.mark.parametrize("case", list(HEADER_EDITS))
@@ -259,7 +265,7 @@ class TestHeaderEdits:
                                                        tmp_path, capsys):
         lines, body, image = edit_checkpoint
         edited, first = HEADER_EDITS[case](lines)
-        path = tmp_path / "glaucoma.ckpt"
+        path = tmp_path / "model.ckpt"
         path.write_bytes("\n".join(edited).encode("ascii") + b"\n---\n" + body)
         capsys.readouterr()
         assert run_cli(["infer", "--checkpoint", path, "--image", image]) == 3
@@ -280,14 +286,14 @@ class TestMalformedInputs:
                                         depth=1, heads=2, agg_hidden=8), 7,
                             np.float32)
         good = tmp_path / "good.ckpt"
-        save_checkpoint(good, model, PreprocessOptions(), "glaucoma")
+        save_checkpoint(good, model, PreprocessOptions(), ["glaucoma"])
         image = data / "images" / "img0000.ppm"
         assert run_cli(["infer", "--checkpoint", good, "--image", image]) == 0
 
         head, sep, body = good.read_bytes().partition(b"\n---\n")
         lines, body = MALFORMED_CHECKPOINTS[case](head.decode("ascii").split("\n"),
                                                   body)
-        bad = tmp_path / "glaucoma.ckpt"
+        bad = tmp_path / "model.ckpt"
         bad.write_bytes("\n".join(lines).encode("utf-8") + sep + body)
         capsys.readouterr()
         assert run_cli(["infer", "--checkpoint", bad, "--image", image]) == 3
@@ -354,9 +360,9 @@ class TestMalformedInputs:
         manifest = data / "manifest.tsv"
         afile = tmp_path / "afile"
         afile.write_text("not a directory\n")
-        ckpt = tmp_path / "glaucoma.ckpt"
+        ckpt = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, DualHeadViT(load_config(config).model, 0),
-                        load_config(config).prep, "glaucoma")
+                        load_config(config).prep, ["glaucoma"])
         prepared = []
         monkeypatch.setattr(training, "prepare_input", lambda *a: prepared.append(a))
         monkeypatch.setattr(dataset, "prepare_input", lambda *a: prepared.append(a))
@@ -401,10 +407,10 @@ class TestMalformedInputs:
         capsys.readouterr()
         assert run_cli(["train", "--config", bad_config, "--out", tmp_path / "run"]) == 1
         assert "image is 64x64, the manifest lists 128x128" in capsys.readouterr().err
-        assert not (tmp_path / "run" / "glaucoma.ckpt").exists()
-        ckpt = tmp_path / "glaucoma.ckpt"
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+        ckpt = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, DualHeadViT(load_config(config).model, 0),
-                        load_config(config).prep, "glaucoma")
+                        load_config(config).prep, ["glaucoma"])
         assert run_cli(["eval", "--checkpoint", ckpt, "--manifest", bad,
                         "--out", tmp_path / "r.txt"]) == 1
         err = capsys.readouterr().err
@@ -465,7 +471,7 @@ class TestTrainEvalInfer:
     def test_train_writes_checkpoint_and_log(self, workspace):
         root, data, config = workspace
         assert run_cli(["train", "--config", config]) == 0
-        assert (root / "run" / "glaucoma.ckpt").is_file()
+        assert (root / "run" / "model.ckpt").is_file()
         log = (root / "run" / "glaucoma.log").read_text()
         assert "train.seed = 5" in log            # config echoed for provenance
         assert "epoch=0" in log and "epoch=1" in log
@@ -513,7 +519,7 @@ class TestTrainEvalInfer:
             raw = path.read_bytes()
             return raw[raw.find(b"\n---\n"):]
 
-        assert payload(off / "glaucoma.ckpt") != payload(on / "glaucoma.ckpt")
+        assert payload(off / "model.ckpt") != payload(on / "model.ckpt")
 
     def test_eval_report_and_cross_check(self, workspace, tmp_path):
         root, data, config = workspace
@@ -521,7 +527,7 @@ class TestTrainEvalInfer:
         report_path = tmp_path / "report.txt"
         scores_path = tmp_path / "scores.tsv"
         roc_path = tmp_path / "roc.tsv"
-        assert run_cli(["eval", "--checkpoint", root / "run" / "glaucoma.ckpt",
+        assert run_cli(["eval", "--checkpoint", root / "run",
                         "--manifest", data / "manifest.tsv",
                         "--out", report_path, "--scores-out", scores_path,
                         "--roc-out", roc_path]) == 0
@@ -551,7 +557,7 @@ class TestTrainEvalInfer:
         run_cli(["train", "--config", config])
         report, roc, scores = (tmp_path / name / "file.tsv"
                                for name in ("report", "roc", "scores"))
-        assert run_cli(["eval", "--checkpoint", root / "run" / "glaucoma.ckpt",
+        assert run_cli(["eval", "--checkpoint", root / "run",
                         "--manifest", data / "manifest.tsv", "--out", report,
                         "--roc-out", roc, "--scores-out", scores]) == 0
         assert report.read_text().startswith("tpr_at_95 = ")
@@ -564,7 +570,7 @@ class TestTrainEvalInfer:
         root, data, config = workspace
         run_cli(["train", "--config", config])
         report = tmp_path / "report.txt"
-        assert run_cli(["eval", "--checkpoint", root / "run" / "glaucoma.ckpt",
+        assert run_cli(["eval", "--checkpoint", root / "run",
                         "--manifest", data / "manifest.tsv", "--out", report,
                         "--threshold", value]) == 1
         assert "--threshold" in capsys.readouterr().err
@@ -574,7 +580,7 @@ class TestTrainEvalInfer:
         root, data, config = workspace
         run_cli(["train", "--config", config])
         report = tmp_path / "report.txt"
-        assert run_cli(["eval", "--checkpoint", root / "run" / "glaucoma.ckpt",
+        assert run_cli(["eval", "--checkpoint", root / "run",
                         "--manifest", data / "manifest.tsv", "--out", report,
                         "--threshold", "1"]) == 0
         assert "feature_threshold = 1.000000" in report.read_text()
@@ -583,9 +589,9 @@ class TestTrainEvalInfer:
         root, data, config = workspace
         run_cli(["train", "--config", config])
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        run_cli(["eval", "--checkpoint", root / "run" / "glaucoma.ckpt",
+        run_cli(["eval", "--checkpoint", root / "run",
                  "--manifest", data / "manifest.tsv", "--out", a])
-        run_cli(["eval", "--checkpoint", root / "run" / "glaucoma.ckpt",
+        run_cli(["eval", "--checkpoint", root / "run",
                  "--manifest", data / "manifest.tsv", "--out", b])
         assert a.read_bytes() == b.read_bytes()
 
@@ -594,7 +600,7 @@ class TestTrainEvalInfer:
         run_cli(["train", "--config", config])
         capsys.readouterr()  # drop the train command's output
         image = data / "images" / "img0000.ppm"
-        assert run_cli(["infer", "--checkpoint", root / "run" / "glaucoma.ckpt",
+        assert run_cli(["infer", "--checkpoint", root / "run",
                         "--image", image]) == 0
         captured = capsys.readouterr()
         assert "fallback: full image" in captured.err
@@ -611,7 +617,7 @@ class TestTrainEvalInfer:
         run_cli(["train", "--config", config])
         capsys.readouterr()
         image = data / "images" / "img0001.ppm"
-        ckpt = root / "run" / "glaucoma.ckpt"
+        ckpt = root / "run"
         run_cli(["infer", "--checkpoint", ckpt, "--image", image])
         without = capsys.readouterr().out
         det = tmp_path / "full.txt"
@@ -631,7 +637,7 @@ class TestTrainEvalInfer:
         capsys.readouterr()  # drop the train command's output
         det = tmp_path / "tiny.txt"
         det.write_text("0 0.5 0.5 0.0001 0.0001 0.9\n")
-        assert run_cli(["infer", "--checkpoint", root / "run" / "glaucoma.ckpt",
+        assert run_cli(["infer", "--checkpoint", root / "run",
                         "--image", data / "images" / "img0000.ppm",
                         "--detection", det]) == 0
         assert capsys.readouterr().out.startswith("glaucoma ")
@@ -645,7 +651,7 @@ class TestTrainEvalInfer:
         run_cli(["train", "--config", config])
         image = tmp_path / "empty.ppm"
         image.write_bytes(header)
-        assert run_cli(["infer", "--checkpoint", root / "run" / "glaucoma.ckpt",
+        assert run_cli(["infer", "--checkpoint", root / "run",
                         "--image", image]) == 1
         assert "extents must be positive" in capsys.readouterr().err
 
@@ -653,7 +659,7 @@ class TestTrainEvalInfer:
         root, data, config = workspace
         run_cli(["train", "--config", config])
         capsys.readouterr()  # drop the train command's output
-        assert run_cli(["infer", "--checkpoint", root / "run" / "glaucoma.ckpt",
+        assert run_cli(["infer", "--checkpoint", root / "run",
                         "--image", data / "images" / "img0000.ppm",
                         "--detection", tmp_path / "ghost.txt"]) == 2
         captured = capsys.readouterr()
@@ -664,7 +670,7 @@ class TestTrainEvalInfer:
     def test_infer_missing_image_is_two(self, workspace, tmp_path):
         root, data, config = workspace
         run_cli(["train", "--config", config])
-        assert run_cli(["infer", "--checkpoint", root / "run" / "glaucoma.ckpt",
+        assert run_cli(["infer", "--checkpoint", root / "run",
                         "--image", tmp_path / "ghost.ppm"]) == 2
 
     def test_infer_bank_prints_feature_lines(self, workspace, tmp_path):
@@ -672,12 +678,11 @@ class TestTrainEvalInfer:
 
         root, data, config = workspace
         run_cli(["train", "--config", config])
-        model, prep, _ = load_checkpoint(root / "run" / "glaucoma.ckpt")
+        model, prep, _ = load_checkpoint(root / "run" / "model.ckpt")
         bank = tmp_path / "bank"
         bank.mkdir()
-        save_checkpoint(bank / "glaucoma.ckpt", model, prep, "glaucoma")
-        save_checkpoint(bank / "feature1.ckpt", model, prep, "feature1")
-        save_checkpoint(bank / "feature2.ckpt", model, prep, "feature2")
+        save_checkpoint(bank / "model.ckpt", DualHeadViT.stack([model] * 3), prep,
+                        ["glaucoma", "feature1", "feature2"])
         out = subprocess.run(
             [sys.executable, "-m", "fundusvit.cli", "infer",
              "--checkpoint", str(bank),
@@ -696,12 +701,12 @@ class TestColdImports:
 
         root, data, config = workspace
         run_cli(["train", "--config", config])
-        model, prep, _ = load_checkpoint(root / "run" / "glaucoma.ckpt")
+        model, prep, _ = load_checkpoint(root / "run" / "model.ckpt")
         assert prep.od_crop and prep.bg_removal
         bank = tmp_path / "bank"
         bank.mkdir()
-        for task in ("glaucoma", "feature1"):
-            save_checkpoint(bank / f"{task}.ckpt", model, prep, task)
+        save_checkpoint(bank / "model.ckpt", DualHeadViT.stack([model] * 2), prep,
+                        ["glaucoma", "feature1"])
         code = ("import sys\n"
                 "from fundusvit import cli\n"
                 "try:\n"

@@ -29,8 +29,8 @@ def inputs(tmp_path_factory):
     """A checkpoint, and the bytes of a good image and its detection file."""
     root = tmp_path_factory.mktemp("inputfuzz")
     manifest = generate_dataset(root / "data", n=1, seed=2, size=64)
-    ckpt = root / "glaucoma.ckpt"
-    save_checkpoint(ckpt, DualHeadViT(CFG, seed=0), PreprocessOptions(), "glaucoma")
+    ckpt = root / "model.ckpt"
+    save_checkpoint(ckpt, DualHeadViT(CFG, seed=0), PreprocessOptions(), ["glaucoma"])
     data = manifest.parent
     return (ckpt, (data / "images" / "img0000.ppm").read_bytes(),
             (data / "detections" / "img0000.txt").read_bytes())
@@ -87,8 +87,8 @@ def manifest_inputs(tmp_path_factory):
     config that reads ``fuzz.tsv`` there, and a checkpoint to evaluate."""
     root = tmp_path_factory.mktemp("manifestfuzz")
     manifest = generate_dataset(root / "data", n=6, seed=2, size=64)
-    ckpt = root / "glaucoma.ckpt"
-    save_checkpoint(ckpt, DualHeadViT(CFG, seed=0), PreprocessOptions(), "glaucoma")
+    ckpt = root / "model.ckpt"
+    save_checkpoint(ckpt, DualHeadViT(CFG, seed=0), PreprocessOptions(), ["glaucoma"])
     config = root / "run.cfg"
     config.write_text("\n".join([*kv.dump("model", CFG), "train.epochs = 1",
                                  "train.batch_size = 4",

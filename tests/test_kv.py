@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fundusvit import kv
-from fundusvit.checkpoint import TASKS, save_checkpoint
+from fundusvit.checkpoint import save_checkpoint
 from fundusvit.config import (ConfigError, Paths, RunConfig, effective_lines,
                               parse_config_text)
-from fundusvit.dataset import PreprocessOptions
+from fundusvit.dataset import TASKS, PreprocessOptions
 from fundusvit.model import DualHeadViT, ModelConfig
 from fundusvit.preprocess import AugmentParams
 from fundusvit.training import TrainConfig
@@ -73,7 +73,7 @@ paths.manifest = data/manifest.tsv
 paths.out = none"""
 
 GOLDEN_HEADER = """\
-fundusvit-checkpoint v1
+fundusvit-checkpoint v2
 model.height = 32
 model.width = 32
 model.patch = 16
@@ -87,39 +87,39 @@ prep.od_crop = false
 prep.bg_removal = true
 prep.bg_tau = 10
 prep.confidence_floor = 0.3
-task = feature4
-tensor patch_proj.weight 768x8 @ 0
-tensor patch_proj.bias 1x8 @ 24576
-tensor cls_token 1x8 @ 24608
-tensor pos_embed 5x8 @ 24640
-tensor block0.ln1.gain 8 @ 24800
-tensor block0.ln1.bias 8 @ 24832
-tensor block0.attn.q.weight 8x8 @ 24864
-tensor block0.attn.q.bias 1x8 @ 25120
-tensor block0.attn.k.weight 8x8 @ 25152
-tensor block0.attn.k.bias 1x8 @ 25408
-tensor block0.attn.v.weight 8x8 @ 25440
-tensor block0.attn.v.bias 1x8 @ 25696
-tensor block0.attn.out.weight 8x8 @ 25728
-tensor block0.attn.out.bias 1x8 @ 25984
-tensor block0.ln2.gain 8 @ 26016
-tensor block0.ln2.bias 8 @ 26048
-tensor block0.mlp.fc1.weight 8x32 @ 26080
-tensor block0.mlp.fc1.bias 1x32 @ 27104
-tensor block0.mlp.fc2.weight 32x8 @ 27232
-tensor block0.mlp.fc2.bias 1x8 @ 28256
-tensor mlp_head.weight 8x2 @ 28288
-tensor mlp_head.bias 1x2 @ 28352
-tensor agg.proj1.weight 8x4 @ 28360
-tensor agg.proj1.bias 1x4 @ 28488
-tensor agg.norm1.gain 4 @ 28504
-tensor agg.norm1.bias 4 @ 28520
-tensor agg.proj2.weight 4x1 @ 28536
-tensor agg.proj2.bias 1x1 @ 28552
-tensor agg.norm2.gain 1 @ 28556
-tensor agg.norm2.bias 1 @ 28560
-tensor final_fc.weight 8x2 @ 28564
-tensor final_fc.bias 1x2 @ 28628
+tasks = feature4
+tensor patch_proj.weight 1x768x8 @ 0
+tensor patch_proj.bias 1x1x8 @ 24576
+tensor cls_token 1x1x8 @ 24608
+tensor pos_embed 1x5x8 @ 24640
+tensor block0.ln1.gain 1x8 @ 24800
+tensor block0.ln1.bias 1x8 @ 24832
+tensor block0.attn.q.weight 1x8x8 @ 24864
+tensor block0.attn.q.bias 1x1x8 @ 25120
+tensor block0.attn.k.weight 1x8x8 @ 25152
+tensor block0.attn.k.bias 1x1x8 @ 25408
+tensor block0.attn.v.weight 1x8x8 @ 25440
+tensor block0.attn.v.bias 1x1x8 @ 25696
+tensor block0.attn.out.weight 1x8x8 @ 25728
+tensor block0.attn.out.bias 1x1x8 @ 25984
+tensor block0.ln2.gain 1x8 @ 26016
+tensor block0.ln2.bias 1x8 @ 26048
+tensor block0.mlp.fc1.weight 1x8x32 @ 26080
+tensor block0.mlp.fc1.bias 1x1x32 @ 27104
+tensor block0.mlp.fc2.weight 1x32x8 @ 27232
+tensor block0.mlp.fc2.bias 1x1x8 @ 28256
+tensor mlp_head.weight 1x8x2 @ 28288
+tensor mlp_head.bias 1x1x2 @ 28352
+tensor agg.proj1.weight 1x8x4 @ 28360
+tensor agg.proj1.bias 1x1x4 @ 28488
+tensor agg.norm1.gain 1x4 @ 28504
+tensor agg.norm1.bias 1x4 @ 28520
+tensor agg.proj2.weight 1x4x1 @ 28536
+tensor agg.proj2.bias 1x1x1 @ 28552
+tensor agg.norm2.gain 1x1 @ 28556
+tensor agg.norm2.bias 1x1 @ 28560
+tensor final_fc.weight 1x8x2 @ 28564
+tensor final_fc.bias 1x1x2 @ 28628
 ---
 """
 
@@ -137,7 +137,7 @@ class TestGolden:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model,
                         PreprocessOptions(od_crop=False, confidence_floor=0.3),
-                        "feature4")
+                        ["feature4"])
         raw = path.read_bytes()
         assert raw[:len(GOLDEN_HEADER)] == GOLDEN_HEADER.encode("ascii")
         assert len(raw) == len(GOLDEN_HEADER) + 28636

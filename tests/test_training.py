@@ -10,7 +10,7 @@ import pytest
 
 from fundusvit import autodiff as ad
 from fundusvit.autodiff import Tensor
-from fundusvit.checkpoint import ClassifierBank
+from fundusvit.checkpoint import ClassifierBank, load_bank, load_checkpoint
 from fundusvit.dataset import TASKS, ManifestRow, PreprocessOptions, read_manifest
 from fundusvit.metrics import evaluate
 from fundusvit.model import HeadOutputs, ModelConfig
@@ -269,8 +269,7 @@ class TestTrainTask:
         [result] = train_task(SMALL_MODEL, quick_cfg(), FAST_AUG, PreprocessOptions(),
                               rows, manifest.parent, out_dir=tmp_path,
                               config_lines=["model.dim = 16"])
-        assert (tmp_path / "glaucoma.ckpt").is_file()
-        assert (tmp_path / "glaucoma.log").is_file()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["glaucoma.log", "model.ckpt"]
         assert len(result.history) == 2
         log = (tmp_path / "glaucoma.log").read_text()
         assert "epoch=0" in log and "model.dim = 16" in log
@@ -283,7 +282,7 @@ class TestTrainTask:
                    rows, manifest.parent, out_dir=a)
         train_task(SMALL_MODEL, quick_cfg(), FAST_AUG, PreprocessOptions(),
                    rows, manifest.parent, out_dir=b)
-        assert (a / "glaucoma.ckpt").read_bytes() == (b / "glaucoma.ckpt").read_bytes()
+        assert (a / "model.ckpt").read_bytes() == (b / "model.ckpt").read_bytes()
         assert (a / "glaucoma.log").read_bytes() == (b / "glaucoma.log").read_bytes()
 
     def test_validation_is_deterministic(self, tiny_dataset, tmp_path):
@@ -317,13 +316,20 @@ class TestTrainTask:
         assert report.n_samples == len(rows)
         assert 0.0 <= report.auc <= 1.0
 
-    @pytest.mark.parametrize("tasks", [[], ["bank"], ["glaucoma", "feature11"]])
+    @pytest.mark.parametrize("tasks", [[], ["bank"], ["glaucoma", "feature11"],
+                                       ["glaucoma", "glaucoma"], ["feature1", "glaucoma"],
+                                       "glaucoma"])
     def test_task_lists_other_than_single_tasks_rejected(self, tiny_dataset, tasks,
-                                                         tmp_path):
+                                                         monkeypatch, tmp_path):
+        # refused before any work: no output directory, no prepared image
         manifest, rows = tiny_dataset
-        with pytest.raises(ValueError, match="single tasks"):
+        prepared = []
+        monkeypatch.setattr(training, "prepare_input",
+                            lambda *args, **kwargs: prepared.append(args))
+        with pytest.raises(ValueError, match="distinct and in TASKS order"):
             train_task(SMALL_MODEL, quick_cfg(), FAST_AUG, PreprocessOptions(), rows,
-                       manifest.parent, out_dir=tmp_path, tasks=tasks)
+                       manifest.parent, out_dir=tmp_path / "out", tasks=tasks)
+        assert not prepared and not (tmp_path / "out").exists()
 
     def test_empty_dataset_rejected(self, tiny_dataset, tmp_path):
         with pytest.raises(ValueError, match="empty"):
@@ -382,6 +388,27 @@ def bank_preparation(monkeypatch, rows, base_dir, out_dir):
     return calls, prepared
 
 
+def assert_members_equal_standalone_runs(bank, bank_dir, tasks, rows, base, out,
+                                         epochs, config_lines=()):
+    """Each of ``tasks``, trained alone into ``out / task``, writes a K = 1
+    checkpoint holding the parameters of its member of the bank (as trained
+    and as saved in ``bank_dir``) and the log bytes the bank wrote for it."""
+    saved = load_bank(bank_dir)
+    assert saved.tasks == bank.tasks
+    for task in tasks:
+        train_task(SMALL_MODEL, quick_cfg(epochs=epochs, task=task), FAST_AUG,
+                   PreprocessOptions(), rows, base, out_dir=out / task,
+                   config_lines=config_lines)
+        solo, _, solo_tasks = load_checkpoint(out / task / "model.ckpt")
+        assert solo_tasks == (task,)
+        for stack in (bank.stacked, saved.stacked):
+            member = stack.member(bank.tasks.index(task))
+            for name, t in solo.params.items():
+                assert member.params[name].data.tobytes() == t.data.tobytes(), (task, name)
+        log = f"{task}.log"
+        assert (bank_dir / log).read_bytes() == (out / task / log).read_bytes()
+
+
 class TestTrainBank:
     def test_full_bank_trains_eleven_tasks(self, tiny_dataset, tmp_path):
         manifest, rows = tiny_dataset
@@ -390,8 +417,8 @@ class TestTrainBank:
                           out_dir=tmp_path)
         assert len(bank.models) == 11
         assert not bank.skipped
-        assert sorted(p.name for p in tmp_path.glob("*.ckpt")) == sorted(
-            f"{t}.ckpt" for t in bank.models)
+        assert [p.name for p in tmp_path.glob("*.ckpt")] == ["model.ckpt"]
+        assert load_bank(tmp_path).tasks == bank.tasks
 
     def test_feature_without_positives_is_skipped(self, tiny_dataset, tmp_path):
         manifest, rows = tiny_dataset
@@ -419,12 +446,13 @@ class TestTrainBank:
         lines = (tmp_path / "bank.log").read_text().splitlines()
         assert lines[2] == "task=feature1 status=skipped reason=no negative training samples"
         assert lines[8] == "task=feature7 status=skipped reason=no positive training samples"
-        assert sorted(p.name for p in tmp_path.glob("*.ckpt")) == sorted(
-            f"{t}.ckpt" for t in bank.models)
+        assert [p.name for p in tmp_path.glob("*.ckpt")] == ["model.ckpt"]
+        assert load_bank(tmp_path).tasks == bank.tasks
 
     def test_bank_member_equals_standalone_run(self, tiny_dataset, tmp_path):
         # the bank prepares once and shares the images; every member must
-        # still write the bytes its own standalone run writes
+        # still hold the parameters, and write the log, of its own
+        # standalone run
         manifest, rows = tiny_dataset
         bank_dir = tmp_path / "bank"
         stripped = [replace(r, features=r.features[:2] + (0,) + r.features[3:])
@@ -434,13 +462,9 @@ class TestTrainBank:
                           out_dir=bank_dir, config_lines=["train.epochs = 2"])
         assert bank.skipped == {"feature3": "no positive training samples"}
         assert len(bank.models) == 10
-        for task in bank.models:
-            solo_dir = tmp_path / task
-            train_task(SMALL_MODEL, quick_cfg(epochs=2, task=task), FAST_AUG,
-                       PreprocessOptions(), stripped, manifest.parent,
-                       out_dir=solo_dir, config_lines=["train.epochs = 2"])
-            for name in (f"{task}.ckpt", f"{task}.log"):
-                assert (bank_dir / name).read_bytes() == (solo_dir / name).read_bytes()
+        assert_members_equal_standalone_runs(bank, bank_dir, bank.models, stripped,
+                                             manifest.parent, tmp_path, epochs=2,
+                                             config_lines=["train.epochs = 2"])
 
     def test_lockstep_tasks_share_one_forward_per_stack(self, tiny_dataset, monkeypatch,
                                                         tmp_path):
@@ -476,13 +500,9 @@ class TestTrainBank:
                           out_dir=tmp_path / "bank")
         assert len(bank.models) == 11
         assert max(sizes) <= 24 and 24 in sizes and 20 in sizes
-        for task in ("glaucoma", "feature6", "feature10"):
-            train_task(SMALL_MODEL, quick_cfg(epochs=1, task=task), FAST_AUG,
-                       PreprocessOptions(), rows, manifest.parent,
-                       out_dir=tmp_path / task)
-            for name in (f"{task}.ckpt", f"{task}.log"):
-                assert (tmp_path / "bank" / name).read_bytes() == \
-                    (tmp_path / task / name).read_bytes()
+        assert_members_equal_standalone_runs(bank, tmp_path / "bank",
+                                             ("glaucoma", "feature6", "feature10"), rows,
+                                             manifest.parent, tmp_path, epochs=1)
 
     def test_full_resolution_bank_trains_one_task_image_per_forward(self, tmp_path,
                                                                      monkeypatch):
