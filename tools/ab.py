@@ -4,6 +4,7 @@ Usage (from the repository root)::
 
     python tools/ab.py --workload bank-screen --seed 11 --seconds 30 --pairs 10
     python tools/ab.py --ref 4a92f72 --workload all --seed 11 --seconds 30 --pairs 10
+    python tools/ab.py --workload fullres-train --seed 1 --out BENCH_label.json
 
 The base side is the committed tree of ``--ref`` (default ``HEAD~1``),
 exported with ``git archive`` into a temporary directory that is removed on
@@ -25,6 +26,10 @@ base's interquartile range, and a verdict:
 - ``worse``: the change's median is worse than the base's by more than the
   metric's bound in ``BENCHMARK.json``;
 - ``-``: neither.
+
+With ``--out``, the same record is also written to a JSON file: the
+arguments, every run's result line by side (``runs.base``, ``runs.change``,
+in pair order) and the table as one object per metric (``summary``).
 
 A warning is printed when ``perfbench/`` differs between the two sides, as
 both should measure with the same benchmark code. Standard library only.
@@ -109,6 +114,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--out", type=Path, help="also write the runs and the "
+                        "table to this JSON file, such as BENCH_<label>.json")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -136,6 +143,11 @@ def main(argv=None) -> int:
           f"{args.seconds} s runs, {args.pairs} pairs")
     for row in rows:
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip())
+    if args.out:
+        record = {"ref": args.ref, "workload": args.workload, "seed": args.seed,
+                  "seconds": args.seconds, "pairs": args.pairs, "runs": runs,
+                  "summary": [dict(zip(rows[0], row)) for row in rows[1:]]}
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 
