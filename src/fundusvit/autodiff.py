@@ -339,7 +339,9 @@ def relu(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * mask,)
 
-    return _result(np.where(mask, a.data, 0.0), "relu", (a,), vjp)
+    # np.where(mask, a.data, 0.0) in one pass, with the same bytes: -0.0 and
+    # every other non-positive value give +0.0 (a NaN input now raises)
+    return _result(np.maximum(a.data, 0), "relu", (a,), vjp)
 
 
 # Cephes' rational approximations for erf, the ones scipy.special.erf

@@ -432,6 +432,34 @@ class TestGraphSize:
         assert sum(node.op != "leaf" for node in ad.trace(loss)) == 55
 
 
+class TestRelu:
+    """``relu`` against its former ``np.where(a > 0, a, 0.0)`` form, bit for
+    bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_the_where_form(self, dtype):
+        info = np.finfo(dtype)
+        special_values = [-0.0, 0.0, info.smallest_subnormal, -info.smallest_subnormal,
+                          info.tiny, -info.tiny, info.max, -info.max, 1.5, -2.5]
+        ordinary = np.random.default_rng(3).normal(size=300)
+        for values in (special_values, ordinary):
+            # every length and offset, so vector loops and their scalar tails
+            # both see each value
+            for n in range(1, 40):
+                x = np.resize(np.asarray(values, dtype=dtype), n)
+                out = ad.relu(Tensor(x)).data
+                assert out.dtype == dtype
+                np.testing.assert_array_equal(
+                    out.view(f"u{out.itemsize}"),
+                    np.where(x > 0, x, 0.0).astype(dtype).view(f"u{out.itemsize}"))
+        assert not np.signbit(ad.relu(Tensor(np.full((5, 3), -0.0, dtype))).data).any()
+
+    def test_non_finite_inputs_are_errors(self):
+        for value in (np.inf, np.nan):
+            with pytest.raises(NonFiniteError, match="relu"):
+                ad.relu(Tensor(np.array([1.0, value], dtype=np.float32)))
+
+
 class TestNumericGuards:
     def test_log_of_zero_is_an_error(self):
         with pytest.raises(NonFiniteError):
