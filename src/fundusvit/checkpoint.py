@@ -23,7 +23,8 @@ spelled otherwise, is refused rather than read with a default. A file whose
 first line is not the magic is refused as soon as a read shows it.
 
 The reader opens the file once, reads the header in chunks up to the
-``---`` line, then reads the payload straight into one float32 buffer and
+``---`` line, searching at most ``_HEADER_LIMIT`` header bytes for it (no
+longer header is written), then reads the payload straight into one float32 buffer and
 checks it finite. Every parameter of the loaded model is a contiguous
 (K, ...) view of that buffer; no per-member model is built.
 """
@@ -49,6 +50,10 @@ CHECKPOINT_NAME = "model.ckpt"  # a run directory's checkpoint
 _MAGIC_LINE = MAGIC.encode() + b"\n"
 _END = b"\n---\n"  # ends the header
 _CHUNK = 8192  # bytes per header read; a depth-4 header (about 3.5 KB) takes one
+# Longest header the reader accepts and save_checkpoint writes, so a file
+# without its ``---`` line is refused after a bounded read. Each encoder
+# block adds about 1 KB, so this holds a depth of about a thousand.
+_HEADER_LIMIT = 1 << 20
 
 
 class IncompatibleCheckpointError(ValueError):
@@ -81,7 +86,11 @@ def save_checkpoint(path: str | Path, model: DualHeadViT,
     if model.n_tasks != len(tasks):
         raise ValueError(f"a stack of {model.n_tasks} tasks saved as {len(tasks)}")
     tensor_lines, _ = _layout(model.parameter_shapes(model.config), len(tasks))
-    write_atomic(path, b"".join([_header(model.config, prep, tasks, tensor_lines), _END,
+    head = _header(model.config, prep, tasks, tensor_lines)
+    if len(head) > _HEADER_LIMIT:
+        raise ValueError(f"checkpoint header of {len(head)} bytes is over the "
+                         f"{_HEADER_LIMIT}-byte limit")
+    write_atomic(path, b"".join([head, _END,
                                  *[np.ascontiguousarray(t.data, dtype="<f4")
                                    for t in model.params.values()]]))
 
@@ -151,9 +160,11 @@ def _open(path: Path) -> BinaryIO:
 def _read_header(file: BinaryIO, path: Path) -> tuple[_Header, bytearray]:
     """Read ``file`` up to its ``---`` line and accept its header: the
     header, and the payload bytes read past the terminator. A first line
-    that is not the magic is refused at the read that shows it."""
+    that is not the magic is refused at the read that shows it, a header
+    longer than ``_HEADER_LIMIT`` once that many bytes hold no terminator."""
     data, searched = bytearray(), 0
-    while (end := data.find(_END, searched)) < 0:
+    while (end := data.find(_END, searched)) < 0 \
+            and len(data) < _HEADER_LIMIT + len(_END):
         chunk = file.read(_CHUNK)
         if not chunk:  # no terminator: the whole file is the header
             end = len(data)
@@ -163,6 +174,9 @@ def _read_header(file: BinaryIO, path: Path) -> tuple[_Header, bytearray]:
         if not _MAGIC_LINE.startswith(data[:len(_MAGIC_LINE)]):
             raise IncompatibleCheckpointError(
                 f"{path}: {_first_difference(bytes(data), MAGIC.encode())}")
+    if not 0 <= end <= _HEADER_LIMIT:
+        raise IncompatibleCheckpointError(
+            f"{path}: no '---' line ends the header within {_HEADER_LIMIT} bytes")
     header = _parse_header(path, bytes(data[:end]))
     size = max(0, os.fstat(file.fileno()).st_size - end - len(_END))
     if size != header.size:

@@ -4,6 +4,7 @@ a run's task stack against loading each member's own run."""
 
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,52 @@ class TestValidation:
                          "--image", str(tmp_path / "x.ppm")]) == 3
         assert capsys.readouterr().err.rstrip("\n").endswith(message)
         assert sum(spies[-1].reads) == checkpoint._CHUNK
+
+    def test_magic_without_terminator_is_refused_after_a_bounded_read(
+            self, tmp_path, monkeypatch, capsys):
+        # 50 MB whose first line is the magic and that have no '---' line,
+        # sparse on disk: refused once the header limit is searched
+        path = tmp_path / CHECKPOINT_NAME
+        with open(path, "wb") as fh:
+            fh.write(b"fundusvit-checkpoint v2\n")
+            fh.truncate(50 * 1024 * 1024)
+        spies = spy_on_opens(monkeypatch)
+        message = (f"{path}: no '---' line ends the header within "
+                   f"{checkpoint._HEADER_LIMIT} bytes")
+        with pytest.raises(IncompatibleCheckpointError) as caught:
+            load_bank(tmp_path)
+        assert str(caught.value) == message
+        assert sum(spies[0].reads) < checkpoint._HEADER_LIMIT + 2 * checkpoint._CHUNK
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = cli.main(["infer", "--checkpoint", str(tmp_path),
+                             "--image", str(tmp_path / "x.ppm")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert capsys.readouterr().err.rstrip("\n").endswith(message)
+        assert peak < 4 * checkpoint._HEADER_LIMIT
+
+    def test_header_limit_binds_writer_and_reader_alike(self, tmp_path, monkeypatch):
+        model = make_model()
+        path = tmp_path / CHECKPOINT_NAME
+        save_checkpoint(path, model, PreprocessOptions(), ["glaucoma"])
+        size = path.read_bytes().index(_END)
+        # a header of exactly the limit is written and read back
+        monkeypatch.setattr(checkpoint, "_HEADER_LIMIT", size)
+        save_checkpoint(path, model, PreprocessOptions(), ["glaucoma"])
+        assert_loads_as_saved(path, model, ["glaucoma"])
+        # one byte over: the writer refuses it, and the reader refuses the
+        # file written under the larger limit
+        monkeypatch.setattr(checkpoint, "_HEADER_LIMIT", size - 1)
+        with pytest.raises(ValueError, match=f"header of {size} bytes is over the "
+                                             f"{size - 1}-byte limit"):
+            save_checkpoint(tmp_path / "x.ckpt", model, PreprocessOptions(), ["glaucoma"])
+        assert not (tmp_path / "x.ckpt").exists()
+        with pytest.raises(IncompatibleCheckpointError, match="no '---' line ends"):
+            load_checkpoint(path)
 
     def test_file_that_shrinks_under_the_reader_is_refused(self, tmp_path, monkeypatch,
                                                           capsys):
