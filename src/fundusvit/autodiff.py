@@ -38,6 +38,9 @@ class NonFiniteError(FloatingPointError):
 
 _grad_enabled = True
 LAYER_NORM_EPS = 1e-5  # added to the variance in layer_norm
+# attention exponentiates a head slice's scores unshifted when they are
+# bounded by this (|q_i . k_j| <= |q_i| |k_j|); exp(16) is about 8.9e6
+SCORE_BOUND = 16.0
 
 
 @contextmanager
@@ -251,11 +254,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     Scaling the scores is left to the caller (scale ``q``, N x D entries,
     rather than the N x N scores).
 
-    The adjoint keeps the row-normalised probabilities ``P``, the three
-    input head stacks and the output stack ``O = P v``. It forms
-    ``dV = P^T g``, ``dS = P * (g v^T - rowsum(g v^T * P))``, ``dQ = dS k``
-    and ``dK = dS^T q``, taking ``rowsum(g v^T * P)`` as ``rowsum(g * O)``
-    (Dao et al. 2022), an N x dh product instead of an N x N one.
+    The forward normalises late (Milakov & Gimelshein 2018): it forms
+    ``E = exp(S)`` from the scores ``S = q_h k_h^T``, one product
+    ``E [v_h | 1] = [O l | l]``, and ``O = (E v_h) / l``, an N x dh divide
+    in place of an N x N row sum and divide. ``E`` is unshifted on a head
+    slice whose scores are bounded by ``SCORE_BOUND``, which needs no N x N
+    finiteness scan; any other slice takes the max-shifted, normalised
+    ``E = P`` with ``l = 1``, after the scan. Each slice chooses on its own,
+    so its bytes do not depend on the rest of the stack.
+
+    The adjoint keeps ``E`` and ``l`` (not ``P = E / l``), ``[v_h | 1]``, the
+    query and key head stacks and the output stack ``O``. With ``g`` divided
+    by ``l`` first, it forms ``dV = E^T (g / l)``, ``dS = E * ((g / l) v^T -
+    rowsum(g * O) / l)``, the subtraction folded into that product as one
+    more column, ``dQ = dS k`` and ``dK = dS^T q``; ``rowsum(g v^T * P)`` is
+    taken as ``rowsum(g * O)`` (Dao et al. 2022), an N x dh product instead
+    of an N x N one.
     """
     if q.ndim < 2 or q.shape != k.shape or q.shape != v.shape:
         raise ShapeError(f"attention needs equal q, k, v of at least 2 axes, got "
@@ -275,21 +289,47 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         return a.swapaxes(-1, -2)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    p = qh @ t(kh)
-    if not np.isfinite(p).all():
-        raise NonFiniteError("attention produced non-finite scores")
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-
-    oh = p @ vh
+    e = qh @ t(kh)
+    # Cauchy-Schwarz bounds every score, and every partial sum of its
+    # product, by max_i |q_i| * max_j |k_j|. Where that is at most B =
+    # SCORE_BOUND, 0 < E <= e^B and every partial sum of E [v | 1] is at most
+    # N e^B max(|v|, 1) in size, so no |v| up to float max / (N e^(B + 1))
+    # can overflow it (the extra e covers rounding). NaN or Inf anywhere in
+    # a slice's q, k or v, or a row norm that overflows, fails these tests
+    # and sends the slice to the scan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.stack([q.data, k.data])
+        norms *= norms
+        # each head slice's largest row norm of q and of k: (2, ..., H)
+        norms = np.sqrt(norms.reshape(2, *lead, n, heads, dh).sum(axis=-1).max(axis=-2))
+        bound = norms[0] * norms[1]
+    v_max = np.abs(v.data).max(axis=-2).reshape(*lead, heads, dh).max(axis=-1)
+    v_limit = np.finfo(e.dtype).max / (n * math.exp(SCORE_BOUND + 1))
+    shifted = ~((bound <= SCORE_BOUND) & (v_max <= v_limit))
+    if not shifted.any():
+        np.exp(e, out=e)
+    else:
+        p = e[shifted]
+        if not np.isfinite(p).all():
+            raise NonFiniteError("attention produced non-finite scores")
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        with np.errstate(over="ignore"):  # the shifted slices are replaced
+            np.exp(e, out=e)
+        e[shifted] = p
+    v1 = np.concatenate([vh, np.ones_like(vh[..., :1])], axis=-1)
+    ol = e @ v1
+    l = ol[..., -1:]
+    l[shifted] = 1.0
+    oh = ol[..., :-1] / l
 
     def vjp(g):
-        gh = split(g)
-        ds = gh @ t(vh)
-        ds -= (gh * oh).sum(axis=-1, keepdims=True)
-        ds *= p
-        return merge(ds @ kh), merge(t(ds) @ qh), merge(t(p) @ gh)
+        gl = split(g) / l
+        r = (gl * oh).sum(axis=-1, keepdims=True)
+        ds = np.concatenate([gl, -r], axis=-1) @ t(v1)
+        ds *= e
+        return merge(ds @ kh), merge(t(ds) @ qh), merge(t(e) @ gl)
 
     return _result(merge(oh), "attention", (q, k, v), vjp)
 

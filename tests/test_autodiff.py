@@ -417,6 +417,167 @@ class TestFusedPrimitives:
             ad.attention(a, t(np.zeros((2, 4))), a, 2)
 
 
+def head_bounds(q, k, heads):
+    """``max_i |q_i| * max_j |k_j|`` of each head slice of (..., N, D)
+    arrays, shaped (..., heads): the score bound ``attention`` tests."""
+    *lead, n, d = q.shape
+
+    def norms(a):
+        return np.linalg.norm(a.reshape(*lead, n, heads, d // heads), axis=-1).max(axis=-2)
+
+    return norms(np.float64(q)) * norms(np.float64(k))
+
+
+def normalised_first_attention(q, k, v, heads):
+    """``attention``'s forward before it normalised late: a finiteness scan
+    of every score, the row-max shift, exp, row sum and divide, then the
+    product with v and the op's output check. The oracle for the inputs the
+    op must refuse."""
+    *lead, n, d = q.shape
+    dh = d // heads
+
+    def split(a):
+        return a.reshape(*lead, n, heads, dh).swapaxes(-2, -3)
+
+    p = split(q) @ split(k).swapaxes(-1, -2)
+    if not np.isfinite(p).all():
+        raise NonFiniteError("attention produced non-finite scores")
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = (p @ split(v)).swapaxes(-2, -3).reshape(*lead, n, d)
+    if not np.isfinite(out).all():
+        raise NonFiniteError("attention produced non-finite values")
+    return out
+
+
+class TestBoundedAttention:
+    """``attention`` exponentiates a head slice unshifted when its scores are
+    bounded by ``SCORE_BOUND`` and takes the shifted, scanned path
+    otherwise, slice by slice."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(23)
+
+    def normal(self, *shape, scale=1.0, dtype=np.float64):
+        return (scale * self.rng.normal(size=shape)).astype(dtype)
+
+    @pytest.mark.parametrize("q_scale,side", [(0.3, "fast"), (6.0, "shifted")])
+    def test_gradients_on_each_path(self, q_scale, side):
+        q, k, v = t(self.normal(5, 8, scale=q_scale)), t(self.normal(5, 8)), \
+            t(self.normal(5, 8))
+        bounds = head_bounds(q.data, k.data, 2)
+        assert (bounds <= ad.SCORE_BOUND).all() if side == "fast" \
+            else (bounds > ad.SCORE_BOUND).all()
+        weights = t(self.normal(5, 8), grad=False)
+        check_op_gradients(
+            lambda: ad.tsum(ad.mul(ad.attention(q, k, v, 2), weights)), [q, k, v])
+
+    def test_large_values_take_the_shifted_path_with_gradients(self):
+        # bounded scores, but |v| past the fast path's overflow limit
+        q, k = t(self.normal(4, 4, scale=0.3)), t(self.normal(4, 4))
+        v = t(self.normal(4, 4, scale=1e300))
+        weights = t(self.normal(4, 4, scale=1e-300), grad=False)
+        out = ad.attention(q, k, v, 2)
+        np.testing.assert_allclose(out.data, normalised_first_attention(
+            q.data, k.data, v.data, 2), rtol=1e-12)
+        check_op_gradients(
+            lambda: ad.tsum(ad.mul(ad.attention(q, k, v, 2), weights)), [q, k])
+
+    def test_each_slice_of_a_mixed_stack_equals_its_stack_of_one(self):
+        heads = 2
+        q, k, v, w = (self.normal(4, 6, 8, dtype=np.float32) for _ in range(4))
+        q *= 0.3
+        q[1] *= 30.0        # image 1: both heads shifted
+        q[2, :, :4] *= 30.0  # image 2: head 0 shifted, head 1 not
+        bounds = head_bounds(q, k, heads)
+        shifted = bounds > ad.SCORE_BOUND
+        assert shifted.tolist() == [[False, False], [True, True], [True, False],
+                                    [False, False]]
+
+        def run(qd, kd, vd, wd):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in (qd, kd, vd)]
+            out = ad.attention(*leaves, heads)
+            ad.backward(ad.tsum(ad.mul(out, Tensor(wd))))
+            return [out.data] + [leaf.grad for leaf in leaves]
+
+        stacked = run(q, k, v, w)
+        for i in range(len(q)):
+            single = run(q[i], k[i], v[i], w[i])
+            for got, want in zip(stacked, single):
+                assert got.dtype == np.float32
+                assert got[i].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_guards_raise_exactly_where_the_former_forward_raises(self, dtype):
+        info = np.finfo(dtype)
+        values = [np.inf, -np.inf, np.nan, info.max, -info.max, info.max / 8,
+                  np.sqrt(info.max), np.sqrt(info.max) / 2, info.max ** 0.25,
+                  info.max / 1e9, info.max / 1e12, 1e4]
+        base = [self.normal(3, 5, 4, dtype=dtype) for _ in range(3)]
+        places = [(0, 1, 2), (0, 1, slice(None)), (0,), (slice(None),)]
+        outcomes = set()
+        for targets in ("q", "k", "v", "qk", "qkv"):
+            for value in values:
+                for place in places:
+                    q, k, v = (a.copy() for a in base)
+                    for name, a in zip("qkv", (q, k, v)):
+                        if name in targets:
+                            a[place] = value
+                    with np.errstate(all="ignore"):
+                        try:
+                            expected = normalised_first_attention(q, k, v, 2)
+                        except NonFiniteError as exc:
+                            expected = str(exc)
+                        try:
+                            got = ad.attention(Tensor(q), Tensor(k), Tensor(v), 2).data
+                        except NonFiniteError as exc:
+                            got = str(exc)
+                    case = (targets, value, place)
+                    if isinstance(expected, str):
+                        assert got == expected, case
+                        outcomes.add(expected)
+                    else:
+                        assert not isinstance(got, str), (case, got)
+                        np.testing.assert_allclose(got, expected, rtol=1e-4,
+                                                   atol=1e-6 * np.abs(expected).max(),
+                                                   err_msg=str(case))
+                        outcomes.add("finite")
+        assert outcomes == {"finite", "attention produced non-finite scores",
+                            "attention produced non-finite values"}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_v_limit_keeps_scores_at_the_bound_finite(self, dtype):
+        # every score is exactly SCORE_BOUND, so E is e^16 everywhere; a v
+        # past the limit must take the shifted path, which does not overflow
+        n, heads = 5, 2
+        q = np.zeros((n, 4), dtype)
+        q[:, ::2] = 4.0
+        assert (head_bounds(q, q, heads) == ad.SCORE_BOUND).all()
+        info = np.finfo(dtype)
+        limit = info.max / (n * math.exp(ad.SCORE_BOUND + 1))
+        for value in (limit / 2, limit * 2, limit * 10, info.max / 2 / n, info.max / 2):
+            v = np.full((n, 4), value, dtype)
+            out = ad.attention(Tensor(q), Tensor(q.copy()), Tensor(v), heads).data
+            np.testing.assert_allclose(out, normalised_first_attention(q, q, v, heads),
+                                       rtol=1e-6)
+
+    @pytest.mark.parametrize("bound", [0.5 * ad.SCORE_BOUND, 2.0 * ad.SCORE_BOUND])
+    def test_float32_output_near_the_per_head_reference(self, bound):
+        heads, dh = 4, 8
+        q, k, v = (self.normal(12, heads * dh) for _ in range(3))
+        scale = 1.0 / math.sqrt(dh)
+        # scale q so that the largest head bound of the scaled scores is ``bound``
+        q *= bound / (scale * head_bounds(q, k, heads).max())
+        q, k, v = (a.astype(np.float32) for a in (q, k, v))
+        bounds = head_bounds(q * np.float32(scale), k, heads)
+        assert (bounds <= ad.SCORE_BOUND).all() if bound < ad.SCORE_BOUND \
+            else (bounds > ad.SCORE_BOUND).any()
+        fused = ad.attention(ad.mul(Tensor(q), scale), Tensor(k), Tensor(v), heads).data
+        ref = per_head_attention(*(t(a, grad=False) for a in (q, k, v)), heads).data
+        np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-6)
+
+
 class TestGraphSize:
     def test_training_graph_node_count_is_pinned(self):
         # 13 nodes per encoder block (2 norms, 6 linears, the query scale,
