@@ -263,8 +263,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     ``E = P`` with ``l = 1``, after the scan. Each slice chooses on its own,
     so its bytes do not depend on the rest of the stack.
 
-    The adjoint keeps ``E`` and ``l`` (not ``P = E / l``), ``[v_h | 1]``, the
-    query and key head stacks and the output stack ``O``. With ``g`` divided
+    The adjoint keeps ``E`` and ``l`` (not ``P = E / l``), the three input
+    head stacks and the output stack ``O``. With ``g`` divided
     by ``l`` first, it forms ``dV = E^T (g / l)``, ``dS = E * ((g / l) v^T -
     rowsum(g * O) / l)``, the subtraction folded into that product as one
     more column, ``dQ = dS k`` and ``dK = dS^T q``; ``rowsum(g v^T * P)`` is
@@ -287,6 +287,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     def t(a):  # transpose each (N, dh) or (N, N) matrix of a head stack
         return a.swapaxes(-1, -2)
+
+    def ones_column(a):  # [a | 1]
+        return np.concatenate([a, np.ones_like(a[..., :1])], axis=-1)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     e = qh @ t(kh)
@@ -318,16 +321,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         with np.errstate(over="ignore"):  # the shifted slices are replaced
             np.exp(e, out=e)
         e[shifted] = p
-    v1 = np.concatenate([vh, np.ones_like(vh[..., :1])], axis=-1)
-    ol = e @ v1
-    l = ol[..., -1:]
+    ol = e @ ones_column(vh)
+    l = ol[..., -1:].copy()  # a copy, so that the tape does not keep ol
     l[shifted] = 1.0
     oh = ol[..., :-1] / l
 
     def vjp(g):
         gl = split(g) / l
         r = (gl * oh).sum(axis=-1, keepdims=True)
-        ds = np.concatenate([gl, -r], axis=-1) @ t(v1)
+        ds = np.concatenate([gl, -r], axis=-1) @ t(ones_column(vh))
         ds *= e
         return merge(ds @ kh), merge(t(ds) @ qh), merge(t(e) @ gl)
 
