@@ -264,8 +264,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     so its bytes do not depend on the rest of the stack.
 
     The adjoint keeps ``E`` and ``l`` (not ``P = E / l``), the three input
-    head stacks and the output stack ``O``. With ``g`` divided
-    by ``l`` first, it forms ``dV = E^T (g / l)``, ``dS = E * ((g / l) v^T -
+    head stacks and the output stack ``O``. With ``g`` divided by ``l``
+    first, it forms ``dV = E^T (g / l)``, ``dS = E * ((g / l) v^T -
     rowsum(g * O) / l)``, the subtraction folded into that product as one
     more column, ``dQ = dS k`` and ``dK = dS^T q``; ``rowsum(g v^T * P)`` is
     taken as ``rowsum(g * O)`` (Dao et al. 2022), an N x dh product instead
@@ -381,8 +381,8 @@ def relu(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * mask,)
 
-    # np.where(mask, a.data, 0.0) in one pass, with the same bytes: -0.0 and
-    # every other non-positive value give +0.0 (a NaN input now raises)
+    # one pass with the bytes of np.where(mask, a.data, 0.0): -0.0 gives +0.0
+    # here, where np.fmax or np.maximum(0, a) can keep -0.0; NaN stays NaN
     return _result(np.maximum(a.data, 0), "relu", (a,), vjp)
 
 

@@ -24,8 +24,8 @@ first line is not the magic is refused as soon as a read shows it.
 
 The reader opens the file once, reads the header in chunks up to the
 ``---`` line, searching at most ``_HEADER_LIMIT`` header bytes for it (no
-longer header is written), then reads the payload straight into one float32 buffer and
-checks it finite. Every parameter of the loaded model is a contiguous
+longer header is written), then reads the payload straight into one
+float32 buffer and checks it finite. Every parameter of the loaded model is a contiguous
 (K, ...) view of that buffer; no per-member model is built.
 """
 

@@ -33,8 +33,8 @@ from .autodiff import (ShapeError, Tensor, add, attention, concat, gelu,
 INIT_STD = 0.02
 # Attention scores per head that one stacked forward may hold: a training
 # stack keeps every task's and image's T x T exponentiated scores in each
-# layer and head for backward, so tasks x images per forward <= max(1, STACK_SCORES //
-# T^2). Desk and default configs take a whole minibatch of an 11-task bank;
+# layer and head for backward, so tasks x images per forward <= max(1,
+# STACK_SCORES // T^2). Desk and default configs take a whole minibatch of an 11-task bank;
 # 512x512 (1025 tokens) takes one image of one task.
 STACK_SCORES = 1 << 16
 
