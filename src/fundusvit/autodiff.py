@@ -254,14 +254,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     Scaling the scores is left to the caller (scale ``q``, N x D entries,
     rather than the N x N scores).
 
-    The forward normalises late (Milakov & Gimelshein 2018): it forms
-    ``E = exp(S)`` from the scores ``S = q_h k_h^T``, one product
-    ``E [v_h | 1] = [O l | l]``, and ``O = (E v_h) / l``, an N x dh divide
-    in place of an N x N row sum and divide. ``E`` is unshifted on a head
-    slice whose scores are bounded by ``SCORE_BOUND``, which needs no N x N
-    finiteness scan; any other slice takes the max-shifted, normalised
-    ``E = P`` with ``l = 1``, after the scan. Each slice chooses on its own,
-    so its bytes do not depend on the rest of the stack.
+    The forward normalises late (Milakov & Gimelshein 2018): from the
+    scores ``S = q_h k_h^T`` it forms ``E``, one product ``E [v_h | 1] =
+    [O l | l]``, and ``O = (E v_h) / l``, an N x dh divide in place of an
+    N x N row sum and divide. Each head slice takes one of three paths on
+    its own, so its bytes do not depend on the rest of the stack: ``E =
+    exp(S)`` where ``SCORE_BOUND`` bounds its scores, with no N x N
+    finiteness scan; ``E = exp(S - rowmax S)`` where it does not; and,
+    after the scan, the row-normalised ``E = P`` with ``l = 1`` where its
+    inputs are non-finite or too large for the other two. With no more
+    tokens than head columns (N <= dh) every slice takes the third path and
+    the product is ``P v_h``: there the bound would cost what it saves.
 
     The adjoint keeps ``E`` and ``l`` (not ``P = E / l``), the three input
     head stacks and the output stack ``O``. With ``g`` divided by ``l``
@@ -291,45 +294,73 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     def ones_column(a):  # [a | 1]
         return np.concatenate([a, np.ones_like(a[..., :1])], axis=-1)
 
+    def max_norm(a):  # each head slice's largest row norm: (..., H)
+        a = a.reshape(*lead, n, heads, dh)
+        return np.sqrt(np.einsum("...i,...i->...", a, a).max(axis=-2))
+
+    def each(mask, step):  # run an in-place step on the slices mask selects
+        if mask.all():
+            step(e)
+        elif mask.any():
+            s = e[mask]
+            step(s)
+            e[mask] = s
+
+    def scan(s):
+        if not np.isfinite(s).all():
+            raise NonFiniteError("attention produced non-finite scores")
+
+    def shift(s):
+        s -= s.max(axis=-1, keepdims=True)
+
+    def normalise(s):
+        s /= s.sum(axis=-1, keepdims=True)
+
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     e = qh @ t(kh)
-    # Cauchy-Schwarz bounds every score, and every partial sum of its
-    # product, by max_i |q_i| * max_j |k_j|. Where that is at most B =
-    # SCORE_BOUND, 0 < E <= e^B and every partial sum of E [v | 1] is at most
-    # N e^B max(|v|, 1) in size, so no |v| up to float max / (N e^(B + 1))
-    # can overflow it (the extra e covers rounding). NaN or Inf anywhere in
-    # a slice's q, k or v, or a row norm that overflows, fails these tests
-    # and sends the slice to the scan.
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.stack([q.data, k.data])
-        norms *= norms
-        # each head slice's largest row norm of q and of k: (2, ..., H)
-        norms = np.sqrt(norms.reshape(2, *lead, n, heads, dh).sum(axis=-1).max(axis=-2))
-        bound = norms[0] * norms[1]
-    v_max = np.abs(v.data).max(axis=-2).reshape(*lead, heads, dh).max(axis=-1)
-    v_limit = np.finfo(e.dtype).max / (n * math.exp(SCORE_BOUND + 1))
-    shifted = ~((bound <= SCORE_BOUND) & (v_max <= v_limit))
-    if not shifted.any():
+    if n <= dh:
+        # the bound's N x dh row norms would cost as much as the N x N
+        # passes they save: every slice is scanned, shifted and normalised
+        # first, E = P with l = 1
+        scan(e)
+        shift(e)
         np.exp(e, out=e)
+        normalise(e)
+        oh, l = e @ vh, 1.0
     else:
-        p = e[shifted]
-        if not np.isfinite(p).all():
-            raise NonFiniteError("attention produced non-finite scores")
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        with np.errstate(over="ignore"):  # the shifted slices are replaced
-            np.exp(e, out=e)
-        e[shifted] = p
-    ol = e @ ones_column(vh)
-    l = ol[..., -1:].copy()  # a copy, so that the tape does not keep ol
-    l[shifted] = 1.0
-    oh = ol[..., :-1] / l
+        # Cauchy-Schwarz bounds every score, and every partial sum of its
+        # product, by max_i |q_i| * max_j |k_j|. Where that is at most B =
+        # SCORE_BOUND, E = exp(S) <= e^B needs no shift; any other slice
+        # takes E = exp(S - rowmax S) <= 1, and its scores stay finite while
+        # the bound is under float max / e (e covers rounding). The row
+        # norms are squared in the input dtype, so a finite one keeps every
+        # |v_j| under sqrt(float max), and each partial sum of E [v | 1]
+        # under N e^B sqrt(float max), finite for N < 7e11 tokens. A slice
+        # with a larger bound, NaN or Inf in its q, k or v, or a squared row
+        # norm that overflows is scanned and normalised before the product:
+        # E = P, l = 1.
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = max_norm(q.data) * max_norm(k.data)
+            v_finite = np.isfinite(max_norm(v.data))
+        fast = bound <= SCORE_BOUND
+        normalised = ~((bound <= np.finfo(e.dtype).max / math.e) & v_finite)
+        each(normalised, scan)
+        each(~fast, shift)
+        np.exp(e, out=e)
+        each(normalised, normalise)
+        ol = e @ ones_column(vh)
+        l = ol[..., -1:].copy()  # a copy, so that the tape does not keep ol
+        l[normalised] = 1.0
+        oh = ol[..., :-1] / l
 
     def vjp(g):
         gl = split(g) / l
         r = (gl * oh).sum(axis=-1, keepdims=True)
-        ds = np.concatenate([gl, -r], axis=-1) @ t(ones_column(vh))
+        if n <= dh:  # two concatenations cost more than one pass over few tokens
+            ds = gl @ t(vh)
+            ds -= r
+        else:
+            ds = np.concatenate([gl, -r], axis=-1) @ t(ones_column(vh))
         ds *= e
         return merge(ds @ kh), merge(t(ds) @ qh), merge(t(e) @ gl)
 

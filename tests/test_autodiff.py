@@ -428,6 +428,28 @@ def head_bounds(q, k, heads):
     return norms(np.float64(q)) * norms(np.float64(k))
 
 
+def head_paths(q, k, v, heads):
+    """The path ``attention`` takes for each head slice of (..., N, D)
+    arrays, shaped (..., heads): "fast" (unshifted), "shifted" (row-max
+    shift) or "normalised" (scanned and normalised before the product). The
+    row norms are squared in the arrays' dtype, as ``attention`` squares
+    them, so a square past float max makes a slice "normalised"."""
+    *lead, n, d = q.shape
+    dh = d // heads
+    if n <= dh:
+        return np.full((*lead, heads), "normalised")
+
+    def norms(a):
+        a = a.reshape(*lead, n, heads, dh)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.float64(np.sqrt((a * a).sum(axis=-1).max(axis=-2)))
+
+    bound = norms(q) * norms(k)
+    normalised = ~((bound <= np.finfo(q.dtype).max / math.e) & np.isfinite(norms(v)))
+    return np.where(normalised, "normalised",
+                    np.where(bound <= ad.SCORE_BOUND, "fast", "shifted"))
+
+
 def normalised_first_attention(q, k, v, heads):
     """``attention``'s forward before it normalised late: a finiteness scan
     of every score, the row-max shift, exp, row sum and divide, then the
@@ -452,9 +474,10 @@ def normalised_first_attention(q, k, v, heads):
 
 
 class TestBoundedAttention:
-    """``attention`` exponentiates a head slice unshifted when its scores are
-    bounded by ``SCORE_BOUND`` and takes the shifted, scanned path
-    otherwise, slice by slice."""
+    """``attention`` takes one of three paths per head slice: unshifted
+    where ``SCORE_BOUND`` bounds the scores, shifted by the row maxima
+    elsewhere, and scanned and normalised before the product where the
+    inputs are non-finite or huge, and for every slice when N <= dh."""
 
     def setup_method(self):
         self.rng = np.random.default_rng(23)
@@ -462,38 +485,47 @@ class TestBoundedAttention:
     def normal(self, *shape, scale=1.0, dtype=np.float64):
         return (scale * self.rng.normal(size=shape)).astype(dtype)
 
-    @pytest.mark.parametrize("q_scale,side", [(0.3, "fast"), (6.0, "shifted")])
-    def test_gradients_on_each_path(self, q_scale, side):
-        q, k, v = t(self.normal(5, 8, scale=q_scale)), t(self.normal(5, 8)), \
-            t(self.normal(5, 8))
-        bounds = head_bounds(q.data, k.data, 2)
-        assert (bounds <= ad.SCORE_BOUND).all() if side == "fast" \
-            else (bounds > ad.SCORE_BOUND).all()
-        weights = t(self.normal(5, 8), grad=False)
+    @pytest.mark.parametrize("n,q_scale,path", [(5, 0.3, "fast"), (5, 6.0, "shifted"),
+                                                (4, 6.0, "normalised")])
+    def test_gradients_on_each_path(self, n, q_scale, path):
+        q, k, v = t(self.normal(n, 8, scale=q_scale)), t(self.normal(n, 8)), \
+            t(self.normal(n, 8))
+        assert (head_paths(q.data, k.data, v.data, 2) == path).all()
+        weights = t(self.normal(n, 8), grad=False)
         check_op_gradients(
             lambda: ad.tsum(ad.mul(ad.attention(q, k, v, 2), weights)), [q, k, v])
 
-    def test_large_values_take_the_shifted_path_with_gradients(self):
-        # bounded scores, but |v| past the fast path's overflow limit
+    @pytest.mark.parametrize("v_scale,path", [(1e150, "fast"), (1e300, "normalised")])
+    def test_large_values_with_gradients(self, v_scale, path):
+        # bounded scores; v's squared row norms below or past float max
         q, k = t(self.normal(4, 4, scale=0.3)), t(self.normal(4, 4))
-        v = t(self.normal(4, 4, scale=1e300))
-        weights = t(self.normal(4, 4, scale=1e-300), grad=False)
+        v = t(self.normal(4, 4, scale=v_scale))
+        assert (head_paths(q.data, k.data, v.data, 2) == path).all()
+        weights = t(self.normal(4, 4, scale=1.0 / v_scale), grad=False)
         out = ad.attention(q, k, v, 2)
         np.testing.assert_allclose(out.data, normalised_first_attention(
             q.data, k.data, v.data, 2), rtol=1e-12)
         check_op_gradients(
             lambda: ad.tsum(ad.mul(ad.attention(q, k, v, 2), weights)), [q, k])
 
+    def test_few_tokens_run_the_former_forward_bit_for_bit(self):
+        # N = 5 <= dh = 8: no bound, every slice scanned and normalised first
+        q, k, v = (self.normal(2, 3, 5, 32, dtype=np.float32) for _ in range(3))
+        assert (head_paths(q, k, v, 4) == "normalised").all()
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 4).data
+        assert out.tobytes() == normalised_first_attention(q, k, v, 4).tobytes()
+
     def test_each_slice_of_a_mixed_stack_equals_its_stack_of_one(self):
         heads = 2
         q, k, v, w = (self.normal(4, 6, 8, dtype=np.float32) for _ in range(4))
         q *= 0.3
-        q[1] *= 30.0        # image 1: both heads shifted
+        q[1] *= 30.0         # image 1: both heads shifted
         q[2, :, :4] *= 30.0  # image 2: head 0 shifted, head 1 not
-        bounds = head_bounds(q, k, heads)
-        shifted = bounds > ad.SCORE_BOUND
-        assert shifted.tolist() == [[False, False], [True, True], [True, False],
-                                    [False, False]]
+        v[3, :, 4:] *= 1e20  # image 3: head 1 normalised (its squared norms overflow)
+        w[3] *= 1e-20
+        assert head_paths(q, k, v, heads).tolist() == [
+            ["fast", "fast"], ["shifted", "shifted"], ["shifted", "fast"],
+            ["fast", "normalised"]]
 
         def run(qd, kd, vd, wd):
             leaves = [Tensor(a.copy(), requires_grad=True) for a in (qd, kd, vd)]
@@ -547,20 +579,26 @@ class TestBoundedAttention:
                             "attention produced non-finite values"}
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_v_limit_keeps_scores_at_the_bound_finite(self, dtype):
-        # every score is exactly SCORE_BOUND, so E is e^16 everywhere; a v
-        # past the limit must take the shifted path, which does not overflow
+    def test_largest_values_of_each_path_stay_finite(self, dtype):
+        # every score is exactly 16 (SCORE_BOUND, unshifted E = e^16) or 64
+        # (shifted E = 1); each row of v puts its whole norm in one column,
+        # the largest column sums of E v a norm allows. A row norm leaves
+        # both paths where its square passes float max, at sqrt(float max)
         n, heads = 5, 2
-        q = np.zeros((n, 4), dtype)
-        q[:, ::2] = 4.0
-        assert (head_bounds(q, q, heads) == ad.SCORE_BOUND).all()
         info = np.finfo(dtype)
-        limit = info.max / (n * math.exp(ad.SCORE_BOUND + 1))
-        for value in (limit / 2, limit * 2, limit * 10, info.max / 2 / n, info.max / 2):
-            v = np.full((n, 4), value, dtype)
-            out = ad.attention(Tensor(q), Tensor(q.copy()), Tensor(v), heads).data
-            np.testing.assert_allclose(out, normalised_first_attention(q, q, v, heads),
-                                       rtol=1e-6)
+        paths = set()
+        for q_value in (4.0, 8.0):
+            q = np.zeros((n, 4), dtype)
+            q[:, ::2] = q_value
+            assert (head_bounds(q, q, heads) == q_value ** 2).all()
+            for value in (np.sqrt(info.max) / 2, np.sqrt(info.max) * 2, info.max / 2):
+                v = np.zeros((n, 4), dtype)
+                v[:, ::2] = value
+                paths.update(head_paths(q, q, v, heads).ravel())
+                out = ad.attention(Tensor(q), Tensor(q.copy()), Tensor(v), heads).data
+                np.testing.assert_allclose(
+                    out, normalised_first_attention(q, q, v, heads), rtol=1e-6)
+        assert paths == {"fast", "shifted", "normalised"}
 
     @pytest.mark.parametrize("bound", [0.5 * ad.SCORE_BOUND, 2.0 * ad.SCORE_BOUND])
     def test_float32_output_near_the_per_head_reference(self, bound):
@@ -570,9 +608,9 @@ class TestBoundedAttention:
         # scale q so that the largest head bound of the scaled scores is ``bound``
         q *= bound / (scale * head_bounds(q, k, heads).max())
         q, k, v = (a.astype(np.float32) for a in (q, k, v))
-        bounds = head_bounds(q * np.float32(scale), k, heads)
-        assert (bounds <= ad.SCORE_BOUND).all() if bound < ad.SCORE_BOUND \
-            else (bounds > ad.SCORE_BOUND).any()
+        paths = head_paths(q * np.float32(scale), k, v, heads)
+        assert (paths == "fast").all() if bound < ad.SCORE_BOUND \
+            else (paths == "shifted").any()
         fused = ad.attention(ad.mul(Tensor(q), scale), Tensor(k), Tensor(v), heads).data
         ref = per_head_attention(*(t(a, grad=False) for a in (q, k, v)), heads).data
         np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-6)

@@ -52,7 +52,7 @@ GOLDEN = {
     "glaucoma.log":
         "d06a943f9b4a5750178c920f5004fb54376e3a1e3fce1f83a65ddb00993b8122",
     "model.ckpt":
-        "30293abb74adf9821ba9038662b64c85d94e936a3ac793edd7c2483c986ed88e",
+        "4a3707f003c0ece6a4c144ae194426698e08be9604150fad93c5d5cb57c0106a",
     "report.txt":
         "f80edec9e11f6fbc19cb334ad21479c9ac07ecc27194ad5131ee3632ddc7bdab",
 }
