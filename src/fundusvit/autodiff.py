@@ -270,9 +270,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     head stacks and the output stack ``O``. With ``g`` divided by ``l``
     first, it forms ``dV = E^T (g / l)``, ``dS = E * ((g / l) v^T -
     rowsum(g * O) / l)``, the subtraction folded into that product as one
-    more column, ``dQ = dS k`` and ``dK = dS^T q``; ``rowsum(g v^T * P)`` is
-    taken as ``rowsum(g * O)`` (Dao et al. 2022), an N x dh product instead
-    of an N x N one.
+    more column where N > dh, ``dQ = dS k`` and ``dK = dS^T q``;
+    ``rowsum(g v^T * P)`` is taken as ``rowsum(g * O)`` (Dao et al. 2022),
+    an N x dh product instead of an N x N one.
     """
     if q.ndim < 2 or q.shape != k.shape or q.shape != v.shape:
         raise ShapeError(f"attention needs equal q, k, v of at least 2 axes, got "
