@@ -38,8 +38,9 @@ class NonFiniteError(FloatingPointError):
 
 _grad_enabled = True
 LAYER_NORM_EPS = 1e-5  # added to the variance in layer_norm
-# attention exponentiates a head slice's scores unshifted when they are
-# bounded by this (|q_i . k_j| <= |q_i| |k_j|); exp(16) is about 8.9e6
+# attention exponentiates a head slice's scores unshifted, and normalises
+# them after its product, when they are bounded by this (|q_i . k_j| <=
+# |q_i| |k_j|); exp(16) is about 8.9e6
 SCORE_BOUND = 16.0
 
 
@@ -254,17 +255,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     Scaling the scores is left to the caller (scale ``q``, N x D entries,
     rather than the N x N scores).
 
-    The forward normalises late (Milakov & Gimelshein 2018): from the
-    scores ``S = q_h k_h^T`` it forms ``E``, one product ``E [v_h | 1] =
-    [O l | l]``, and ``O = (E v_h) / l``, an N x dh divide in place of an
-    N x N row sum and divide. Each head slice takes one of three paths on
-    its own, so its bytes do not depend on the rest of the stack: ``E =
-    exp(S)`` where ``SCORE_BOUND`` bounds its scores, with no N x N
-    finiteness scan; ``E = exp(S - rowmax S)`` where it does not; and,
-    after the scan, the row-normalised ``E = P`` with ``l = 1`` where its
-    inputs are non-finite or too large for the other two. With no more
-    tokens than head columns (N <= dh) every slice takes the third path and
-    the product is ``P v_h``: there the bound would cost what it saves.
+    Each head slice takes one of two paths on its own, so its bytes do not
+    depend on the rest of the stack. On the bounded path, where
+    ``SCORE_BOUND`` bounds its scores ``S = q_h k_h^T`` and v's squared row
+    norms are finite, it forms ``E = exp(S)`` with no N x N finiteness scan,
+    shift or row sum, and normalises late (Milakov & Gimelshein 2018): one
+    product ``E [v_h | 1] = [O l | l]`` gives ``O = (E v_h) / l``, an N x dh
+    divide. Every other slice takes the former path: its scores are
+    scanned, shifted by their row maxima and normalised before the product,
+    ``E = P`` with ``l = 1``. With no more tokens than head columns (N <=
+    dh) every slice takes the former path and the product is ``P v_h``:
+    there the bound would cost what it saves.
 
     The adjoint keeps ``E`` and ``l`` (not ``P = E / l``), the three input
     head stacks and the output stack ``O``. With ``g`` divided by ``l``
@@ -306,51 +307,39 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             step(s)
             e[mask] = s
 
-    def scan(s):
+    def bounded_path(s):  # E = exp(S), normalised after the product
+        np.exp(s, out=s)
+
+    def former_path(s):  # E = P: scanned, shifted and normalised first
         if not np.isfinite(s).all():
             raise NonFiniteError("attention produced non-finite scores")
-
-    def shift(s):
         s -= s.max(axis=-1, keepdims=True)
-
-    def normalise(s):
+        np.exp(s, out=s)
         s /= s.sum(axis=-1, keepdims=True)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     e = qh @ t(kh)
     if n <= dh:
         # the bound's N x dh row norms would cost as much as the N x N
-        # passes they save: every slice is scanned, shifted and normalised
-        # first, E = P with l = 1
-        scan(e)
-        shift(e)
-        np.exp(e, out=e)
-        normalise(e)
+        # passes they save: every slice takes the former path
+        former_path(e)
         oh, l = e @ vh, 1.0
     else:
         # Cauchy-Schwarz bounds every score, and every partial sum of its
         # product, by max_i |q_i| * max_j |k_j|. Where that is at most B =
-        # SCORE_BOUND, E = exp(S) <= e^B needs no shift; any other slice
-        # takes E = exp(S - rowmax S) <= 1, and its scores stay finite while
-        # the bound is under float max / e (e covers rounding). The row
-        # norms are squared in the input dtype, so a finite one keeps every
-        # |v_j| under sqrt(float max), and each partial sum of E [v | 1]
-        # under N e^B sqrt(float max), finite for N < 7e11 tokens. A slice
-        # with a larger bound, NaN or Inf in its q, k or v, or a squared row
-        # norm that overflows is scanned and normalised before the product:
-        # E = P, l = 1.
+        # SCORE_BOUND, E = exp(S) <= e^B needs no shift. The row norms are
+        # squared in the input dtype, so a finite one keeps every |v_j|
+        # under sqrt(float max), and each partial sum of E [v | 1] under
+        # N e^B sqrt(float max), finite for N < 7e11 tokens. NaN or Inf in
+        # q or k leaves the bound NaN or Inf, and that slice unbounded.
         with np.errstate(over="ignore", invalid="ignore"):
-            bound = max_norm(q.data) * max_norm(k.data)
-            v_finite = np.isfinite(max_norm(v.data))
-        fast = bound <= SCORE_BOUND
-        normalised = ~((bound <= np.finfo(e.dtype).max / math.e) & v_finite)
-        each(normalised, scan)
-        each(~fast, shift)
-        np.exp(e, out=e)
-        each(normalised, normalise)
+            bounded = ((max_norm(q.data) * max_norm(k.data) <= SCORE_BOUND)
+                       & np.isfinite(max_norm(v.data)))
+        each(bounded, bounded_path)
+        each(~bounded, former_path)
         ol = e @ ones_column(vh)
         l = ol[..., -1:].copy()  # a copy, so that the tape does not keep ol
-        l[normalised] = 1.0
+        l[~bounded] = 1.0
         oh = ol[..., :-1] / l
 
     def vjp(g):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -76,6 +77,14 @@ def _binary(value: str, column: str, where: str) -> int:
     return int(value)
 
 
+def _image_id(value: str, where: str) -> str:
+    # the id names preprocess's output file and report.txt's nhd.<id> key
+    if not re.fullmatch(r"[A-Za-z0-9_-][A-Za-z0-9._-]*", value):
+        raise ValueError(f"{where}: column image_id must be ASCII letters, digits, '.', "
+                         f"'_' or '-', not empty or starting with '.', got {value!r}")
+    return value
+
+
 def _extent(value: str, column: str, where: str) -> int:
     if not value.isdecimal() or int(value) < 1:
         raise ValueError(f"{where}: column {column} must be a positive integer, "
@@ -100,7 +109,7 @@ def read_manifest(path: str | Path) -> list[ManifestRow]:
             if len(rec) != len(MANIFEST_COLUMNS):
                 raise ValueError(f"{where}: expected {len(MANIFEST_COLUMNS)} columns, "
                                  f"got {len(rec)}")
-            image_id = rec[0]
+            image_id = _image_id(rec[0], where)
             if image_id in seen:
                 raise ValueError(f"{where}: duplicate image id {image_id!r}")
             seen.add(image_id)

@@ -13,7 +13,7 @@ import numpy as np
 from .atomic import write_atomic
 
 
-def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
+def _next_token(buf: bytes, pos: int, path: str | Path) -> tuple[bytes, int]:
     n = len(buf)
     while pos < n:
         c = buf[pos:pos + 1]
@@ -28,22 +28,28 @@ def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     while pos < n and not buf[pos:pos + 1].isspace():
         pos += 1
     if start == pos:
-        raise ValueError("truncated PPM header")
+        raise ValueError(f"{path}: truncated PPM header")
     return buf[start:pos], pos
+
+
+def _header_number(buf: bytes, pos: int, name: str, path: str | Path) -> tuple[int, int]:
+    token, pos = _next_token(buf, pos, path)
+    if not token.isdigit():  # ASCII digits only: int() would also take "+2" or "1_0"
+        raise ValueError(f"{path}: PPM {name} must be ASCII decimal digits, got {token!r}")
+    return int(token), pos
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
     """Read a P6 file into an HxWx3 uint8 array."""
     buf = Path(path).read_bytes()
-    magic, pos = _next_token(buf, 0)
+    magic, pos = _next_token(buf, 0, path)
     if magic != b"P6":
         raise ValueError(f"{path}: not a binary PPM (magic {magic!r})")
-    width, pos = _next_token(buf, pos)
-    height, pos = _next_token(buf, pos)
-    maxval, pos = _next_token(buf, pos)
-    if int(maxval) != 255:
-        raise ValueError(f"{path}: only maxval 255 supported, got {int(maxval)}")
-    w, h = int(width), int(height)
+    w, pos = _header_number(buf, pos, "width", path)
+    h, pos = _header_number(buf, pos, "height", path)
+    maxval, pos = _header_number(buf, pos, "maxval", path)
+    if maxval != 255:
+        raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
     if w < 1 or h < 1:
         raise ValueError(f"{path}: image extents must be positive, got {w}x{h}")
     pos += 1  # single whitespace byte after maxval

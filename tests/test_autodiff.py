@@ -430,24 +430,22 @@ def head_bounds(q, k, heads):
 
 def head_paths(q, k, v, heads):
     """The path ``attention`` takes for each head slice of (..., N, D)
-    arrays, shaped (..., heads): "fast" (unshifted), "shifted" (row-max
-    shift) or "normalised" (scanned and normalised before the product). The
+    arrays, shaped (..., heads): "bounded" (unshifted, normalised after the
+    product) or "former" (scanned, shifted and normalised before it). The
     row norms are squared in the arrays' dtype, as ``attention`` squares
-    them, so a square past float max makes a slice "normalised"."""
+    them, so a square past float max makes a slice "former"."""
     *lead, n, d = q.shape
     dh = d // heads
     if n <= dh:
-        return np.full((*lead, heads), "normalised")
+        return np.full((*lead, heads), "former")
 
     def norms(a):
         a = a.reshape(*lead, n, heads, dh)
         with np.errstate(over="ignore", invalid="ignore"):
             return np.float64(np.sqrt((a * a).sum(axis=-1).max(axis=-2)))
 
-    bound = norms(q) * norms(k)
-    normalised = ~((bound <= np.finfo(q.dtype).max / math.e) & np.isfinite(norms(v)))
-    return np.where(normalised, "normalised",
-                    np.where(bound <= ad.SCORE_BOUND, "fast", "shifted"))
+    bounded = (norms(q) * norms(k) <= ad.SCORE_BOUND) & np.isfinite(norms(v))
+    return np.where(bounded, "bounded", "former")
 
 
 def normalised_first_attention(q, k, v, heads):
@@ -474,10 +472,11 @@ def normalised_first_attention(q, k, v, heads):
 
 
 class TestBoundedAttention:
-    """``attention`` takes one of three paths per head slice: unshifted
-    where ``SCORE_BOUND`` bounds the scores, shifted by the row maxima
-    elsewhere, and scanned and normalised before the product where the
-    inputs are non-finite or huge, and for every slice when N <= dh."""
+    """``attention`` takes one of two paths per head slice: bounded
+    (unshifted, normalised after the product) where ``SCORE_BOUND`` bounds
+    the scores and v's squared row norms are finite, and former (scanned,
+    shifted and normalised before the product) elsewhere, and for every
+    slice when N <= dh."""
 
     def setup_method(self):
         self.rng = np.random.default_rng(23)
@@ -485,8 +484,8 @@ class TestBoundedAttention:
     def normal(self, *shape, scale=1.0, dtype=np.float64):
         return (scale * self.rng.normal(size=shape)).astype(dtype)
 
-    @pytest.mark.parametrize("n,q_scale,path", [(5, 0.3, "fast"), (5, 6.0, "shifted"),
-                                                (4, 6.0, "normalised")])
+    @pytest.mark.parametrize("n,q_scale,path", [(5, 0.3, "bounded"), (5, 6.0, "former"),
+                                                (4, 6.0, "former")])
     def test_gradients_on_each_path(self, n, q_scale, path):
         q, k, v = t(self.normal(n, 8, scale=q_scale)), t(self.normal(n, 8)), \
             t(self.normal(n, 8))
@@ -495,7 +494,7 @@ class TestBoundedAttention:
         check_op_gradients(
             lambda: ad.tsum(ad.mul(ad.attention(q, k, v, 2), weights)), [q, k, v])
 
-    @pytest.mark.parametrize("v_scale,path", [(1e150, "fast"), (1e300, "normalised")])
+    @pytest.mark.parametrize("v_scale,path", [(1e150, "bounded"), (1e300, "former")])
     def test_large_values_with_gradients(self, v_scale, path):
         # bounded scores; v's squared row norms below or past float max
         q, k = t(self.normal(4, 4, scale=0.3)), t(self.normal(4, 4))
@@ -509,9 +508,9 @@ class TestBoundedAttention:
             lambda: ad.tsum(ad.mul(ad.attention(q, k, v, 2), weights)), [q, k])
 
     def test_few_tokens_run_the_former_forward_bit_for_bit(self):
-        # N = 5 <= dh = 8: no bound, every slice scanned and normalised first
+        # N = 5 <= dh = 8: no bound, every slice takes the former path
         q, k, v = (self.normal(2, 3, 5, 32, dtype=np.float32) for _ in range(3))
-        assert (head_paths(q, k, v, 4) == "normalised").all()
+        assert (head_paths(q, k, v, 4) == "former").all()
         out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 4).data
         assert out.tobytes() == normalised_first_attention(q, k, v, 4).tobytes()
 
@@ -519,13 +518,13 @@ class TestBoundedAttention:
         heads = 2
         q, k, v, w = (self.normal(4, 6, 8, dtype=np.float32) for _ in range(4))
         q *= 0.3
-        q[1] *= 30.0         # image 1: both heads shifted
-        q[2, :, :4] *= 30.0  # image 2: head 0 shifted, head 1 not
-        v[3, :, 4:] *= 1e20  # image 3: head 1 normalised (its squared norms overflow)
+        q[1] *= 30.0         # image 1: both heads former
+        q[2, :, :4] *= 30.0  # image 2: head 0 former, head 1 not
+        v[3, :, 4:] *= 1e20  # image 3: head 1 former (its squared norms overflow)
         w[3] *= 1e-20
         assert head_paths(q, k, v, heads).tolist() == [
-            ["fast", "fast"], ["shifted", "shifted"], ["shifted", "fast"],
-            ["fast", "normalised"]]
+            ["bounded", "bounded"], ["former", "former"], ["former", "bounded"],
+            ["bounded", "former"]]
 
         def run(qd, kd, vd, wd):
             leaves = [Tensor(a.copy(), requires_grad=True) for a in (qd, kd, vd)]
@@ -580,10 +579,11 @@ class TestBoundedAttention:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_largest_values_of_each_path_stay_finite(self, dtype):
-        # every score is exactly 16 (SCORE_BOUND, unshifted E = e^16) or 64
-        # (shifted E = 1); each row of v puts its whole norm in one column,
-        # the largest column sums of E v a norm allows. A row norm leaves
-        # both paths where its square passes float max, at sqrt(float max)
+        # every score is exactly 16 (SCORE_BOUND, bounded E = e^16) or 64
+        # (former E = P = 1 / n); each row of v puts its whole norm in one
+        # column, the largest column sums of E v a norm allows. A row norm
+        # leaves the bounded path where its square passes float max, at
+        # sqrt(float max)
         n, heads = 5, 2
         info = np.finfo(dtype)
         paths = set()
@@ -598,7 +598,7 @@ class TestBoundedAttention:
                 out = ad.attention(Tensor(q), Tensor(q.copy()), Tensor(v), heads).data
                 np.testing.assert_allclose(
                     out, normalised_first_attention(q, q, v, heads), rtol=1e-6)
-        assert paths == {"fast", "shifted", "normalised"}
+        assert paths == {"bounded", "former"}
 
     @pytest.mark.parametrize("bound", [0.5 * ad.SCORE_BOUND, 2.0 * ad.SCORE_BOUND])
     def test_float32_output_near_the_per_head_reference(self, bound):
@@ -609,8 +609,8 @@ class TestBoundedAttention:
         q *= bound / (scale * head_bounds(q, k, heads).max())
         q, k, v = (a.astype(np.float32) for a in (q, k, v))
         paths = head_paths(q * np.float32(scale), k, v, heads)
-        assert (paths == "fast").all() if bound < ad.SCORE_BOUND \
-            else (paths == "shifted").any()
+        assert (paths == "bounded").all() if bound < ad.SCORE_BOUND \
+            else (paths == "former").any()
         fused = ad.attention(ad.mul(Tensor(q), scale), Tensor(k), Tensor(v), heads).data
         ref = per_head_attention(*(t(a, grad=False) for a in (q, k, v)), heads).data
         np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-6)

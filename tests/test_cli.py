@@ -451,6 +451,25 @@ class TestMalformedInputs:
                 in capsys.readouterr().err)
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("image_id", ["../../escaped", "x y=z", ".hidden", "..",
+                                          "", "a/b", "caf\u00e9"])
+    def test_unsafe_image_id_is_one_and_writes_nothing(self, image_id, workspace,
+                                                       tmp_path, capsys):
+        # preprocess names its output out/images/<image_id>.ppm
+        root, data, config = workspace
+        lines = (data / "manifest.tsv").read_text().splitlines()
+        row = lines[2].split("\t")
+        row[0] = image_id
+        bad = data / "unsafe-id.tsv"
+        bad.write_text("\n".join([*lines[:2], "\t".join(row), *lines[3:]]) + "\n")
+        capsys.readouterr()
+        assert run_cli(["preprocess", "--manifest", bad, "--out",
+                        tmp_path / "a" / "b" / "out"]) == 1
+        assert (f"{bad}:3: column image_id must be ASCII letters, digits, '.', '_' or "
+                f"'-', not empty or starting with '.', got {image_id!r}"
+                in capsys.readouterr().err)
+        assert list(tmp_path.rglob("*")) == []
+
     def test_calls_construct_no_parser(self, tmp_path, monkeypatch):
         # the parser is built once per process; each call only parses
         built = []
@@ -642,18 +661,20 @@ class TestTrainEvalInfer:
                         "--detection", det]) == 0
         assert capsys.readouterr().out.startswith("glaucoma ")
 
-    @pytest.mark.parametrize("header", [b"P6\n0 5\n255\n", b"P6\n5 0\n255\n",
-                                        b"P6\n-1 -1\n255\n\0\0\0"],
-                             ids=["zero-width", "zero-height", "negative"])
-    def test_infer_image_without_pixels_is_one(self, header, workspace, tmp_path,
-                                               capsys):
+    @pytest.mark.parametrize("header, message", [
+        (b"P6\n0 5\n255\n", "image extents must be positive"),
+        (b"P6\n5 0\n255\n", "image extents must be positive"),
+        (b"P6\n-1 -1\n255\n\0\0\0", "PPM width must be ASCII decimal digits")],
+        ids=["zero-width", "zero-height", "negative"])
+    def test_infer_image_without_pixels_is_one(self, header, message, workspace,
+                                               tmp_path, capsys):
         root, data, config = workspace
         run_cli(["train", "--config", config])
         image = tmp_path / "empty.ppm"
         image.write_bytes(header)
         assert run_cli(["infer", "--checkpoint", root / "run",
                         "--image", image]) == 1
-        assert "extents must be positive" in capsys.readouterr().err
+        assert f"{image}: {message}" in capsys.readouterr().err
 
     def test_infer_missing_detection_is_two(self, workspace, tmp_path, capsys):
         root, data, config = workspace

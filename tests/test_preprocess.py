@@ -3,6 +3,7 @@ flood-fill background removal, bilinear resizing against a scalar-loop
 resampler, and the augmentation pipeline's exactness contracts."""
 
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -514,7 +515,20 @@ class TestPpm:
     def test_truncated_header_rejected(self, raw, tmp_path):
         path = tmp_path / "short.ppm"
         path.write_bytes(raw)
-        with pytest.raises(ValueError, match="truncated PPM header"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated PPM header$"):
+            read_ppm(path)
+
+    @pytest.mark.parametrize("header,name", [
+        (b"P6\n1_0 1\n255\n", "width"), (b"P6\n+2 1\n255\n", "width"),
+        (b"P6\n2 x\n255\n", "height"), (b"P6\n2 1\n2_55\n", "maxval"),
+        (b"P6\n2 \xd9\xa1\n255\n", "height"), (b"P6\n2 -1\n255\n", "height")],
+        ids=["underscore", "plus", "letter", "maxval-underscore", "arabic-indic-digit",
+             "minus"])
+    def test_header_numbers_are_ascii_digits_only(self, header, name, tmp_path):
+        path = tmp_path / "n.ppm"
+        path.write_bytes(header + bytes(2 * 10 * 3))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: PPM {name} "
+                                             f"must be ASCII decimal digits"):
             read_ppm(path)
 
     @pytest.mark.parametrize("image", [np.zeros((2, 2), np.uint8),
