@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import os
 import stat
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Sequence
 
@@ -201,41 +201,15 @@ def _read_payload(file: BinaryIO, path: Path, spill: bytearray, buffer: np.ndarr
         raise IncompatibleCheckpointError(f"{path}: non-finite parameter values")
 
 
-def _load(path: Path) -> tuple[DualHeadViT, PreprocessOptions, tuple[str, ...]]:
-    """Read the checkpoint file ``path``: its task stack, whose parameters
-    are consecutive (K, ...) views of one float32 buffer, its preprocessing
-    and its tasks."""
-    with _open(path) as file:
-        header, spill = _read_header(file, path)
-        buffer = np.empty(header.size // 4, dtype="<f4")
-        _read_payload(file, path, spill, buffer)
-    k, arrays, offset = len(header.tasks), {}, 0
-    for name, shape in DualHeadViT.parameter_shapes(header.config):
-        count = k * math.prod(shape)
-        arrays[name] = buffer[offset:offset + count].reshape(k, *shape)
-        offset += count
-    return DualHeadViT.from_arrays(header.config, arrays), header.prep, header.tasks
-
-
-def load_checkpoint(path: str | Path
-                    ) -> tuple[DualHeadViT, PreprocessOptions, tuple[str, ...]]:
-    """Read a checkpoint, accepting only the exact layout ``save_checkpoint``
-    writes: every parameter once, in order, at cumulative offsets, with no
-    trailing bytes and only finite values. The model is a stack of K >= 1
-    tasks, returned with them."""
-    return _load(Path(path))
-
-
 @dataclass
 class ClassifierBank:
     """Independently trained per-task classifiers sharing one architecture
     and preprocessing, held as one task stack: task k of ``stacked`` is
-    ``tasks[k]``; tasks skipped at training time are in ``skipped``."""
+    ``tasks[k]``."""
 
     tasks: tuple[str, ...]
     stacked: DualHeadViT
     prep: PreprocessOptions
-    skipped: dict[str, str] = field(default_factory=dict)
 
     @property
     def config(self) -> ModelConfig:
@@ -247,13 +221,33 @@ class ClassifierBank:
         return self.tasks
 
 
+def load_checkpoint(path: str | Path) -> ClassifierBank:
+    """Read a checkpoint, accepting only the exact layout ``save_checkpoint``
+    writes: every parameter once, in order, at cumulative offsets, with no
+    trailing bytes and only finite values. The task stack, K >= 1 tasks,
+    holds its parameters as consecutive (K, ...) views of one float32
+    buffer."""
+    path = Path(path)
+    with _open(path) as file:
+        header, spill = _read_header(file, path)
+        buffer = np.empty(header.size // 4, dtype="<f4")
+        _read_payload(file, path, spill, buffer)
+    k, arrays, offset = len(header.tasks), {}, 0
+    for name, shape in DualHeadViT.parameter_shapes(header.config):
+        count = k * math.prod(shape)
+        arrays[name] = buffer[offset:offset + count].reshape(k, *shape)
+        offset += count
+    return ClassifierBank(header.tasks, DualHeadViT.from_arrays(header.config, arrays),
+                          header.prep)
+
+
 def load_bank(path: str | Path) -> ClassifierBank:
     """Load a bank from a checkpoint file, or from a run directory's
     ``model.ckpt``; its tasks must include glaucoma."""
     path = Path(path)
     if path.is_dir():
         path = path / CHECKPOINT_NAME
-    stacked, prep, tasks = _load(path)
-    if "glaucoma" not in tasks:
+    bank = load_checkpoint(path)
+    if "glaucoma" not in bank.tasks:
         raise IncompatibleCheckpointError(f"{path}: bank has no glaucoma classifier")
-    return ClassifierBank(tasks, stacked, prep)
+    return bank

@@ -156,7 +156,7 @@ def cmd_train(args) -> int:
     if cfg.train.task == "bank":
         bank = train_bank(cfg.model, cfg.train, cfg.augment, cfg.prep, rows, base,
                           out_dir=cfg.paths.out, config_lines=lines)
-        print(f"trained {len(bank.tasks)} tasks, skipped {len(bank.skipped)}")
+        print(f"trained {len(bank.tasks)} tasks, skipped {len(TASKS) - len(bank.tasks)}")
     else:
         [result] = train_task(cfg.model, cfg.train, cfg.augment, cfg.prep, rows, base,
                               out_dir=cfg.paths.out, config_lines=lines)

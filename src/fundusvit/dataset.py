@@ -86,7 +86,8 @@ def _image_id(value: str, where: str) -> str:
 
 
 def _extent(value: str, column: str, where: str) -> int:
-    if not value.isdecimal() or int(value) < 1:
+    # ASCII digits only, as in PPM headers: isdecimal() also takes fullwidth ones
+    if not (value.isascii() and value.isdecimal()) or int(value) < 1:
         raise ValueError(f"{where}: column {column} must be a positive integer, "
                          f"got {value!r}")
     return int(value)

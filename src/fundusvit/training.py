@@ -340,7 +340,8 @@ def train_bank(model_cfg: ModelConfig, train_cfg: TrainConfig,
     A feature task whose training split holds one class (no positive, or
     no negative sample) is skipped before training, with its reason in the
     bank log; every other member is bitwise identical to a standalone run
-    with the same seed. The bank holds the trained members as one task stack.
+    with the same seed. The bank holds the trained members as one task stack,
+    as ``load_bank(out_dir)`` reads it back.
     """
     train_rows, _ = rebalance_and_split(rows, [r.rg for r in rows], train_cfg.n_nrg,
                                         train_cfg.split, train_cfg.seed)
@@ -358,4 +359,4 @@ def train_bank(model_cfg: ModelConfig, train_cfg: TrainConfig,
              f"best_val_metric={results[task].best_metric:.6f}" for task in TASKS]]
     write_atomic(Path(out_dir) / "bank.log", "\n".join(bank_lines) + "\n")
     return ClassifierBank(tuple(results), DualHeadViT.stack([r.model for r in trained]),
-                          prep, skipped)
+                          prep)

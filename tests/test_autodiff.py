@@ -514,6 +514,24 @@ class TestBoundedAttention:
         out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 4).data
         assert out.tobytes() == normalised_first_attention(q, k, v, 4).tobytes()
 
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_many_tokens_run_the_former_forward_bit_for_bit_past_the_bound(self, mixed):
+        # N = 17 > dh = 8: a slice past SCORE_BOUND divides its product by
+        # l = 1, so its bytes are the former forward's
+        heads, dh = 4, 8
+        q, k, v = (self.normal(2, 3, 17, heads * dh, dtype=np.float32) for _ in range(3))
+        q *= 30.0
+        if mixed:
+            q[0, 1] *= 1e-3          # image 1 of stack 0: every head bounded
+            q[1, :, :, :dh] *= 1e-3  # head 0 of stack 1: bounded
+        paths = head_paths(q, k, v, heads)
+        assert set(paths.ravel()) == ({"bounded", "former"} if mixed else {"former"})
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), heads).data
+        former = paths == "former"
+        got, want = (a.reshape(2, 3, 17, heads, dh).swapaxes(-2, -3)[former]
+                     for a in (out, normalised_first_attention(q, k, v, heads)))
+        assert got.tobytes() == want.tobytes()
+
     def test_each_slice_of_a_mixed_stack_equals_its_stack_of_one(self):
         heads = 2
         q, k, v, w = (self.normal(4, 6, 8, dtype=np.float32) for _ in range(4))

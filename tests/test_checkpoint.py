@@ -67,9 +67,9 @@ def assert_same_stack(a: DualHeadViT, b: DualHeadViT):
 
 
 def assert_loads_as_saved(path, model, tasks):
-    loaded, _, loaded_tasks = load_checkpoint(path)
-    assert loaded_tasks == tuple(tasks) and loaded.config == model.config
-    assert_same_stack(loaded, model)
+    loaded = load_checkpoint(path)
+    assert loaded.tasks == tuple(tasks) and loaded.config == model.config
+    assert_same_stack(loaded.stacked, model)
 
 
 class FileSpy:
@@ -128,14 +128,14 @@ class TestRoundTrip:
             model = DualHeadViT.stack([make_model(seed=4 + k) for k in range(len(tasks))])
             path = tmp_path / "m.ckpt"
             save_checkpoint(path, model, prep, tasks)
-            loaded, loaded_prep, loaded_tasks = load_checkpoint(path)
-            assert loaded_tasks == tuple(tasks)
-            assert loaded_prep == prep
+            loaded = load_checkpoint(path)
+            assert loaded.tasks == tuple(tasks)
+            assert loaded.prep == prep
             assert loaded.config == CFG
-            assert_same_stack(loaded, model)
+            assert_same_stack(loaded.stacked, model)
             # a second save is byte-identical to the first
             path2 = tmp_path / "m2.ckpt"
-            save_checkpoint(path2, loaded, loaded_prep, loaded_tasks)
+            save_checkpoint(path2, loaded.stacked, loaded.prep, loaded.tasks)
             assert path.read_bytes() == path2.read_bytes()
 
     def test_load_draws_no_initial_values(self, tmp_path, monkeypatch):
@@ -147,7 +147,7 @@ class TestRoundTrip:
             raise AssertionError("load_checkpoint drew an initial value")
 
         monkeypatch.setattr(model_module, "_trunc_normal", no_draws)
-        loaded, _, _ = load_checkpoint(path)
+        loaded = load_checkpoint(path).stacked
         for (_, ta), (_, tb) in zip(model.params.items(), loaded.params.items()):
             assert tb.data.dtype == np.float32
             assert ta.data.tobytes() == tb.data.tobytes()
@@ -443,7 +443,7 @@ class TestStackedLoad:
         for task in TASKS:  # each member saved alone, as its own run
             (tmp_path / task).mkdir()
             save_bank(tmp_path / task, [task])
-        members = DualHeadViT.stack([load_checkpoint(tmp_path / task / CHECKPOINT_NAME)[0]
+        members = DualHeadViT.stack([load_checkpoint(tmp_path / task / CHECKPOINT_NAME).stacked
                                      for task in TASKS])
         assert_same_stack(bank.stacked, members)
         image = np.random.default_rng(0).random((3, CFG.height, CFG.width, 3))
@@ -492,10 +492,10 @@ class TestStackedLoad:
 def retasked(path, tasks, k=None):
     """Rewrite ``path`` with its header naming ``tasks`` and, if ``k`` is
     given, tensor lines for a stack of ``k``; the payload stays."""
-    model, prep, _ = load_checkpoint(path)
-    tensor_lines, _ = _layout(model.parameter_shapes(model.config),
+    loaded = load_checkpoint(path)
+    tensor_lines, _ = _layout(loaded.stacked.parameter_shapes(loaded.config),
                               len(tasks) if k is None else k)
-    path.write_bytes(_header(model.config, prep, tasks, tensor_lines) + _END
+    path.write_bytes(_header(loaded.config, loaded.prep, tasks, tensor_lines) + _END
                      + payload(path))
 
 
@@ -690,11 +690,11 @@ def test_damaged_header_loads_only_as_the_writers_bytes(tmp_path_factory, data):
     damaged = data.draw(damaged_header(path.read_bytes()))
     path.write_bytes(damaged)
     try:
-        model, prep, tasks = load_checkpoint(path)
+        loaded = load_checkpoint(path)
     except IncompatibleCheckpointError as exc:
         assert str(exc).startswith(f"{path}: ")
         return
-    save_checkpoint(root / "again.ckpt", model, prep, tasks)
+    save_checkpoint(root / "again.ckpt", loaded.stacked, loaded.prep, loaded.tasks)
     assert (root / "again.ckpt").read_bytes() == damaged
 
 

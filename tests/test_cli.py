@@ -256,8 +256,9 @@ class TestHeaderEdits:
         lines, body, image = edit_checkpoint
         path = tmp_path / "model.ckpt"
         path.write_bytes("\n".join(lines).encode("ascii") + b"\n---\n" + body)
-        model, prep, tasks = load_checkpoint(path)
-        assert (model.config, prep, tasks) == (EDIT_MODEL, EDIT_PREP, ("glaucoma",))
+        loaded = load_checkpoint(path)
+        assert (loaded.config, loaded.prep, loaded.tasks) == (EDIT_MODEL, EDIT_PREP,
+                                                              ("glaucoma",))
         assert run_cli(["infer", "--checkpoint", path, "--image", image]) == 0
 
     @pytest.mark.parametrize("case", list(HEADER_EDITS))
@@ -418,7 +419,9 @@ class TestMalformedInputs:
         assert not (tmp_path / "r.txt").exists()
 
     @pytest.mark.parametrize("column, value", [("width", "abc"), ("height", "12.5"),
-                                               ("width", "0"), ("height", "-64")])
+                                               ("width", "0"), ("height", "-64"),
+                                               ("width", "\uff16\uff14"),
+                                               ("height", "\u0666\u0664")])
     def test_bad_manifest_extent_names_the_row(self, column, value, workspace,
                                                tmp_path, capsys):
         root, data, config = workspace
@@ -494,6 +497,17 @@ class TestTrainEvalInfer:
         log = (root / "run" / "glaucoma.log").read_text()
         assert "train.seed = 5" in log            # config echoed for provenance
         assert "epoch=0" in log and "epoch=1" in log
+
+    def test_bank_prints_its_trained_and_skipped_counts(self, workspace, tmp_path, capsys):
+        # the skipped tasks are those bank.log names, out of all eleven
+        root, data, config = workspace
+        capsys.readouterr()
+        assert run_cli(["train", "--config", config, "--task", "bank",
+                        "--out", tmp_path / "bank"]) == 0
+        skipped = (tmp_path / "bank" / "bank.log").read_text().count("status=skipped")
+        assert skipped > 0
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            f"trained {11 - skipped} tasks, skipped {skipped}"
 
     @pytest.mark.parametrize("flag, key, value, other", [
         ("--seed", "train.seed", "5", "9"),
@@ -699,11 +713,11 @@ class TestTrainEvalInfer:
 
         root, data, config = workspace
         run_cli(["train", "--config", config])
-        model, prep, _ = load_checkpoint(root / "run" / "model.ckpt")
+        loaded = load_checkpoint(root / "run" / "model.ckpt")
         bank = tmp_path / "bank"
         bank.mkdir()
-        save_checkpoint(bank / "model.ckpt", DualHeadViT.stack([model] * 3), prep,
-                        ["glaucoma", "feature1", "feature2"])
+        save_checkpoint(bank / "model.ckpt", DualHeadViT.stack([loaded.stacked] * 3),
+                        loaded.prep, ["glaucoma", "feature1", "feature2"])
         out = subprocess.run(
             [sys.executable, "-m", "fundusvit.cli", "infer",
              "--checkpoint", str(bank),
@@ -722,12 +736,12 @@ class TestColdImports:
 
         root, data, config = workspace
         run_cli(["train", "--config", config])
-        model, prep, _ = load_checkpoint(root / "run" / "model.ckpt")
-        assert prep.od_crop and prep.bg_removal
+        loaded = load_checkpoint(root / "run" / "model.ckpt")
+        assert loaded.prep.od_crop and loaded.prep.bg_removal
         bank = tmp_path / "bank"
         bank.mkdir()
-        save_checkpoint(bank / "model.ckpt", DualHeadViT.stack([model] * 2), prep,
-                        ["glaucoma", "feature1"])
+        save_checkpoint(bank / "model.ckpt", DualHeadViT.stack([loaded.stacked] * 2),
+                        loaded.prep, ["glaucoma", "feature1"])
         code = ("import sys\n"
                 "from fundusvit import cli\n"
                 "try:\n"

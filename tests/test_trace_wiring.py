@@ -37,6 +37,8 @@ def test_traced_train_evaluate_infer_reach_every_required_span(tmp_path):
     # every training image is prepared exactly once, and counted as such
     assert tracer.train_prepares == len(tracer.train_images) == len(rows)
     assert tracer.calls["dataset.prepare_input"] == 2 * len(rows) + 1
+    # load_bank reads through load_checkpoint: one read for evaluate, one for infer
+    assert tracer.calls["checkpoint.load_checkpoint"] == 2
     assert tracer.counts["model.nodes_per_forward"] > 0
 
 
@@ -63,3 +65,4 @@ def test_traced_bank_prepares_each_image_once(tmp_path):
     # the bank's own span plus one lockstep train_task span for all its tasks
     assert len(bank.models) == 11
     assert tracer.calls["training.train"] == 2
+    assert tracer.calls["checkpoint.load_checkpoint"] == 2

@@ -399,11 +399,11 @@ def assert_members_equal_standalone_runs(bank, bank_dir, tasks, rows, base, out,
         train_task(SMALL_MODEL, quick_cfg(epochs=epochs, task=task), FAST_AUG,
                    PreprocessOptions(), rows, base, out_dir=out / task,
                    config_lines=config_lines)
-        solo, _, solo_tasks = load_checkpoint(out / task / "model.ckpt")
-        assert solo_tasks == (task,)
+        solo = load_checkpoint(out / task / "model.ckpt")
+        assert solo.tasks == (task,)
         for stack in (bank.stacked, saved.stacked):
             member = stack.member(bank.tasks.index(task))
-            for name, t in solo.params.items():
+            for name, t in solo.stacked.params.items():
                 assert member.params[name].data.tobytes() == t.data.tobytes(), (task, name)
         log = f"{task}.log"
         assert (bank_dir / log).read_bytes() == (out / task / log).read_bytes()
@@ -416,7 +416,8 @@ class TestTrainBank:
                           PreprocessOptions(), rows, manifest.parent,
                           out_dir=tmp_path)
         assert len(bank.models) == 11
-        assert not bank.skipped
+        assert bank.tasks == tuple(TASKS)
+        assert "status=skipped" not in (tmp_path / "bank.log").read_text()
         assert [p.name for p in tmp_path.glob("*.ckpt")] == ["model.ckpt"]
         assert load_bank(tmp_path).tasks == bank.tasks
 
@@ -428,8 +429,26 @@ class TestTrainBank:
                           PreprocessOptions(), stripped, manifest.parent,
                           out_dir=tmp_path)
         assert len(bank.models) == 10
-        assert bank.skipped == {"feature7": "no positive training samples"}
-        assert "task=feature7 status=skipped" in (tmp_path / "bank.log").read_text()
+        assert "feature7" not in bank.tasks
+        lines = (tmp_path / "bank.log").read_text().splitlines()
+        assert [line for line in lines if "status=skipped" in line] == [
+            "task=feature7 status=skipped reason=no positive training samples"]
+
+    def test_returned_bank_is_the_bank_read_back(self, tiny_dataset, tmp_path):
+        # what train_bank returns is what load_bank reads from its out_dir:
+        # the same tasks, preprocessing and parameter bytes
+        manifest, rows = tiny_dataset
+        stripped = [replace(r, features=r.features[:6] + (0,) + r.features[7:])
+                    for r in rows]
+        prep = PreprocessOptions(bg_tau=20, confidence_floor=0.25)
+        bank = train_bank(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG, prep, stripped,
+                          manifest.parent, out_dir=tmp_path)
+        saved = load_bank(tmp_path)
+        assert type(saved) is type(bank)
+        assert (saved.tasks, saved.prep, saved.config) == (bank.tasks, prep, bank.config)
+        assert list(saved.stacked.params) == list(bank.stacked.params)
+        for name, t in bank.stacked.params.items():
+            assert saved.stacked.params[name].data.tobytes() == t.data.tobytes(), name
 
     def test_feature_in_every_training_image_is_skipped(self, tiny_dataset, tmp_path):
         # one class either way is untrainable; the bank skips such a task
@@ -440,12 +459,12 @@ class TestTrainBank:
         bank = train_bank(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG,
                           PreprocessOptions(), marked, manifest.parent,
                           out_dir=tmp_path)
-        assert bank.skipped == {"feature1": "no negative training samples",
-                                "feature7": "no positive training samples"}
+        assert bank.tasks == tuple(t for t in TASKS if t not in ("feature1", "feature7"))
         assert len(bank.models) == 9
         lines = (tmp_path / "bank.log").read_text().splitlines()
         assert lines[2] == "task=feature1 status=skipped reason=no negative training samples"
         assert lines[8] == "task=feature7 status=skipped reason=no positive training samples"
+        assert sum("status=skipped" in line for line in lines) == 2
         assert [p.name for p in tmp_path.glob("*.ckpt")] == ["model.ckpt"]
         assert load_bank(tmp_path).tasks == bank.tasks
 
@@ -460,8 +479,11 @@ class TestTrainBank:
         bank = train_bank(SMALL_MODEL, quick_cfg(epochs=2), FAST_AUG,
                           PreprocessOptions(), stripped, manifest.parent,
                           out_dir=bank_dir, config_lines=["train.epochs = 2"])
-        assert bank.skipped == {"feature3": "no positive training samples"}
+        assert "feature3" not in bank.tasks
         assert len(bank.models) == 10
+        assert [line for line in (bank_dir / "bank.log").read_text().splitlines()
+                if "status=skipped" in line] == [
+            "task=feature3 status=skipped reason=no positive training samples"]
         assert_members_equal_standalone_runs(bank, bank_dir, bank.models, stripped,
                                              manifest.parent, tmp_path, epochs=2,
                                              config_lines=["train.epochs = 2"])

@@ -15,10 +15,11 @@ checkout and process, with the same arguments; the side that runs first
 alternates from pair to pair, base first in the first pair.
 
 Each run's result line (the benchmark's last line of output) is printed as
-it finishes. Then, per end-to-end metric, the table gives each side's
-median and quartiles over its runs, the pairs the change won (ties count
-for neither), the gap between the medians relative to the base median, the
-base's interquartile range, and a verdict:
+it finishes, and after each pair whether the artifact digests of the two
+sides' ``record`` lines agree. Then, per end-to-end metric, the table gives
+each side's median and quartiles over its runs, the pairs the change won
+(ties count for neither), the gap between the medians relative to the base
+median, the base's interquartile range, and a verdict:
 
 - ``gain``: the change won at least nine tenths of the pairs and the
   medians differ, in the better direction, by more than the base's
@@ -29,7 +30,9 @@ base's interquartile range, and a verdict:
 
 With ``--out``, the same record is also written to a JSON file: the
 arguments, every run's result line by side (``runs.base``, ``runs.change``,
-in pair order) and the table as one object per metric (``summary``).
+in pair order), beside it the objects of that run's ``record`` lines, one
+per workload (``records.base``, ``records.change``), and the table as one
+object per metric (``summary``).
 
 A warning is printed when ``perfbench/`` differs between the two sides, as
 both should measure with the same benchmark code. Standard library only.
@@ -63,16 +66,26 @@ def bench_files(root: Path) -> dict[str, bytes]:
             if p.is_file() and "__pycache__" not in p.parts}
 
 
-def run_bench(root: Path, args) -> dict | None:
-    """One benchmark run in ``root``: its result line, or None if it failed."""
+def run_bench(root: Path, args) -> tuple[dict | None, list[dict]]:
+    """One benchmark run in ``root``: its result line, or None if it failed,
+    and the objects of its ``record`` lines (the environment, the timings
+    before scaling and the artifact digest), one per workload run."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
          "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
         cwd=root, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.splitlines()
+    records = [json.loads(line.removeprefix("record ")) for line in lines
+               if line.startswith("record ")]
     if proc.returncode != 0 or not lines:
-        return None
-    return json.loads(lines[-1])
+        return None, records
+    return json.loads(lines[-1]), records
+
+
+def compare_digests(base: list[dict], change: list[dict]) -> str:
+    """Whether two runs' ``record`` lines name the same artifact digests."""
+    a, b = ([r["digest"] for r in records] for records in (base, change))
+    return "agree" if a == b else f"differ: base {' '.join(a)}, change {' '.join(b)}"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -122,6 +135,7 @@ def main(argv=None) -> int:
     specs = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())
              ["end_to_end"]}
     runs: dict[str, list[dict]] = {"base": [], "change": []}
+    records: dict[str, list[list[dict]]] = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         roots = {"base": Path(tmp), "change": ROOT}
         export(args.ref, roots["base"])
@@ -131,12 +145,15 @@ def main(argv=None) -> int:
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             for side in order:
-                result = run_bench(roots[side], args)
+                result, side_records = run_bench(roots[side], args)
                 print(f"pair {pair + 1} {side}: {json.dumps(result)}", flush=True)
                 if result is None or not result["correct"]:
                     print(f"ab: the {side} run of pair {pair + 1} failed", file=sys.stderr)
                     return 1
                 runs[side].append(result)
+                records[side].append(side_records)
+            verdict = compare_digests(records["base"][-1], records["change"][-1])
+            print(f"pair {pair + 1} digests {verdict}", flush=True)
     rows = summary(runs["base"], runs["change"], specs)
     widths = [max(len(str(r[i])) for r in rows) for i in range(len(rows[0]))]
     print(f"base {args.ref} vs this checkout: {args.workload}, seed {args.seed}, "
@@ -146,6 +163,7 @@ def main(argv=None) -> int:
     if args.out:
         record = {"ref": args.ref, "workload": args.workload, "seed": args.seed,
                   "seconds": args.seconds, "pairs": args.pairs, "runs": runs,
+                  "records": records,
                   "summary": [dict(zip(rows[0], row)) for row in rows[1:]]}
         args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
