@@ -120,14 +120,15 @@ def _first_difference(head: bytes, expected: bytes) -> str:
 def _parse_header(path: Path, head: bytes) -> _Header:
     """Parse the header bytes before ``---``, accepted only if ``_header``
     writes exactly ``head`` for the settings and tasks it names, and only
-    if those tasks are distinct and in ``TASKS`` order."""
+    if those tasks are distinct and in ``TASKS`` order. A key or value that
+    ``kv.build`` refuses is reported with its own line."""
     values: dict[str, dict[str, str]] = {"model": {}, "prep": {}}
-    tasks = ""
-    for line in head.decode("latin-1").split("\n"):
+    tasks, lines, where = "", head.decode("latin-1").split("\n"), {}
+    for n, line in enumerate(lines):
         key, _, value = line.partition(" = ")
         section, _, name = key.partition(".")
         if section in values:
-            values[section][name] = value
+            values[section][name], where[key] = value, n
         elif key == "tasks":
             tasks = value
     try:
@@ -139,6 +140,10 @@ def _parse_header(path: Path, head: bytes) -> _Header:
         if head != expected:
             raise ValueError(_first_difference(head, expected))
         return _Header(config, prep, ordered_tasks(names), size)
+    except kv.KeyValueError as exc:
+        n = where[exc.key]
+        raise IncompatibleCheckpointError(
+            f"{path}: header line {n + 1} reads {lines[n][:60]!r}: {exc}") from None
     except ValueError as exc:
         raise IncompatibleCheckpointError(f"{path}: {exc}") from None
 

@@ -22,7 +22,7 @@ from .dataset import (N_FEATURES, TASKS, ManifestRow, PreprocessOptions, load_in
 from .metrics import DEFAULT_FEATURE_THRESHOLD, evaluate
 from .ppm import read_ppm, write_ppm
 from .synth import generate_dataset
-from .training import train_bank, train_task
+from .training import best_record, train_bank, train_task
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,25 +47,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
-    p.add_argument("--n", type=int, required=True, help="number of images, at least 1")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of every image and detection (default 0)")
+    p.add_argument("--n", type=kv.integer, required=True, help="number of images, at least 1")
+    p.add_argument("--seed", type=kv.integer, default=0,
+                   help="seed of every image and detection, at least 0 (default 0)")
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--size", type=int, default=128,
+    p.add_argument("--size", type=kv.integer, default=128,
                    help="image side in pixels, at least 3 (default 128)")
-    p.add_argument("--pos-fraction", type=float, default=0.5,
+    p.add_argument("--pos-fraction", type=kv.real, default=0.5,
                    help="share of referable images, in [0, 1] (default 0.5)")
 
     p = sub.add_parser("preprocess", help="apply crop/background/resize to a manifest")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--target", type=int, default=64)
+    p.add_argument("--target", type=kv.integer, default=64)
     p.add_argument("--od-crop", type=kv.boolean, default=True)
     p.add_argument("--bg-removal", type=kv.boolean, default=True)
 
     p = sub.add_parser("train", help="train one task or the full 11-task bank")
     p.add_argument("--config", type=Path, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=kv.integer, default=None)
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--od-crop", type=kv.boolean, default=None)
     p.add_argument("--bg-removal", type=kv.boolean, default=None)
@@ -90,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:  # NaN fails the comparison too
+    value = kv.real(text)
+    if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"{text!r} is not in [0, 1]")
     return value
 
@@ -158,10 +158,11 @@ def cmd_train(args) -> int:
                           out_dir=cfg.paths.out, config_lines=lines)
         print(f"trained {len(bank.tasks)} tasks, skipped {len(TASKS) - len(bank.tasks)}")
     else:
-        [result] = train_task(cfg.model, cfg.train, cfg.augment, cfg.prep, rows, base,
-                              out_dir=cfg.paths.out, config_lines=lines)
-        print(f"task {result.task}: best_epoch={result.best_epoch} "
-              f"best_val_metric={result.best_metric:.6f}")
+        _, [history] = train_task(cfg.model, cfg.train, cfg.augment, cfg.prep, rows, base,
+                                  out_dir=cfg.paths.out, config_lines=lines)
+        best = best_record(history)
+        print(f"task {cfg.train.task}: best_epoch={best.epoch} "
+              f"best_val_metric={best.val_metric:.6f}")
     return EXIT_OK
 
 

@@ -7,9 +7,18 @@ checkpoint import chain can use it."""
 from __future__ import annotations
 
 import math
+import re
 import typing
 from dataclasses import fields
 from functools import cache
+
+
+class KeyValueError(ValueError):
+    """A ``section.field`` key that ``build`` refuses, or its value's text."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
 
 
 def boolean(text: str) -> bool:
@@ -18,6 +27,26 @@ def boolean(text: str) -> bool:
     if text in ("false", "0", "no"):
         return False
     raise ValueError(f"expected true/false, got {text!r}")
+
+
+def integer(text: str) -> int:
+    """ASCII digits with an optional leading ``-``: no ``+``, ``_``,
+    whitespace or non-ASCII digits, which ``int()`` would take."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
+def real(text: str) -> float:
+    """A finite ASCII decimal, optionally with an exponent and a leading
+    ``-``, as ``str(float)`` writes it; no leading ``+``, no ``_``, ``inf``
+    or ``nan``."""
+    if not re.fullmatch(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?", text):
+        raise ValueError(f"expected a decimal number, got {text!r}")
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 def format_value(value) -> str:
@@ -42,12 +71,9 @@ def _parse(hint, text: str):
     if hint is bool:
         return boolean(text)
     if hint is int:
-        return int(text)
+        return integer(text)
     if hint is float:
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError("not finite")
-        return value
+        return real(text)
     if hint is str:
         return text
     args = typing.get_args(hint)
@@ -66,15 +92,15 @@ def _parse(hint, text: str):
 
 def build(cls, section: str, raw: dict[str, str]):
     """``cls`` from ``{field: text}``; unknown fields and unparsable or
-    non-finite values raise a ValueError naming ``section.field``."""
+    non-finite values raise a ``KeyValueError`` naming ``section.field``."""
     hints = _hints(cls)
     kwargs = {}
     for name, text in raw.items():
         key = f"{section}.{name}"
         if name not in hints:
-            raise ValueError(f"unknown config key {key!r}")
+            raise KeyValueError(key, f"unknown config key {key!r}")
         try:
             kwargs[name] = _parse(hints[name], text)
         except ValueError as exc:
-            raise ValueError(f"{key}: bad value {text!r} ({exc})") from None
+            raise KeyValueError(key, f"{key}: bad value {text!r} ({exc})") from None
     return cls(**kwargs)

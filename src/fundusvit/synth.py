@@ -116,6 +116,8 @@ def generate_dataset(out_dir: str | Path, n: int, seed: int, *,
     """
     if n < 1 or size < 3:
         raise ValueError(f"need n >= 1 images of size >= 3, got n={n}, size={size}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     for name, rate in (("pos_fraction", pos_fraction), ("feature_rate", feature_rate)):
         if not 0.0 <= rate <= 1.0:  # NaN fails too
             raise ValueError(f"{name} must lie in [0, 1], got {rate}")

@@ -73,6 +73,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if not 0.0 < self.adam_eps < np.inf:
             raise ValueError(f"adam_eps must be positive and finite, got {self.adam_eps}")
+        if self.seed < 0:  # numpy's seed sequences take no negative entropy
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_nrg is not None and self.n_nrg < 0:
             raise ValueError(f"n_nrg must be nonnegative, got {self.n_nrg}")
         if min(self.split) < 1:  # so every class group puts a row into validation
@@ -200,13 +202,10 @@ class EpochRecord:
     val_metric: float
 
 
-@dataclass
-class TaskResult:
-    task: str
-    model: DualHeadViT
-    history: list[EpochRecord]
-    best_epoch: int
-    best_metric: float
+def best_record(history: Sequence[EpochRecord]) -> EpochRecord:
+    """The epoch with the highest validation metric; ties go to the later
+    epoch (equal validation, lower train loss)."""
+    return max(reversed(history), key=lambda r: r.val_metric)
 
 
 def _prepared(rows: Sequence[ManifestRow], base_dir: str | Path,
@@ -224,16 +223,21 @@ def _task_metric(scores: np.ndarray, labels: Sequence[int], task: str) -> float:
     return float(np.mean([(s > 0.5) == y for s, y in zip(scores, labels)]))
 
 
-def _log_text(result: TaskResult, config_lines: Sequence[str]) -> str:
+def _best_text(history: Sequence[EpochRecord]) -> str:
+    best = best_record(history)
+    return f"best_epoch={best.epoch} best_val_metric={best.val_metric:.6f}"
+
+
+def _log_text(task: str, history: Sequence[EpochRecord],
+              config_lines: Sequence[str]) -> str:
     """``<task>.log``: the config echo, one line per epoch and the chosen epoch."""
-    return "\n".join([f"# fundusvit training log, task={result.task}",
+    return "\n".join([f"# fundusvit training log, task={task}",
                       *[f"# {line}" for line in config_lines],
                       "# note: batch_size, epochs and adam moment constants "
                       "are implementation defaults, not protocol values",
                       *[f"epoch={r.epoch} lr={r.lr:.6e} train_loss={r.train_loss:.6f} "
-                        f"val_metric={r.val_metric:.6f}" for r in result.history],
-                      f"# best_epoch={result.best_epoch} "
-                      f"best_val_metric={result.best_metric:.6f}\n"])
+                        f"val_metric={r.val_metric:.6f}" for r in history],
+                      f"# {_best_text(history)}\n"])
 
 
 def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
@@ -241,14 +245,16 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
                rows: Sequence[ManifestRow], base_dir: str | Path,
                out_dir: str | Path,
                config_lines: Sequence[str] = (),
-               tasks: Sequence[str] | None = None) -> list[TaskResult]:
+               tasks: Sequence[str] | None = None
+               ) -> tuple[ClassifierBank, list[list[EpochRecord]]]:
     """Train binary ``tasks`` (default: ``train_cfg.task`` alone; one task
     is a bank of one; otherwise distinct tasks in ``TASKS`` order) in
     lockstep on ``rows``, rebalanced and split by the referable-glaucoma
     label. Any other task list, or a task with one class in the training
     split, raises ValueError before any image is prepared; then every image
     is prepared (crop, background removal, resize) once for all the tasks.
-    Returns one finished result per task.
+    Returns the bank it saved, as ``load_bank(out_dir)`` reads it back, and
+    each task's per-epoch history, in the bank's task order.
 
     The tasks differ only in labels and initial values: the shuffle order
     and the augmentation draws are keyed by (seed, epoch, image). Loops:
@@ -258,9 +264,9 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
     of the task stack's ``task_groups`` beside those images (all 11 tasks
     at desk and default scale, one at 512x512) one forward, one loss summed
     over its tasks and one backward; then one Adam step. Each task keeps the
-    parameters from its epoch with the best validation metric, the values
-    it would reach trained alone, and writes ``<task>.log`` into
-    ``out_dir``; the run writes them all as one ``model.ckpt`` there.
+    parameters of its ``best_record`` epoch, the values it would reach
+    trained alone, and writes ``<task>.log`` into ``out_dir``; the run
+    writes them all as one ``model.ckpt`` there.
     """
     tasks = ordered_tasks([train_cfg.task] if tasks is None else tasks)
     out_dir = Path(out_dir)
@@ -288,7 +294,6 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
                      train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps)
 
     histories: list[list[EpochRecord]] = [[] for _ in tasks]
-    best_epoch, best_metric = [0] * len(tasks), [-np.inf] * len(tasks)
     for epoch in range(train_cfg.epochs):
         lr = lr_schedule(epoch, train_cfg)
         order = _rng(train_cfg.seed, _STREAM_SHUFFLE, epoch).permutation(train_y.shape[1])
@@ -313,19 +318,15 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
             best_state = {name: np.empty_like(t.data) for name, t in model.params.items()}
         for k, history in enumerate(histories):
             history.append(EpochRecord(epoch, lr, float(epoch_loss[k]) / len(order), metric[k]))
-            # ties keep the later epoch: equal validation, lower train loss
-            if metric[k] >= best_metric[k]:
-                best_epoch[k], best_metric[k] = epoch, metric[k]
+            if best_record(history) is history[-1]:
                 for name, t in model.params.items():
                     best_state[name][k] = t.data[k]
 
-    best = DualHeadViT.from_arrays(model_cfg, best_state)
-    results = [TaskResult(task, best.member(k), histories[k], best_epoch[k], best_metric[k])
-               for k, task in enumerate(tasks)]
-    save_checkpoint(out_dir / CHECKPOINT_NAME, best, prep, tasks)
-    for result in results:
-        write_atomic(out_dir / f"{result.task}.log", _log_text(result, config_lines))
-    return results
+    bank = ClassifierBank(tasks, DualHeadViT.from_arrays(model_cfg, best_state), prep)
+    save_checkpoint(out_dir / CHECKPOINT_NAME, bank.stacked, prep, tasks)
+    for task, history in zip(tasks, histories):
+        write_atomic(out_dir / f"{task}.log", _log_text(task, history, config_lines))
+    return bank, histories
 
 
 def train_bank(model_cfg: ModelConfig, train_cfg: TrainConfig,
@@ -340,8 +341,8 @@ def train_bank(model_cfg: ModelConfig, train_cfg: TrainConfig,
     A feature task whose training split holds one class (no positive, or
     no negative sample) is skipped before training, with its reason in the
     bank log; every other member is bitwise identical to a standalone run
-    with the same seed. The bank holds the trained members as one task stack,
-    as ``load_bank(out_dir)`` reads it back.
+    with the same seed. Returns the bank that call saved, its trained members
+    as one task stack, as ``load_bank(out_dir)`` reads it back.
     """
     train_rows, _ = rebalance_and_split(rows, [r.rg for r in rows], train_cfg.n_nrg,
                                         train_cfg.split, train_cfg.seed)
@@ -350,13 +351,12 @@ def train_bank(model_cfg: ModelConfig, train_cfg: TrainConfig,
         present = {r.label(task) for r in train_rows}
         if present != {0, 1}:
             skipped[task] = f"no {'negative' if 1 in present else 'positive'} training samples"
-    trained = train_task(model_cfg, train_cfg, aug, prep, rows, base_dir, out_dir=out_dir,
-                         config_lines=config_lines, tasks=[task for task in TASKS if task not in skipped])
-    results = {r.task: r for r in trained}
+    bank, histories = train_task(model_cfg, train_cfg, aug, prep, rows, base_dir,
+                                 out_dir=out_dir, config_lines=config_lines,
+                                 tasks=[task for task in TASKS if task not in skipped])
+    trained = dict(zip(bank.tasks, histories))
     bank_lines = ["# fundusvit bank log", *[
         f"task={task} status=skipped reason={skipped[task]}" if task in skipped
-        else f"task={task} status=trained best_epoch={results[task].best_epoch} "
-             f"best_val_metric={results[task].best_metric:.6f}" for task in TASKS]]
+        else f"task={task} status=trained {_best_text(trained[task])}" for task in TASKS]]
     write_atomic(Path(out_dir) / "bank.log", "\n".join(bank_lines) + "\n")
-    return ClassifierBank(tuple(results), DualHeadViT.stack([r.model for r in trained]),
-                          prep)
+    return bank

@@ -145,12 +145,12 @@ def test_04_overfit_check(tmp_path):
         train_cfg = TrainConfig(lr0=5e-4, lr_decay_every=1000, epochs=200,
                                 batch_size=16, seed=1)
         prep = PreprocessOptions()
-        [result] = train_task(model_cfg, train_cfg, AugmentParams(enabled=False),
-                              prep, rows, manifest.parent, out_dir=tmp_path / "out")
+        bank, [history] = train_task(model_cfg, train_cfg, AugmentParams(enabled=False),
+                                     prep, rows, manifest.parent, out_dir=tmp_path / "out")
         steps = sum(int(np.ceil(16 / train_cfg.batch_size))
-                    for _ in result.history)
+                    for _ in history)
         assert steps <= 200
-        final_loss = result.history[-1].train_loss
+        final_loss = history[-1].train_loss
         assert final_loss < 0.05, f"train loss {final_loss} after {steps} steps"
 
         train_rows, _ = rebalance_and_split(rows, [r.rg for r in rows], None,
@@ -159,12 +159,12 @@ def test_04_overfit_check(tmp_path):
         for row in train_rows:
             image = prepare_input(load_input_image(row, manifest.parent), row,
                                   manifest.parent, prep, 32, 32)[0]
-            [p] = result.model.predict(image[None].astype(np.float64) / 255.0)[:, 0]
+            [p] = bank.stacked.predict(image[None].astype(np.float64) / 255.0)[:, 0]
             p_true = p if row.rg == 1 else 1.0 - p
             worst = min(worst, p_true)
             assert p_true > 0.95, f"{row.image_id}: true-class prob {p_true:.4f}"
         # windowed loss decrease (epoch-averaged windows of 5)
-        losses = [h.train_loss for h in result.history]
+        losses = [h.train_loss for h in history]
         windows = [float(np.mean(losses[i:i + 5])) for i in range(0, 200, 5)]
         assert all(b <= a + 1e-3 for a, b in zip(windows, windows[1:]))
         print(f"final train loss {final_loss:.5f}, worst true-class "
@@ -185,8 +185,8 @@ def test_05_preprocessing_ordering_effect(tmp_path):
         for crop in (True, False):
             prep = PreprocessOptions(od_crop=crop)
             out_dir = tmp_path / ("crop" if crop else "nocrop")
-            [res] = train_task(model_cfg, train_cfg, aug, prep, rows,
-                               manifest.parent, out_dir=out_dir)
+            bank, _ = train_task(model_cfg, train_cfg, aug, prep, rows,
+                                 manifest.parent, out_dir=out_dir)
             _, val_rows = rebalance_and_split(rows, [r.rg for r in rows], None,
                                               train_cfg.split, train_cfg.seed)
             scores, labels = [], []
@@ -194,7 +194,7 @@ def test_05_preprocessing_ordering_effect(tmp_path):
                 image = prepare_input(load_input_image(row, manifest.parent), row,
                                       manifest.parent, prep, 32, 32)[0]
                 scores.append(
-                    res.model.predict(image[None].astype(np.float64) / 255.0)[:, 0][0])
+                    bank.stacked.predict(image[None].astype(np.float64) / 255.0)[:, 0][0])
                 labels.append(row.rg)
             results[crop] = (tpr_at_specificity(scores, labels, 0.95),
                              sha256(out_dir / "model.ckpt"))

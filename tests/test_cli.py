@@ -232,6 +232,7 @@ HEADER_EDITS = {
     "yes": _respell("prep.bg_removal = true", "prep.bg_removal = yes"),
     "leading-space": _respell("model.height = 32", "model.height =  32"),
     "underscore": _respell("model.height = 32", "model.height = 3_2"),
+    "plus": _respell("model.dim = 16", "model.dim = +16"),
     "trailing-zero": _respell("prep.confidence_floor = 0.25",
                               "prep.confidence_floor = 0.250"),
 }
@@ -331,6 +332,7 @@ class TestMalformedInputs:
                                              ("train.adam_eps = 0", "adam_eps"),
                                              ("train.adam_eps = -1e-8", "adam_eps"),
                                              ("train.n_nrg = -1", "n_nrg"),
+                                             ("train.seed = -3", "seed must be nonnegative"),
                                              ("train.task = x", "unknown task 'x'")])
     def test_malformed_config_train_is_one(self, line, field, workspace, tmp_path,
                                            capsys, monkeypatch):
@@ -810,7 +812,7 @@ class TestPreprocessCommand:
                                   ["--n", -3], ["--n", 0],
                                   ["--n", 2, "--pos-fraction", 1.5],
                                   ["--n", 2, "--pos-fraction", -0.5],
-                                  ["--n", 2, "--pos-fraction", "nan"]],
+                                  ["--n", 2, "--seed", -1]],
                          ids=lambda args: "_".join(map(str, args)))
 def test_synth_rejects_what_it_cannot_generate(args, tmp_path, capsys):
     out = tmp_path / "data"
@@ -818,6 +820,67 @@ def test_synth_rejects_what_it_cannot_generate(args, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("fundusvit: error:") and "Traceback" not in err
     assert not out.exists()
+    if "--seed" in args:
+        assert "seed must be nonnegative, got -1" in err
+
+
+# spellings int() and float() take that the numeric options do not
+NUMBER_SPELLINGS = ["1_0", "+3", "\uff16\uff14", " 4", "0x10", "1e1"]
+REAL_SPELLINGS = ["1_0e-1", "+0.5", "nan", "inf", "\uff10.5", "0.5 ", "1e400"]
+
+
+@pytest.mark.parametrize("option, value", [
+    *[(option, value) for option in ("--n", "--seed", "--size") for value in NUMBER_SPELLINGS],
+    *[("--pos-fraction", value) for value in REAL_SPELLINGS]])
+def test_synth_numbers_take_one_spelling(option, value, tmp_path, capsys):
+    out = tmp_path / "data"
+    args = {"--n": 2, "--size": 32, option: value}
+    assert run_cli(["synth", "--out", out, *[x for item in args.items() for x in item]]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {option}: invalid" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["preprocess", "--target", "3_2"], ["preprocess", "--target", "+32"],
+    ["train", "--seed", "+1"], ["train", "--seed", "1_0"],
+    ["eval", "--threshold", "0_5"], ["eval", "--threshold", "+0.5"]],
+    ids=lambda argv: "_".join(argv))
+def test_numeric_options_take_one_spelling(argv, workspace, tmp_path, capsys):
+    root, data, config = workspace
+    out = tmp_path / "out"
+    required = {"preprocess": ["--manifest", data / "manifest.tsv", "--out", out],
+                "train": ["--config", config, "--out", out],
+                "eval": ["--checkpoint", root / "run", "--manifest", data / "manifest.tsv",
+                         "--out", out / "report.txt"]}
+    assert run_cli([*argv, *required[argv[0]]]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}: invalid" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, key", [("train.epochs = 1_0", "train.epochs"),
+                                       ("model.dim = \uff16\uff14", "model.dim"),
+                                       ("train.batch_size = +3", "train.batch_size"),
+                                       ("train.lr0 = 1_0e-4", "train.lr0"),
+                                       ("train.split = 4:+1", "train.split"),
+                                       ("augment.rot_lo = -1_0", "augment.rot_lo")])
+def test_config_numbers_take_one_spelling(line, key, workspace, tmp_path, capsys):
+    root, data, config = workspace
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"paths.manifest = {data / 'manifest.tsv'}\n"
+                   f"paths.out = {tmp_path / 'out'}\n{line}\n")
+    assert run_cli(["train", "--config", bad]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fundusvit: config error:") and f"{key}: bad value" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_train_seed_flag_is_one_and_writes_nothing(workspace, tmp_path, capsys):
+    root, data, config = workspace
+    assert run_cli(["train", "--config", config, "--seed", -2, "--out", tmp_path / "out"]) == 1
+    assert "seed must be nonnegative, got -2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_help_names_each_bound_and_default(capsys):

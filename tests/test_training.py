@@ -18,8 +18,9 @@ from fundusvit.preprocess import AugmentParams
 from fundusvit.synth import generate_dataset
 from fundusvit import model as model_module
 from fundusvit import preprocess, training
-from fundusvit.training import (Adam, MissingGradientError, TrainConfig, dual_bce_loss,
-                                lr_schedule, rebalance_and_split, train_bank, train_task)
+from fundusvit.training import (Adam, EpochRecord, MissingGradientError, TrainConfig,
+                                best_record, dual_bce_loss, lr_schedule,
+                                rebalance_and_split, train_bank, train_task)
 
 from helpers import assert_grad_close, finite_difference_grad
 from test_model import recording_forward
@@ -263,14 +264,55 @@ def quick_cfg(**kw):
     return TrainConfig(**base)
 
 
+def records(*metrics):
+    return [EpochRecord(epoch, 1e-3, 0.5, m) for epoch, m in enumerate(metrics)]
+
+
+class TestBestRecord:
+    def test_a_tie_goes_to_the_later_epoch(self):
+        history = records(0.2, 0.5, 0.5, 0.3)
+        assert best_record(history) is history[2]
+
+    def test_an_all_equal_history_picks_the_last_epoch(self):
+        history = records(0.75, 0.75, 0.75)
+        assert best_record(history) is history[-1]
+
+    def test_a_falling_metric_picks_epoch_0(self):
+        history = records(0.9, 0.6, 0.4, 0.1)
+        assert best_record(history) is history[0]
+
+    @pytest.mark.parametrize("metrics, best_epoch", [((0.5, 0.5), 1), ((0.6, 0.5), 0),
+                                                     ((0.5, 0.6), 1)])
+    def test_a_run_saves_and_logs_its_best_record_epoch(self, tiny_dataset, monkeypatch,
+                                                        tmp_path, metrics, best_epoch):
+        # the checkpoint holds the parameters of the epoch best_record picks:
+        # epoch 0 of a two-epoch run is the end of a one-epoch run
+        manifest, rows = tiny_dataset
+        values = iter(metrics)
+        monkeypatch.setattr(training, "_task_metric", lambda *args: next(values))
+        _, [history] = train_task(SMALL_MODEL, quick_cfg(epochs=2), FAST_AUG,
+                                  PreprocessOptions(), rows, manifest.parent,
+                                  out_dir=tmp_path / "run")
+        assert best_record(history).epoch == best_epoch
+        values = iter([0.0])
+        train_task(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG, PreprocessOptions(), rows,
+                   manifest.parent, out_dir=tmp_path / "one")
+        same = (tmp_path / "run" / "model.ckpt").read_bytes() == \
+            (tmp_path / "one" / "model.ckpt").read_bytes()
+        assert same == (best_epoch == 0)
+        log = (tmp_path / "run" / "glaucoma.log").read_text()
+        assert log.endswith(f"# best_epoch={best_epoch} "
+                            f"best_val_metric={metrics[best_epoch]:.6f}\n")
+
+
 class TestTrainTask:
     def test_runs_and_writes_outputs(self, tiny_dataset, tmp_path):
         manifest, rows = tiny_dataset
-        [result] = train_task(SMALL_MODEL, quick_cfg(), FAST_AUG, PreprocessOptions(),
-                              rows, manifest.parent, out_dir=tmp_path,
-                              config_lines=["model.dim = 16"])
+        _, [history] = train_task(SMALL_MODEL, quick_cfg(), FAST_AUG, PreprocessOptions(),
+                                  rows, manifest.parent, out_dir=tmp_path,
+                                  config_lines=["model.dim = 16"])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["glaucoma.log", "model.ckpt"]
-        assert len(result.history) == 2
+        assert len(history) == 2
         log = (tmp_path / "glaucoma.log").read_text()
         assert "epoch=0" in log and "model.dim = 16" in log
 
@@ -291,8 +333,8 @@ class TestTrainTask:
 
         manifest, rows = tiny_dataset
         cfg = quick_cfg()
-        [result] = train_task(SMALL_MODEL, cfg, FAST_AUG, PreprocessOptions(),
-                              rows, manifest.parent, out_dir=tmp_path)
+        bank, [history] = train_task(SMALL_MODEL, cfg, FAST_AUG, PreprocessOptions(),
+                                     rows, manifest.parent, out_dir=tmp_path)
         _, val_rows = rebalance_and_split(rows, [r.rg for r in rows], cfg.n_nrg,
                                           cfg.split, cfg.seed)
         val_images = [prepare_input(load_input_image(r, manifest.parent), r,
@@ -301,17 +343,16 @@ class TestTrainTask:
                                     SMALL_MODEL.width)[0].astype(np.float64) / 255.0
                       for r in val_rows]
         val_y = [r.label("glaucoma") for r in val_rows]
-        [s1], [s2] = result.model.predict(val_images), result.model.predict(val_images)
+        [s1], [s2] = bank.stacked.predict(val_images), bank.stacked.predict(val_images)
         m1 = _task_metric(s1, val_y, "glaucoma")
         m2 = _task_metric(s2, val_y, "glaucoma")
-        assert m1 == m2 == result.best_metric
+        assert m1 == m2 == best_record(history).val_metric
 
     def test_non_square_inputs_train_and_evaluate(self, tiny_dataset, tmp_path):
         manifest, rows = tiny_dataset
         wide = replace(SMALL_MODEL, width=64)  # 32 x 64: 2 x 4 patches
-        [result] = train_task(wide, quick_cfg(epochs=1), FAST_AUG, PreprocessOptions(),
-                              rows, manifest.parent, out_dir=tmp_path)
-        bank = ClassifierBank(("glaucoma",), result.model, PreprocessOptions())
+        bank, _ = train_task(wide, quick_cfg(epochs=1), FAST_AUG, PreprocessOptions(),
+                             rows, manifest.parent, out_dir=tmp_path)
         report = evaluate(bank, rows, manifest.parent)
         assert report.n_samples == len(rows)
         assert 0.0 <= report.auc <= 1.0
@@ -434,17 +475,25 @@ class TestTrainBank:
         assert [line for line in lines if "status=skipped" in line] == [
             "task=feature7 status=skipped reason=no positive training samples"]
 
-    def test_returned_bank_is_the_bank_read_back(self, tiny_dataset, tmp_path):
-        # what train_bank returns is what load_bank reads from its out_dir:
-        # the same tasks, preprocessing and parameter bytes
+    @pytest.mark.parametrize("train", ["train_task", "train_bank"])
+    def test_returned_bank_is_the_bank_read_back(self, tiny_dataset, tmp_path, train):
+        # what a training run returns is what load_bank reads from its
+        # out_dir: the same tasks, preprocessing and parameter bytes
         manifest, rows = tiny_dataset
         stripped = [replace(r, features=r.features[:6] + (0,) + r.features[7:])
                     for r in rows]
         prep = PreprocessOptions(bg_tau=20, confidence_floor=0.25)
-        bank = train_bank(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG, prep, stripped,
-                          manifest.parent, out_dir=tmp_path)
+        args = (SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG, prep, stripped, manifest.parent)
+        if train == "train_task":
+            bank, histories = train_task(*args, out_dir=tmp_path,
+                                         tasks=["glaucoma", "feature2", "feature9"])
+            assert bank.tasks == ("glaucoma", "feature2", "feature9")
+            assert [len(h) for h in histories] == [1, 1, 1]
+        else:
+            bank = train_bank(*args, out_dir=tmp_path)
+            assert "feature7" not in bank.tasks
         saved = load_bank(tmp_path)
-        assert type(saved) is type(bank)
+        assert type(saved) is type(bank) is ClassifierBank
         assert (saved.tasks, saved.prep, saved.config) == (bank.tasks, prep, bank.config)
         assert list(saved.stacked.params) == list(bank.stacked.params)
         for name, t in bank.stacked.params.items():
@@ -499,10 +548,10 @@ class TestTrainBank:
             return preprocess.augment(images, *args)
 
         monkeypatch.setattr(training, "augment", counting)
-        results = train_task(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG,
+        bank, _ = train_task(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG,
                              PreprocessOptions(), rows, manifest.parent, out_dir=tmp_path,
                              tasks=["glaucoma", "feature1", "feature2"])
-        assert [r.task for r in results] == ["glaucoma", "feature1", "feature2"]
+        assert bank.tasks == ("glaucoma", "feature1", "feature2")
         # 8 training images in minibatches of 4: two stacks of 3 tasks x 4
         # images, one augmentation each; validation of the 4 held-out images
         # is one more forward of all 3 tasks
@@ -534,10 +583,10 @@ class TestTrainBank:
         cfg = ModelConfig.full_resolution(dim=8, depth=1, heads=1, agg_hidden=4,
                                           mlp_hidden=8)
         sizes = recording_forward(monkeypatch)
-        results = train_task(cfg, quick_cfg(epochs=1), AugmentParams(enabled=False),
+        bank, _ = train_task(cfg, quick_cfg(epochs=1), AugmentParams(enabled=False),
                              PreprocessOptions(), rows, manifest.parent,
                              out_dir=tmp_path / "out", tasks=["glaucoma", "feature1"])
-        assert len(results) == 2
+        assert bank.tasks == ("glaucoma", "feature1")
         assert sizes and set(sizes) == {1}
 
     def test_bank_prepares_each_row_once(self, tiny_dataset, monkeypatch, tmp_path):
