@@ -47,28 +47,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
-    p.add_argument("--n", type=kv.integer, required=True, help="number of images, at least 1")
-    p.add_argument("--seed", type=kv.integer, default=0,
+    p.add_argument("--n", type=_integer, required=True, help="number of images, at least 1")
+    p.add_argument("--seed", type=_integer, default=0,
                    help="seed of every image and detection, at least 0 (default 0)")
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--size", type=kv.integer, default=128,
+    p.add_argument("--size", type=_integer, default=128,
                    help="image side in pixels, at least 3 (default 128)")
-    p.add_argument("--pos-fraction", type=kv.real, default=0.5,
+    p.add_argument("--pos-fraction", type=_real, default=0.5,
                    help="share of referable images, in [0, 1] (default 0.5)")
 
     p = sub.add_parser("preprocess", help="apply crop/background/resize to a manifest")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--target", type=kv.integer, default=64)
-    p.add_argument("--od-crop", type=kv.boolean, default=True)
-    p.add_argument("--bg-removal", type=kv.boolean, default=True)
+    p.add_argument("--target", type=_integer, default=64)
+    p.add_argument("--od-crop", type=_boolean, default=True)
+    p.add_argument("--bg-removal", type=_boolean, default=True)
 
     p = sub.add_parser("train", help="train one task or the full 11-task bank")
     p.add_argument("--config", type=Path, required=True)
-    p.add_argument("--seed", type=kv.integer, default=None)
+    p.add_argument("--seed", type=_integer, default=None)
     p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--od-crop", type=kv.boolean, default=None)
-    p.add_argument("--bg-removal", type=kv.boolean, default=None)
+    p.add_argument("--od-crop", type=_boolean, default=None)
+    p.add_argument("--bg-removal", type=_boolean, default=None)
     p.add_argument("--task", default=None, choices=[*TASKS, "bank"])
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or bank on a manifest")
@@ -89,8 +89,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _option_type(parse):
+    """``parse`` as an argparse type whose usage error is ``parse``'s own
+    message, which names the accepted spelling; argparse would replace a
+    ``ValueError``'s text with the function's name."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+_integer, _real, _boolean = map(_option_type, (kv.integer, kv.real, kv.boolean))
+
+
 def _probability(text: str) -> float:
-    value = kv.real(text)
+    value = _real(text)
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"{text!r} is not in [0, 1]")
     return value

@@ -10,7 +10,9 @@ tests/helpers.py and compared byte for byte by tests/test_kernel_oracles.py.
 
 The module needs numpy alone: background removal finds the border-connected
 dark set with ``border_fill``, a numpy reconstruction from the border that
-returns what ``scipy.ndimage.label`` (the tests' oracle) finds.
+returns what ``scipy.ndimage.label`` (the tests' oracle) finds. Rotation and
+colour jitter compute on float64 channel planes, so each pass runs along
+contiguous memory, and interleave the channels once, in ``_interleave``.
 """
 
 from __future__ import annotations
@@ -110,10 +112,23 @@ def border_fill(dark: np.ndarray) -> np.ndarray:
     wherever one of their pixels is filled, until a row and a column pass
     add nothing.
     """
-    scan = np.logical_and.accumulate
-    fill = scan(dark, axis=1) | scan(dark[:, ::-1], axis=1)[:, ::-1]
-    fill[[0, -1]] |= dark[[0, -1]]
-    rim = dark & ~fill
+    h, w = dark.shape
+    # The dark pixels before each row's first bright pixel and after its
+    # last (argmin finds the first False from either end) have an all-dark
+    # path to an edge. A row whose "first bright pixel" is dark has none: it
+    # is dark end to end, and its reversed argmin is 0 too. So the seed is
+    # three runs per row (seed, the rest, seed), written by one run-length
+    # repeat.
+    first = dark.argmin(axis=1)
+    first[dark[np.arange(h), first]] = w
+    runs = np.empty((h, 3), dtype=np.intp)
+    runs[:, 0] = first
+    runs[:, 2] = dark[:, ::-1].argmin(axis=1)
+    runs[:, 1] = w - first - runs[:, 2]
+    fill = np.repeat(np.tile([True, False, True], h), runs.reshape(-1)).reshape(h, w)
+    fill[0] |= dark[0]
+    fill[-1] |= dark[-1]
+    rim = dark > fill  # dark and not yet filled
     if not ((rim[1:] & fill[:-1]).any() or (rim[:-1] & fill[1:]).any()):
         return fill
     row_runs, col_runs = _run_ids(dark), _run_ids(dark.T).T
@@ -145,44 +160,91 @@ def resize_bilinear(image: np.ndarray, th: int, tw: int) -> np.ndarray:
     ys = np.clip((np.arange(th) + 0.5) * (h / th) - 0.5, 0.0, h - 1.0)
     xs = np.clip((np.arange(tw) + 0.5) * (w / tw) - 0.5, 0.0, w - 1.0)
     y0, x0 = np.floor(ys).astype(int), np.floor(xs).astype(int)
-    fy, fx = (ys - y0)[:, None, None], (xs - x0)[:, None]
+    y1, x1 = np.minimum(y0 + 1, h - 1), np.minimum(x0 + 1, w - 1)
     # Separable: each source row the output reads is interpolated along x
     # once, then rows are blended. A neighbour clamped to the last row or
-    # column always has weight 0.
-    x1 = np.minimum(x0 + 1, w - 1)
-    need, rank = np.unique(np.concatenate([y0, np.minimum(y0 + 1, h - 1)]),
-                           return_inverse=True)
+    # column always has weight 0. Each x weight is repeated for the three
+    # channels, so every blend runs along whole contiguous rows.
+    fy, fx = (ys - y0)[:, None], np.repeat(xs - x0, 3)
+    used = np.zeros(h, dtype=bool)
+    used[y0] = used[y1] = True
+    need = np.flatnonzero(used)
+    row = np.cumsum(used) - 1  # a used source row's place in need
     rows = image.take(need, axis=0)
-    across = rows.take(x0, axis=1) * (1 - fx) + rows.take(x1, axis=1) * fx
-    out = across.take(rank[:th], axis=0) * (1 - fy) + across.take(rank[th:], axis=0) * fy
+    across = rows.take(x0, axis=1).reshape(len(need), -1) * (1 - fx)
+    across += rows.take(x1, axis=1).reshape(len(need), -1) * fx
+    out = across.take(row[y0], axis=0)
+    out *= 1 - fy
+    below = across.take(row[y1], axis=0)
+    below *= fy
+    out += below
     # convex weights keep every value in [0, 255]: no clip before the cast
-    return np.rint(out, out=out).astype(np.uint8)
+    return np.rint(out, out=out).astype(np.uint8).reshape(th, tw, 3)
 
 
 def _bilinear_sample(images: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Sample a (B, H, W, 3) uint8 stack at fractional (B, h, w) coords,
     rounded back to uint8; out-of-bounds reads are zero."""
     b, h, w, _ = images.shape
-    x0 = np.floor(xs).astype(int)
-    y0 = np.floor(ys).astype(int)
+    x0, y0 = np.floor(xs), np.floor(ys)
     fx, fy = xs - x0, ys - y0
-    # Channel planes with a two-pixel zero border: source pixel i sits at
-    # padded index i + 2, so a top-left corner clipped into [-2, w] x [-2, h]
-    # keeps all four corners of an out-of-bounds sample on the zero border.
-    # Each corner is one gather of uint8 pixels, widened exactly after.
+    # Pixels with a two-pixel zero border, each packed with a zero fourth
+    # byte into one uint32: source pixel i sits at padded index i + 2, so a
+    # top-left corner clipped into [-2, w] x [-2, h] keeps all four corners
+    # of an out-of-bounds sample on the zero border, and each corner is one
+    # gather of whole pixels.
     pw = w + 4
-    planes = np.zeros((3, b, h + 4, pw), dtype=np.uint8)
-    planes[:, :, 2:-2, 2:-2] = np.moveaxis(images, -1, 0)
-    flat = planes.reshape(3, -1)
-    first_row = np.arange(b).reshape(-1, 1, 1) * (h + 4)
-    nw = (np.clip(y0, -2, h) + 2 + first_row) * pw + np.clip(x0, -2, w) + 2
+    padded = np.zeros((b, h + 4, pw, 4), dtype=np.uint8)
+    for c in range(3):  # one channel at a time: whole rows per inner loop
+        padded[:, 2:-2, 2:-2, c] = images[..., c]
+    pixels = padded.view(np.uint32).reshape(-1)
+    # the top-left corner's flat index, summed in float64: every term is an
+    # integer far below 2**53, so the sum is exact
+    nw = np.clip(y0, -2, h, out=y0)
+    nw *= pw
+    nw += np.clip(x0, -2, w, out=x0)
+    nw += (np.arange(b) * (h + 4) * pw + 2 * pw + 2).reshape(-1, 1, 1)
+    nw = nw.astype(np.intp)
+    # (nw * (1 - fx) + ne * fx) * (1 - fy) + (sw * (1 - fx) + se * fx) * fy,
+    # each product and sum formed once, in place, on float64 channel planes
     gx = 1 - fx
-    top = flat.take(nw, axis=1) * gx + flat.take(nw + 1, axis=1) * fx
+    top, corner, bot = (np.empty((3, b, h, w)) for _ in range(3))
+    _corner(pixels, nw, top)
+    top *= gx
+    nw += 1
+    _corner(pixels, nw, corner)
+    corner *= fx
+    top += corner
     nw += pw
-    bot = flat.take(nw, axis=1) * gx + flat.take(nw + 1, axis=1) * fx
-    out = top * (1 - fy) + bot * fy
+    _corner(pixels, nw, corner)
+    corner *= fx
+    nw -= 1
+    _corner(pixels, nw, bot)
+    bot *= gx
+    bot += corner
+    bot *= fy
+    top *= np.subtract(1, fy, out=gx)
+    top += bot
     # convex weights keep every value in [0, 255]: no clip before the cast
-    return np.moveaxis(np.rint(out, out=out), 0, -1).astype(np.uint8, order="C")
+    return _interleave(np.rint(top, out=top))
+
+
+def _corner(pixels: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """Gather the packed pixels at ``index`` into ``out``'s three float64
+    channel planes. The widening is exact (float64 holds every integer
+    below 2**53), so a product of these planes equals the product of the
+    uint8 gather that casts inside the multiply."""
+    rgbx = pixels.take(index)[..., None].view(np.uint8)
+    np.copyto(out, np.moveaxis(rgbx[..., :3], -1, 0))
+
+
+def _interleave(planes: np.ndarray) -> np.ndarray:
+    """(3, ...) float channel planes as a (..., 3) uint8 array; the values
+    must be integers in [0, 255]."""
+    out = np.empty((*planes.shape[1:], 3), dtype=np.uint8)
+    for c in range(3):  # one channel at a time: whole rows per inner loop
+        out[..., c] = planes[c]
+    return out
 
 
 def rotate(images: np.ndarray, degrees) -> np.ndarray:
@@ -195,41 +257,74 @@ def rotate(images: np.ndarray, degrees) -> np.ndarray:
     # one scalar cos/sin per image, the same values in any stack
     c, s = np.reshape([(np.cos(t), np.sin(t)) for t in map(np.deg2rad, degrees)],
                       (-1, 2)).T[..., None, None]
-    dy, dx = np.meshgrid(np.arange(h) - cy, np.arange(w) - cx, indexing="ij")
+    # a row and a column of offsets: the sums below broadcast to (B, H, W)
+    dy, dx = (np.arange(h) - cy)[:, None], np.arange(w) - cx
     return _bilinear_sample(images, cx + c * dx + s * dy, cy - s * dx + c * dy)
 
 
+# the smallest positive float64: a zero divided by it stays zero, and no
+# nonzero spread or value is smaller
+_TINY = np.finfo(np.float64).smallest_subnormal
+
+
 def rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
-    """Vectorized RGB -> HSV for float arrays in [0, 1]."""
+    """Vectorized RGB -> HSV for float arrays in [0, 1], by the hexcone
+    formulas of Smith 1978. The result has the memory layout of ``rgb``, so
+    channel planes (a moved-axis view) stay planes."""
     r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
     maxc = np.maximum(np.maximum(r, g), b)
     spread = maxc - np.minimum(np.minimum(r, g), b)
-    hsv = np.zeros_like(rgb)
-    np.divide(spread, maxc, out=hsv[..., 1], where=maxc > 0)
-    hsv[..., 2] = maxc
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # grey pixels divide 0 by 0 here; their hue stays 0
-        rc = (maxc - r) / spread
-        gc = (maxc - g) / spread
-        bc = (maxc - b) / spread
-        h = np.where(r == maxc, bc - gc,
-                     np.where(g == maxc, 2.0 + rc - bc, 4.0 + gc - rc))
-        np.remainder(h / 6.0, 1.0, out=hsv[..., 0], where=spread > 0)
+    hsv = np.empty_like(rgb)
+    np.copyto(hsv[..., 2], maxc)
+    # Dividing by max(d, _TINY) for d >= 0 is dividing by d where d > 0,
+    # and gives 0 where d = 0: a black pixel's saturation, and the channel
+    # distances of a grey pixel, whose hue bc - gc is then 0.
+    np.divide(spread, np.maximum(maxc, _TINY), out=hsv[..., 1])
+    np.maximum(spread, _TINY, out=spread)
+    rc, gc, bc = (np.divide(np.subtract(maxc, x), spread) for x in (r, g, b))
+    b_hue = gc + 4.0
+    b_hue -= rc
+    rc += 2.0
+    rc -= bc  # g's hue, 2 + rc - bc
+    bc -= gc  # r's hue
+    h = np.divide(np.where(r == maxc, bc, np.where(g == maxc, rc, b_hue)), 6.0,
+                  out=hsv[..., 0])
+    # h mod 1 as h - floor(h): for finite h both are the one rounding of the
+    # same real, fmod(h, 1) (+ 1 if negative), so the bits agree, down to an
+    # integer giving +0.0 and a tiny negative h rounding up to 1.0
+    h -= np.floor(h)
     return hsv
 
 
-# which of (v, q, p, t) red, green and blue take in each sixth of the hue circle
-_SECTOR_PICKS = np.array([[0, 1, 2, 2, 3, 0], [3, 0, 0, 1, 2, 2], [2, 2, 3, 0, 0, 1]])
+# which of (v, q, p, t) red, green and blue take in each sixth of the hue
+# circle, repeated so that any sector in [-12, 11] indexes its sector mod 6
+_SECTOR_PICKS = np.tile([[0, 1, 2, 2, 3, 0], [3, 0, 0, 1, 2, 2], [2, 2, 3, 0, 0, 1]], 2)
 
 
 def hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
+    """Vectorized HSV -> RGB for float arrays in [0, 1] (Smith 1978): the
+    sector floor(6h) mod 6 picks each channel from v, q, p and t."""
     h, s, v = hsv[..., 0], hsv[..., 1], hsv[..., 2]
-    i = np.floor(h * 6.0)
-    f = h * 6.0 - i
-    vqpt = np.stack([v, v * (1.0 - s * f), v * (1.0 - s), v * (1.0 - s * (1.0 - f))])
-    sector = (i.astype(int) % 6)[None]
-    return np.stack([np.take_along_axis(vqpt, picks[sector], 0)[0]
-                     for picks in _SECTOR_PICKS], axis=-1)
+    f = h * 6.0
+    sector = np.floor(f)
+    f -= sector
+    vqpt = np.empty((4, *v.shape))
+    np.copyto(vqpt[0], v)
+    q, p, t = vqpt[1:]
+    np.multiply(s, f, out=q)
+    np.subtract(1.0, q, out=q)
+    q *= v  # v * (1 - s * f)
+    np.subtract(1.0, s, out=p)
+    p *= v  # v * (1 - s)
+    np.subtract(1.0, f, out=t)
+    t *= s
+    np.subtract(1.0, t, out=t)
+    t *= v  # v * (1 - s * (1 - f))
+    del f
+    # one flat gather: channel c of a pixel reads vqpt at pick * n + pixel
+    index = (_SECTOR_PICKS * v.size).take(sector.astype(np.intp), axis=1)
+    index += np.arange(v.size).reshape(v.shape)
+    return np.moveaxis(vqpt.take(index), 0, -1)
 
 
 def color_jitter(images: np.ndarray, sat, bright, hue) -> np.ndarray:
@@ -237,15 +332,26 @@ def color_jitter(images: np.ndarray, sat, bright, hue) -> np.ndarray:
     (multiplicative, modulo 1) in HSV space, each image of a BxHxWx3 stack by
     its own factor of each kind; unit factors leave every 8-bit colour as is."""
     images = _require_stack(images)
-    sat, bright, hue = (np.broadcast_to(np.asarray(f, dtype=np.float64), images.shape[:1])
+    sat, bright, hue = (np.broadcast_to(np.asarray(f, dtype=np.float64),
+                                        images.shape[:1])[:, None, None]
                         for f in (sat, bright, hue))
-    hsv = rgb_to_hsv(images / 255.0)
-    hsv[..., 0] = (hsv[..., 0] * hue[:, None, None]) % 1.0
-    hsv[..., 1] = np.clip(hsv[..., 1] * sat[:, None, None], 0.0, 1.0)
-    hsv[..., 2] = np.clip(hsv[..., 2] * bright[:, None, None], 0.0, 1.0)
+    # channel planes: every pass reads and writes contiguous memory, and the
+    # bytes interleave once, at the end
+    planes = np.divide(np.moveaxis(images, -1, 0), 255.0,
+                       out=np.empty((3, *images.shape[:-1])))
+    hsv = rgb_to_hsv(np.moveaxis(planes, 0, -1))
+    del planes
+    h, s, v = np.moveaxis(hsv, -1, 0)
+    h *= hue
+    h -= np.floor(h)  # mod 1, as in rgb_to_hsv
+    s *= sat
+    np.clip(s, 0.0, 1.0, out=s)
+    v *= bright
+    np.clip(v, 0.0, 1.0, out=v)
+    rgb = np.moveaxis(hsv_to_rgb(hsv), -1, 0)
+    rgb *= 255.0
     # p, q and t lie in [0, v] and v in [0, 1]: no clip before the cast
-    rgb = hsv_to_rgb(hsv) * 255.0
-    return np.rint(rgb, out=rgb).astype(np.uint8)
+    return _interleave(np.rint(rgb, out=rgb))
 
 
 @dataclass(frozen=True)

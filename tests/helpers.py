@@ -10,6 +10,7 @@ end exist only for the tests; the pipeline never calls them."""
 
 from __future__ import annotations
 
+import ctypes
 import math
 from pathlib import Path
 from typing import Mapping
@@ -440,6 +441,26 @@ def reference_trunc_normal(rng: np.random.Generator, shape, std: float) -> np.nd
         out[bad] = rng.standard_normal(int(bad.sum()))
         bad = np.abs(out) > 2.0
     return out * std
+
+
+# ---------------------------------------------------------------------------
+# the BLAS kernel the byte pins hold for
+
+
+def openblas_core() -> str | None:
+    """The name of the kernel numpy's bundled OpenBLAS picked for this CPU
+    (``SkylakeX`` on AVX-512, ``Haswell`` on AVX2, or what
+    ``OPENBLAS_CORETYPE`` forced), or None when numpy ships no
+    scipy-openblas library or the library lacks the query."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:  # numpy has loaded this library already: the same handle
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from fundusvit import cli
+from fundusvit import cli, kv
 from fundusvit.checkpoint import load_checkpoint, save_checkpoint
 from fundusvit.config import ConfigError, effective_lines, parse_config_text
 from fundusvit.dataset import PreprocessOptions, read_manifest, write_manifest
@@ -837,7 +837,8 @@ def test_synth_numbers_take_one_spelling(option, value, tmp_path, capsys):
     args = {"--n": 2, "--size": 32, option: value}
     assert run_cli(["synth", "--out", out, *[x for item in args.items() for x in item]]) == 1
     err = capsys.readouterr().err
-    assert f"argument {option}: invalid" in err and "Traceback" not in err
+    reason = refusal(kv.real if option == "--pos-fraction" else kv.integer, value)
+    assert f"argument {option}: {reason}\n" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -855,7 +856,38 @@ def test_numeric_options_take_one_spelling(argv, workspace, tmp_path, capsys):
                          "--out", out / "report.txt"]}
     assert run_cli([*argv, *required[argv[0]]]) == 1
     err = capsys.readouterr().err
-    assert f"argument {argv[1]}: invalid" in err and "Traceback" not in err
+    reason = refusal(kv.real if argv[1] == "--threshold" else kv.integer, argv[2])
+    assert f"argument {argv[1]}: {reason}\n" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def refusal(parse, text: str) -> str:
+    """The message ``parse`` refuses ``text`` with."""
+    with pytest.raises(ValueError) as refused:
+        parse(text)
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["synth", "--n", "1_0"], "expected an integer, got '1_0'"),
+    (["synth", "--n", "2", "--pos-fraction", "+0.5"], "expected a decimal number, got '+0.5'"),
+    (["preprocess", "--od-crop", "on"], "expected true/false, got 'on'"),
+    (["eval", "--threshold", "0_5"], "expected a decimal number, got '0_5'")],
+    ids=["integer", "real", "boolean", "probability"])
+def test_option_errors_name_the_accepted_spelling(argv, reason, workspace, tmp_path,
+                                                 capsys):
+    # argparse would print "invalid <function> value"; each option kind
+    # prints its parser's own reason instead, with the usage exit code
+    root, data, config = workspace
+    out = tmp_path / "out"
+    required = {"synth": ["--out", out],
+                "preprocess": ["--manifest", data / "manifest.tsv", "--out", out],
+                "eval": ["--checkpoint", root / "run", "--manifest", data / "manifest.tsv",
+                         "--out", out / "report.txt"]}
+    assert run_cli([*argv, *required[argv[0]]]) == 1
+    err = capsys.readouterr().err
+    option = next(a for a in reversed(argv) if a.startswith("--"))
+    assert err.splitlines()[-1] == f"fundusvit {argv[0]}: error: argument {option}: {reason}"
     assert not out.exists()
 
 

@@ -187,6 +187,49 @@ class TestAugmentStages:
                           reference_augment(images, params, draws))
 
 
+# the ends of the default draw ranges, a negative hue, a hue far from 1 and
+# zero saturation, one factor set per image of a stack
+FACTOR_SETS = np.array([(0.95, 0.95, 0.95), (1.05, 1.05, 1.05), (0.95, 1.05, 1.05),
+                        (1.05, 0.95, 0.95), (1.0, 1.0, -3.7), (1.0, 1.0, 1e6),
+                        (0.0, 1.0, 1.0)])
+
+
+def test_color_jitter_matches_reference_across_the_colour_cube():
+    # every 101st of the 2**24 8-bit colours (101 is prime, so each channel
+    # takes all 256 values), each under every factor set
+    code = np.arange(0, 1 << 24, 101)
+    colours = np.stack([code >> 16, (code >> 8) & 255, code & 255], axis=-1).astype(np.uint8)
+    stack = np.broadcast_to(colours, (len(FACTOR_SETS), *colours.shape)).reshape(
+        len(FACTOR_SETS), -1, 1, 3)
+    assert_same_bytes(color_jitter(stack, *FACTOR_SETS.T),
+                      reference_color_jitter(stack, *FACTOR_SETS.T))
+
+
+def test_floor_difference_is_numpys_remainder_bit_for_bit():
+    # the kernels take h mod 1 as h - floor(h); numpy's remainder is the
+    # reference's form
+    tiny, ulp_below_1, ulp_below_6 = 5e-324, np.nextafter(1.0, 0.0), np.nextafter(6.0, 0.0)
+    edges = np.array([0.0, 1e-300, tiny, ulp_below_1, ulp_below_6, 2.0 ** 52 - 0.5,
+                      1e300, 1.0, 6.0, 0.5])
+    x = np.concatenate([edges, -edges, np.random.default_rng(4).normal(0.0, 3.0, 10_000)])
+    got, want = x - np.floor(x), np.remainder(x, 1.0)
+    assert_same_bytes(got, want)
+    assert not np.signbit(got[len(edges)])  # -0.0 gives +0.0
+    assert got[len(edges) + 2] == 1.0  # -5e-324 rounds up to 1.0
+
+
+def test_full_resolution_draw_range_ends_match_reference():
+    # 512x512, the full-resolution input: rotation at both ends of the
+    # default range and at a nearly zero angle, colour jitter at the ends of
+    # the default factor ranges
+    image = np.random.default_rng(8).integers(0, 256, (512, 512, 3), dtype=np.uint8)
+    stack = np.broadcast_to(image, (3, *image.shape))
+    degrees = [10.0, -10.0, 1e-9]
+    assert_same_bytes(rotate(stack, degrees), reference_rotate(stack, degrees))
+    ends = FACTOR_SETS[:2].T
+    assert_same_bytes(color_jitter(stack[:2], *ends), reference_color_jitter(stack[:2], *ends))
+
+
 def test_full_resolution_prepare_and_augment_match_reference(tmp_path):
     # one 512x512 synthetic fundus, prepared and augmented at 512x512
     manifest = generate_dataset(tmp_path / "data", n=1, seed=9, size=512)
