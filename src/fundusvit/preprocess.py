@@ -121,11 +121,12 @@ def border_fill(dark: np.ndarray) -> np.ndarray:
     # repeat.
     first = dark.argmin(axis=1)
     first[dark[np.arange(h), first]] = w
-    runs = np.empty((h, 3), dtype=np.intp)
-    runs[:, 0] = first
-    runs[:, 2] = dark[:, ::-1].argmin(axis=1)
-    runs[:, 1] = w - first - runs[:, 2]
-    fill = np.repeat(np.tile([True, False, True], h), runs.reshape(-1)).reshape(h, w)
+    lengths = np.empty((h, 3), dtype=np.intp)
+    lengths[:, 0] = first
+    lengths[:, 2] = dark[:, ::-1].argmin(axis=1)
+    lengths[:, 1] = w - first - lengths[:, 2]
+    fill = np.repeat(np.tile([True, False, True], h), lengths.reshape(-1)).reshape(h, w)
+    del first, lengths  # before the rim's arrays
     fill[0] |= dark[0]
     fill[-1] |= dark[-1]
     rim = dark > fill  # dark and not yet filled
@@ -169,13 +170,13 @@ def resize_bilinear(image: np.ndarray, th: int, tw: int) -> np.ndarray:
     used = np.zeros(h, dtype=bool)
     used[y0] = used[y1] = True
     need = np.flatnonzero(used)
-    row = np.cumsum(used) - 1  # a used source row's place in need
     rows = image.take(need, axis=0)
     across = rows.take(x0, axis=1).reshape(len(need), -1) * (1 - fx)
     across += rows.take(x1, axis=1).reshape(len(need), -1) * fx
-    out = across.take(row[y0], axis=0)
+    # a used source row's place in need
+    out = across.take(need.searchsorted(y0), axis=0)
     out *= 1 - fy
-    below = across.take(row[y1], axis=0)
+    below = across.take(need.searchsorted(y1), axis=0)
     below *= fy
     out += below
     # convex weights keep every value in [0, 255]: no clip before the cast
@@ -320,7 +321,7 @@ def hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
     t *= s
     np.subtract(1.0, t, out=t)
     t *= v  # v * (1 - s * (1 - f))
-    del f
+    del f  # before the gather's arrays
     # one flat gather: channel c of a pixel reads vqpt at pick * n + pixel
     index = (_SECTOR_PICKS * v.size).take(sector.astype(np.intp), axis=1)
     index += np.arange(v.size).reshape(v.shape)
@@ -340,7 +341,7 @@ def color_jitter(images: np.ndarray, sat, bright, hue) -> np.ndarray:
     planes = np.divide(np.moveaxis(images, -1, 0), 255.0,
                        out=np.empty((3, *images.shape[:-1])))
     hsv = rgb_to_hsv(np.moveaxis(planes, 0, -1))
-    del planes
+    del planes  # before hsv_to_rgb's arrays: a lower peak at 512x512
     h, s, v = np.moveaxis(hsv, -1, 0)
     h *= hue
     h -= np.floor(h)  # mod 1, as in rgb_to_hsv

@@ -458,7 +458,7 @@ def openblas_core() -> str | None:
             corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
         except (OSError, AttributeError):
             continue
-        corename.restype = ctypes.c_char_p
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
         return corename().decode()
     return None
 
