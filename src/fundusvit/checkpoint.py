@@ -128,7 +128,8 @@ def _parse_header(path: Path, head: bytes) -> _Header:
         key, _, value = line.partition(" = ")
         section, _, name = key.partition(".")
         if section in values:
-            values[section][name], where[key] = value, n
+            # kv.build names a key "section.name", also for a line "prep"
+            values[section][name], where[f"{section}.{name}"] = value, n
         elif key == "tasks":
             tasks = value
     try:

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import kv
+
 DEFAULT_CONFIDENCE_FLOOR = 0.25
 
 
@@ -33,7 +35,9 @@ def parse_detection_lines(text: str, width: int, height: int,
     """Parse one image's detection file, converting to pixels.
 
     Malformed lines are rejected with their 1-based line number; geometry
-    outside [0, 1] is an error. Results keep the file's order.
+    outside [0, 1] is an error. The class is a ``kv.integer`` and the five
+    numbers ``kv.real``s, so ``+0.5``, ``0.2_5`` or non-ASCII digits are
+    refused as in a config. Results keep the file's order.
     """
     out: list[DiscDetection] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -45,8 +49,8 @@ def parse_detection_lines(text: str, width: int, height: int,
             raise ValueError(f"{source}:{lineno}: expected 6 fields "
                              f"'class cx cy w h confidence', got {len(parts)}")
         try:
-            cx, cy, w, h, conf = (float(v) for v in parts[1:])
-            int(parts[0])
+            kv.integer(parts[0])
+            cx, cy, w, h, conf = (kv.real(v) for v in parts[1:])
         except ValueError:
             raise ValueError(f"{source}:{lineno}: non-numeric field in {line!r}") from None
         for label, value in (("cx", cx), ("cy", cy), ("w", w), ("h", h)):

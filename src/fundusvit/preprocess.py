@@ -27,32 +27,20 @@ ROI_SCALE = 3.0  # crop side = 3 * (w + h) / 2
 DEFAULT_BG_TAU = 10
 
 
+# The one augmentation protocol, not config keys: each flip's probability,
+# the rotation interval in degrees, and the interval of the saturation,
+# brightness and hue factors.
+P_FLIP = 0.5
+ROT_RANGE = (-10.0, 10.0)
+COLOR_RANGE = (0.95, 1.05)
+
+
 @dataclass(frozen=True)
 class AugmentParams:
-    """Augmentation switch and draw ranges. The draws themselves come from
-    the training seed's streams."""
+    """Augmentation switch. The draws themselves come from the training
+    seed's streams, over the ranges above."""
 
     enabled: bool = True
-    p_flip_h: float = 0.5
-    p_flip_v: float = 0.5
-    rot_lo: float = -10.0
-    rot_hi: float = 10.0
-    sat_lo: float = 0.95
-    sat_hi: float = 1.05
-    bright_lo: float = 0.95
-    bright_hi: float = 1.05
-    hue_lo: float = 0.95
-    hue_hi: float = 1.05
-
-    def __post_init__(self):
-        for name in ("p_flip_h", "p_flip_v"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
-        for kind in ("rot", "sat", "bright", "hue"):
-            lo, hi = getattr(self, f"{kind}_lo"), getattr(self, f"{kind}_hi")
-            if not 0.0 <= hi - lo < np.inf:  # rng.uniform draws from finite widths
-                raise ValueError(f"{kind}_lo must not exceed {kind}_hi, and {kind}_hi - "
-                                 f"{kind}_lo must be finite; got {lo}, {hi}")
 
 
 def roi_side(w: float, h: float) -> int:
@@ -367,14 +355,14 @@ class AugmentDraws:
     hue: float
 
     @classmethod
-    def sample(cls, rng: np.random.Generator, params: AugmentParams) -> "AugmentDraws":
+    def sample(cls, rng: np.random.Generator) -> "AugmentDraws":
         # Always consume exactly six draws so generator streams stay aligned.
         return cls(u_flip_h=float(rng.random()),
                    u_flip_v=float(rng.random()),
-                   rot_deg=float(rng.uniform(params.rot_lo, params.rot_hi)),
-                   sat=float(rng.uniform(params.sat_lo, params.sat_hi)),
-                   bright=float(rng.uniform(params.bright_lo, params.bright_hi)),
-                   hue=float(rng.uniform(params.hue_lo, params.hue_hi)))
+                   rot_deg=float(rng.uniform(*ROT_RANGE)),
+                   sat=float(rng.uniform(*COLOR_RANGE)),
+                   bright=float(rng.uniform(*COLOR_RANGE)),
+                   hue=float(rng.uniform(*COLOR_RANGE)))
 
 
 def augment(images: np.ndarray, params: AugmentParams, draws) -> np.ndarray:
@@ -392,9 +380,9 @@ def augment(images: np.ndarray, params: AugmentParams, draws) -> np.ndarray:
         raise ValueError(f"{len(images)} images need as many draws, got {len(draws)}")
     if params.enabled:
         for i, d in enumerate(draws):
-            if d.u_flip_h < params.p_flip_h:
+            if d.u_flip_h < P_FLIP:
                 images[i] = images[i, :, ::-1]
-            if d.u_flip_v < params.p_flip_v:
+            if d.u_flip_v < P_FLIP:
                 images[i] = images[i, ::-1]
         images = rotate(images, [d.rot_deg for d in draws])
         images = color_jitter(images, *np.reshape(

@@ -22,7 +22,7 @@ from .autodiff import Tensor
 from .checkpoint import CHECKPOINT_NAME, ClassifierBank, save_checkpoint
 from .dataset import (TASKS, ManifestRow, PreprocessOptions, load_input_image,
                       ordered_tasks, prepare_input, to_unit)
-from .metrics import tpr_at_specificity
+from .metrics import DEFAULT_FEATURE_THRESHOLD, tpr_at_specificity
 from .model import DualHeadViT, HeadOutputs, ModelConfig
 from .preprocess import AugmentDraws, AugmentParams, augment
 
@@ -42,15 +42,12 @@ def _rng(*key: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimization protocol. The learning-rate schedule, split ratio and
-    initial rate follow the published protocol; batch size, epoch count and
-    the Adam moment constants are implementation defaults."""
+    initial rate follow the published protocol; batch size and epoch count
+    are implementation defaults, as are ``Adam``'s moment constants."""
 
     lr0: float = 2e-4
     lr_decay: float = 0.5
     lr_decay_every: int = 5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 8
     epochs: int = 30
     seed: int = 0
@@ -68,11 +65,6 @@ class TrainConfig:
             raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not 0.0 < self.adam_eps < np.inf:
-            raise ValueError(f"adam_eps must be positive and finite, got {self.adam_eps}")
         if self.seed < 0:  # numpy's seed sequences take no negative entropy
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_nrg is not None and self.n_nrg < 0:
@@ -124,10 +116,10 @@ class Adam:
     updated in place, with the roundings of the textbook expressions, so a
     task stack's K-fold moments need few temporaries."""
 
-    def __init__(self, params: Sequence[Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: Sequence[Tensor]):
         self.params = list(params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -140,7 +132,7 @@ class Adam:
                 raise ad.ShapeError(f"gradient shape {p.grad.shape} does not match "
                                     f"parameter shape {p.data.shape}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             m *= b1
@@ -151,7 +143,7 @@ class Adam:
             step *= lr
             v_hat = v / (1 - b2 ** self.t)
             np.sqrt(v_hat, out=v_hat)
-            v_hat += self.eps
+            v_hat += self.EPS
             step /= v_hat
             p.data -= step
         ad.zero_grads(self.params)
@@ -217,10 +209,11 @@ def _prepared(rows: Sequence[ManifestRow], base_dir: str | Path,
 
 def _task_metric(scores: np.ndarray, labels: Sequence[int], task: str) -> float:
     """Validation metric: TPR at 95% specificity for glaucoma, accuracy at
-    0.5 for a feature."""
+    the report's feature-flag threshold for a feature."""
     if task == "glaucoma":
         return tpr_at_specificity(scores, labels, 0.95)
-    return float(np.mean([(s > 0.5) == y for s, y in zip(scores, labels)]))
+    return float(np.mean([(s > DEFAULT_FEATURE_THRESHOLD) == y
+                          for s, y in zip(scores, labels)]))
 
 
 def _best_text(history: Sequence[EpochRecord]) -> str:
@@ -290,8 +283,7 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
     model = DualHeadViT.stack([initial(task) for task in tasks])
     groups = model.task_groups(min(model_cfg.stack_size, train_cfg.batch_size))
     # the groups' parameters view the stack's arrays, which Adam updates in place
-    optimizer = Adam([p for _, group in groups for p in group.params.values()],
-                     train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps)
+    optimizer = Adam([p for _, group in groups for p in group.params.values()])
 
     histories: list[list[EpochRecord]] = [[] for _ in tasks]
     for epoch in range(train_cfg.epochs):
@@ -304,7 +296,7 @@ def train_task(model_cfg: ModelConfig, train_cfg: TrainConfig,
             for first in range(0, len(batch), model_cfg.stack_size):
                 stack = batch[first:first + model_cfg.stack_size]
                 images = to_unit(augment(train_images[stack], aug, [
-                    AugmentDraws.sample(_rng(train_cfg.seed, _STREAM_AUGMENT, epoch, idx), aug)
+                    AugmentDraws.sample(_rng(train_cfg.seed, _STREAM_AUGMENT, epoch, idx))
                     for idx in stack]))
                 for group_tasks, group in groups:
                     y = train_y[group_tasks][:, stack]

@@ -22,7 +22,7 @@ from scipy import ndimage
 from fundusvit import autodiff as ad
 from fundusvit.detections import DiscDetection, load_detection_file
 from fundusvit.metrics import auc, roc_curve
-from fundusvit.preprocess import DEFAULT_BG_TAU, AugmentParams
+from fundusvit.preprocess import DEFAULT_BG_TAU, P_FLIP, AugmentParams
 from fundusvit.synth import CUP_COLOR, DISC_COLOR, NOTCH_COLOR, RETINA_COLOR, TICK_COLOR
 
 FD_STEP = 1e-4
@@ -360,9 +360,9 @@ def reference_augment(images: np.ndarray, params: AugmentParams, draws) -> np.nd
         raise ValueError(f"{len(images)} images need as many draws, got {len(draws)}")
     if params.enabled:
         for i, d in enumerate(draws):
-            if d.u_flip_h < params.p_flip_h:
+            if d.u_flip_h < P_FLIP:
                 images[i] = images[i, :, ::-1]
-            if d.u_flip_v < params.p_flip_v:
+            if d.u_flip_v < P_FLIP:
                 images[i] = images[i, ::-1]
         images = reference_rotate(images, [d.rot_deg for d in draws])
         images = reference_color_jitter(images, *np.reshape(

@@ -200,6 +200,19 @@ class TestValidation:
                                          f"{first_line.decode()!r}, "
                                          "expected 'fundusvit-checkpoint v2'")
 
+    @pytest.mark.parametrize("name", ["prep", "prep.", "model"])
+    def test_a_settings_line_without_a_field_names_its_line(self, tmp_path, name):
+        # "prep.od_crop = true" with its "." turned into a line break
+        path = save_bank(tmp_path, ["glaucoma"])
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b"\nprep.od_crop = ",
+                                     f"\n{name}\nod_crop = ".encode(), 1))
+        line = raw[:raw.index(b"\nprep.od_crop = ")].count(b"\n") + 2
+        key = name.removesuffix(".")
+        with pytest.raises(IncompatibleCheckpointError, match=re.escape(
+                f"{path}: header line {line} reads {name!r}: unknown config key '{key}.'")):
+            load_checkpoint(path)
+
     def test_truncated_payload(self, tmp_path):
         path = save_bank(tmp_path, ["glaucoma"])
         raw = path.read_bytes()

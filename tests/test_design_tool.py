@@ -6,6 +6,8 @@ import importlib.util
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from fundusvit import cli
+from fundusvit.config import RunConfig
 from fundusvit.model import ModelConfig
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -23,7 +25,8 @@ def test_arguments_of_every_subcommand_without_help():
     one.add_argument("path")
     sub.add_parser("two").add_argument("--flag", action="store_true")
     sub.add_parser("three")
-    assert design.count_arguments(parser) == 4
+    assert design.argument_names(parser) == ["--verbose", "one --n", "one path",
+                                             "two --flag"]
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,33 @@ class Config:
 
 
 def test_config_fields_are_counted_per_section():
-    assert design.count_fields(Config) == 3
+    assert design.field_names(Config) == ["left.a", "left.b", "right.c"]
+
+
+# Every option of the real command line and run config. An option added or
+# removed changes this list, so the change shows in the diff.
+OPTIONS = [
+    "synth --n", "synth --seed", "synth --out", "synth --size", "synth --pos-fraction",
+    "preprocess --manifest", "preprocess --out", "preprocess --target",
+    "preprocess --od-crop", "preprocess --bg-removal",
+    "train --config", "train --seed", "train --out", "train --od-crop",
+    "train --bg-removal", "train --task",
+    "eval --checkpoint", "eval --manifest", "eval --out", "eval --roc-out",
+    "eval --scores-out", "eval --threshold",
+    "infer --checkpoint", "infer --image", "infer --detection",
+    "model.height", "model.width", "model.patch", "model.dim", "model.depth",
+    "model.heads", "model.agg_hidden", "model.activation", "model.mlp_hidden",
+    "train.lr0", "train.lr_decay", "train.lr_decay_every", "train.batch_size",
+    "train.epochs", "train.seed", "train.split", "train.task", "train.n_nrg",
+    "augment.enabled",
+    "prep.od_crop", "prep.bg_removal", "prep.bg_tau", "prep.confidence_floor",
+    "paths.manifest", "paths.out",
+]
+
+
+def test_the_options_of_the_command_line_and_the_run_config():
+    names = design.argument_names(cli.build_parser()) + design.field_names(RunConfig)
+    assert names == OPTIONS
 
 
 def test_engine_primitives_are_the_functions_that_record_a_node(tmp_path):

@@ -48,6 +48,24 @@ class TestParsing:
         with pytest.raises(ValueError, match=":1:"):
             parse_detection_lines("0 0.5 x 0.2 0.2 0.9\n", 100, 100)
 
+    # spellings float() and int() take that config numbers do not
+    @pytest.mark.parametrize("line", ["0 0.2_5 0.5 0.2 0.2 0.9",
+                                      "0 \uff10.\uff15 0.5 0.2 0.2 0.9",
+                                      "+0 +0.5 0.5 0.2 0.2 0.9",
+                                      "\u0660 0.5 0.5 0.2 0.2 0.9"],
+                             ids=["underscore", "fullwidth", "plus", "arabic-indic-class"])
+    def test_loose_number_spellings_rejected(self, line):
+        with pytest.raises(ValueError, match=r"^dets.txt:2: non-numeric field"):
+            parse_detection_lines(f"# header\n{line}\n", 100, 100, source="dets.txt")
+
+    @pytest.mark.parametrize("line, expected", [
+        ("0 1e-1 .5 0.2 0.2 0.9", (10.0, 50.0, 20.0, 20.0, 0.9)),
+        (f"0 {0.25:.6f} {0.5:.6f} {0.125:.6f} {0.125:.6f} {0.9:.4f}",  # synth's format
+         (25.0, 50.0, 12.5, 12.5, 0.9))], ids=["exponent-and-bare-point", "synth"])
+    def test_config_number_spellings_accepted(self, line, expected):
+        [d] = parse_detection_lines(line + "\n", 100, 100)
+        assert (d.cx, d.cy, d.w, d.h, d.confidence) == pytest.approx(expected, abs=1e-12)
+
     def test_out_of_range_coordinates_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             parse_detection_lines("0 1.5 0.5 0.2 0.2 0.9\n", 100, 100)

@@ -5,15 +5,28 @@ sha256, so a change that moves any artifact byte fails here and has to say
 why."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from fundusvit import cli
 
 from helpers import openblas_core
 
-# The hashes below were made with numpy's bundled OpenBLAS on this kernel.
-# Float32 sgemm bits differ between kernels, and of the pinned files only
-# model.ckpt holds such bits: the logs and the report print rounded values.
-PINNED_CORE = "SkylakeX"
+# model.ckpt holds float32 sgemm bits, which differ between OpenBLAS kernels,
+# so it has one pin per kernel, each made with numpy's bundled OpenBLAS under
+# OPENBLAS_CORETYPE=<kernel>. The logs and the report print rounded values:
+# their one pin in GOLDEN holds on every kernel.
+CHECKPOINT = {
+    "SkylakeX": "4a3707f003c0ece6a4c144ae194426698e08be9604150fad93c5d5cb57c0106a",
+    "Haswell": "ac8fcf0e65fe9598477f83ca4dce7ee97a98230aa34cbd55fe51bd55cd19509d",
+}
+# the /proc/cpuinfo flag of the instruction set each pinned kernel runs on
+KERNEL_FLAG = {"SkylakeX": "avx512f", "Haswell": "avx2"}
 
 CONFIG = """\
 model.height = 32
@@ -37,49 +50,89 @@ GOLDEN = {
     "bank.log":
         "338bc5922bbb2383a1ec4268194088262541ca0fb2718bad557cca4ba01e7f0f",
     "feature1.log":
-        "4e45af5c6da0d51f023c6d7a6d736be23d8b66455da2f17d27fb356791bb6c94",
+        "696c8d86d67affabd3105de531267de4d98eef6f3f916c6ca94ea82d58cea157",
     "feature10.log":
-        "25b1462578a45bed4abc519ecdcc259068515962017fe9daee1c344b86744587",
+        "891a06f9c99a18bffddb61093c55f1eba1f09b40561a349425b1c21f3d9c2964",
     "feature2.log":
-        "09b594ed1c47263fb25a89c03f3d5605dbf9f4019cb5a109fc8ab68338f0430f",
+        "8d2fb15f36889db0464df5f31d311d63b5eb5dab62395ba3a956afe41505c043",
     "feature3.log":
-        "5ff864f939c2225bd36a8943e097915b429a9d7de48555225d8380a924feeaee",
+        "269e2fdf97cc60e453b9c7b141da19f27c9965cedcd01553048db2097e43a975",
     "feature4.log":
-        "02d80de04d68a61218957fc9edc07eb73cc9c5ee3ce7c12864462bff117f4c0b",
+        "fa0b639840483506ec16aa67c0a09cdb4be5460a40efec295e1f05af06032193",
     "feature5.log":
-        "8c5151569b97cb66b498c10930253714032689dcca768ddd33707873683ca171",
+        "a17f0e5c5e6082524ab90be63cbb2c5576d7b225afea2c42c36ab201234fcc02",
     "feature6.log":
-        "f26705cc2be3569809d8ce9cacbe8636ee4b2889421d35c4877f34487066f863",
+        "9c65adb3322f7b63bf7949cb0ccbf2fbff7076665c6734fa300458454ef3e6cf",
     "feature7.log":
-        "52629e3ba7afbd97f83566cef1bbb039d9f41fe16b1eb7da36e31ddc0b451215",
+        "ec35ae56cb7cac5d66708a1ad79a2622ad325319efa8a5643866793c0415d55a",
     "feature8.log":
-        "83d7db5e32a06342b9c9755fb01d584d6cd913e3ff45fe73a371dec58fb362c8",
+        "2f71a4ccbb46948f18d5e542c7698cf409ce7d741b9db744ae54d01d73a61355",
     "feature9.log":
-        "1b7682b433155d5c2b23311558536fdcc4e96149bc5b032706c841c2faa4d502",
+        "abd882533849170d4d70dd374779de4001a29ab08e9788e1d3fbc680a627037d",
     "glaucoma.log":
-        "d06a943f9b4a5750178c920f5004fb54376e3a1e3fce1f83a65ddb00993b8122",
-    "model.ckpt":
-        "4a3707f003c0ece6a4c144ae194426698e08be9604150fad93c5d5cb57c0106a",
+        "d5bf1167345b38e8bf80a507fa79135a58a1a8e21dfd427bd0e7de978a84949d",
     "report.txt":
         "f80edec9e11f6fbc19cb334ad21479c9ac07ecc27194ad5131ee3632ddc7bdab",
 }
 
 
-def test_bank_flow_artifacts_match_golden_hashes(tmp_path, monkeypatch):
-    # relative paths keep the echoed config, and so the logs, independent of
-    # where the test runs
-    monkeypatch.chdir(tmp_path)
+def bank_flow_digests() -> dict[str, str]:
+    """Run the flow in the working directory; the sha256 of each artifact.
+    Relative paths keep the echoed config, and so the logs, independent of
+    where it runs."""
     assert cli.main(["synth", "--n", "20", "--seed", "7", "--out", "data",
                      "--size", "64"]) == 0
-    (tmp_path / "run.cfg").write_text(CONFIG)
+    Path("run.cfg").write_text(CONFIG)
     assert cli.main(["train", "--config", "run.cfg"]) == 0
     assert cli.main(["eval", "--checkpoint", "bank", "--manifest", "data/manifest.tsv",
                      "--out", "bank/report.txt"]) == 0
-    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in sorted((tmp_path / "bank").iterdir())}
-    core = openblas_core()
-    assert digests == GOLDEN, (
-        f"the golden hashes are {PINNED_CORE} pins, and this run's OpenBLAS kernel is "
-        f"{core or 'unknown (no scipy-openblas library)'}; on another kernel a "
-        f"model.ckpt mismatch alone is the kernel, while a .log or report.txt "
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(Path("bank").iterdir())}
+
+
+def check_digests(digests: dict[str, str], core: str | None) -> None:
+    """``digests`` against the pins of OpenBLAS kernel ``core``."""
+    assert core in CHECKPOINT, (
+        f"no model.ckpt pin for OpenBLAS kernel "
+        f"{core or 'unknown (no scipy-openblas library)'}; pinned kernels: "
+        f"{', '.join(CHECKPOINT)}")
+    assert digests == {**GOLDEN, "model.ckpt": CHECKPOINT[core]}, (
+        f"the model.ckpt pin is the {core} kernel's; a .log, bank.log or report.txt "
         f"mismatch is a regression on any kernel")
+
+
+def test_bank_flow_artifacts_match_golden_hashes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    check_digests(bank_flow_digests(), openblas_core())
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return {flag for line in text.splitlines() if line.startswith("flags")
+            for flag in line.partition(":")[2].split()}
+
+
+def test_every_pinned_kernel_this_cpu_runs_matches_its_pins(tmp_path):
+    # OPENBLAS_CORETYPE acts on the process it is set for, so each kernel
+    # runs the flow in its own interpreter
+    flags = _cpu_flags()
+    kernels = [core for core in CHECKPOINT if KERNEL_FLAG[core] in flags]
+    if not kernels:
+        pytest.skip("this CPU runs none of the pinned OpenBLAS kernels")
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(Path(cli.__file__).resolve().parents[1]), str(tests)])
+    script = ("import json, test_golden, helpers\n"
+              "digests = test_golden.bank_flow_digests()\n"
+              "print(json.dumps([helpers.openblas_core(), digests]))\n")
+    for core in kernels:
+        (tmp_path / core).mkdir()
+        env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path / core, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        ran, digests = json.loads(done.stdout.splitlines()[-1])
+        assert ran == core
+        check_digests(digests, core)

@@ -178,8 +178,7 @@ class TestAugmentStages:
     @given(stacks(), st.data())
     def test_augment(self, images, data):
         unit = st.floats(0.0, 1.0)
-        params = AugmentParams(enabled=data.draw(st.booleans()),
-                               p_flip_h=data.draw(unit), p_flip_v=data.draw(unit))
+        params = AugmentParams(enabled=data.draw(st.booleans()))
         draws = [AugmentDraws(data.draw(unit), data.draw(unit), data.draw(angles),
                               data.draw(factors), data.draw(factors), data.draw(factors))
                  for _ in images]

@@ -358,13 +358,13 @@ class TestAugment:
     def test_fixed_seed_bitwise_reproducible(self):
         image = random_image(14)
         out1 = augment(image[None], self.params,
-                       [AugmentDraws.sample(np.random.default_rng(77), self.params)])
+                       [AugmentDraws.sample(np.random.default_rng(77))])
         out2 = augment(image[None], self.params,
-                       [AugmentDraws.sample(np.random.default_rng(77), self.params)])
+                       [AugmentDraws.sample(np.random.default_rng(77))])
         np.testing.assert_array_equal(out1, out2)
 
     def test_draw_order_is_stable(self):
-        d = AugmentDraws.sample(np.random.default_rng(5), self.params)
+        d = AugmentDraws.sample(np.random.default_rng(5))
         rng = np.random.default_rng(5)
         assert d.u_flip_h == rng.random()
         assert d.u_flip_v == rng.random()

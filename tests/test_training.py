@@ -27,7 +27,7 @@ from test_model import recording_forward
 
 SMALL_MODEL = ModelConfig(height=32, width=32, patch=16, dim=16, depth=1,
                           heads=2, agg_hidden=8, mlp_hidden=16)
-FAST_AUG = AugmentParams(rot_lo=-5.0, rot_hi=5.0)
+AUG = AugmentParams()
 
 
 def outputs_from(p_cls, p_agg):
@@ -132,7 +132,7 @@ class TestAdam:
     def test_three_steps_match_scalar_oracle(self):
         # quadratic loss 0.5*(3 x^2 + 7 y^2); analytic gradients each step
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        opt = Adam([p], beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam([p])
         lr = 0.01
         for _ in range(3):
             p.grad = np.array([3.0 * p.data[0], 7.0 * p.data[1]])
@@ -290,12 +290,12 @@ class TestBestRecord:
         manifest, rows = tiny_dataset
         values = iter(metrics)
         monkeypatch.setattr(training, "_task_metric", lambda *args: next(values))
-        _, [history] = train_task(SMALL_MODEL, quick_cfg(epochs=2), FAST_AUG,
+        _, [history] = train_task(SMALL_MODEL, quick_cfg(epochs=2), AUG,
                                   PreprocessOptions(), rows, manifest.parent,
                                   out_dir=tmp_path / "run")
         assert best_record(history).epoch == best_epoch
         values = iter([0.0])
-        train_task(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG, PreprocessOptions(), rows,
+        train_task(SMALL_MODEL, quick_cfg(epochs=1), AUG, PreprocessOptions(), rows,
                    manifest.parent, out_dir=tmp_path / "one")
         same = (tmp_path / "run" / "model.ckpt").read_bytes() == \
             (tmp_path / "one" / "model.ckpt").read_bytes()
@@ -308,7 +308,7 @@ class TestBestRecord:
 class TestTrainTask:
     def test_runs_and_writes_outputs(self, tiny_dataset, tmp_path):
         manifest, rows = tiny_dataset
-        _, [history] = train_task(SMALL_MODEL, quick_cfg(), FAST_AUG, PreprocessOptions(),
+        _, [history] = train_task(SMALL_MODEL, quick_cfg(), AUG, PreprocessOptions(),
                                   rows, manifest.parent, out_dir=tmp_path,
                                   config_lines=["model.dim = 16"])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["glaucoma.log", "model.ckpt"]
@@ -320,9 +320,9 @@ class TestTrainTask:
         manifest, rows = tiny_dataset
         a = tmp_path / "a"
         b = tmp_path / "b"
-        train_task(SMALL_MODEL, quick_cfg(), FAST_AUG, PreprocessOptions(),
+        train_task(SMALL_MODEL, quick_cfg(), AUG, PreprocessOptions(),
                    rows, manifest.parent, out_dir=a)
-        train_task(SMALL_MODEL, quick_cfg(), FAST_AUG, PreprocessOptions(),
+        train_task(SMALL_MODEL, quick_cfg(), AUG, PreprocessOptions(),
                    rows, manifest.parent, out_dir=b)
         assert (a / "model.ckpt").read_bytes() == (b / "model.ckpt").read_bytes()
         assert (a / "glaucoma.log").read_bytes() == (b / "glaucoma.log").read_bytes()
@@ -333,7 +333,7 @@ class TestTrainTask:
 
         manifest, rows = tiny_dataset
         cfg = quick_cfg()
-        bank, [history] = train_task(SMALL_MODEL, cfg, FAST_AUG, PreprocessOptions(),
+        bank, [history] = train_task(SMALL_MODEL, cfg, AUG, PreprocessOptions(),
                                      rows, manifest.parent, out_dir=tmp_path)
         _, val_rows = rebalance_and_split(rows, [r.rg for r in rows], cfg.n_nrg,
                                           cfg.split, cfg.seed)
@@ -351,7 +351,7 @@ class TestTrainTask:
     def test_non_square_inputs_train_and_evaluate(self, tiny_dataset, tmp_path):
         manifest, rows = tiny_dataset
         wide = replace(SMALL_MODEL, width=64)  # 32 x 64: 2 x 4 patches
-        bank, _ = train_task(wide, quick_cfg(epochs=1), FAST_AUG, PreprocessOptions(),
+        bank, _ = train_task(wide, quick_cfg(epochs=1), AUG, PreprocessOptions(),
                              rows, manifest.parent, out_dir=tmp_path)
         report = evaluate(bank, rows, manifest.parent)
         assert report.n_samples == len(rows)
@@ -368,13 +368,13 @@ class TestTrainTask:
         monkeypatch.setattr(training, "prepare_input",
                             lambda *args, **kwargs: prepared.append(args))
         with pytest.raises(ValueError, match="distinct and in TASKS order"):
-            train_task(SMALL_MODEL, quick_cfg(), FAST_AUG, PreprocessOptions(), rows,
+            train_task(SMALL_MODEL, quick_cfg(), AUG, PreprocessOptions(), rows,
                        manifest.parent, out_dir=tmp_path / "out", tasks=tasks)
         assert not prepared and not (tmp_path / "out").exists()
 
     def test_empty_dataset_rejected(self, tiny_dataset, tmp_path):
         with pytest.raises(ValueError, match="empty"):
-            train_task(SMALL_MODEL, quick_cfg(), FAST_AUG, PreprocessOptions(),
+            train_task(SMALL_MODEL, quick_cfg(), AUG, PreprocessOptions(),
                        [], tmp_path, out_dir=tmp_path / "out")
 
     def test_empty_training_split_rejected(self, tiny_dataset, monkeypatch, tmp_path):
@@ -386,7 +386,7 @@ class TestTrainTask:
         monkeypatch.setattr(training, "prepare_input",
                             lambda *args, **kwargs: prepared.append(args))
         with pytest.raises(ValueError, match="^empty training set after split$"):
-            train_task(SMALL_MODEL, quick_cfg(split=(4, 1)), FAST_AUG,
+            train_task(SMALL_MODEL, quick_cfg(split=(4, 1)), AUG,
                        PreprocessOptions(), pair, manifest.parent, out_dir=tmp_path)
         assert not prepared
 
@@ -397,7 +397,7 @@ class TestTrainTask:
         monkeypatch.setattr(training, "prepare_input",
                             lambda *args, **kwargs: prepared.append(args))
         with pytest.raises(ValueError, match="single-class training set"):
-            train_task(SMALL_MODEL, quick_cfg(), FAST_AUG, PreprocessOptions(),
+            train_task(SMALL_MODEL, quick_cfg(), AUG, PreprocessOptions(),
                        negatives, manifest.parent, out_dir=tmp_path)
         assert not prepared  # the check comes before any image is prepared
 
@@ -424,7 +424,7 @@ def bank_preparation(monkeypatch, rows, base_dir, out_dir):
 
     monkeypatch.setattr(training, "train_task", recording_task)
     monkeypatch.setattr(training, "prepare_input", recording_prepare)
-    train_bank(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG, PreprocessOptions(), rows,
+    train_bank(SMALL_MODEL, quick_cfg(epochs=1), AUG, PreprocessOptions(), rows,
                base_dir, out_dir=out_dir)
     return calls, prepared
 
@@ -437,7 +437,7 @@ def assert_members_equal_standalone_runs(bank, bank_dir, tasks, rows, base, out,
     saved = load_bank(bank_dir)
     assert saved.tasks == bank.tasks
     for task in tasks:
-        train_task(SMALL_MODEL, quick_cfg(epochs=epochs, task=task), FAST_AUG,
+        train_task(SMALL_MODEL, quick_cfg(epochs=epochs, task=task), AUG,
                    PreprocessOptions(), rows, base, out_dir=out / task,
                    config_lines=config_lines)
         solo = load_checkpoint(out / task / "model.ckpt")
@@ -453,7 +453,7 @@ def assert_members_equal_standalone_runs(bank, bank_dir, tasks, rows, base, out,
 class TestTrainBank:
     def test_full_bank_trains_eleven_tasks(self, tiny_dataset, tmp_path):
         manifest, rows = tiny_dataset
-        bank = train_bank(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG,
+        bank = train_bank(SMALL_MODEL, quick_cfg(epochs=1), AUG,
                           PreprocessOptions(), rows, manifest.parent,
                           out_dir=tmp_path)
         assert len(bank.models) == 11
@@ -466,7 +466,7 @@ class TestTrainBank:
         manifest, rows = tiny_dataset
         stripped = [replace(r, features=r.features[:6] + (0,) + r.features[7:])
                     for r in rows]
-        bank = train_bank(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG,
+        bank = train_bank(SMALL_MODEL, quick_cfg(epochs=1), AUG,
                           PreprocessOptions(), stripped, manifest.parent,
                           out_dir=tmp_path)
         assert len(bank.models) == 10
@@ -483,7 +483,7 @@ class TestTrainBank:
         stripped = [replace(r, features=r.features[:6] + (0,) + r.features[7:])
                     for r in rows]
         prep = PreprocessOptions(bg_tau=20, confidence_floor=0.25)
-        args = (SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG, prep, stripped, manifest.parent)
+        args = (SMALL_MODEL, quick_cfg(epochs=1), AUG, prep, stripped, manifest.parent)
         if train == "train_task":
             bank, histories = train_task(*args, out_dir=tmp_path,
                                          tasks=["glaucoma", "feature2", "feature9"])
@@ -505,7 +505,7 @@ class TestTrainBank:
         manifest, rows = tiny_dataset
         marked = [replace(r, features=(1,) + r.features[1:6] + (0,) + r.features[7:])
                   for r in rows]
-        bank = train_bank(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG,
+        bank = train_bank(SMALL_MODEL, quick_cfg(epochs=1), AUG,
                           PreprocessOptions(), marked, manifest.parent,
                           out_dir=tmp_path)
         assert bank.tasks == tuple(t for t in TASKS if t not in ("feature1", "feature7"))
@@ -525,7 +525,7 @@ class TestTrainBank:
         bank_dir = tmp_path / "bank"
         stripped = [replace(r, features=r.features[:2] + (0,) + r.features[3:])
                     for r in rows]
-        bank = train_bank(SMALL_MODEL, quick_cfg(epochs=2), FAST_AUG,
+        bank = train_bank(SMALL_MODEL, quick_cfg(epochs=2), AUG,
                           PreprocessOptions(), stripped, manifest.parent,
                           out_dir=bank_dir, config_lines=["train.epochs = 2"])
         assert "feature3" not in bank.tasks
@@ -548,7 +548,7 @@ class TestTrainBank:
             return preprocess.augment(images, *args)
 
         monkeypatch.setattr(training, "augment", counting)
-        bank, _ = train_task(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG,
+        bank, _ = train_task(SMALL_MODEL, quick_cfg(epochs=1), AUG,
                              PreprocessOptions(), rows, manifest.parent, out_dir=tmp_path,
                              tasks=["glaucoma", "feature1", "feature2"])
         assert bank.tasks == ("glaucoma", "feature1", "feature2")
@@ -566,7 +566,7 @@ class TestTrainBank:
                             24 * (SMALL_MODEL.n_patches + 1) ** 2)
         manifest, rows = tiny_dataset
         sizes = recording_forward(monkeypatch)
-        bank = train_bank(SMALL_MODEL, quick_cfg(epochs=1), FAST_AUG,
+        bank = train_bank(SMALL_MODEL, quick_cfg(epochs=1), AUG,
                           PreprocessOptions(), rows, manifest.parent,
                           out_dir=tmp_path / "bank")
         assert len(bank.models) == 11

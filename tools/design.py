@@ -11,7 +11,8 @@ It prints four counts:
   ``wc -l`` counts them;
 - options: the arguments of ``fundusvit.cli.build_parser()`` over every
   subcommand (``--help`` not counted) plus the fields of the sections of
-  ``fundusvit.config.RunConfig``;
+  ``fundusvit.config.RunConfig``, then each option's name, one a line
+  (``synth --n``, ..., ``model.height``, ...);
 - engine primitives: the functions of ``fundusvit.autodiff`` that record a
   graph node through ``_result``;
 - the op nodes (parameter leaves excluded) from the input images to the
@@ -40,22 +41,30 @@ def source_lines(src: Path = SRC) -> dict[str, int]:
             for path in sorted(src.glob("*.py"))}
 
 
-def count_arguments(parser: argparse.ArgumentParser) -> int:
+def argument_names(parser: argparse.ArgumentParser, prefix: str = "") -> list[str]:
     """Arguments of ``parser`` and of every subcommand parser under it,
-    without the help flags."""
-    total = 0
+    without the help flags, each by its first option string (or its dest,
+    if positional) after the subcommand's name, as ``synth --n``; an alias
+    of a subcommand is not counted again."""
+    names = []
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            total += sum(count_arguments(p) for p in set(action.choices.values()))
+            seen = set()
+            for command, sub in action.choices.items():
+                if id(sub) not in seen:
+                    seen.add(id(sub))
+                    names += argument_names(sub, f"{prefix}{command} ")
         elif not isinstance(action, argparse._HelpAction):
-            total += 1
-    return total
+            names.append(prefix + (action.option_strings or [action.dest])[0])
+    return names
 
 
-def count_fields(config_cls: type) -> int:
-    """Fields of each section dataclass that ``config_cls`` holds."""
+def field_names(config_cls: type) -> list[str]:
+    """``section.field`` of each field of each section dataclass that
+    ``config_cls`` holds."""
     hints = typing.get_type_hints(config_cls)
-    return sum(len(fields(hints[f.name])) for f in fields(config_cls))
+    return [f"{section.name}.{f.name}" for section in fields(config_cls)
+            for f in fields(hints[section.name])]
 
 
 def engine_primitives(path: Path = SRC / "autodiff.py") -> list[str]:
@@ -95,9 +104,11 @@ def main() -> int:
     for name, count in lines.items():
         print(f"  {name:<{width}} {count:>5}")
     print(f"  {'total':<{width}} {sum(lines.values()):>5}")
-    arguments, config_fields = count_arguments(cli.build_parser()), count_fields(RunConfig)
-    print(f"options {arguments + config_fields} "
-          f"({arguments} CLI arguments + {config_fields} config fields)")
+    arguments, config_fields = argument_names(cli.build_parser()), field_names(RunConfig)
+    print(f"options {len(arguments) + len(config_fields)} "
+          f"({len(arguments)} CLI arguments + {len(config_fields)} config fields)")
+    for name in arguments + config_fields:
+        print(f"  {name}")
     primitives = engine_primitives()
     print(f"engine primitives {len(primitives)}: {' '.join(primitives)}")
     print(f"nodes per forward and loss, ModelConfig() {nodes_per_forward()}")
