@@ -13,15 +13,10 @@ optimizer clears grads after applying an update.
 
 Every operation validates that its output is finite; NaN or Inf anywhere is
 an error state, not a value.
-
-The engine needs numpy alone. ``gelu`` takes its ``erf`` from a numpy port of
-the cephes rational approximations that ``scipy.special.erf`` evaluates (the
-tests' oracle): the same bits in float32, within 1 ulp in float64.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -404,60 +399,6 @@ def relu(a: Tensor) -> Tensor:
     # one pass with the bytes of np.where(mask, a.data, 0.0): -0.0 gives +0.0
     # here, where np.fmax or np.maximum(0, a) can keep -0.0; NaN stays NaN
     return _result(np.maximum(a.data, 0), "relu", (a,), vjp)
-
-
-# Cephes' rational approximations for erf, the ones scipy.special.erf
-# evaluates (Horner form, highest power first; U and Q have a leading 1):
-# x T(x^2) / U(x^2) for |x| <= 1, and 1 - exp(-x^2) P(|x|) / Q(|x|) beyond.
-_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-          7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-          2.26290000613890934246e4, 4.92673942608635921086e4)
-_ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-          4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-          9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERF_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-          9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-          1.65666309194161350182e3, 5.57535340817727675546e2)
-
-
-def _horner(x: np.ndarray, coefs, leading_one: bool = False) -> np.ndarray:
-    acc = x + coefs[0] if leading_one else np.full_like(x, coefs[0])
-    for c in coefs[1:]:
-        acc *= x
-        acc += c
-    return acc
-
-
-def erf(x: np.ndarray) -> np.ndarray:
-    """The error function, elementwise, evaluated in float64 and cast back
-    to the input's float dtype. Each of cephes' fractions runs on every
-    value clamped into its own range, so no overflow warning escapes.
-
-    From |x| = 8 on, erfc(|x|) < 2e-29 is below half an ulp of 1, so erf
-    is exactly +-1 there and cephes' third fraction (R/S) cannot change it.
-    """
-    x = np.asarray(x)
-    a = np.abs(x, dtype=np.float64)
-    s = np.minimum(a, 1.0)
-    z = s * s
-    small = s * _horner(z, _ERF_T) / _horner(z, _ERF_U, leading_one=True)
-    m = np.clip(a, 1.0, 8.0)
-    mid = 1.0 - np.exp(-m * m) * _horner(m, _ERF_P) / _horner(m, _ERF_Q, leading_one=True)
-    out = np.where(a <= 1.0, small, np.where(a >= 8.0, 1.0, mid))  # NaN stays in mid
-    return np.copysign(out, x).astype(x.dtype, copy=False)
-
-
-def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
-    x = a.data
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
-
-    def vjp(g):
-        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        return (g * (cdf + x * pdf),)
-
-    return _result(x * cdf, "gelu", (a,), vjp)
 
 
 def log(a: Tensor) -> Tensor:

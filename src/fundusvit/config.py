@@ -3,9 +3,10 @@
 The config file is line-oriented ``key = value`` text (``#`` comments).
 Unknown keys are rejected, and every effective value, defaults included, is
 echoed into the run log so results stay re-derivable from the log and the
-code's fixed constants, which are not echoed: ``Adam``'s moments, the
-augmentation ranges of ``preprocess``, ``INIT_STD``, ``PROB_CLAMP`` and
-``LAYER_NORM_EPS``.
+code's fixed constants, which are not echoed: the encoder's ReLU,
+``Adam``'s moments, the augmentation ranges and ``BG_TAU`` of
+``preprocess``, the detection ``CONFIDENCE_FLOOR``, ``INIT_STD``,
+``PROB_CLAMP`` and ``LAYER_NORM_EPS``.
 """
 
 from __future__ import annotations

@@ -18,10 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .atomic import write_atomic
-from .detections import (DEFAULT_CONFIDENCE_FLOOR, DiscDetection,
-                         load_detection_file, select_roi)
+from .detections import CONFIDENCE_FLOOR, DiscDetection, load_detection_file, select_roi
 from .ppm import read_ppm
-from .preprocess import DEFAULT_BG_TAU, crop_roi, remove_background, resize_bilinear
+from .preprocess import BG_TAU, crop_roi, remove_background, resize_bilinear
 
 N_FEATURES = 10
 TASKS = ["glaucoma", *[f"feature{k}" for k in range(1, N_FEATURES + 1)]]
@@ -56,19 +55,12 @@ class ManifestRow:
 @dataclass(frozen=True)
 class PreprocessOptions:
     """Pipeline toggles: disc cropping and background removal can each be
-    switched off to reproduce the ablation configurations."""
+    switched off to reproduce the ablation configurations. The detection
+    floor (``detections.CONFIDENCE_FLOOR``) and the background threshold
+    (``preprocess.BG_TAU``) are constants."""
 
     od_crop: bool = True
     bg_removal: bool = True
-    bg_tau: int = DEFAULT_BG_TAU
-    confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR
-
-    def __post_init__(self):
-        if not 0 <= self.bg_tau <= 255:
-            raise ValueError(f"bg_tau must lie in [0, 255], got {self.bg_tau}")
-        if not 0.0 <= self.confidence_floor <= 1.0:
-            raise ValueError(f"confidence_floor must lie in [0, 1], "
-                             f"got {self.confidence_floor}")
 
 
 def _binary(value: str, column: str, where: str) -> int:
@@ -162,11 +154,11 @@ def prepare_input(image: np.ndarray, row: ManifestRow, base_dir: str | Path,
     if opts.od_crop and row.detection_path:
         detection = select_roi(load_detection_file(Path(base_dir) / row.detection_path,
                                                    row.width, row.height),
-                               opts.confidence_floor)
+                               CONFIDENCE_FLOOR)
     if detection is not None:
         image = crop_roi(image, detection)
     if opts.bg_removal:
-        image = remove_background(image, opts.bg_tau)
+        image = remove_background(image, BG_TAU)
     return resize_bilinear(image, height, width), detection
 
 

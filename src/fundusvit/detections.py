@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import kv
 
-DEFAULT_CONFIDENCE_FLOOR = 0.25
+CONFIDENCE_FLOOR = 0.25  # a detection below this is not cropped around
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def load_detection_file(path: str | Path, width: int, height: int) -> list[DiscD
 
 
 def select_roi(detections: list[DiscDetection],
-               floor: float = DEFAULT_CONFIDENCE_FLOOR) -> DiscDetection | None:
+               floor: float = CONFIDENCE_FLOOR) -> DiscDetection | None:
     """The first most confident detection at or above the floor; None: the full image."""
     candidates = [d for d in detections if d.confidence >= floor]
     return max(candidates, key=lambda d: d.confidence, default=None)

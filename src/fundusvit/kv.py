@@ -22,10 +22,9 @@ class KeyValueError(ValueError):
 
 
 def boolean(text: str) -> bool:
-    if text in ("true", "1", "yes"):
-        return True
-    if text in ("false", "0", "no"):
-        return False
+    """``true`` or ``false``, as ``format_value`` writes a flag."""
+    if text in ("true", "false"):
+        return text == "true"
     raise ValueError(f"expected true/false, got {text!r}")
 
 

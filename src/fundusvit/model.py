@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ShapeError, Tensor, add, attention, concat, gelu,
-                       layer_norm, linear, matmul, mul, narrow, no_grad, relu,
-                       softmax, transpose)
+from .autodiff import (ShapeError, Tensor, add, attention, concat, layer_norm,
+                       linear, matmul, mul, narrow, no_grad, relu, softmax,
+                       transpose)
 
 INIT_STD = 0.02
 # Attention scores per head that one stacked forward may hold: a training
@@ -38,7 +38,9 @@ INIT_STD = 0.02
 # 512x512 (1025 tokens) takes one image of one task.
 STACK_SCORES = 1 << 16
 
-_ACTIVATIONS = {"relu": relu, "gelu": gelu}
+# Read by no code here: perfbench's tracer wraps this entry by name and
+# refuses to install without it (ROADMAP item 9).
+_ACTIVATIONS = {"relu": relu}
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,6 @@ class ModelConfig:
     depth: int = 4
     heads: int = 4
     agg_hidden: int = 64
-    activation: str = "relu"
     mlp_hidden: int | None = None
 
     def __post_init__(self):
@@ -66,8 +67,6 @@ class ModelConfig:
                              f"patch {self.patch}")
         if self.dim % self.heads:
             raise ShapeError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def n_patches(self) -> int:
@@ -311,14 +310,13 @@ class DualHeadViT:
 
     def _encoder(self, x: Tensor) -> Tensor:
         p = self.params
-        act = _ACTIVATIONS[self.config.activation]
         for i in range(self.config.depth):
             b = f"block{i}"
             attended = self._attention(
                 layer_norm(x, p[f"{b}.ln1.gain"], p[f"{b}.ln1.bias"]), b)
             x = add(x, attended)
             hidden = layer_norm(x, p[f"{b}.ln2.gain"], p[f"{b}.ln2.bias"])
-            hidden = act(linear(hidden, p[f"{b}.mlp.fc1.weight"], p[f"{b}.mlp.fc1.bias"]))
+            hidden = relu(linear(hidden, p[f"{b}.mlp.fc1.weight"], p[f"{b}.mlp.fc1.bias"]))
             hidden = linear(hidden, p[f"{b}.mlp.fc2.weight"], p[f"{b}.mlp.fc2.bias"])
             x = add(x, hidden)
         return x

@@ -24,7 +24,7 @@ import numpy as np
 from .detections import DiscDetection
 
 ROI_SCALE = 3.0  # crop side = 3 * (w + h) / 2
-DEFAULT_BG_TAU = 10
+BG_TAU = 10  # background: border-connected pixels whose max channel is below this
 
 
 # The one augmentation protocol, not config keys: each flip's probability,
@@ -69,7 +69,7 @@ def crop_roi(image: np.ndarray, det: DiscDetection) -> np.ndarray:
     return out
 
 
-def remove_background(image: np.ndarray, tau: int = DEFAULT_BG_TAU) -> np.ndarray:
+def remove_background(image: np.ndarray, tau: int = BG_TAU) -> np.ndarray:
     """Zero the border-connected near-black region (max channel < tau).
 
     Dark pixels not connected (4-connectivity) to the image border are left

@@ -22,7 +22,7 @@ from scipy import ndimage
 from fundusvit import autodiff as ad
 from fundusvit.detections import DiscDetection, load_detection_file
 from fundusvit.metrics import auc, roc_curve
-from fundusvit.preprocess import DEFAULT_BG_TAU, P_FLIP, AugmentParams
+from fundusvit.preprocess import BG_TAU, P_FLIP, AugmentParams
 from fundusvit.synth import CUP_COLOR, DISC_COLOR, NOTCH_COLOR, RETINA_COLOR, TICK_COLOR
 
 FD_STEP = 1e-4
@@ -96,7 +96,6 @@ def _np_forward(model, image: np.ndarray):
     flat (p_cls, p_agg, weights) and the smallest |pre-activation| over
     every ReLU site."""
     cfg = model.config
-    assert cfg.activation == "relu", "reference covers the relu configuration"
     p = {name: t.data[0].astype(np.float64) for name, t in model.params.items()}
     margins = []
 
@@ -215,7 +214,7 @@ def brute_force_auc(scores, labels):
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
-def reference_remove_background(image: np.ndarray, tau: int = DEFAULT_BG_TAU) -> np.ndarray:
+def reference_remove_background(image: np.ndarray, tau: int = BG_TAU) -> np.ndarray:
     """Zero the border-connected near-black region (max channel < tau).
 
     Dark pixels not connected (4-connectivity) to the image border are left

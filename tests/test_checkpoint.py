@@ -122,8 +122,7 @@ def spy_on_opens(monkeypatch, cap=None) -> list[FileSpy]:
 
 class TestRoundTrip:
     def test_bit_exact(self, tmp_path):
-        prep = PreprocessOptions(od_crop=False, bg_removal=True, bg_tau=12,
-                                 confidence_floor=0.3)
+        prep = PreprocessOptions(od_crop=False, bg_removal=True)
         for tasks in (["feature3"], ["glaucoma", "feature2", "feature10"]):
             model = DualHeadViT.stack([make_model(seed=4 + k) for k in range(len(tasks))])
             path = tmp_path / "m.ckpt"
@@ -491,13 +490,12 @@ class TestStackedLoad:
         assert binds == [bank.stacked] and bank.stacked.n_tasks == len(TASKS)
 
     def test_member_with_equal_settings_in_other_text_is_refused(self, tmp_path):
-        # "yes" and "true" parse to the same flag, but the writer spells it
-        # "true": a header in any other text than the writer's is refused
+        # "016" parses to 16, but the writer spells it "16": a header in any
+        # other text than the writer's is refused
         path = save_bank(tmp_path)
         raw = path.read_bytes()
-        assert b"\nprep.od_crop = true\n" in raw
-        path.write_bytes(raw.replace(b"\nprep.od_crop = true\n",
-                                     b"\nprep.od_crop = yes\n", 1))
+        assert b"\nmodel.dim = 16\n" in raw
+        path.write_bytes(raw.replace(b"\nmodel.dim = 16\n", b"\nmodel.dim = 016\n", 1))
         with pytest.raises(IncompatibleCheckpointError, match=CHECKPOINT_NAME):
             load_bank(tmp_path)
 

@@ -193,23 +193,20 @@ MALFORMED_CHECKPOINTS = {
     "trailing-bytes": lambda lines, body: (lines, body + bytes(4)),
     "malformed-tensor-line": lambda lines, body: (
         lines[:-1] + [lines[-1] + " extra"], body),
-    "non-ascii-header": _replace_line("model.activation", "model.activation = r\u00e9lu"),
+    "non-ascii-header": _replace_line("model.mlp_hidden", "model.mlp_hidden = n\u00f6ne"),
     "non-numeric-height": _replace_line("model.height", "model.height = abc"),
     "negative-depth": _negative_depth,
     "unknown-field": lambda lines, body: (lines[:2] + ["model.foo = 1"] + lines[2:],
                                           body),
     "zero-patch": _replace_line("model.patch", "model.patch = 0"),
-    "bg-tau-out-of-range": _replace_line("prep.bg_tau", "prep.bg_tau = 1000"),
-    "confidence-floor-out-of-range": _replace_line("prep.confidence_floor",
-                                                   "prep.confidence_floor = 7"),
 }
 
 
-# settings where a header missing their line used to load with the default:
-# od_crop (true), bg_tau (10) and the activation (relu)
-EDIT_MODEL = ModelConfig(height=32, width=32, patch=16, dim=16, depth=1, heads=2,
-                         agg_hidden=8, activation="gelu")
-EDIT_PREP = PreprocessOptions(od_crop=False, bg_tau=30)
+# od_crop is the setting whose line a header could miss and still load with
+# the default (true); two blocks give each header edit 60 lines to act on
+EDIT_MODEL = ModelConfig(height=32, width=32, patch=16, dim=16, depth=2, heads=2,
+                         agg_hidden=8)
+EDIT_PREP = PreprocessOptions(od_crop=False)
 # magic, model.*, prep.*, tasks and one tensor line per parameter
 EDIT_LINES = (1 + len(fields(ModelConfig)) + len(fields(PreprocessOptions)) + 1
               + len(DualHeadViT.parameter_shapes(EDIT_MODEL)))
@@ -217,6 +214,15 @@ EDIT_LINES = (1 + len(fields(ModelConfig)) + len(fields(PreprocessOptions)) + 1
 
 def _respell(line, new):
     return lambda lines: ([new if l == line else l for l in lines], lines.index(line))
+
+
+def _parent_header(lines):
+    # the header written while the activation, the background threshold and
+    # the detection floor were settings: their three lines where they stood
+    at = lines.index("model.mlp_hidden = none")
+    prep = lines.index("prep.bg_removal = true") + 1
+    return (lines[:at] + ["model.activation = relu"] + lines[at:prep]
+            + ["prep.bg_tau = 10", "prep.confidence_floor = 0.25"] + lines[prep:], at)
 
 
 # header edits: lines -> (edited lines, index of the first line that differs)
@@ -227,14 +233,13 @@ HEADER_EDITS = {
        for i in range(EDIT_LINES)},
     **{f"drop-{line}": (lambda lines, line=line: (
         [l for l in lines if l != line], lines.index(line)))
-       for line in ("prep.od_crop = false", "prep.bg_tau = 30",
-                    "model.activation = gelu")},
+       for line in ("prep.od_crop = false",)},
     "yes": _respell("prep.bg_removal = true", "prep.bg_removal = yes"),
     "leading-space": _respell("model.height = 32", "model.height =  32"),
     "underscore": _respell("model.height = 32", "model.height = 3_2"),
     "plus": _respell("model.dim = 16", "model.dim = +16"),
-    "trailing-zero": _respell("prep.confidence_floor = 0.25",
-                              "prep.confidence_floor = 0.250"),
+    "trailing-zero": _respell("model.patch = 16", "model.patch = 16.0"),
+    "parent-header": _parent_header,
 }
 
 
@@ -309,9 +314,10 @@ class TestMalformedInputs:
                                              ("train.lr_decay_every = 0",
                                               "lr_decay_every"),
                                              ("train.epochs = 0", "epochs"),
-                                             ("prep.bg_tau = 1000", "bg_tau"),
-                                             ("prep.confidence_floor = 7",
-                                              "confidence_floor"),
+                                             ("prep.od_crop = 1",
+                                              "prep.od_crop: bad value '1'"),
+                                             ("augment.enabled = yes",
+                                              "augment.enabled: bad value 'yes'"),
                                              ("model.depth = -1", "depth"),
                                              ("model.agg_hidden = 0", "agg_hidden"),
                                              ("model.mlp_hidden = 0", "mlp_hidden"),
@@ -873,8 +879,10 @@ def refusal(parse, text: str) -> str:
     (["synth", "--n", "1_0"], "expected an integer, got '1_0'"),
     (["synth", "--n", "2", "--pos-fraction", "+0.5"], "expected a decimal number, got '+0.5'"),
     (["preprocess", "--od-crop", "on"], "expected true/false, got 'on'"),
-    (["eval", "--threshold", "0_5"], "expected a decimal number, got '0_5'")],
-    ids=["integer", "real", "boolean", "probability"])
+    (["eval", "--threshold", "0_5"], "expected a decimal number, got '0_5'"),
+    (["preprocess", "--od-crop", "1"], "expected true/false, got '1'"),
+    (["train", "--bg-removal", "yes"], "expected true/false, got 'yes'")],
+    ids=["integer", "real", "boolean", "probability", "boolean-1", "boolean-yes"])
 def test_option_errors_name_the_accepted_spelling(argv, reason, workspace, tmp_path,
                                                  capsys):
     # argparse would print "invalid <function> value"; each option kind
@@ -883,6 +891,7 @@ def test_option_errors_name_the_accepted_spelling(argv, reason, workspace, tmp_p
     out = tmp_path / "out"
     required = {"synth": ["--out", out],
                 "preprocess": ["--manifest", data / "manifest.tsv", "--out", out],
+                "train": ["--config", config, "--out", out],
                 "eval": ["--checkpoint", root / "run", "--manifest", data / "manifest.tsv",
                          "--out", out / "report.txt"]}
     assert run_cli([*argv, *required[argv[0]]]) == 1
@@ -909,13 +918,16 @@ def test_config_numbers_take_one_spelling(line, key, workspace, tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
-# the Adam moments and augmentation ranges are constants, not config keys
-@pytest.mark.parametrize("key", ["train.beta1", "train.beta2", "train.adam_eps",
+# the activation, the Adam moments, the augmentation ranges, the background
+# threshold and the detection floor are constants, not config keys
+@pytest.mark.parametrize("key", ["model.activation",
+                                 "train.beta1", "train.beta2", "train.adam_eps",
                                  "augment.p_flip_h", "augment.p_flip_v",
                                  "augment.rot_lo", "augment.rot_hi",
                                  "augment.sat_lo", "augment.sat_hi",
                                  "augment.bright_lo", "augment.bright_hi",
-                                 "augment.hue_lo", "augment.hue_hi"])
+                                 "augment.hue_lo", "augment.hue_hi",
+                                 "prep.bg_tau", "prep.confidence_floor"])
 def test_a_fixed_constant_is_not_a_config_key(key, workspace, tmp_path, capsys):
     root, data, config = workspace
     bad = tmp_path / "bad.cfg"

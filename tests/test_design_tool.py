@@ -62,11 +62,11 @@ OPTIONS = [
     "eval --scores-out", "eval --threshold",
     "infer --checkpoint", "infer --image", "infer --detection",
     "model.height", "model.width", "model.patch", "model.dim", "model.depth",
-    "model.heads", "model.agg_hidden", "model.activation", "model.mlp_hidden",
+    "model.heads", "model.agg_hidden", "model.mlp_hidden",
     "train.lr0", "train.lr_decay", "train.lr_decay_every", "train.batch_size",
     "train.epochs", "train.seed", "train.split", "train.task", "train.n_nrg",
     "augment.enabled",
-    "prep.od_crop", "prep.bg_removal", "prep.bg_tau", "prep.confidence_floor",
+    "prep.od_crop", "prep.bg_removal",
     "paths.manifest", "paths.out",
 ]
 

@@ -22,8 +22,8 @@ from helpers import openblas_core
 # OPENBLAS_CORETYPE=<kernel>. The logs and the report print rounded values:
 # their one pin in GOLDEN holds on every kernel.
 CHECKPOINT = {
-    "SkylakeX": "4a3707f003c0ece6a4c144ae194426698e08be9604150fad93c5d5cb57c0106a",
-    "Haswell": "ac8fcf0e65fe9598477f83ca4dce7ee97a98230aa34cbd55fe51bd55cd19509d",
+    "SkylakeX": "97e6abbd4a04318e36377b65c296a3b2759352e726101ca85ea22cefe5873bf8",
+    "Haswell": "bded7e4d595cbce66bff9f42b5150f0c4ba689b0459b3b42e7cab428b297c7cd",
 }
 # the /proc/cpuinfo flag of the instruction set each pinned kernel runs on
 KERNEL_FLAG = {"SkylakeX": "avx512f", "Haswell": "avx2"}
@@ -50,27 +50,27 @@ GOLDEN = {
     "bank.log":
         "338bc5922bbb2383a1ec4268194088262541ca0fb2718bad557cca4ba01e7f0f",
     "feature1.log":
-        "696c8d86d67affabd3105de531267de4d98eef6f3f916c6ca94ea82d58cea157",
+        "1b75f549608c3a923c0a1fd6a377be8dcbd2435c038642b5d7ea77e614b23bd0",
     "feature10.log":
-        "891a06f9c99a18bffddb61093c55f1eba1f09b40561a349425b1c21f3d9c2964",
+        "e569ba380677a5f0dfdc608789e089c2b1750618f6aff5483af80ec978164b0d",
     "feature2.log":
-        "8d2fb15f36889db0464df5f31d311d63b5eb5dab62395ba3a956afe41505c043",
+        "0ceb723091031010845273892ca53d1673699fa0d8127efe8aed58cacce43e31",
     "feature3.log":
-        "269e2fdf97cc60e453b9c7b141da19f27c9965cedcd01553048db2097e43a975",
+        "ae868a978748602da3cd2eab58b6f6cde0c8cf9a615ceffe49a0ca5147edf05e",
     "feature4.log":
-        "fa0b639840483506ec16aa67c0a09cdb4be5460a40efec295e1f05af06032193",
+        "135b67baadc5285c665e828f04102fd9460af1163126c9e340ce7479d9da3e5d",
     "feature5.log":
-        "a17f0e5c5e6082524ab90be63cbb2c5576d7b225afea2c42c36ab201234fcc02",
+        "c74afde4ab59249e21725c971954d4ae1f4c460fb2c6aadecc1d3dd89ec43a93",
     "feature6.log":
-        "9c65adb3322f7b63bf7949cb0ccbf2fbff7076665c6734fa300458454ef3e6cf",
+        "e46b024871a2151970bc3d18007463a70eea16217b932187e9991f8cc3eb6831",
     "feature7.log":
-        "ec35ae56cb7cac5d66708a1ad79a2622ad325319efa8a5643866793c0415d55a",
+        "7adbc9de99b36c644d1eacb2362998b8404bb67689680070365013a7e02d6bad",
     "feature8.log":
-        "2f71a4ccbb46948f18d5e542c7698cf409ce7d741b9db744ae54d01d73a61355",
+        "e09d036cdb8e33e9fc265b1dabb6fc8565e862e76e0414b6620a4f40d3900df2",
     "feature9.log":
-        "abd882533849170d4d70dd374779de4001a29ab08e9788e1d3fbc680a627037d",
+        "f456b9c3d84e09c0f98c32fcd6ea70acbe698920fe1da3266c112b5bf213993b",
     "glaucoma.log":
-        "d5bf1167345b38e8bf80a507fa79135a58a1a8e21dfd427bd0e7de978a84949d",
+        "cdb5ee1d3903a35fe8d44fa9342c06dea814531aecb63ca24a51e12033b9517f",
     "report.txt":
         "f80edec9e11f6fbc19cb334ad21479c9ac07ecc27194ad5131ee3632ddc7bdab",
 }

@@ -241,7 +241,7 @@ def test_full_resolution_prepare_and_augment_match_reference(tmp_path):
     assert detection == select_roi(load_detection_file(base / row.detection_path,
                                                        row.width, row.height))
     reference = reference_resize_bilinear(
-        reference_remove_background(crop_roi(image, detection), prep.bg_tau), 512, 512)
+        reference_remove_background(crop_roi(image, detection)), 512, 512)
     assert_same_bytes(prepared, reference)
     params = AugmentParams()
     draws = AugmentDraws(u_flip_h=0.2, u_flip_v=0.7, rot_deg=7.5, sat=1.04,

@@ -26,7 +26,7 @@ train.lr0 = 0.0005
 train.lr_decay = 1e-9
 train.n_nrg = 40
 augment.enabled = false
-prep.bg_tau = 12
+prep.bg_removal = false
 paths.manifest = data/manifest.tsv
 """
 
@@ -38,7 +38,6 @@ model.dim = 32
 model.depth = 4
 model.heads = 4
 model.agg_hidden = 64
-model.activation = relu
 model.mlp_hidden = 48
 train.lr0 = 0.0005
 train.lr_decay = 1e-09
@@ -51,9 +50,7 @@ train.task = glaucoma
 train.n_nrg = 40
 augment.enabled = false
 prep.od_crop = true
-prep.bg_removal = true
-prep.bg_tau = 12
-prep.confidence_floor = 0.25
+prep.bg_removal = false
 paths.manifest = data/manifest.tsv
 paths.out = none"""
 
@@ -66,12 +63,9 @@ model.dim = 8
 model.depth = 1
 model.heads = 2
 model.agg_hidden = 4
-model.activation = gelu
 model.mlp_hidden = none
 prep.od_crop = false
 prep.bg_removal = true
-prep.bg_tau = 10
-prep.confidence_floor = 0.3
 tasks = feature4
 tensor patch_proj.weight 1x768x8 @ 0
 tensor patch_proj.bias 1x1x8 @ 24576
@@ -116,13 +110,10 @@ class TestGolden:
 
     def test_checkpoint_header(self, tmp_path):
         model = DualHeadViT(ModelConfig(height=32, width=32, patch=16, dim=8,
-                                        depth=1, heads=2, agg_hidden=4,
-                                        activation="gelu"),
+                                        depth=1, heads=2, agg_hidden=4),
                             seed=3, dtype=np.float32)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model,
-                        PreprocessOptions(od_crop=False, confidence_floor=0.3),
-                        ["feature4"])
+        save_checkpoint(path, model, PreprocessOptions(od_crop=False), ["feature4"])
         raw = path.read_bytes()
         assert raw[:len(GOLDEN_HEADER)] == GOLDEN_HEADER.encode("ascii")
         assert len(raw) == len(GOLDEN_HEADER) + 28636
@@ -211,10 +202,6 @@ class TestBuild:
         (TrainConfig, "train", {"n_nrg": "-1"}, "n_nrg"),
         (TrainConfig, "train", {"split": "4:0"}, "split"),
         (ModelConfig, "model", {"heads": "3"}, "not divisible by heads 3"),
-        (PreprocessOptions, "prep", {"bg_tau": "1000"}, "bg_tau"),
-        (PreprocessOptions, "prep", {"bg_tau": "-1"}, "bg_tau"),
-        (PreprocessOptions, "prep", {"confidence_floor": "7"}, "confidence_floor"),
-        (PreprocessOptions, "prep", {"confidence_floor": "-0.5"}, "confidence_floor"),
         (TrainConfig, "train", {"seed": "-1"}, "seed must be nonnegative"),
     ])
     def test_out_of_domain_values_rejected(self, cls, section, raw, key):
@@ -224,10 +211,6 @@ class TestBuild:
     def test_domain_edges_accepted(self):
         train = kv.build(TrainConfig, "train", {"epochs": "1", "lr_decay": "1"})
         assert (train.epochs, train.lr_decay) == (1, 1.0)
-        for tau, floor in (("0", "0"), ("255", "1")):
-            prep = kv.build(PreprocessOptions, "prep",
-                            {"bg_tau": tau, "confidence_floor": floor})
-            assert (prep.bg_tau, prep.confidence_floor) == (int(tau), float(floor))
 
     def test_field_type_without_text_form_is_a_type_error(self):
         @dataclass
@@ -240,13 +223,14 @@ class TestBuild:
     def test_optional_and_boolean(self):
         assert kv.build(ModelConfig, "model", {"mlp_hidden": "none"}).mlp_hidden is None
         assert kv.build(ModelConfig, "model", {"mlp_hidden": "7"}).mlp_hidden == 7
-        assert kv.build(PreprocessOptions, "prep", {"od_crop": "no"}).od_crop is False
-        with pytest.raises(ValueError, match="prep.od_crop"):
-            kv.build(PreprocessOptions, "prep", {"od_crop": "maybe"})
+        assert kv.build(PreprocessOptions, "prep", {"od_crop": "false"}).od_crop is False
+        # a flag takes the one spelling format_value writes
+        for text in ("maybe", "1", "yes", "0", "no", "True"):
+            with pytest.raises(ValueError, match="prep.od_crop"):
+                kv.build(PreprocessOptions, "prep", {"od_crop": text})
 
 
 positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
-probability = st.floats(0.0, 1.0)
 
 
 @st.composite
@@ -260,7 +244,6 @@ def model_configs(draw):
                        depth=draw(st.integers(1, 6)),
                        heads=heads,
                        agg_hidden=draw(st.integers(1, 64)),
-                       activation=draw(st.sampled_from(["relu", "gelu"])),
                        mlp_hidden=draw(st.none() | st.integers(1, 256)))
 
 
@@ -275,8 +258,7 @@ SETTINGS = {
         n_nrg=st.none() | st.integers(0, 10**6))),
     "augment": (AugmentParams, st.builds(AugmentParams, enabled=st.booleans())),
     "prep": (PreprocessOptions, st.builds(
-        PreprocessOptions, od_crop=st.booleans(), bg_removal=st.booleans(),
-        bg_tau=st.integers(0, 255), confidence_floor=probability)),
+        PreprocessOptions, od_crop=st.booleans(), bg_removal=st.booleans())),
     # a path spelled "none" reads back as unset, so the strategy avoids it
     "paths": (Paths, st.builds(
         Paths, manifest=st.none() | st.text(max_size=12).filter(lambda t: t != "none"),

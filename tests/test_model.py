@@ -216,7 +216,7 @@ class TestStructure:
         TINY,
         ModelConfig(),
         ModelConfig(height=48, width=32, patch=16, dim=24, heads=3, depth=3,
-                    agg_hidden=10, activation="gelu", mlp_hidden=20),
+                    agg_hidden=10, mlp_hidden=20),
     ])
     def test_param_count_is_pure_function_of_config(self, cfg):
         model = DualHeadViT(cfg, seed=1)
@@ -260,8 +260,6 @@ class TestStructure:
             ModelConfig(height=30, width=32, patch=16)
         with pytest.raises(ShapeError):
             ModelConfig(dim=30, heads=4)
-        with pytest.raises(ValueError):
-            ModelConfig(activation="swish")
         for bad in ({"depth": 0}, {"depth": -1}, {"agg_hidden": 0}, {"mlp_hidden": 0}):
             with pytest.raises(ValueError):
                 ModelConfig(**bad)

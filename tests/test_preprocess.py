@@ -15,7 +15,7 @@ from scipy import ndimage
 from fundusvit.dataset import read_manifest
 from fundusvit.detections import DiscDetection, load_detection_file, select_roi
 from fundusvit.ppm import read_ppm, write_ppm
-from fundusvit.preprocess import (DEFAULT_BG_TAU, AugmentDraws, AugmentParams,
+from fundusvit.preprocess import (BG_TAU, AugmentDraws, AugmentParams,
                                   augment, border_fill,
                                   color_jitter, crop_roi, hsv_to_rgb,
                                   remove_background, resize_bilinear,
@@ -230,7 +230,7 @@ class TestBorderFill:
             detection = select_roi(load_detection_file(
                 tmp_path / row.detection_path, row.width, row.height))
             crop = crop_roi(read_ppm(tmp_path / row.image_path), detection)
-            dark = crop.max(axis=2) < DEFAULT_BG_TAU
+            dark = crop.max(axis=2) < BG_TAU
             assert dark.any()
             np.testing.assert_array_equal(border_fill(dark), labelled_border_fill(dark))
 

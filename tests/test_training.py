@@ -482,7 +482,7 @@ class TestTrainBank:
         manifest, rows = tiny_dataset
         stripped = [replace(r, features=r.features[:6] + (0,) + r.features[7:])
                     for r in rows]
-        prep = PreprocessOptions(bg_tau=20, confidence_floor=0.25)
+        prep = PreprocessOptions(bg_removal=False)
         args = (SMALL_MODEL, quick_cfg(epochs=1), AUG, prep, stripped, manifest.parent)
         if train == "train_task":
             bank, histories = train_task(*args, out_dir=tmp_path,
