@@ -16,7 +16,7 @@ from . import kv
 from .autodiff import NonFiniteError
 from .atomic import write_atomic
 from .checkpoint import IncompatibleCheckpointError, load_bank
-from .config import ConfigError, RunConfig, effective_lines, load_config
+from .config import ConfigError, effective_lines, load_config
 from .dataset import (N_FEATURES, TASKS, ManifestRow, PreprocessOptions, load_input_image,
                       prepare_input, read_manifest, to_unit, write_manifest)
 from .metrics import DEFAULT_FEATURE_THRESHOLD, evaluate
@@ -65,11 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one task or the full 11-task bank")
     p.add_argument("--config", type=Path, required=True)
-    p.add_argument("--seed", type=_integer, default=None)
-    p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--od-crop", type=_boolean, default=None)
-    p.add_argument("--bg-removal", type=_boolean, default=None)
-    p.add_argument("--task", default=None, choices=[*TASKS, "bank"])
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or bank on a manifest")
     p.add_argument("--checkpoint", type=Path, required=True, help=_CHECKPOINT_HELP)
@@ -142,39 +137,24 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.seed is not None:
-        cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
-    if args.task is not None:
-        cfg = replace(cfg, train=replace(cfg.train, task=args.task))
-    if args.od_crop is not None:
-        cfg = replace(cfg, prep=replace(cfg.prep, od_crop=args.od_crop))
-    if args.bg_removal is not None:
-        cfg = replace(cfg, prep=replace(cfg.prep, bg_removal=args.bg_removal))
-    if args.out is not None:
-        cfg = replace(cfg, paths=replace(cfg.paths, out=str(args.out)))
-    return cfg
-
-
 def cmd_train(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    if cfg.paths.manifest is None:
-        raise ConfigError("paths.manifest is not set")
-    if cfg.paths.out is None:
-        raise ConfigError("paths.out is not set (or pass --out)")
-    manifest_path = Path(cfg.paths.manifest)
-    if not manifest_path.is_absolute():
-        manifest_path = args.config.parent / manifest_path
+    cfg = load_config(args.config)
+    for key in ("manifest", "out"):
+        if getattr(cfg.paths, key) is None:
+            raise ConfigError(f"paths.{key} is not set")
+    # both paths are read relative to the config file; an absolute one stays as it is
+    manifest_path = args.config.parent / cfg.paths.manifest
+    out_dir = args.config.parent / cfg.paths.out
     rows = read_manifest(manifest_path)
     base = manifest_path.parent
     lines = effective_lines(cfg)
     if cfg.train.task == "bank":
         bank = train_bank(cfg.model, cfg.train, cfg.augment, cfg.prep, rows, base,
-                          out_dir=cfg.paths.out, config_lines=lines)
+                          out_dir=out_dir, config_lines=lines)
         print(f"trained {len(bank.tasks)} tasks, skipped {len(TASKS) - len(bank.tasks)}")
     else:
         _, [history] = train_task(cfg.model, cfg.train, cfg.augment, cfg.prep, rows, base,
-                                  out_dir=cfg.paths.out, config_lines=lines)
+                                  out_dir=out_dir, config_lines=lines)
         best = best_record(history)
         print(f"task {cfg.train.task}: best_epoch={best.epoch} "
               f"best_val_metric={best.val_metric:.6f}")

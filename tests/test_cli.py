@@ -4,7 +4,6 @@ calls."""
 
 import argparse
 import math
-import shutil
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -52,6 +51,16 @@ paths.manifest = {data / 'manifest.tsv'}
 paths.out = {root / 'run'}
 """)
     return root, data, config
+
+
+def write_config(path, config, settings):
+    """``config``'s text with ``settings`` ({key: value}) in place of its
+    lines for those keys, written to ``path``."""
+    lines = [line for line in config.read_text().splitlines()
+             if line.partition(" = ")[0] not in settings]
+    lines += [f"{key} = {value}" for key, value in settings.items()]
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 class TestConfig:
@@ -306,30 +315,46 @@ class TestMalformedInputs:
         assert run_cli(["infer", "--checkpoint", bad, "--image", image]) == 3
         assert "incompatible checkpoint" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line, field", [("train.split = 0:0", "split"),
-                                             ("train.split = 4:0", "split"),
-                                             ("train.split = 0:1", "split"),
-                                             ("model.patch = 0", "patch"),
-                                             ("train.lr0 = nan", "lr0"),
-                                             ("train.lr_decay_every = 0",
-                                              "lr_decay_every"),
-                                             ("train.epochs = 0", "epochs"),
-                                             ("prep.od_crop = 1",
-                                              "prep.od_crop: bad value '1'"),
-                                             ("augment.enabled = yes",
-                                              "augment.enabled: bad value 'yes'"),
-                                             ("model.depth = -1", "depth"),
-                                             ("model.agg_hidden = 0", "agg_hidden"),
-                                             ("model.mlp_hidden = 0", "mlp_hidden"),
-                                             ("train.lr0 = -0.001", "lr0"),
-                                             ("train.lr0 = 0", "lr0"),
-                                             ("train.lr_decay = -1", "lr_decay"),
-                                             ("train.lr_decay = 0", "lr_decay"),
-                                             ("train.lr_decay = 1.5", "lr_decay"),
-                                             ("train.n_nrg = -1", "n_nrg"),
-                                             ("train.seed = -3", "seed must be nonnegative"),
-                                             ("train.task = x", "unknown task 'x'")])
-    def test_malformed_config_train_is_one(self, line, field, workspace, tmp_path,
+    # each refusal is the validator's or parser's own message: a renamed or
+    # removed key is refused as an unknown key, which names the field too
+    @pytest.mark.parametrize("line, refusal", [
+        pytest.param("train.split = 0:0", "split parts must be at least 1, got (0, 0)",
+                     id="train.split = 0:0-split"),
+        pytest.param("train.split = 4:0", "split parts must be at least 1, got (4, 0)",
+                     id="train.split = 4:0-split"),
+        pytest.param("train.split = 0:1", "split parts must be at least 1, got (0, 1)",
+                     id="train.split = 0:1-split"),
+        pytest.param("model.patch = 0", "patch must be positive, got 0",
+                     id="model.patch = 0-patch"),
+        pytest.param("train.lr0 = nan", "train.lr0: bad value 'nan'",
+                     id="train.lr0 = nan-lr0"),
+        pytest.param("train.lr_decay_every = 0", "lr_decay_every must be at least 1, got 0",
+                     id="train.lr_decay_every = 0-lr_decay_every"),
+        pytest.param("train.epochs = 0", "epochs must be at least 1, got 0",
+                     id="train.epochs = 0-epochs"),
+        ("prep.od_crop = 1", "prep.od_crop: bad value '1'"),
+        ("augment.enabled = yes", "augment.enabled: bad value 'yes'"),
+        pytest.param("model.depth = -1", "depth must be positive, got -1",
+                     id="model.depth = -1-depth"),
+        pytest.param("model.agg_hidden = 0", "agg_hidden must be positive, got 0",
+                     id="model.agg_hidden = 0-agg_hidden"),
+        pytest.param("model.mlp_hidden = 0", "mlp_hidden must be positive, got 0",
+                     id="model.mlp_hidden = 0-mlp_hidden"),
+        pytest.param("train.lr0 = -0.001", "lr0 must be positive and finite, got -0.001",
+                     id="train.lr0 = -0.001-lr0"),
+        pytest.param("train.lr0 = 0", "lr0 must be positive and finite, got 0.0",
+                     id="train.lr0 = 0-lr0"),
+        pytest.param("train.lr_decay = -1", "lr_decay must lie in (0, 1], got -1.0",
+                     id="train.lr_decay = -1-lr_decay"),
+        pytest.param("train.lr_decay = 0", "lr_decay must lie in (0, 1], got 0.0",
+                     id="train.lr_decay = 0-lr_decay"),
+        pytest.param("train.lr_decay = 1.5", "lr_decay must lie in (0, 1], got 1.5",
+                     id="train.lr_decay = 1.5-lr_decay"),
+        pytest.param("train.n_nrg = -1", "n_nrg must be nonnegative, got -1",
+                     id="train.n_nrg = -1-n_nrg"),
+        ("train.seed = -3", "seed must be nonnegative"),
+        ("train.task = x", "unknown task 'x'")])
+    def test_malformed_config_train_is_one(self, line, refusal, workspace, tmp_path,
                                            capsys, monkeypatch):
         from fundusvit import training
 
@@ -340,7 +365,7 @@ class TestMalformedInputs:
         bad.write_text(f"paths.manifest = {data / 'manifest.tsv'}\n"
                        f"paths.out = {tmp_path / 'out'}\n{line}\n")
         assert run_cli(["train", "--config", bad]) == 1
-        assert field in capsys.readouterr().err
+        assert refusal in capsys.readouterr().err
         assert not (tmp_path / "out").exists() and prepared == []
 
     @pytest.mark.parametrize("command", ["synth", "preprocess", "train", "eval",
@@ -368,7 +393,8 @@ class TestMalformedInputs:
                   "--out", tmp_path / "r.txt"]
         args = {"synth": ["synth", "--n", 2, "--size", 32, "--out", afile],
                 "preprocess": ["preprocess", "--manifest", manifest, "--out", afile],
-                "train": ["train", "--config", config, "--out", afile],
+                "train": ["train", "--config",
+                          write_config(tmp_path / "afile.cfg", config, {"paths.out": afile})],
                 "eval": ["eval", "--checkpoint", ckpt, "--manifest", manifest,
                          "--out", afile / "r.txt"],
                 "eval-into-directory": ["eval", "--checkpoint", ckpt,
@@ -381,11 +407,17 @@ class TestMalformedInputs:
         assert err.startswith("fundusvit: error: ") and err.count("\n") == 1
         assert afile.read_text() == "not a directory\n" and prepared == []
 
-    def test_bad_boolean_flag_is_one(self, workspace, capsys):
+    def test_removed_train_flags_are_one(self, workspace, tmp_path, capsys):
+        # a run's settings come from its config file alone
         root, data, config = workspace
-        assert run_cli(["train", "--config", config, "--od-crop", "maybe"]) == 1
-        assert "--od-crop" in capsys.readouterr().err
-
+        run_config = write_config(tmp_path / "run.cfg", config,
+                                  {"paths.out": tmp_path / "run"})
+        for flag, value in [("--seed", "1"), ("--task", "bank"), ("--od-crop", "false"),
+                            ("--bg-removal", "false"), ("--out", str(tmp_path / "out"))]:
+            assert run_cli(["train", "--config", run_config, flag, value]) == 1
+            err = capsys.readouterr().err
+            assert err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+        assert list(tmp_path.iterdir()) == [run_config]
 
     def test_manifest_extents_other_than_the_image_are_one(self, workspace, tmp_path,
                                                             capsys):
@@ -400,10 +432,10 @@ class TestMalformedInputs:
         bad = data / "bad.tsv"
         write_manifest(bad, [replace(r, width=128, height=128)
                              for r in read_manifest(data / "manifest.tsv")])
-        bad_config = tmp_path / "bad.cfg"
-        bad_config.write_text(config.read_text().replace("manifest.tsv", "bad.tsv"))
+        bad_config = write_config(tmp_path / "bad.cfg", config,
+                                  {"paths.manifest": bad, "paths.out": tmp_path / "run"})
         capsys.readouterr()
-        assert run_cli(["train", "--config", bad_config, "--out", tmp_path / "run"]) == 1
+        assert run_cli(["train", "--config", bad_config]) == 1
         assert "image is 64x64, the manifest lists 128x128" in capsys.readouterr().err
         assert not (tmp_path / "run" / "model.ckpt").exists()
         ckpt = tmp_path / "model.ckpt"
@@ -428,10 +460,10 @@ class TestMalformedInputs:
         row[header.index(column)] = value
         bad = data / f"bad-{column}.tsv"
         bad.write_text("\n".join([*lines[:2], "\t".join(row), *lines[3:]]) + "\n")
-        bad_config = tmp_path / "bad.cfg"
-        bad_config.write_text(config.read_text().replace("manifest.tsv", bad.name))
+        bad_config = write_config(tmp_path / "bad.cfg", config,
+                                  {"paths.manifest": bad, "paths.out": tmp_path / "run"})
         capsys.readouterr()
-        assert run_cli(["train", "--config", bad_config, "--out", tmp_path / "run"]) == 1
+        assert run_cli(["train", "--config", bad_config]) == 1
         assert (f"{bad}:3: column {column} must be a positive integer, got {value!r}"
                 in capsys.readouterr().err)
         assert not (tmp_path / "run").exists()
@@ -441,11 +473,10 @@ class TestMalformedInputs:
         lines = (data / "manifest.tsv").read_text().splitlines()
         bad = data / "dup.tsv"
         bad.write_text("\n".join([*lines, lines[1]]) + "\n")
-        bad_config = tmp_path / "bad.cfg"
-        bad_config.write_text(config.read_text().replace(str(data / "manifest.tsv"),
-                                                         str(bad)))
+        bad_config = write_config(tmp_path / "bad.cfg", config,
+                                  {"paths.manifest": bad, "paths.out": tmp_path / "run"})
         capsys.readouterr()
-        assert run_cli(["train", "--config", bad_config, "--out", tmp_path / "run"]) == 1
+        assert run_cli(["train", "--config", bad_config]) == 1
         image_id = lines[1].split("\t")[0]
         assert (f"{bad}:{len(lines) + 1}: duplicate image id {image_id!r}"
                 in capsys.readouterr().err)
@@ -495,38 +526,32 @@ class TestTrainEvalInfer:
         assert "train.seed = 5" in log            # config echoed for provenance
         assert "epoch=0" in log and "epoch=1" in log
 
+    def test_relative_out_is_beside_the_config(self, workspace, tmp_path, monkeypatch):
+        # paths.out, like paths.manifest, is read from the config's directory,
+        # not the working directory; the log echoes it as written
+        root, data, config = workspace
+        (tmp_path / "exp").mkdir()
+        (tmp_path / "cwd").mkdir()
+        run_config = write_config(tmp_path / "exp" / "run.cfg", config,
+                                  {"paths.out": "runs/demo"})
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert run_cli(["train", "--config", run_config]) == 0
+        assert (tmp_path / "exp" / "runs" / "demo" / "model.ckpt").is_file()
+        log = (tmp_path / "exp" / "runs" / "demo" / "glaucoma.log").read_text()
+        assert "# paths.out = runs/demo\n" in log
+        assert list((tmp_path / "cwd").iterdir()) == []
+
     def test_bank_prints_its_trained_and_skipped_counts(self, workspace, tmp_path, capsys):
         # the skipped tasks are those bank.log names, out of all eleven
         root, data, config = workspace
+        bank_config = write_config(tmp_path / "bank.cfg", config,
+                                   {"train.task": "bank", "paths.out": tmp_path / "bank"})
         capsys.readouterr()
-        assert run_cli(["train", "--config", config, "--task", "bank",
-                        "--out", tmp_path / "bank"]) == 0
+        assert run_cli(["train", "--config", bank_config]) == 0
         skipped = (tmp_path / "bank" / "bank.log").read_text().count("status=skipped")
         assert skipped > 0
         assert capsys.readouterr().out.splitlines()[-1] == \
             f"trained {11 - skipped} tasks, skipped {skipped}"
-
-    @pytest.mark.parametrize("flag, key, value, other", [
-        ("--seed", "train.seed", "5", "9"),
-        ("--task", "train.task", "glaucoma", "feature1")])
-    def test_flag_gives_the_bytes_of_the_same_config_setting(self, flag, key, value, other,
-                                                             workspace, tmp_path):
-        root, data, config = workspace
-        config_text = config.read_text()
-        assert f"\n{key} = {value}\n" in config_text
-        other_config = tmp_path / "other.cfg"
-        other_config.write_text(config_text.replace(f"\n{key} = {value}\n",
-                                                    f"\n{key} = {other}\n"))
-        out = tmp_path / "run"
-
-        def artifacts(*args):
-            shutil.rmtree(out, ignore_errors=True)
-            assert run_cli(["train", *args, "--out", out]) == 0
-            return {p.name: p.read_bytes() for p in out.iterdir()}
-
-        in_file = artifacts("--config", config)
-        assert artifacts("--config", other_config, flag, value) == in_file
-        assert artifacts("--config", other_config) != in_file
 
     def test_rerun_identical_log_body(self, workspace):
         root, data, config = workspace
@@ -540,10 +565,11 @@ class TestTrainEvalInfer:
         root, data, config = workspace
         off = tmp_path / "off"
         on = tmp_path / "on"
-        assert run_cli(["train", "--config", config, "--out", off,
-                        "--od-crop", "false", "--bg-removal", "false"]) == 0
-        assert run_cli(["train", "--config", config, "--out", on,
-                        "--od-crop", "true", "--bg-removal", "true"]) == 0
+        for out, toggle in [(off, "false"), (on, "true")]:
+            arm = write_config(tmp_path / f"{out.name}.cfg", config,
+                               {"prep.od_crop": toggle, "prep.bg_removal": toggle,
+                                "paths.out": out})
+            assert run_cli(["train", "--config", arm]) == 0
 
         def payload(path):
             raw = path.read_bytes()
@@ -851,14 +877,12 @@ def test_synth_numbers_take_one_spelling(option, value, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["preprocess", "--target", "3_2"], ["preprocess", "--target", "+32"],
-    ["train", "--seed", "+1"], ["train", "--seed", "1_0"],
     ["eval", "--threshold", "0_5"], ["eval", "--threshold", "+0.5"]],
     ids=lambda argv: "_".join(argv))
 def test_numeric_options_take_one_spelling(argv, workspace, tmp_path, capsys):
     root, data, config = workspace
     out = tmp_path / "out"
     required = {"preprocess": ["--manifest", data / "manifest.tsv", "--out", out],
-                "train": ["--config", config, "--out", out],
                 "eval": ["--checkpoint", root / "run", "--manifest", data / "manifest.tsv",
                          "--out", out / "report.txt"]}
     assert run_cli([*argv, *required[argv[0]]]) == 1
@@ -881,7 +905,7 @@ def refusal(parse, text: str) -> str:
     (["preprocess", "--od-crop", "on"], "expected true/false, got 'on'"),
     (["eval", "--threshold", "0_5"], "expected a decimal number, got '0_5'"),
     (["preprocess", "--od-crop", "1"], "expected true/false, got '1'"),
-    (["train", "--bg-removal", "yes"], "expected true/false, got 'yes'")],
+    (["preprocess", "--bg-removal", "yes"], "expected true/false, got 'yes'")],
     ids=["integer", "real", "boolean", "probability", "boolean-1", "boolean-yes"])
 def test_option_errors_name_the_accepted_spelling(argv, reason, workspace, tmp_path,
                                                  capsys):
@@ -891,7 +915,6 @@ def test_option_errors_name_the_accepted_spelling(argv, reason, workspace, tmp_p
     out = tmp_path / "out"
     required = {"synth": ["--out", out],
                 "preprocess": ["--manifest", data / "manifest.tsv", "--out", out],
-                "train": ["--config", config, "--out", out],
                 "eval": ["--checkpoint", root / "run", "--manifest", data / "manifest.tsv",
                          "--out", out / "report.txt"]}
     assert run_cli([*argv, *required[argv[0]]]) == 1
@@ -935,13 +958,6 @@ def test_a_fixed_constant_is_not_a_config_key(key, workspace, tmp_path, capsys):
                    f"paths.out = {tmp_path / 'out'}\n{key} = 0.5\n")
     assert run_cli(["train", "--config", bad]) == 1
     assert f"unknown config key '{key}'" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_negative_train_seed_flag_is_one_and_writes_nothing(workspace, tmp_path, capsys):
-    root, data, config = workspace
-    assert run_cli(["train", "--config", config, "--seed", -2, "--out", tmp_path / "out"]) == 1
-    assert "seed must be nonnegative, got -2" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -56,8 +56,7 @@ OPTIONS = [
     "synth --n", "synth --seed", "synth --out", "synth --size", "synth --pos-fraction",
     "preprocess --manifest", "preprocess --out", "preprocess --target",
     "preprocess --od-crop", "preprocess --bg-removal",
-    "train --config", "train --seed", "train --out", "train --od-crop",
-    "train --bg-removal", "train --task",
+    "train --config",
     "eval --checkpoint", "eval --manifest", "eval --out", "eval --roc-out",
     "eval --scores-out", "eval --threshold",
     "infer --checkpoint", "infer --image", "infer --detection",

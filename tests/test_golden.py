@@ -1,8 +1,8 @@
 """Golden hashes of the bank flow: a seeded synth, an 11-task desk-scale
-``train --task bank`` with augmentation on, then ``eval``. The run's one
-checkpoint, every training log, the bank log and the report are pinned by
-sha256, so a change that moves any artifact byte fails here and has to say
-why."""
+``train`` whose config sets ``train.task = bank``, with augmentation on,
+then ``eval``. The run's one checkpoint, every training log, the bank log
+and the report are pinned by sha256, so a change that moves any artifact
+byte fails here and has to say why."""
 
 import hashlib
 import json

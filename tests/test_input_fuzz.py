@@ -83,16 +83,15 @@ def test_mutated_header_and_detection_end_in_an_exit_code(inputs, data):
 
 @pytest.fixture(scope="module")
 def manifest_inputs(tmp_path_factory):
-    """A dataset directory and its manifest's bytes, a one-epoch training
-    config that reads ``fuzz.tsv`` there, and a checkpoint to evaluate."""
+    """A dataset directory and its manifest's bytes, the text of a one-epoch
+    training config that reads ``fuzz.tsv`` there, and a checkpoint to
+    evaluate."""
     root = tmp_path_factory.mktemp("manifestfuzz")
     manifest = generate_dataset(root / "data", n=6, seed=2, size=64)
     ckpt = root / "model.ckpt"
     save_checkpoint(ckpt, DualHeadViT(CFG, seed=0), PreprocessOptions(), ["glaucoma"])
-    config = root / "run.cfg"
-    config.write_text("\n".join([*kv.dump("model", CFG), "train.epochs = 1",
-                                 "train.batch_size = 4",
-                                 f"paths.manifest = {manifest.parent / 'fuzz.tsv'}"]))
+    config = "\n".join([*kv.dump("model", CFG), "train.epochs = 1", "train.batch_size = 4",
+                        f"paths.manifest = {manifest.parent / 'fuzz.tsv'}"])
     return manifest.parent, manifest.read_bytes(), config, ckpt
 
 
@@ -102,7 +101,9 @@ def train_and_eval(inputs, manifest: bytes) -> tuple[int, int]:
     with tempfile.TemporaryDirectory() as out, \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
-        return (cli.main(["train", "--config", str(config), "--out", out]),
+        run_config = Path(out) / "run.cfg"
+        run_config.write_text(f"{config}\npaths.out = {out}\n")
+        return (cli.main(["train", "--config", str(run_config)]),
                 cli.main(["eval", "--checkpoint", str(ckpt),
                           "--manifest", str(base / "fuzz.tsv"),
                           "--out", str(Path(out) / "report.txt")]))

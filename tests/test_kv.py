@@ -2,6 +2,7 @@
 header text, typed round-trips for the four settings classes, and config
 parsing that fails only with ConfigError."""
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,21 +192,38 @@ class TestBuild:
         with pytest.raises(ValueError, match="train.lr0"):
             kv.build(TrainConfig, "train", {"lr0": text})
 
-    @pytest.mark.parametrize("cls, section, raw, key", [
-        (TrainConfig, "train", {"epochs": "0"}, "epochs"),
-        (TrainConfig, "train", {"epochs": "-3"}, "epochs"),
-        (TrainConfig, "train", {"lr_decay_every": "0"}, "lr_decay_every"),
-        (TrainConfig, "train", {"batch_size": "0"}, "batch_size"),
-        (TrainConfig, "train", {"lr0": "0"}, "lr0"),
-        (TrainConfig, "train", {"lr_decay": "0"}, "lr_decay"),
-        (TrainConfig, "train", {"lr_decay": "1.0000000000000002"}, "lr_decay"),
-        (TrainConfig, "train", {"n_nrg": "-1"}, "n_nrg"),
-        (TrainConfig, "train", {"split": "4:0"}, "split"),
+    # each refusal is the validator's own message: a renamed or removed
+    # field is refused as an unknown key, which names the field too
+    @pytest.mark.parametrize("cls, section, raw, refusal", [
+        pytest.param(TrainConfig, "train", {"epochs": "0"},
+                     "epochs must be at least 1, got 0", id="TrainConfig-train-raw0-epochs"),
+        pytest.param(TrainConfig, "train", {"epochs": "-3"},
+                     "epochs must be at least 1, got -3", id="TrainConfig-train-raw1-epochs"),
+        pytest.param(TrainConfig, "train", {"lr_decay_every": "0"},
+                     "lr_decay_every must be at least 1, got 0",
+                     id="TrainConfig-train-raw2-lr_decay_every"),
+        pytest.param(TrainConfig, "train", {"batch_size": "0"},
+                     "batch_size must be at least 1, got 0",
+                     id="TrainConfig-train-raw3-batch_size"),
+        pytest.param(TrainConfig, "train", {"lr0": "0"},
+                     "lr0 must be positive and finite, got 0.0",
+                     id="TrainConfig-train-raw4-lr0"),
+        pytest.param(TrainConfig, "train", {"lr_decay": "0"},
+                     "lr_decay must lie in (0, 1], got 0.0",
+                     id="TrainConfig-train-raw5-lr_decay"),
+        pytest.param(TrainConfig, "train", {"lr_decay": "1.0000000000000002"},
+                     "lr_decay must lie in (0, 1], got 1.0000000000000002",
+                     id="TrainConfig-train-raw6-lr_decay"),
+        pytest.param(TrainConfig, "train", {"n_nrg": "-1"},
+                     "n_nrg must be nonnegative, got -1", id="TrainConfig-train-raw7-n_nrg"),
+        pytest.param(TrainConfig, "train", {"split": "4:0"},
+                     "split parts must be at least 1, got (4, 0)",
+                     id="TrainConfig-train-raw8-split"),
         (ModelConfig, "model", {"heads": "3"}, "not divisible by heads 3"),
         (TrainConfig, "train", {"seed": "-1"}, "seed must be nonnegative"),
     ])
-    def test_out_of_domain_values_rejected(self, cls, section, raw, key):
-        with pytest.raises(ValueError, match=key):
+    def test_out_of_domain_values_rejected(self, cls, section, raw, refusal):
+        with pytest.raises(ValueError, match=re.escape(refusal)):
             kv.build(cls, section, raw)
 
     def test_domain_edges_accepted(self):
